@@ -251,9 +251,10 @@ func BenchmarkProfitFunction(b *testing.B) {
 	k := app.Kernel("sad")
 	e := k.ISEs[1]
 	p := profit.Params{E: 2000, TF: 3000, TB: 400}
+	var s profit.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profit.Profit(k, e, nil, p, profit.Multigrained)
+		s.Profit(k, e, nil, p, profit.Multigrained)
 	}
 }
 
@@ -298,39 +299,9 @@ func BenchmarkOptimalSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectionCached measures a full trigger-instruction reaction
-// (MPU forecast, selection, commit) in the selection cache's steady state:
-// the repetitive frame-to-frame case the fast path targets. The hit-rate
-// metric confirms the loop is served from the cache.
-func BenchmarkSelectionCached(b *testing.B) {
-	w, _ := benchWorkload(b)
-	blk := w.App.Block("enc")
-	triggers := w.Trace.ProfileFor("enc", "P")
-	m := core.MustNew(arch.Config{NPRC: 2, NCG: 2}, core.Options{ChargeOverhead: true})
-	// Cold trigger, then one on the settled fabric: the second fills the
-	// cache entry every following trigger replays.
-	const settled = 50_000_000
-	if _, err := m.OnTrigger(blk, "P", triggers, 0); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.OnTrigger(blk, "P", triggers, settled); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.OnTrigger(blk, "P", triggers, settled); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := m.Stats()
-	b.ReportMetric(float64(st.CacheHits)/float64(st.Selections), "hit-rate")
-}
-
-// BenchmarkSelectionObserved is BenchmarkSelectionCached with a
+// BenchmarkSelectionObserved is BenchmarkTriggerSelection with a
 // decision-trace recorder attached: the cost of tracing the hot path. The
-// observer-off case (BenchmarkSelectionCached) must stay allocation-free
+// observer-off case (BenchmarkTriggerSelection) must stay allocation-free
 // with respect to observation — the baseline check pins its allocs/op.
 func BenchmarkSelectionObserved(b *testing.B) {
 	w, _ := benchWorkload(b)
@@ -358,14 +329,13 @@ func BenchmarkSelectionObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectionUncached is the same trigger reaction with the cache
-// disabled — the before/after contrast for BenchmarkSelectionCached.
-func BenchmarkSelectionUncached(b *testing.B) {
+// BenchmarkTriggerSelection measures a full trigger-instruction reaction
+// (MPU forecast, selection, commit) on a settled fabric.
+func BenchmarkTriggerSelection(b *testing.B) {
 	w, _ := benchWorkload(b)
 	blk := w.App.Block("enc")
 	triggers := w.Trace.ProfileFor("enc", "P")
 	m := core.MustNew(arch.Config{NPRC: 2, NCG: 2}, core.Options{ChargeOverhead: true})
-	m.SetSelectionCacheSize(-1)
 	const settled = 50_000_000
 	if _, err := m.OnTrigger(blk, "P", triggers, 0); err != nil {
 		b.Fatal(err)
@@ -602,59 +572,6 @@ func BenchmarkAblationPortBlindProfit(b *testing.B) {
 
 // --- Batch engine benches --------------------------------------------------
 
-// batchLattice builds the free-capacity request lattice of the batch
-// benchmarks over the 4x20 synthetic library — the scalability case of the
-// CI guard — extended past the block's demand bound so saturation clamping
-// (selector.DemandBound) gives the shared memo real duplicates to absorb,
-// the way oversized fabric combinations repeat in a real sweep.
-func batchLattice() []selector.Request {
-	blk, triggers := iselib.GenerateBlock("s", 4, 20, 11)
-	bp, bc := selector.DemandBound(blk)
-	var reqs []selector.Request
-	for p := 0; p <= bp+4; p++ {
-		for c := 0; c <= bc+4; c++ {
-			reqs = append(reqs, selector.Request{
-				Block:    blk,
-				Triggers: triggers,
-				Fabric:   ise.EmptyFabric{PRC: p, CG: c},
-				Model:    profit.Multigrained,
-			})
-		}
-	}
-	return reqs
-}
-
-// BenchmarkBatchSelection compares one sweep-worth of greedy selections
-// evaluated sequentially against selector.Batch: the batch half spreads
-// the lattice over GOMAXPROCS workers and answers clamp-duplicate points
-// from the shared memo. Results are byte-identical either way (pinned in
-// internal/selector); only wall-clock may differ.
-func BenchmarkBatchSelection(b *testing.B) {
-	reqs := batchLattice()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range reqs {
-				if _, err := selector.Greedy(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		var hits, total uint64
-		for i := 0; i < b.N; i++ {
-			memo := selector.NewMemo(0)
-			if _, err := selector.Batch(reqs, 0, memo); err != nil {
-				b.Fatal(err)
-			}
-			st := memo.Stats()
-			hits, total = st.Hits, st.Hits+st.Misses
-		}
-		b.ReportMetric(float64(hits), "seed-hits")
-		b.ReportMetric(float64(total), "points")
-	})
-}
-
 // BenchmarkSweepWallclock measures the figure pipeline (Fig. 8 + 9 + 10 —
 // the core of `mrts-sweep -fig all`) end to end. "sequential" is the
 // pre-batch behaviour: the direct evaluator on a single worker. "batch" is
@@ -709,6 +626,9 @@ func phasedBenchWorkload(b testing.TB) *workload.Result {
 			Seed:   1,
 			Phased: &workload.PhasedOptions{Divergence: 0.5},
 		})
+		// Build the lazily merged schedule now, so no sub-benchmark is
+		// charged for it (benchWorkload warms it through RunRISC).
+		phasedBenchW.Trace.MergedLoads(0)
 	})
 	return phasedBenchW
 }
@@ -763,39 +683,6 @@ func TestPhasedPredictionOverheadBounded(t *testing.T) {
 			t.Errorf("%s predictor run costs %d ns/op, more than 1.5x backprop's %d ns/op",
 				k, got.NsPerOp(), base.NsPerOp())
 		}
-	}
-}
-
-// TestBatchNotSlowerThanSequential is the CI guard of the batch engine's
-// reason to exist: on the 4x20 scalability case, selector.Batch must not
-// be slower than the plain sequential loop over the same requests.
-// Benchmarking inside a test is noisy on shared runners, so the guard is
-// opt-in (MRTS_BENCH_SMOKE=1) and allows 20% slack.
-func TestBatchNotSlowerThanSequential(t *testing.T) {
-	if os.Getenv("MRTS_BENCH_SMOKE") == "" {
-		t.Skip("set MRTS_BENCH_SMOKE=1 to run the batch-vs-sequential guard")
-	}
-	reqs := batchLattice()
-	seq := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range reqs {
-				if _, err := selector.Greedy(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	bat := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := selector.Batch(reqs, 0, selector.NewMemo(0)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	t.Logf("sequential %d ns/op, batch %d ns/op (%d points)", seq.NsPerOp(), bat.NsPerOp(), len(reqs))
-	if float64(bat.NsPerOp()) > 1.2*float64(seq.NsPerOp()) {
-		t.Errorf("batch selection is slower than sequential: %d ns/op vs %d ns/op",
-			bat.NsPerOp(), seq.NsPerOp())
 	}
 }
 

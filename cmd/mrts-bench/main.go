@@ -26,9 +26,9 @@ import (
 // selection fast path; the figure-level benches are too slow and noisy for
 // a CI guard.
 const defaultPattern = "BenchmarkProfitFunction$|BenchmarkGreedySelection$|BenchmarkOptimalSelection$|" +
-	"BenchmarkSelectionCached$|BenchmarkSelectionUncached$|BenchmarkSelectionObserved$|BenchmarkGreedyIncremental|" +
+	"BenchmarkTriggerSelection$|BenchmarkSelectionObserved$|BenchmarkGreedyIncremental|" +
 	"BenchmarkSelectorScalability|BenchmarkOptimalScalability|BenchmarkServiceThroughput$|" +
-	"BenchmarkBatchSelection|BenchmarkSweepWallclock|BenchmarkPhasedPrediction"
+	"BenchmarkSweepWallclock|BenchmarkPhasedPrediction"
 
 type metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`

@@ -99,36 +99,6 @@ func TestBatchIdenticalUnderFaults(t *testing.T) {
 	}
 }
 
-// cacheSizer is implemented by runtime systems carrying an L1 selection
-// cache (*core.MRTS).
-type cacheSizer interface{ SetSelectionCacheSize(n int) }
-
-// TestBatchIdenticalCacheOff compares the engine (shared memo on top of
-// the default L1 selection cache) against ground truth with every cache
-// disabled: the L2 memo must not change output even relative to a fully
-// uncached run.
-func TestBatchIdenticalCacheOff(t *testing.T) {
-	cfg := arch.Config{NPRC: 2, NCG: 2}
-	eng := New(batchWorkload, 0)
-	batched, err := eng.Evaluator()(context.Background(), cfg, exp.PolicyMRTS)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rts, err := exp.NewPolicy(exp.PolicyMRTS, cfg, batchWorkload.App, batchWorkload.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts.(cacheSizer).SetSelectionCacheSize(-1)
-	uncached, err := sim.Run(batchWorkload.App, batchWorkload.Trace, rts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := mustJSON(t, batched), mustJSON(t, uncached); !bytes.Equal(a, b) {
-		t.Errorf("batched report differs from cache-off ground truth:\n%s\n%s", a, b)
-	}
-}
-
 // TestFaultsSweepSeededIdentical runs the whole degradation sweep through
 // the engine and directly, and requires identical results plus real
 // cross-point reuse: rows share their pre-fault selection prefixes, so the

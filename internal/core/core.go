@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"mrts/internal/arch"
 	"mrts/internal/ecu"
@@ -90,28 +89,15 @@ type Stats struct {
 	// ExecCycles accumulates execution cycles per ECU mode.
 	ExecCycles [4]arch.Cycles
 
-	// CacheHits counts selections replayed from the selection cache: the
-	// inputs (corrected forecasts, fabric capacity, configured data paths,
-	// port backlogs) matched a previous selection exactly. Hits charge the
-	// same modelled overhead as the selection they replay — the simulated
-	// timeline is bit-identical with the cache on or off — but cost the
-	// host only a fingerprint lookup.
-	CacheHits int64
-	// CacheMisses counts selections that ran the selector for real while
-	// the cache was enabled.
-	CacheMisses int64
-	// EvaluationsSaved counts modelled profit evaluations answered without
-	// recomputation: all of a replayed selection's evaluations on a cache
-	// hit, plus the incremental greedy's memoized evaluations on a miss.
-	EvaluationsSaved int64
+	// CacheHits and CacheMisses are always zero; they remain only because
+	// perfbench reads them.
+	CacheHits, CacheMisses int64
 	// CoveredPicks counts ISEs selected directly by Fig. 6 Step 2b (fully
 	// covered by previously selected data paths, no profit evaluation).
 	CoveredPicks int64
 	// SharedHits / SharedMisses count selections answered by (resp.
 	// computed through) the cross-point memo a batch sweep attached via
-	// SetSharedMemo. They subdivide CacheMisses: a shared hit still counts
-	// as an L1 cache miss, it just cost the host a memo lookup instead of
-	// a real selection.
+	// SetSharedMemo.
 	SharedHits   int64
 	SharedMisses int64
 
@@ -150,19 +136,7 @@ type Options struct {
 	ChargeOverhead bool
 	// Name overrides the policy name in reports.
 	Name string
-	// SelectionCacheSize bounds the LRU selection cache: 0 uses
-	// DefaultSelectionCacheSize, a negative value disables the cache.
-	// The cache replays a previous selector.Result when the selection
-	// inputs repeat exactly, so it requires Select to be a pure function
-	// of its Request (true for selector.Greedy and selector.Optimal).
-	SelectionCacheSize int
 }
-
-// DefaultSelectionCacheSize is the selection-cache bound used when
-// Options.SelectionCacheSize is zero. Video workloads cycle through a
-// handful of (phase, fabric-state) combinations per block, so a small
-// cache already captures the steady state.
-const DefaultSelectionCacheSize = 128
 
 // MRTS is the mRTS run-time system.
 type MRTS struct {
@@ -179,21 +153,15 @@ type MRTS struct {
 	selected map[*ise.Kernel]*ise.ISE
 	stats    Stats
 
-	// selCache memoizes selection results per input fingerprint; nil when
-	// disabled. fpBuf is the reusable fingerprint build buffer.
-	selCache *selCache
-	fpBuf    []byte
-
-	// sharedMemo, when non-nil, answers selections the per-run cache
-	// missed from a cross-point memo shared with other policy instances
-	// and sweep points over the same workload (see selector.Memo). Only
-	// honoured when the policy runs the default greedy selector
-	// (greedyDefault): the memo replays greedy Results and must not stand
-	// in for a custom or optimal Select.
+	// sharedMemo, when non-nil, answers selections from a cross-point
+	// memo shared with other policy instances and sweep points over the
+	// same workload (see selector.Memo). Only honoured when the policy
+	// runs the default greedy selector (greedyDefault): the memo replays
+	// greedy Results and must not stand in for a custom or optimal Select.
 	sharedMemo    *selector.Memo
 	greedyDefault bool
 
-	// obsr records MPU, selector, ECU and cache decision events when
+	// obsr records MPU, selector, ECU and core decision events when
 	// tracing is on; nil otherwise. The recorder never feeds back into the
 	// simulation, so traced runs are byte-identical to untraced ones.
 	obsr *obs.Recorder
@@ -238,25 +206,11 @@ func New(cfg arch.Config, opts Options) (*MRTS, error) {
 		greedyDefault: greedyDefault,
 	}
 	m.exec = ecu.New(ctrl, opts.ECU)
-	m.SetSelectionCacheSize(opts.SelectionCacheSize)
 	return m, nil
 }
 
-// SetSelectionCacheSize resizes (n > 0), resets to the default (n == 0) or
-// disables (n < 0) the selection cache. Any cached entries are dropped.
-func (m *MRTS) SetSelectionCacheSize(n int) {
-	switch {
-	case n < 0:
-		m.selCache = nil
-	case n == 0:
-		m.selCache = newSelCache(DefaultSelectionCacheSize)
-	default:
-		m.selCache = newSelCache(n)
-	}
-}
-
 // SetSharedMemo attaches (or, with nil, detaches) a cross-point selection
-// memo consulted when the per-run selection cache misses. The memo's keys
+// memo that answers every selection of the run. The memo's keys
 // fingerprint the selector's entire input surface (selector.Fingerprint),
 // so a hit replays exactly the Result selector.Greedy would compute and
 // the simulated timeline — including the modelled selection overhead — is
@@ -352,70 +306,29 @@ func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, trigger
 		}
 	}
 
-	var (
-		res selector.Result
-		hit bool
-		key string
-	)
-	if m.selCache != nil {
-		key = m.selectionFingerprint(block, corrected)
-		res, hit = m.selCache.get(key)
+	req := selector.Request{
+		Block:    block,
+		Triggers: corrected,
+		Fabric:   m.ctrl.SelectionView(),
+		Model:    m.opts.Model,
 	}
-	if hit {
-		// Replay the cached selection verbatim: the fingerprint covers the
-		// selector's entire input surface, so this is the result the
-		// selector would have produced. The modelled overhead charged
-		// below is therefore identical to an uncached run; only the host
-		// skips the real selection work.
-		m.stats.CacheHits++
-		m.stats.EvaluationsSaved += int64(res.Evaluations)
-		if m.obsr != nil {
-			m.obsr.Record(obs.Event{
-				Cycle: now, Source: obs.SourceCore, Kind: obs.KindCacheHit,
-				Block: block.ID, Phase: phase, Round: res.Rounds, E: int64(res.Evaluations),
-			})
-		}
+	var (
+		res    selector.Result
+		shared bool
+		err    error
+	)
+	if m.sharedMemo != nil {
+		res, shared, err = m.sharedMemo.GreedyWithHit(req)
 	} else {
-		req := selector.Request{
-			Block:    block,
-			Triggers: corrected,
-			Fabric:   m.ctrl.SelectionView(),
-			Model:    m.opts.Model,
-		}
-		var (
-			err    error
-			shared bool
-		)
-		if m.sharedMemo != nil {
-			res, shared, err = m.sharedMemo.GreedyWithHit(req)
-		} else {
-			res, err = m.opts.Select(req)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("core: selection for block %q: %w", block.ID, err)
-		}
-		if m.selCache != nil {
-			m.selCache.put(key, res)
-			m.stats.CacheMisses++
-			if m.obsr != nil {
-				m.obsr.Record(obs.Event{
-					Cycle: now, Source: obs.SourceCore, Kind: obs.KindCacheMiss,
-					Block: block.ID, Phase: phase, Round: res.Rounds, E: int64(res.Evaluations),
-				})
-			}
-		}
-		if shared {
-			// A shared-memo hit replays the full selection like an L1 hit
-			// does: credit all of its modelled evaluations, which subsume
-			// the incremental greedy's per-run saves.
-			m.stats.SharedHits++
-			m.stats.EvaluationsSaved += int64(res.Evaluations)
-		} else {
-			if m.sharedMemo != nil {
-				m.stats.SharedMisses++
-			}
-			m.stats.EvaluationsSaved += int64(res.SavedEvaluations)
-		}
+		res, err = m.opts.Select(req)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("core: selection for block %q: %w", block.ID, err)
+	}
+	if shared {
+		m.stats.SharedHits++
+	} else if m.sharedMemo != nil {
+		m.stats.SharedMisses++
 	}
 	m.stats.CoveredPicks += int64(res.CoveredPicks)
 	if m.obsr != nil {
@@ -475,12 +388,6 @@ func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, trigger
 // (clear the selection, fall back to RISC) rather than abort.
 func (m *MRTS) OnFault(lost []ise.DataPathID, now arch.Cycles) (arch.Cycles, error) {
 	m.stats.FaultEvents++
-	// Fault events change what the fabric can hold in ways the selection
-	// fingerprint does not capture (container health, in-flight
-	// configurations): drop every cached selection.
-	if m.selCache != nil {
-		m.selCache.clear()
-	}
 	m.ctrl.Advance(now)
 	if len(lost) > 0 {
 		lostSet := make(map[ise.DataPathID]bool, len(lost))
@@ -614,49 +521,6 @@ func (m *MRTS) Reset() {
 	m.stats = Stats{}
 	m.lastBlock, m.lastPhase, m.lastTriggers = nil, "", nil
 	m.inIteration = false
-	if m.selCache != nil {
-		m.selCache.clear()
-	}
-}
-
-// selectionFingerprint serialises the selector's entire input surface into
-// a canonical string: the functional block, the MPU-corrected forecasts (in
-// trigger order — order is part of the selection semantics), the free
-// fabric capacity, both configuration-port backlogs and the set of
-// currently configured data paths. Two selections with equal fingerprints
-// see indistinguishable inputs, so a deterministic selector returns the
-// same Result for both. The profit model and selection algorithm are fixed
-// per instance and need no encoding.
-func (m *MRTS) selectionFingerprint(block *ise.FunctionalBlock, triggers []ise.Trigger) string {
-	view := m.ctrl.SelectionView()
-	b := m.fpBuf[:0]
-	b = append(b, block.ID...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(view.FreePRC()), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(view.FreeCG()), 10)
-	b = append(b, '|')
-	if pv, ok := view.(ise.PortView); ok {
-		b = strconv.AppendInt(b, int64(pv.PortBacklog(arch.FG)), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(pv.PortBacklog(arch.CG)), 10)
-	}
-	for _, t := range triggers {
-		b = append(b, '|')
-		b = append(b, string(t.Kernel)...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, t.E, 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(t.TF), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(t.TB), 10)
-	}
-	for _, id := range m.ctrl.ConfiguredPaths() {
-		b = append(b, '|', '+')
-		b = append(b, string(id)...)
-	}
-	m.fpBuf = b
-	return string(b)
 }
 
 // RISCOnly is the null policy: every kernel executes on the core

@@ -9,9 +9,9 @@ import (
 
 // TestObserverOffAllocFree pins the zero-cost-when-disabled contract of the
 // observability layer on the two hot paths: with no recorder installed, a
-// warm cached trigger reaction and a kernel dispatch must not allocate for
-// observation — every instrumentation site guards with a nil check before
-// building its event.
+// trigger reaction on a settled fabric and a kernel dispatch must not
+// allocate for observation — every instrumentation site guards with a nil
+// check before building its event.
 func TestObserverOffAllocFree(t *testing.T) {
 	m := MustNew(arch.Config{NCG: 1, NPRC: 1}, Options{ChargeOverhead: true})
 	blk := testBlock()
@@ -33,11 +33,10 @@ func TestObserverOffAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The warm cached trigger itself allocates a little (forecast slice,
-	// commit bookkeeping); the bound is what the fast path cost before the
-	// observability layer existed. Observation must add nothing to it.
+	// The trigger itself allocates a little (forecast slice, selection
+	// result, commit bookkeeping); observation must add nothing to that.
 	if trigAllocs > 8 {
-		t.Errorf("observer-off warm cached OnTrigger allocates %.1f objects/op, want <= 8", trigAllocs)
+		t.Errorf("observer-off settled OnTrigger allocates %.1f objects/op, want <= 8", trigAllocs)
 	}
 
 	// Contrast: with a recorder installed the same paths do record.

@@ -34,7 +34,7 @@ const (
 	SourceECU      = "ecu"      // per-execution dispatch decisions
 	SourceReconfig = "reconfig" // configuration-port start/finish/retry/evict
 	SourceSim      = "sim"      // run markers and fault deliveries
-	SourceCore     = "core"     // selection-cache hits/misses, invalidations
+	SourceCore     = "core"     // invalidations and skips of committed selections
 	SourceVFabric  = "vfabric"  // hypervisor repartitions and tenant scheduling
 	SourceNet      = "net"      // injected network faults and cluster liveness transitions
 )
@@ -54,8 +54,6 @@ const (
 	KindUnitFail   = "unit-fail"  // container taken out of service
 	KindUnitUp     = "unit-up"    // container recovered from a transient outage
 	KindFault      = "fault"      // fault event delivered by the simulator
-	KindCacheHit   = "cache-hit"  // selection replayed from the selection cache
-	KindCacheMiss  = "cache-miss" // selection ran the selector for real
 	KindInvalidate = "invalidate" // selected ISE dropped: a data path was lost
 	KindSkip       = "skip"       // committed ISE skipped by the surviving fabric
 

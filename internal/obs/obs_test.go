@@ -40,8 +40,8 @@ func TestRecorderStampsRunLabel(t *testing.T) {
 	r := New()
 	r.Record(Event{Cycle: 1, Source: SourceSim, Kind: KindRun})
 	r.SetRun("mrts/2x2")
-	r.Record(Event{Cycle: 2, Source: SourceCore, Kind: KindCacheMiss})
-	r.Record(Event{Cycle: 3, Source: SourceCore, Kind: KindCacheHit, Run: "explicit"})
+	r.Record(Event{Cycle: 2, Source: SourceCore, Kind: KindSkip})
+	r.Record(Event{Cycle: 3, Source: SourceCore, Kind: KindInvalidate, Run: "explicit"})
 	evs := r.Events()
 	if len(evs) != 3 {
 		t.Fatalf("Len = %d, want 3", len(evs))

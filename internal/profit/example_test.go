@@ -37,16 +37,18 @@ func ExamplePIF() {
 	// 50000 executions: FG wins
 }
 
-// ExampleProfit shows the expected profit (cycles saved) of an ISE under a
-// trigger forecast; the reconfiguration transient is part of the estimate.
-func ExampleProfit() {
+// ExampleScratch_Profit shows the expected profit (cycles saved) of an ISE
+// under a trigger forecast; the reconfiguration transient is part of the
+// estimate.
+func ExampleScratch_Profit() {
 	kernel := &ise.Kernel{ID: "k", RISCLatency: 1000}
 	cgISE := &ise.ISE{
 		ID: "k.cg", Kernel: "k",
 		DataPaths: []ise.DataPath{{ID: "cg", Kind: arch.CG, CGs: 1}},
 		Latencies: []arch.Cycles{200},
 	}
-	p := profit.Profit(kernel, cgISE, nil,
+	var s profit.Scratch
+	p := s.Profit(kernel, cgISE, nil,
 		profit.Params{E: 100, TF: 500, TB: 50}, profit.Multigrained)
 	fmt.Printf("expected saving: %.0f cycles\n", p)
 	// Output: expected saving: 80000 cycles

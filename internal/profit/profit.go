@@ -68,22 +68,14 @@ func PIF(k *ise.Kernel, e *ise.ISE, executions int64) float64 {
 	return sw / hw
 }
 
-// RecT returns the effective cumulative reconfiguration times of the
-// intermediate ISEs under the given fabric state and cost model:
-// RecT[i] is the time until data paths 1..i are available, for i = 0..n.
+// AppendRecT appends the effective cumulative reconfiguration times of
+// the intermediate ISEs under the given fabric state and cost model to dst
+// (usually a reused scratch buffer sliced to length zero): after the call,
+// dst[len0+i] is the time until data paths 1..i are available, i = 0..n.
 // Data paths that are already configured (e.g. shared with a previously
 // selected ISE) cost nothing. Each fabric reconfigures through its own
 // serial configuration port; if the fabric view reports a port backlog
 // (ise.PortView), new reconfigurations queue behind it.
-func RecT(e *ise.ISE, fab ise.FabricView, m Model) []arch.Cycles {
-	return AppendRecT(make([]arch.Cycles, 0, e.NumDataPaths()+1), e, fab, m)
-}
-
-// AppendRecT is RecT appending into dst (usually a reused scratch buffer
-// sliced to length zero) instead of allocating: after the call,
-// dst[len0+i] is the time until data paths 1..i are available, i = 0..n.
-// The selector's inner loop uses it to evaluate profits without per-call
-// allocations.
 func AppendRecT(dst []arch.Cycles, e *ise.ISE, fab ise.FabricView, m Model) []arch.Cycles {
 	dst = append(dst, 0)
 	var fgT, cgT arch.Cycles
@@ -131,28 +123,18 @@ func dataPathReconfig(d ise.DataPath, m Model) arch.Cycles {
 	return d.ReconfigCycles()
 }
 
-// NoE returns the expected number of executions of each intermediate ISE
-// (Eq. 3): NoE[i-1] corresponds to intermediate ISE i, for i = 1..n-1.
+// AppendNoE appends the expected number of executions of each
+// intermediate ISE (Eq. 3) to dst, given the cumulative reconfiguration
+// times rec that AppendRecT produced for the same ISE: value i-1
+// corresponds to intermediate ISE i, for i = 1..n-1. It appends exactly
+// NumDataPaths()-1 values (none when the ISE has a single data path).
 // The i-th intermediate ISE is executed from the moment it is available
 // (but not before tf) until the (i+1)-th becomes available; each execution
 // occupies latency(ISE_i) + tb cycles of the schedule.
 //
-// The returned values are clamped so that their running sum never exceeds
-// the total expected executions p.E after accounting for the RISC-mode
+// The values are clamped so that their running sum never exceeds the
+// total expected executions p.E after accounting for the RISC-mode
 // executions that happen before the first intermediate ISE is ready.
-func NoE(e *ise.ISE, k *ise.Kernel, fab ise.FabricView, p Params, m Model) []float64 {
-	n := e.NumDataPaths()
-	if n <= 1 {
-		return nil
-	}
-	rec := RecT(e, fab, m)
-	return AppendNoE(make([]float64, 0, n-1), e, k, rec, p)
-}
-
-// AppendNoE is NoE appending into dst instead of allocating, given the
-// cumulative reconfiguration times rec already produced by RecT/AppendRecT
-// for the same ISE. It appends exactly NumDataPaths()-1 values (none when
-// the ISE has a single data path).
 func AppendNoE(dst []float64, e *ise.ISE, k *ise.Kernel, rec []arch.Cycles, p Params) []float64 {
 	n := e.NumDataPaths()
 	if n <= 1 {
@@ -212,19 +194,6 @@ func riscModeExecutions(k *ise.Kernel, firstReady arch.Cycles, p Params) float64
 	return v
 }
 
-// Profit computes the total expected profit of an ISE (Eq. 4): the sum of
-// the performance improvements (cycles saved versus RISC mode, Eq. 2) of
-// its intermediate ISEs plus that of the fully reconfigured ISE, whose
-// execution count is the forecast total e minus the executions already
-// absorbed by RISC mode and the intermediate ISEs.
-//
-// fab supplies already-configured (shared) data paths and may be nil.
-func Profit(k *ise.Kernel, e *ise.ISE, fab ise.FabricView, p Params, m Model) float64 {
-	n := e.NumDataPaths()
-	s := Scratch{rec: make([]arch.Cycles, 0, n+1), noe: make([]float64, 0, max(n-1, 0))}
-	return s.Profit(k, e, fab, p, m)
-}
-
 // Scratch holds reusable buffers for repeated profit evaluations so that
 // hot loops (the selector's greedy rounds, branch-and-bound walks) can
 // compute profits without per-call allocations. The zero value is ready to
@@ -234,8 +203,14 @@ type Scratch struct {
 	noe []float64
 }
 
-// Profit is profit.Profit evaluated on the scratch buffers. It returns
-// exactly the same value as the package-level function.
+// Profit computes the total expected profit of an ISE (Eq. 4): the sum of
+// the performance improvements (cycles saved versus RISC mode, Eq. 2) of
+// its intermediate ISEs plus that of the fully reconfigured ISE, whose
+// execution count is the forecast total e minus the executions already
+// absorbed by RISC mode and the intermediate ISEs. The result does not
+// depend on what the scratch buffers held before.
+//
+// fab supplies already-configured (shared) data paths and may be nil.
 func (s *Scratch) Profit(k *ise.Kernel, e *ise.ISE, fab ise.FabricView, p Params, m Model) float64 {
 	if p.E <= 0 {
 		return 0
@@ -286,9 +261,9 @@ func MonoCGProfit(k *ise.Kernel, p Params) float64 {
 }
 
 // SteadyStateProfit is the profit of an ISE ignoring reconfiguration
-// transients: e executions, each saving RISC - full latency. It upper-bounds
-// Profit and is used for branch-and-bound pruning and offline selection
-// over aggregated traces.
+// transients: e executions, each saving RISC - full latency. It
+// upper-bounds Scratch.Profit and is used for branch-and-bound pruning and
+// offline selection over aggregated traces.
 func SteadyStateProfit(k *ise.Kernel, e *ise.ISE, executions int64) float64 {
 	if executions <= 0 {
 		return 0

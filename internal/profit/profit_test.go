@@ -83,7 +83,7 @@ func TestPIFOrderingSmallVsLargeCounts(t *testing.T) {
 
 func TestRecTFromScratch(t *testing.T) {
 	k := testKernel()
-	rec := RecT(k.ISEs[0], nil, Multigrained) // two FG data paths, serial port
+	rec := AppendRecT(nil, k.ISEs[0], nil, Multigrained) // two FG data paths, serial port
 	want := []arch.Cycles{0, arch.FGReconfigCycles, 2 * arch.FGReconfigCycles}
 	for i := range want {
 		if rec[i] != want[i] {
@@ -96,7 +96,7 @@ func TestRecTParallelPorts(t *testing.T) {
 	// mg2 = FG path then CG path: the CG context streams while the FG
 	// bitstream loads, so availability is dominated by the FG port.
 	k := testKernel()
-	rec := RecT(k.ISEs[2], nil, Multigrained)
+	rec := AppendRecT(nil, k.ISEs[2], nil, Multigrained)
 	if rec[1] != arch.FGReconfigCycles {
 		t.Errorf("RecT[1] = %d, want %d", rec[1], arch.FGReconfigCycles)
 	}
@@ -114,7 +114,7 @@ func (f configuredFabric) IsConfigured(d ise.DataPathID) bool { return f[d] }
 func TestRecTSharedDataPaths(t *testing.T) {
 	k := testKernel()
 	fab := configuredFabric{"a": true}
-	rec := RecT(k.ISEs[0], fab, Multigrained)
+	rec := AppendRecT(nil, k.ISEs[0], fab, Multigrained)
 	if rec[1] != 0 {
 		t.Errorf("configured data path should cost nothing, got %d", rec[1])
 	}
@@ -138,7 +138,7 @@ func (f backloggedFabric) PortBacklog(k arch.FabricKind) arch.Cycles {
 func TestRecTPortBacklog(t *testing.T) {
 	k := testKernel()
 	fab := backloggedFabric{configuredFabric: configuredFabric{}, fg: 1000}
-	rec := RecT(k.ISEs[0], fab, Multigrained)
+	rec := AppendRecT(nil, k.ISEs[0], fab, Multigrained)
 	if rec[1] != 1000+arch.FGReconfigCycles {
 		t.Errorf("RecT[1] = %d, want backlog + reconfig", rec[1])
 	}
@@ -148,7 +148,7 @@ func TestRecTFGTunedModel(t *testing.T) {
 	// The RISPP cost model charges the CG data path with FG latency on
 	// the FG port.
 	k := testKernel()
-	rec := RecT(k.ISEs[2], nil, FGTuned)
+	rec := AppendRecT(nil, k.ISEs[2], nil, FGTuned)
 	if rec[2] != 2*arch.FGReconfigCycles {
 		t.Errorf("FGTuned RecT[2] = %d, want %d", rec[2], 2*arch.FGReconfigCycles)
 	}
@@ -158,7 +158,7 @@ func TestNoEBudget(t *testing.T) {
 	k := testKernel()
 	e := k.ISEs[0]
 	p := Params{E: 50, TF: 100, TB: 10}
-	noe := NoE(e, k, nil, p, Multigrained)
+	noe := AppendNoE(nil, e, k, AppendRecT(nil, e, nil, Multigrained), p)
 	if len(noe) != 1 {
 		t.Fatalf("NoE length = %d, want n-1 = 1", len(noe))
 	}
@@ -176,7 +176,7 @@ func TestNoEBudget(t *testing.T) {
 
 func TestNoEZeroExecutions(t *testing.T) {
 	k := testKernel()
-	noe := NoE(k.ISEs[0], k, nil, Params{E: 0, TB: 10}, Multigrained)
+	noe := AppendNoE(nil, k.ISEs[0], k, AppendRecT(nil, k.ISEs[0], nil, Multigrained), Params{E: 0, TB: 10})
 	for _, v := range noe {
 		if v != 0 {
 			t.Errorf("NoE with e=0 should be all zero, got %v", noe)
@@ -186,23 +186,25 @@ func TestNoEZeroExecutions(t *testing.T) {
 
 func TestNoESingleDataPath(t *testing.T) {
 	k := testKernel()
-	if noe := NoE(k.ISEs[1], k, nil, Params{E: 100, TB: 10}, Multigrained); noe != nil {
+	if noe := AppendNoE(nil, k.ISEs[1], k, AppendRecT(nil, k.ISEs[1], nil, Multigrained), Params{E: 100, TB: 10}); noe != nil {
 		t.Errorf("single-data-path ISE has no intermediate ISEs, got %v", noe)
 	}
 }
 
 func TestProfitZeroWhenNoExecutions(t *testing.T) {
 	k := testKernel()
-	if got := Profit(k, k.ISEs[0], nil, Params{E: 0}, Multigrained); got != 0 {
+	var s Scratch
+	if got := s.Profit(k, k.ISEs[0], nil, Params{E: 0}, Multigrained); got != 0 {
 		t.Errorf("profit with e=0 = %v", got)
 	}
 }
 
 func TestProfitCGBeatsFGAtFewExecutions(t *testing.T) {
 	k := testKernel()
+	var s Scratch
 	p := Params{E: 30, TF: 50, TB: 100}
-	cg := Profit(k, k.ISEs[1], nil, p, Multigrained)
-	fg := Profit(k, k.ISEs[0], nil, p, Multigrained)
+	cg := s.Profit(k, k.ISEs[1], nil, p, Multigrained)
+	fg := s.Profit(k, k.ISEs[0], nil, p, Multigrained)
 	if cg <= fg {
 		t.Errorf("CG profit (%v) should beat FG profit (%v) at 30 executions", cg, fg)
 	}
@@ -210,9 +212,10 @@ func TestProfitCGBeatsFGAtFewExecutions(t *testing.T) {
 
 func TestProfitSharedDataPathsIncrease(t *testing.T) {
 	k := testKernel()
+	var s Scratch
 	p := Params{E: 500, TF: 50, TB: 100}
-	base := Profit(k, k.ISEs[0], nil, p, Multigrained)
-	shared := Profit(k, k.ISEs[0], configuredFabric{"a": true, "b": true}, p, Multigrained)
+	base := s.Profit(k, k.ISEs[0], nil, p, Multigrained)
+	shared := s.Profit(k, k.ISEs[0], configuredFabric{"a": true, "b": true}, p, Multigrained)
 	if shared <= base {
 		t.Errorf("fully configured ISE profit (%v) should exceed from-scratch (%v)", shared, base)
 	}
@@ -226,10 +229,11 @@ func TestProfitSharedDataPathsIncrease(t *testing.T) {
 
 func TestProfitBoundedBySteadyState(t *testing.T) {
 	k := testKernel()
+	var s Scratch
 	f := func(e uint16, tf uint16, tb uint8) bool {
 		p := Params{E: int64(e % 5000), TF: arch.Cycles(tf), TB: arch.Cycles(tb)}
 		for _, ext := range k.ISEs {
-			pr := Profit(k, ext, nil, p, Multigrained)
+			pr := s.Profit(k, ext, nil, p, Multigrained)
 			if pr < 0 {
 				return false
 			}
@@ -246,10 +250,11 @@ func TestProfitBoundedBySteadyState(t *testing.T) {
 
 func TestProfitMonotonicInExecutions(t *testing.T) {
 	k := testKernel()
+	var s Scratch
 	p1 := Params{E: 100, TF: 50, TB: 20}
 	p2 := Params{E: 1000, TF: 50, TB: 20}
 	for _, ext := range k.ISEs {
-		if Profit(k, ext, nil, p2, Multigrained) < Profit(k, ext, nil, p1, Multigrained) {
+		if s.Profit(k, ext, nil, p2, Multigrained) < s.Profit(k, ext, nil, p1, Multigrained) {
 			t.Errorf("ISE %s: profit decreased with more executions", ext.ID)
 		}
 	}
@@ -291,13 +296,14 @@ func TestParamsFromTrigger(t *testing.T) {
 
 func TestPortBlindIgnoresBacklog(t *testing.T) {
 	k := testKernel()
+	var s Scratch
 	fab := backloggedFabric{configuredFabric: configuredFabric{}, fg: 500_000}
-	aware := Profit(k, k.ISEs[0], fab, Params{E: 1000, TF: 100, TB: 50}, Multigrained)
-	blind := Profit(k, k.ISEs[0], fab, Params{E: 1000, TF: 100, TB: 50}, PortBlind)
+	aware := s.Profit(k, k.ISEs[0], fab, Params{E: 1000, TF: 100, TB: 50}, Multigrained)
+	blind := s.Profit(k, k.ISEs[0], fab, Params{E: 1000, TF: 100, TB: 50}, PortBlind)
 	if blind <= aware {
 		t.Errorf("port-blind profit (%v) should exceed port-aware (%v) under a big backlog", blind, aware)
 	}
-	rec := RecT(k.ISEs[0], fab, PortBlind)
+	rec := AppendRecT(nil, k.ISEs[0], fab, PortBlind)
 	if rec[1] != arch.FGReconfigCycles {
 		t.Errorf("port-blind RecT[1] = %d, want bare reconfiguration time", rec[1])
 	}

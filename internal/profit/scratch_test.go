@@ -29,37 +29,34 @@ func scratchCases() []struct {
 	}
 }
 
-// TestAppendRecTMatchesRecT pins the append-into API to the allocating
-// one, including when dst already carries a prefix that must survive.
+// TestAppendRecTMatchesRecT pins the append-into contract: the RecT values
+// appended after a dst prefix (which must survive unchanged) match the ones
+// appended into a fresh buffer, one per data path plus the zero start.
 func TestAppendRecTMatchesRecT(t *testing.T) {
 	k := testKernel()
 	for _, tc := range scratchCases() {
 		for _, e := range k.ISEs {
-			want := RecT(e, tc.fab, tc.m)
-			got := AppendRecT(nil, e, tc.fab, tc.m)
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: AppendRecT len = %d, want %d", tc.name, e.ID, len(got), len(want))
+			want := AppendRecT(nil, e, tc.fab, tc.m)
+			if len(want) != e.NumDataPaths()+1 {
+				t.Fatalf("%s/%s: AppendRecT len = %d, want %d", tc.name, e.ID, len(want), e.NumDataPaths()+1)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s/%s: AppendRecT[%d] = %d, want %d", tc.name, e.ID, i, got[i], want[i])
-				}
-			}
-			prefix := []arch.Cycles{7, 8}
-			got2 := AppendRecT(prefix, e, tc.fab, tc.m)
-			if got2[0] != 7 || got2[1] != 8 {
+			got := AppendRecT([]arch.Cycles{7, 8}, e, tc.fab, tc.m)
+			if got[0] != 7 || got[1] != 8 {
 				t.Errorf("%s/%s: AppendRecT clobbered the dst prefix", tc.name, e.ID)
 			}
 			for i := range want {
-				if got2[2+i] != want[i] {
-					t.Errorf("%s/%s: AppendRecT with prefix [%d] = %d, want %d", tc.name, e.ID, i, got2[2+i], want[i])
+				if got[2+i] != want[i] {
+					t.Errorf("%s/%s: AppendRecT with prefix [%d] = %d, want %d", tc.name, e.ID, i, got[2+i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestAppendNoEMatchesNoE pins AppendNoE to NoE for every ISE and case.
+// TestAppendNoEMatchesNoE pins AppendNoE's contract for every ISE and
+// case: the NoE values appended after a dst prefix (which must survive
+// unchanged) match the ones appended into a fresh buffer, exactly
+// NumDataPaths()-1 of them.
 func TestAppendNoEMatchesNoE(t *testing.T) {
 	k := testKernel()
 	params := []Params{
@@ -69,16 +66,19 @@ func TestAppendNoEMatchesNoE(t *testing.T) {
 	}
 	for _, tc := range scratchCases() {
 		for _, e := range k.ISEs {
+			rec := AppendRecT(nil, e, tc.fab, tc.m)
 			for _, p := range params {
-				want := NoE(e, k, tc.fab, p, tc.m)
-				rec := AppendRecT(nil, e, tc.fab, tc.m)
-				got := AppendNoE(nil, e, k, rec, p)
-				if len(got) != len(want) {
-					t.Fatalf("%s/%s: AppendNoE len = %d, want %d", tc.name, e.ID, len(got), len(want))
+				want := AppendNoE(nil, e, k, rec, p)
+				if n := max(e.NumDataPaths()-1, 0); len(want) != n {
+					t.Fatalf("%s/%s: AppendNoE len = %d, want %d", tc.name, e.ID, len(want), n)
+				}
+				got := AppendNoE([]float64{-1}, e, k, rec, p)
+				if got[0] != -1 {
+					t.Errorf("%s/%s: AppendNoE clobbered the dst prefix", tc.name, e.ID)
 				}
 				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s/%s: AppendNoE[%d] = %v, want %v", tc.name, e.ID, i, got[i], want[i])
+					if got[1+i] != want[i] {
+						t.Errorf("%s/%s: AppendNoE with prefix [%d] = %v, want %v", tc.name, e.ID, i, got[1+i], want[i])
 					}
 				}
 			}
@@ -86,9 +86,9 @@ func TestAppendNoEMatchesNoE(t *testing.T) {
 	}
 }
 
-// TestScratchProfitMatchesProfit pins the scratch-buffer evaluation to the
-// package-level function bit-for-bit, across repeated reuse of the same
-// scratch (the selector's usage pattern).
+// TestScratchProfitMatchesProfit pins the profit of a reused scratch (the
+// selector's usage pattern: buffers left over from other ISEs and fabric
+// states) to the profit of a fresh zero Scratch, bit-for-bit.
 func TestScratchProfitMatchesProfit(t *testing.T) {
 	k := testKernel()
 	p := Params{E: 500, TF: 100, TB: 60}
@@ -96,10 +96,11 @@ func TestScratchProfitMatchesProfit(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, tc := range scratchCases() {
 			for _, e := range k.ISEs {
-				want := Profit(k, e, tc.fab, p, tc.m)
+				var fresh Scratch
+				want := fresh.Profit(k, e, tc.fab, p, tc.m)
 				got := s.Profit(k, e, tc.fab, p, tc.m)
 				if got != want {
-					t.Errorf("round %d %s/%s: Scratch.Profit = %v, want %v", round, tc.name, e.ID, got, want)
+					t.Errorf("round %d %s/%s: reused Scratch.Profit = %v, fresh = %v", round, tc.name, e.ID, got, want)
 				}
 			}
 		}

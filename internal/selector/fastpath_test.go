@@ -18,7 +18,10 @@ func referenceGreedy(q Request) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
-	var res Result
+	var (
+		res Result
+		ps  profit.Scratch
+	)
 	st := newState(q.Fabric)
 	cands := gatherCandidates(q)
 
@@ -54,7 +57,7 @@ func referenceGreedy(q Request) (Result, error) {
 			res.Selected = append(res.Selected, Choice{
 				Kernel: picked.kernel.ID,
 				ISE:    picked.e,
-				Profit: profit.Profit(picked.kernel, picked.e, st, picked.params, q.Model),
+				Profit: ps.Profit(picked.kernel, picked.e, st, picked.params, q.Model),
 			})
 			cands = dropKernel(cands, picked.kernel.ID)
 			continue
@@ -64,7 +67,7 @@ func referenceGreedy(q Request) (Result, error) {
 		best := -1
 		bestProfit := 0.0
 		for i, c := range cands {
-			p := profit.Profit(c.kernel, c.e, st, c.params, q.Model)
+			p := ps.Profit(c.kernel, c.e, st, c.params, q.Model)
 			res.Evaluations++
 			if firstRound {
 				res.FirstRoundEvaluations++

@@ -3,7 +3,6 @@ package selector
 import (
 	"container/list"
 	"reflect"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,10 +13,9 @@ import (
 
 // This file implements the cross-point selection memo behind the batch
 // sweep engine (internal/batch): a full resource sweep evaluates thousands
-// of selections whose inputs repeat — both within one run (the per-run
-// cache in internal/core catches those) and *across* neighbouring sweep
-// points, where the same block reaches the same fabric state under a
-// slightly different capacity budget. Memo keys are exact fingerprints of
+// of selections whose inputs repeat *across* neighbouring sweep points,
+// where the same block reaches the same fabric state under a slightly
+// different capacity budget. Memo keys are exact fingerprints of
 // the selector's entire input surface, with one twist that makes adjacent
 // points share entries: free capacity is clamped at the block's demand
 // bound (see DemandBound), because the greedy selection provably cannot
@@ -243,53 +241,4 @@ func (m *Memo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.order.Len()
-}
-
-// Batch evaluates many selection requests against one shared memo with a
-// worker pool, returning one Result per request in request order. workers
-// <= 0 uses GOMAXPROCS; the pool never exceeds len(qs). A nil memo gets a
-// private one (pooling within the batch only). The output is independent
-// of the worker count and of scheduling: every Result either comes from
-// Greedy directly or replays a fingerprint-exact memo entry. On error the
-// first failing request (by index) wins, deterministically.
-func Batch(qs []Request, workers int, memo *Memo) ([]Result, error) {
-	if memo == nil {
-		memo = NewMemo(0)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	out := make([]Result, len(qs))
-	errs := make([]error, len(qs))
-	if workers <= 1 {
-		for i := range qs {
-			out[i], errs[i] = memo.Greedy(qs[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(qs) {
-						return
-					}
-					out[i], errs[i] = memo.Greedy(qs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -3,6 +3,7 @@ package selector
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mrts/internal/ise"
@@ -117,7 +118,10 @@ func latticeRequests(blk *ise.FunctionalBlock) []Request {
 	return qs
 }
 
-func TestBatchMatchesSequential(t *testing.T) {
+// TestMemoConcurrentMatchesGreedy shares one memo between goroutines
+// walking the lattice at staggered offsets, so hits and misses race on the
+// same fingerprints: every result must equal a direct Greedy call.
+func TestMemoConcurrentMatchesGreedy(t *testing.T) {
 	blk := twoKernelBlock()
 	qs := latticeRequests(blk)
 	want := make([]Result, len(qs))
@@ -128,37 +132,39 @@ func TestBatchMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, workers := range []int{1, 2, 8} {
-		memo := NewMemo(0)
-		got, err := Batch(qs, workers, memo)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: batch results differ from sequential Greedy", workers)
-		}
-		st := memo.Stats()
-		if st.Hits == 0 {
-			t.Fatalf("workers=%d: expected clamp-induced memo hits on the lattice, got none (misses=%d)", workers, st.Misses)
-		}
-		if st.Hits+st.Misses < uint64(len(qs)) {
-			t.Fatalf("workers=%d: hits+misses = %d < %d requests", workers, st.Hits+st.Misses, len(qs))
-		}
+	const workers = 8
+	memo := NewMemo(0)
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := range qs {
+				i := (n + w*len(qs)/workers) % len(qs)
+				got, err := memo.Greedy(qs[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					errs <- fmt.Errorf("worker %d: memo result for request %d differs from Greedy", w, i)
+					return
+				}
+			}
+		}(w)
 	}
-}
-
-func TestBatchNilMemoAndError(t *testing.T) {
-	blk := twoKernelBlock()
-	qs := []Request{
-		{Block: blk, Triggers: triggers(), Fabric: ise.EmptyFabric{PRC: 2, CG: 2}, Model: profit.Multigrained},
-		{Block: nil}, // invalid: Validate fails
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
-	if _, err := Batch(qs, 4, nil); err == nil {
-		t.Fatal("expected the invalid request's error to surface")
+	st := memo.Stats()
+	if st.Hits == 0 {
+		t.Fatalf("expected clamp-induced memo hits on the lattice, got none (misses=%d)", st.Misses)
 	}
-	res, err := Batch(qs[:1], 4, nil)
-	if err != nil || len(res) != 1 {
-		t.Fatalf("Batch with nil memo: res=%v err=%v", res, err)
+	if st.Hits+st.Misses != uint64(workers*len(qs)) {
+		t.Fatalf("hits+misses = %d, want %d lookups", st.Hits+st.Misses, workers*len(qs))
 	}
 }
 
@@ -184,17 +190,4 @@ func TestMemoBoundAndLRU(t *testing.T) {
 	if memo.Stats().Misses != before+1 {
 		t.Fatal("evicted entry was served as a hit")
 	}
-}
-
-func ExampleBatch() {
-	blk := twoKernelBlock()
-	qs := []Request{
-		{Block: blk, Triggers: triggers(), Fabric: ise.EmptyFabric{PRC: 2, CG: 3}, Model: profit.Multigrained},
-		{Block: blk, Triggers: triggers(), Fabric: ise.EmptyFabric{PRC: 8, CG: 8}, Model: profit.Multigrained},
-	}
-	memo := NewMemo(0)
-	res, _ := Batch(qs, 2, memo)
-	st := memo.Stats()
-	fmt.Printf("points=%d selections=%d seed-hits=%d\n", len(res), len(res[0].Selected), st.Hits)
-	// Output: points=2 selections=2 seed-hits=1
 }

@@ -392,6 +392,7 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 // bound (profit is order-dependent through the configuration-port backlog,
 // so the enumeration order must match for an exact comparison).
 func bruteForceBest(q Request) float64 {
+	var ps profit.Scratch
 	type kern struct {
 		k    *ise.Kernel
 		p    profit.Params
@@ -415,7 +416,7 @@ func bruteForceBest(q Request) float64 {
 			if e.CostPRC() > q.Fabric.FreePRC() || e.CostCG() > q.Fabric.FreeCG() {
 				continue
 			}
-			pr := profit.Profit(kn.k, e, q.Fabric, kn.p, q.Model)
+			pr := ps.Profit(kn.k, e, q.Fabric, kn.p, q.Model)
 			shared := false
 			for _, d := range e.DataPaths {
 				if dpOwners[d.ID] > 1 {
@@ -451,7 +452,7 @@ func bruteForceBest(q Request) float64 {
 			if !st.fits(e) {
 				continue
 			}
-			pr := profit.Profit(ks[i].k, e, st, ks[i].p, q.Model)
+			pr := ps.Profit(ks[i].k, e, st, ks[i].p, q.Model)
 			if pr <= 0 {
 				continue
 			}
