@@ -689,7 +689,7 @@ func TestPhasedPredictionOverheadBounded(t *testing.T) {
 // --- Service benches -------------------------------------------------------
 
 // BenchmarkServiceCacheHit measures a job that is fully served from the
-// mrts-serve result cache: the same simulation point submitted through the
+// workload's report memo: the same simulation point submitted through the
 // job queue after a warm-up run. Compare against BenchmarkServiceColdJob
 // for the amortisation the cache buys.
 func BenchmarkServiceCacheHit(b *testing.B) {
@@ -700,7 +700,7 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 		Workload: api.WorkloadSpec{Frames: 2, Seed: 1},
 		PRC:      2, CG: 1, Policy: "mrts",
 	}
-	runServiceJob(b, s, spec) // warm the workload and result caches
+	runServiceJob(b, s, spec) // warm the workload cache and its report memo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := runServiceJob(b, s, spec)
@@ -712,10 +712,10 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 
 // BenchmarkServiceColdJob measures a job whose point is not cached: every
 // iteration evaluates a fabric combination the server has not seen, so the
-// full simulation runs (the workload itself stays cached, as it would for
-// a daemon sweeping one sequence).
+// full simulation runs (the workload and its RISC reference stay cached,
+// as they would for a daemon sweeping one sequence).
 func BenchmarkServiceColdJob(b *testing.B) {
-	s := service.New(service.Options{Workers: 1, ResultCacheSize: 1})
+	s := service.New(service.Options{Workers: 1})
 	defer s.Close()
 	base := api.JobSpec{
 		Type:     api.JobSim,
@@ -729,8 +729,8 @@ func BenchmarkServiceColdJob(b *testing.B) {
 		spec.PRC = 1 + i%64
 		spec.CG = 1 + i/64
 		res := runServiceJob(b, s, spec)
-		if res.CacheHits != 0 {
-			b.Fatalf("cold job hit the cache at iteration %d", i)
+		if res.CacheMisses != 1 {
+			b.Fatalf("cold job's point hit the cache at iteration %d", i)
 		}
 	}
 }
@@ -738,7 +738,7 @@ func BenchmarkServiceColdJob(b *testing.B) {
 // BenchmarkServiceThroughput measures end-to-end jobs/sec through the
 // whole service pipeline — admission, idempotency table, queue, worker
 // dispatch, result delivery — with the simulation itself served from the
-// warm result cache, so the number isolates the service machinery the
+// warm report memo, so the number isolates the service machinery the
 // cluster layer multiplies across nodes.
 func BenchmarkServiceThroughput(b *testing.B) {
 	s := service.New(service.Options{Workers: 4, QueueDepth: 512})
@@ -748,7 +748,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		Workload: api.WorkloadSpec{Frames: 2, Seed: 1},
 		PRC:      2, CG: 1, Policy: "mrts",
 	}
-	runServiceJob(b, s, spec) // warm the workload and result caches
+	runServiceJob(b, s, spec) // warm the workload cache and its report memo
 	var failure atomic.Value
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -52,7 +52,6 @@ func main() {
 
 		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 256, "maximum queued jobs")
-		cacheSize  = flag.Int("cache", 4096, "result cache capacity (points)")
 		wcacheSize = flag.Int("wcache", 16, "workload cache capacity (built traces)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "default per-job execution timeout")
 		rate       = flag.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
@@ -88,7 +87,6 @@ func main() {
 	s := service.New(service.Options{
 		Workers:           *workers,
 		QueueDepth:        *queue,
-		ResultCacheSize:   *cacheSize,
 		WorkloadCacheSize: *wcacheSize,
 		JobTimeout:        *timeout,
 		Journal:           j,

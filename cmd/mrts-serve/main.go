@@ -1,7 +1,7 @@
 // Command mrts-serve runs the mRTS simulation service: a long-lived
 // daemon that accepts simulation, figure and sweep jobs over HTTP/JSON,
 // executes them on a bounded worker pool, and amortises repeated work
-// with a content-addressed result cache and a shared workload cache.
+// with a per-workload report memo and a shared workload cache.
 //
 // Usage:
 //
@@ -43,7 +43,6 @@ func main() {
 		addr       = flag.String("addr", ":8341", "listen address")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 256, "maximum queued jobs")
-		cacheSize  = flag.Int("cache", 4096, "result cache capacity (points)")
 		wcacheSize = flag.Int("wcache", 16, "workload cache capacity (built traces)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "default per-job execution timeout")
 		journalDir = flag.String("journal", "", "directory for the write-ahead job journal; empty disables durability")
@@ -90,7 +89,6 @@ func main() {
 	s := service.New(service.Options{
 		Workers:           *workers,
 		QueueDepth:        *queue,
-		ResultCacheSize:   *cacheSize,
 		WorkloadCacheSize: *wcacheSize,
 		JobTimeout:        *timeout,
 		Journal:           j, // server owns it and closes it

@@ -2,7 +2,7 @@
 // daemon instead of simulating in-process. A figure submission prints
 // byte-identical output to the offline cmd/mrts-sweep for the same
 // parameters — but repeated submissions are served from the daemon's
-// result cache without re-simulation.
+// report memo without re-simulation.
 //
 // Usage:
 //

@@ -4,10 +4,10 @@
 // untouched:
 //
 //   - a point-level report memo, deduplicating identical (config, policy,
-//     seed, fault-scenario) evaluations across figures and concurrent
-//     sweeps (the "-fig all" pipeline re-evaluates the RISC reference and
-//     overlapping combinations many times), with singleflight semantics so
-//     racing workers share one simulation;
+//     seed, fault-scenario) evaluations across figures, concurrent sweeps
+//     and service jobs (the "-fig all" pipeline re-evaluates the RISC
+//     reference and overlapping combinations many times), with
+//     singleflight semantics so racing workers share one simulation;
 //   - a workload-wide selection memo (selector.Memo) attached to every
 //     greedy-selector policy the evaluators build, so the ISE selection
 //     computed at one sweep point seeds neighbouring points whose selector
@@ -20,13 +20,16 @@
 package batch
 
 import (
+	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"mrts/internal/arch"
 	"mrts/internal/exp"
 	"mrts/internal/fault"
+	"mrts/internal/obs"
 	"mrts/internal/selector"
 	"mrts/internal/sim"
 	"mrts/internal/workload"
@@ -46,6 +49,11 @@ type Stats struct {
 	SeedMisses uint64
 }
 
+// maxPoints bounds the point-report memo. A sweep never comes near it
+// ("-fig all" evaluates 132 points); the bound exists because service
+// clients choose fault seeds freely, so distinct points are unbounded.
+const maxPoints = 4096
+
 // pointKey identifies one simulation exactly: the fabric budget, the
 // policy, and the fault scenario with its seed. Simulations are
 // deterministic functions of this key (for a fixed workload), which is
@@ -58,25 +66,31 @@ type pointKey struct {
 }
 
 // pointEntry is a singleflight slot: the first goroutine to claim the key
-// runs the simulation inside once; concurrent requesters block on it and
-// share the result.
+// runs the simulation; concurrent requesters wait on done and share the
+// result. Only completed, successful entries join the LRU list (el != nil),
+// so eviction never pulls an in-flight entry from under its waiters.
 type pointEntry struct {
-	once sync.Once
+	key  pointKey
+	done chan struct{}
 	rep  *sim.Report
 	err  error
+	el   *list.Element
 }
 
 // Engine evaluates sweep points over one workload with cross-point reuse.
-// It is safe for concurrent use; one Engine is meant to serve a whole
-// sweep job (all figures, all policies). Reports returned by its
-// evaluators are shared across callers and must be treated as read-only —
-// the aggregation code in internal/exp already does.
+// It is safe for concurrent use; one Engine serves a workload for as long
+// as its owner keeps it (a whole mrts-sweep run, or a workload's lifetime
+// in mrts-serve's workload cache). Reports it returns are shared across
+// callers and must be treated as read-only — the aggregation code in
+// internal/exp already does.
 type Engine struct {
 	w    *workload.Result
 	memo *selector.Memo
 
-	mu     sync.Mutex
-	points map[pointKey]*pointEntry
+	mu        sync.Mutex
+	maxPoints int
+	points    map[pointKey]*pointEntry
+	lru       *list.List // completed entries, front = most recently used
 
 	requests atomic.Int64
 	hits     atomic.Int64
@@ -86,9 +100,11 @@ type Engine struct {
 // selection memo (selector.DefaultMemoSize if <= 0).
 func New(w *workload.Result, memoSize int) *Engine {
 	return &Engine{
-		w:      w,
-		memo:   selector.NewMemo(memoSize),
-		points: make(map[pointKey]*pointEntry),
+		w:         w,
+		memo:      selector.NewMemo(memoSize),
+		maxPoints: maxPoints,
+		points:    make(map[pointKey]*pointEntry),
+		lru:       list.New(),
 	}
 }
 
@@ -115,7 +131,8 @@ func (e *Engine) Stats() Stats {
 // replacement for exp.DirectEvaluator.
 func (e *Engine) Evaluator() exp.Evaluator {
 	return func(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
-		return e.eval(ctx, cfg, p, 0, fault.Options{})
+		rep, _, err := e.Eval(ctx, cfg, p, 0, fault.Options{})
+		return rep, err
 	}
 }
 
@@ -123,45 +140,108 @@ func (e *Engine) Evaluator() exp.Evaluator {
 // drop-in replacement for exp.DirectFaultEvaluator.
 func (e *Engine) FaultEvaluator() exp.FaultEvaluator {
 	return func(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-		if fo.IsZero() {
-			// A benign scenario runs the plain fault-free path whatever
-			// its seed, horizon or flap-length fields say (no schedule is
-			// built); normalising the key lets it share the fault-free
-			// point's memo entry.
-			seed, fo = 0, fault.Options{}
-		}
-		return e.eval(ctx, cfg, p, seed, fo)
+		rep, _, err := e.Eval(ctx, cfg, p, seed, fo)
+		return rep, err
 	}
 }
 
-func (e *Engine) eval(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
+// key normalises a point: a benign scenario runs the plain fault-free path
+// whatever its seed, horizon or flap-length fields say (no schedule is
+// built), so it shares the fault-free point's memo entry.
+func key(cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) pointKey {
+	if fo.IsZero() {
+		seed, fo = 0, fault.Options{}
+	}
+	return pointKey{cfg: cfg, pol: p, seed: seed, fo: fo}
+}
+
+// Eval returns the report of one point, simulating it only if no earlier
+// or in-flight request for the same point can supply it. hit reports that
+// nothing was simulated for this call: the report was replayed from the
+// memo or shared with an identical in-flight evaluation. Failed
+// evaluations are never cached; a waiter whose evaluation failed under
+// someone else's context (a cancelled job) retries under its own.
+func (e *Engine) Eval(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (rep *sim.Report, hit bool, err error) {
 	e.requests.Add(1)
-	key := pointKey{cfg: cfg, pol: p, seed: seed, fo: fo}
-
-	e.mu.Lock()
-	ent, ok := e.points[key]
-	if !ok {
-		ent = &pointEntry{}
-		e.points[key] = ent
-	}
-	e.mu.Unlock()
-	if ok {
-		e.hits.Add(1)
-	}
-
-	ent.once.Do(func() {
-		ent.rep, ent.err = exp.RunPointFaults(
-			exp.WithSelectionMemo(ctx, e.memo), e.w, cfg, p, seed, fo)
-	})
-	if ent.err != nil {
-		// Do not cache failures: a cancelled context would otherwise
-		// poison the point for later, healthy requests.
+	k := key(cfg, p, seed, fo)
+	for {
 		e.mu.Lock()
-		if e.points[key] == ent {
-			delete(e.points, key)
+		ent, ok := e.points[k]
+		if !ok {
+			ent = &pointEntry{key: k, done: make(chan struct{})}
+			e.points[k] = ent
+		} else if ent.el != nil {
+			e.lru.MoveToFront(ent.el)
 		}
 		e.mu.Unlock()
-		return nil, ent.err
+		if !ok {
+			e.run(ctx, ent)
+			return ent.rep, false, ent.err
+		}
+
+		select {
+		case <-ent.done:
+		case <-ctx.Done():
+			return nil, false, context.Cause(ctx)
+		}
+		if ent.err == nil {
+			e.hits.Add(1)
+			return ent.rep, true, nil
+		}
+		if ctx.Err() != nil {
+			return nil, false, context.Cause(ctx)
+		}
 	}
-	return ent.rep, nil
+}
+
+// run simulates a claimed entry and publishes the outcome: a success joins
+// the LRU (evicting the least recently used completed entry beyond the
+// bound), a failure — including a panic — is removed before the waiters
+// wake, so none of them can find it again.
+func (e *Engine) run(ctx context.Context, ent *pointEntry) {
+	defer func() {
+		e.mu.Lock()
+		if ent.err == nil && ent.rep == nil {
+			ent.err = errors.New("batch: point evaluation panicked")
+		}
+		if ent.err != nil {
+			delete(e.points, ent.key)
+		} else {
+			e.remember(ent)
+		}
+		e.mu.Unlock()
+		close(ent.done)
+	}()
+	k := ent.key
+	ent.rep, ent.err = exp.RunPointFaults(exp.WithSelectionMemo(ctx, e.memo), e.w, k.cfg, k.pol, k.seed, k.fo)
+}
+
+// remember adds a completed entry to the LRU; e.mu must be held.
+func (e *Engine) remember(ent *pointEntry) {
+	ent.el = e.lru.PushFront(ent)
+	if e.lru.Len() > e.maxPoints {
+		old := e.lru.Remove(e.lru.Back()).(*pointEntry)
+		delete(e.points, old.key)
+	}
+}
+
+// Observe simulates one point with rec attached — always for real, since a
+// trace must come from a run — and memoises the report, which the
+// observer-off byte-identity guarantee makes equal to the untraced one, for
+// later Eval calls.
+func (e *Engine) Observe(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options, rec *obs.Recorder) (*sim.Report, error) {
+	rep, err := exp.RunPointObserved(ctx, e.w, cfg, p, seed, fo, rec)
+	if err != nil {
+		return nil, err
+	}
+	k := key(cfg, p, seed, fo)
+	e.mu.Lock()
+	if _, ok := e.points[k]; !ok {
+		ent := &pointEntry{key: k, done: make(chan struct{}), rep: rep}
+		close(ent.done)
+		e.points[k] = ent
+		e.remember(ent)
+	}
+	e.mu.Unlock()
+	return rep, nil
 }

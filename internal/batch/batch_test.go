@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -216,5 +217,104 @@ func TestBenignFaultNormalised(t *testing.T) {
 	}
 	if st := eng.Stats(); st.PointHits != 1 {
 		t.Errorf("PointHits = %d, want 1", st.PointHits)
+	}
+}
+
+// TestPointMemoLRU pins the point memo's bound: beyond it the least
+// recently used report is evicted, an evicted point simulates again to a
+// JSON-equal report, and a failed evaluation leaves no entry behind.
+func TestPointMemoLRU(t *testing.T) {
+	eng := New(batchWorkload, 0)
+	eng.maxPoints = 2
+	ctx := context.Background()
+	a := arch.Config{NPRC: 1, NCG: 0}
+	b := arch.Config{NPRC: 0, NCG: 1}
+	c := arch.Config{NPRC: 1, NCG: 1}
+	eval := func(cfg arch.Config) (*sim.Report, bool) {
+		t.Helper()
+		rep, hit, err := eng.Eval(ctx, cfg, exp.PolicyMRTS, 0, fault.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, hit
+	}
+
+	first, _ := eval(a)
+	eval(b)
+	if _, hit := eval(a); !hit { // a is now the most recently used
+		t.Fatal("a missing")
+	}
+	eval(c) // evicts b, the least recently used
+	if _, hit := eval(a); !hit {
+		t.Error("a should have survived")
+	}
+	if _, hit := eval(c); !hit {
+		t.Error("c should be present")
+	}
+	if _, hit := eval(b); hit {
+		t.Error("b should have been evicted")
+	}
+	again, hit := eval(a) // evicted by b's return
+	if hit {
+		t.Error("a should have been evicted by b's re-evaluation")
+	}
+	if again == first {
+		t.Error("evicted point replayed its old report object")
+	}
+	if x, y := mustJSON(t, again), mustJSON(t, first); !bytes.Equal(x, y) {
+		t.Errorf("re-simulated report differs:\n%s\n%s", x, y)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	d := arch.Config{NPRC: 2, NCG: 2}
+	if _, _, err := eng.Eval(cancelled, d, exp.PolicyMRTS, 0, fault.Options{}); err == nil {
+		t.Fatal("cancelled evaluation succeeded")
+	}
+	eng.mu.Lock()
+	_, cached := eng.points[key(d, exp.PolicyMRTS, 0, fault.Options{})]
+	n := len(eng.points)
+	eng.mu.Unlock()
+	if cached || n != 2 {
+		t.Errorf("failed evaluation left an entry (cached %v, %d entries, want 2)", cached, n)
+	}
+}
+
+// TestWaiterRetriesAfterOwnerFails: a request joined to an evaluation that
+// fails under its owner's context (a cancelled job) must not inherit the
+// failure; it simulates under its own context instead.
+func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
+	eng := New(batchWorkload, 0)
+	cfg := arch.Config{NPRC: 1, NCG: 1}
+	k := key(cfg, exp.PolicyMRTS, 0, fault.Options{})
+	// Plant an in-flight entry, as an owner would, then fail it.
+	owner := &pointEntry{key: k, done: make(chan struct{})}
+	eng.points[k] = owner
+
+	type result struct {
+		rep *sim.Report
+		hit bool
+		err error
+	}
+	got := make(chan result)
+	go func() {
+		rep, hit, err := eng.Eval(context.Background(), cfg, exp.PolicyMRTS, 0, fault.Options{})
+		got <- result{rep, hit, err}
+	}()
+	for eng.requests.Load() == 0 { // let the waiter reach the entry
+		runtime.Gosched()
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng.run(cancelled, owner)
+	if owner.err == nil {
+		t.Fatal("owner ran under a cancelled context without failing")
+	}
+	r := <-got
+	if r.err != nil || r.rep == nil {
+		t.Fatalf("waiter inherited the owner's failure: %v", r.err)
+	}
+	if r.hit {
+		t.Error("waiter that simulated reported a hit")
 	}
 }

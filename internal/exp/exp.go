@@ -110,7 +110,8 @@ func ValidFig(name string) bool {
 // Evaluator evaluates one (fabric combination, policy) point of a sweep.
 // The figure harnesses are written against this single job-execution path,
 // so the same aggregation code runs whether points are simulated directly
-// (DirectEvaluator) or served from a result cache by the mrts-serve daemon.
+// (DirectEvaluator) or served from a report memo (batch.Engine) by mrts-sweep
+// and the mrts-serve daemon.
 type Evaluator func(ctx context.Context, cfg arch.Config, p Policy) (*sim.Report, error)
 
 // DirectEvaluator returns an Evaluator that simulates every point on the

@@ -229,7 +229,7 @@ type JobSpec struct {
 
 	// Trace asks a sim job to capture the decision trace of its evaluated
 	// point; the JSONL stream comes back in JobResult.TraceJSONL. Traced
-	// points bypass the result cache (the trace must come from a real run)
+	// points bypass the report memo (the trace must come from a real run)
 	// but still produce a byte-identical report.
 	Trace bool `json:"trace,omitempty"`
 
@@ -413,7 +413,8 @@ type JobResult struct {
 	// TraceJSONL is the decision trace of a sim job that set Trace: one
 	// JSON event per line, renderable with mrts-timeline.
 	TraceJSONL string `json:"trace_jsonl,omitempty"`
-	// CacheHits/CacheMisses count result-cache lookups made by this job.
+	// CacheHits/CacheMisses count this job's point evaluations served
+	// from the report memo (or an identical in-flight run) and simulated.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// ElapsedSec is the job's wall-clock execution time.

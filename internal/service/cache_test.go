@@ -4,72 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"mrts/internal/arch"
-	"mrts/internal/exp"
 	"mrts/internal/service/api"
-	"mrts/internal/sim"
 	"mrts/internal/workload"
 )
-
-func TestPointKeyCanonicalisation(t *testing.T) {
-	// A sparse spec and the explicit defaults must hash identically,
-	// otherwise the cache would resimulate points it already holds.
-	sparse := workload.Options{}
-	explicit := sparse.Canonical()
-	cfg := arch.Config{NPRC: 2, NCG: 1}
-	if PointKey(sparse, cfg, exp.PolicyMRTS) != PointKey(explicit, cfg, exp.PolicyMRTS) {
-		t.Error("sparse and canonical options hash differently")
-	}
-	// Every dimension of the key must matter.
-	base := PointKey(sparse, cfg, exp.PolicyMRTS)
-	if PointKey(sparse, arch.Config{NPRC: 2, NCG: 2}, exp.PolicyMRTS) == base {
-		t.Error("fabric config not part of the key")
-	}
-	if PointKey(sparse, cfg, exp.PolicyRISPP) == base {
-		t.Error("policy not part of the key")
-	}
-	other := sparse
-	other.Seed = 42
-	if PointKey(other, cfg, exp.PolicyMRTS) == base {
-		t.Error("workload seed not part of the key")
-	}
-}
-
-func TestResultCacheLRU(t *testing.T) {
-	m := NewMetrics()
-	c := NewResultCache(2, m)
-	r := &sim.Report{}
-
-	c.Put("a", r)
-	c.Put("b", r)
-	if _, ok := c.Get("a"); !ok { // a is now most recently used
-		t.Fatal("a missing")
-	}
-	c.Put("c", r) // evicts b, the least recently used
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a should have survived")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c should be present")
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
-	}
-	if got := m.Counter("mrts_result_cache_evictions_total").Value(); got != 1 {
-		t.Errorf("evictions = %d, want 1", got)
-	}
-	// Peek must not disturb LRU order or the hit/miss counters.
-	hits := m.Counter("mrts_result_cache_hits_total").Value()
-	if !c.Peek("c") || c.Peek("zzz") {
-		t.Error("peek wrong")
-	}
-	if m.Counter("mrts_result_cache_hits_total").Value() != hits {
-		t.Error("peek moved the hit counter")
-	}
-}
 
 func TestMetricsText(t *testing.T) {
 	m := NewMetrics()

@@ -308,7 +308,7 @@ func (cc *Cluster) Run(ctx context.Context, spec api.JobSpec, poll time.Duration
 // Sweep streams a point batch from the first member that accepts it. A
 // stream that breaks mid-way is not resumed (events are not replayable
 // across members); the caller re-runs the sweep — every completed point
-// is already in the serving member's result cache.
+// is already in the serving member's report memo.
 func (cc *Cluster) Sweep(ctx context.Context, req api.SweepRequest, onEvent func(api.SweepEvent)) (*api.SweepEvent, error) {
 	var final *api.SweepEvent
 	err := cc.call(ctx, func(c *Client) error {

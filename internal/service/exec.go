@@ -11,118 +11,120 @@ import (
 	"mrts/internal/exp"
 	"mrts/internal/fault"
 	"mrts/internal/obs"
-	"mrts/internal/selector"
 	"mrts/internal/service/api"
 	"mrts/internal/sim"
 	"mrts/internal/workload"
 )
 
-// EvalStats counts the result-cache traffic of one job.
+// EvalStats counts one job's point evaluations: Hits were served without
+// simulating (from the report memo or an identical in-flight run).
 type EvalStats struct {
 	Hits, Misses atomic.Int64
-
-	// memo is the job's shared selection memo: greedy selections computed
-	// at one sweep point seed neighbouring points of the same job (see
-	// selector.Memo). seedReported is the high-water mark of memo hits
-	// already published to the server-wide counter, so concurrent flushes
-	// count every hit exactly once.
-	memo         *selector.Memo
-	seedReported atomic.Int64
 }
 
-// flushSeedHits publishes memo hits accrued since the last flush to the
-// counter. Safe for concurrent use; cumulative counts never double-report.
-func (st *EvalStats) flushSeedHits(c *Counter) {
-	if st.memo == nil {
-		return
+// jobEval is one job's view of its workload's engine, resolved on first
+// use so that jobs which never evaluate a point never build the workload.
+type jobEval struct {
+	s     *Server
+	opts  workload.Options // canonical
+	ent   atomic.Pointer[workEntry]
+	stats EvalStats
+}
+
+// entry returns the workload-cache entry, building the workload under ctx
+// if this is the first call.
+func (j *jobEval) entry(ctx context.Context) (*workEntry, error) {
+	if ent := j.ent.Load(); ent != nil {
+		return ent, nil
 	}
-	total := int64(st.memo.Stats().Hits)
-	for {
-		prev := st.seedReported.Load()
-		if total <= prev {
-			return
-		}
-		if st.seedReported.CompareAndSwap(prev, total) {
-			c.Add(total - prev)
-			return
-		}
+	ent, err := j.s.workloads.Get(ctx, j.opts)
+	if err != nil {
+		return nil, err
 	}
+	j.ent.Store(ent)
+	return ent, nil
+}
+
+// eval is the service's one point-evaluation path: the engine's Eval, plus
+// the job's and the server's accounting of what it cost.
+func (j *jobEval) eval(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, bool, error) {
+	s := j.s
+	s.batchPoints.Inc()
+	ent, err := j.entry(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	start := time.Now()
+	rep, hit, err := ent.eng.Eval(ctx, cfg, p, seed, fo)
+	if err != nil {
+		return nil, false, err
+	}
+	if hit {
+		j.stats.Hits.Add(1)
+		s.cacheHits.Inc()
+	} else {
+		j.stats.Misses.Add(1)
+		s.cacheMisses.Inc()
+		s.pointSeconds.Observe(time.Since(start).Seconds())
+		ent.flushSeedHits(s.batchSeedHits)
+	}
+	return rep, hit, nil
+}
+
+func (j *jobEval) faultEval(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
+	rep, _, err := j.eval(ctx, cfg, p, seed, fo)
+	return rep, err
+}
+
+func (j *jobEval) plainEval(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
+	rep, _, err := j.eval(ctx, cfg, p, 0, fault.Options{})
+	return rep, err
 }
 
 // FaultEvaluator returns the service's job-execution path as an
-// exp.FaultEvaluator: every (fabric, policy, fault scenario) point is
-// first looked up in the content-addressed result cache; on a miss the
-// workload is fetched from the singleflight workload cache (building it at
-// most once per options) and the point is simulated and cached. Figure
-// sweeps, sweep batches and single sim jobs all run through this one path.
-// Two jobs racing on the same uncached point may simulate it twice — the
-// second Put is idempotent — which keeps the hot path lock-free outside
-// the cache lookups.
-//
-// Points that miss the result cache simulate under a shared per-evaluator
-// selection memo, so the ISE selections computed at one sweep point seed
-// neighbouring points of the same job (byte-identical results; see
-// selector.Memo). The memo's traffic feeds the mrts_batch_* metrics.
+// exp.FaultEvaluator over the workload's batch.Engine, fetched from the
+// workload cache on the first call. The engine's report memo and
+// selection memo are shared by every job on the workload (see §12.3 of
+// DESIGN.md). Figure sweeps, sweep batches and sim jobs all use this path.
 func (s *Server) FaultEvaluator(opts workload.Options) (exp.FaultEvaluator, *EvalStats) {
-	canon := opts.Canonical()
-	stats := &EvalStats{memo: selector.NewMemo(0)}
-	eval := func(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-		s.batchPoints.Inc()
-		key := PointKeyFaults(canon, cfg, p, seed, fo)
-		if rep, ok := s.results.Get(key); ok {
-			stats.Hits.Add(1)
-			return rep, nil
-		}
-		stats.Misses.Add(1)
-		w, err := s.workloads.Get(ctx, canon)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		rep, err := exp.RunPointFaults(exp.WithSelectionMemo(ctx, stats.memo), w, cfg, p, seed, fo)
-		if err != nil {
-			return nil, err
-		}
-		s.pointSeconds.Observe(time.Since(start).Seconds())
-		stats.flushSeedHits(s.batchSeedHits)
-		s.results.Put(key, rep)
-		return rep, nil
-	}
-	return eval, stats
+	j := &jobEval{s: s, opts: opts.Canonical()}
+	return j.faultEval, &j.stats
 }
 
 // Evaluator is FaultEvaluator restricted to the benign scenario — the
-// fault-free sweep path used by figures and the streaming endpoint.
+// fault-free sweep path used by figures.
 func (s *Server) Evaluator(opts workload.Options) (exp.Evaluator, *EvalStats) {
-	feval, stats := s.FaultEvaluator(opts)
-	eval := func(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
-		return feval(ctx, cfg, p, 0, fault.Options{})
+	j := &jobEval{s: s, opts: opts.Canonical()}
+	return j.plainEval, &j.stats
+}
+
+// workload returns the built workload for opts from the workload cache;
+// it is the exp.WorkloadProvider of the sweeps that build their own
+// workloads (tenants, phase), so each build happens at most once per
+// server.
+func (s *Server) workload(ctx context.Context, opts workload.Options) (*workload.Result, error) {
+	ent, err := s.workloads.Get(ctx, opts.Canonical())
+	if err != nil {
+		return nil, err
 	}
-	return eval, stats
+	return ent.eng.Workload(), nil
 }
 
 // execute runs one job spec to completion under ctx.
 func (s *Server) execute(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
 	opts := spec.Workload.Options()
-	feval, stats := s.FaultEvaluator(opts)
-	eval := func(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
-		return feval(ctx, cfg, p, 0, fault.Options{})
-	}
-	// Figures that build runtime instances outside the evaluator (the
-	// tenant sweep's per-tenant systems) pick the job's selection memo up
-	// from the context.
-	ctx = exp.WithSelectionMemo(ctx, stats.memo)
+	j := &jobEval{s: s, opts: opts.Canonical()}
 	res := &api.JobResult{}
 
 	start := time.Now()
 	var err error
 	switch spec.Type {
 	case api.JobSim:
-		err = s.execSim(ctx, spec, feval, res)
+		err = s.execSim(ctx, spec, j, res)
 	case api.JobFig:
-		err = s.execFig(ctx, spec, opts, eval, feval, res)
+		err = s.execFig(ctx, spec, opts, j, res)
 	case api.JobSweep:
-		err = s.execSweep(ctx, spec.Points, spec.Faults, feval, res)
+		err = s.execSweep(ctx, spec.Points, spec.Faults, j.faultEval, res)
 	default:
 		err = fmt.Errorf("service: unknown job type %q", spec.Type)
 	}
@@ -132,9 +134,11 @@ func (s *Server) execute(ctx context.Context, spec api.JobSpec) (*api.JobResult,
 	if spec.Type == api.JobFig || spec.Type == api.JobSweep {
 		s.batchSeconds.Observe(time.Since(start).Seconds())
 	}
-	stats.flushSeedHits(s.batchSeedHits)
-	res.CacheHits = stats.Hits.Load()
-	res.CacheMisses = stats.Misses.Load()
+	if ent := j.ent.Load(); ent != nil {
+		ent.flushSeedHits(s.batchSeedHits)
+	}
+	res.CacheHits = j.stats.Hits.Load()
+	res.CacheMisses = j.stats.Misses.Load()
 	return res, nil
 }
 
@@ -152,14 +156,14 @@ func faultScenario(spec *api.FaultSpec, ref *sim.Report) (uint64, fault.Options)
 	return spec.Seed, fo
 }
 
-func (s *Server) execSim(ctx context.Context, spec api.JobSpec, eval exp.FaultEvaluator, res *api.JobResult) error {
+func (s *Server) execSim(ctx context.Context, spec api.JobSpec, j *jobEval, res *api.JobResult) error {
 	p, err := spec.SimPolicy()
 	if err != nil {
 		return err
 	}
 	// The RISC reference is always fault-free: it has no fabric to fail,
 	// and it anchors the speedup of the degraded run.
-	ref, err := eval(ctx, arch.Config{}, exp.PolicyRISC, 0, fault.Options{})
+	ref, err := j.faultEval(ctx, arch.Config{}, exp.PolicyRISC, 0, fault.Options{})
 	if err != nil {
 		return err
 	}
@@ -168,11 +172,10 @@ func (s *Server) execSim(ctx context.Context, spec api.JobSpec, eval exp.FaultEv
 
 	var rep *sim.Report
 	if spec.Trace {
-		// Traced points bypass the result-cache lookup — the trace must
-		// come from a real run — but the report (identical by the
-		// observer-off byte-identity guarantee) is still cached for
-		// untraced followers.
-		w, err := s.workloads.Get(ctx, spec.Workload.Options().Canonical())
+		// Traced points bypass the point-memo lookup — the trace must
+		// come from a real run — but the engine still memoises the
+		// report for untraced followers.
+		ent, err := j.entry(ctx)
 		if err != nil {
 			return err
 		}
@@ -182,15 +185,14 @@ func (s *Server) execSim(ctx context.Context, spec api.JobSpec, eval exp.FaultEv
 		}
 		rec.SetRun(fmt.Sprintf("%s/%dx%d", p, cfg.NPRC, cfg.NCG))
 		start := time.Now()
-		rep, err = exp.RunPointObserved(ctx, w, cfg, p, seed, fo, rec)
+		rep, err = ent.eng.Observe(ctx, cfg, p, seed, fo, rec)
 		if err != nil {
 			return err
 		}
 		s.pointSeconds.Observe(time.Since(start).Seconds())
-		s.results.Put(PointKeyFaults(spec.Workload.Options().Canonical(), cfg, p, seed, fo), rep)
 		res.TraceJSONL = rec.JSONL()
 	} else {
-		rep, err = eval(ctx, cfg, p, seed, fo)
+		rep, err = j.faultEval(ctx, cfg, p, seed, fo)
 		if err != nil {
 			return err
 		}
@@ -203,7 +205,7 @@ func (s *Server) execSim(ctx context.Context, spec api.JobSpec, eval exp.FaultEv
 // execFig regenerates one figure. The rendered text is byte-identical to
 // what `mrts-sweep -fig <name>` prints for the same workload and bounds,
 // because the identical harness and renderer run underneath.
-func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Options, eval exp.Evaluator, feval exp.FaultEvaluator, res *api.JobResult) error {
+func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Options, j *jobEval, res *api.JobResult) error {
 	maxPRC, maxCG := spec.MaxPRC, spec.MaxCG
 	if maxPRC == 0 {
 		maxPRC = 4
@@ -214,26 +216,26 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 	var buf bytes.Buffer
 	switch spec.Fig {
 	case "8":
-		r, err := exp.Fig8(ctx, eval, maxPRC, maxCG)
+		r, err := exp.Fig8(ctx, j.plainEval, maxPRC, maxCG)
 		if err != nil {
 			return err
 		}
 		r.Render(&buf)
 	case "9":
-		r, err := exp.Fig9(ctx, eval, maxPRC, maxCG)
+		r, err := exp.Fig9(ctx, j.plainEval, maxPRC, maxCG)
 		if err != nil {
 			return err
 		}
 		r.Render(&buf)
 	case "10":
-		r, err := exp.Fig10(ctx, eval, min(maxPRC, 3), maxCG)
+		r, err := exp.Fig10(ctx, j.plainEval, min(maxPRC, 3), maxCG)
 		if err != nil {
 			return err
 		}
 		r.Render(&buf)
 	case "mix":
 		for _, total := range []int{3, 5, 7} {
-			r, err := exp.MixFrontier(ctx, eval, total)
+			r, err := exp.MixFrontier(ctx, j.plainEval, total)
 			if err != nil {
 				return err
 			}
@@ -241,21 +243,24 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 			fmt.Fprintln(&buf)
 		}
 	case "shared":
-		w, err := s.workloads.Get(ctx, opts)
+		// The sharing sweep runs its points outside the evaluator; the
+		// engine's selection memo reaches them through the context.
+		ent, err := j.entry(ctx)
 		if err != nil {
 			return err
 		}
-		r, err := exp.Shared(ctx, w, arch.Config{NPRC: maxPRC, NCG: maxCG})
+		ctx = exp.WithSelectionMemo(ctx, ent.eng.Memo())
+		r, err := exp.Shared(ctx, ent.eng.Workload(), arch.Config{NPRC: maxPRC, NCG: maxCG})
 		if err != nil {
 			return err
 		}
 		r.Render(&buf)
 	case "overhead":
-		w, err := s.workloads.Get(ctx, opts)
+		ent, err := j.entry(ctx)
 		if err != nil {
 			return err
 		}
-		r, err := exp.Overhead(w, arch.Config{NPRC: 2, NCG: 2})
+		r, err := exp.Overhead(ent.eng.Workload(), arch.Config{NPRC: 2, NCG: 2})
 		if err != nil {
 			return err
 		}
@@ -265,7 +270,7 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 		if spec.Faults != nil && spec.Faults.Seed != 0 {
 			seed = spec.Faults.Seed
 		}
-		r, err := exp.Faults(ctx, feval, exp.FaultsConfig, seed)
+		r, err := exp.Faults(ctx, j.faultEval, exp.FaultsConfig, seed)
 		if err != nil {
 			return err
 		}
@@ -279,12 +284,15 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 		if mix == "" {
 			mix = "uniform"
 		}
-		// Tenant workloads flow through the singleflight workload cache:
-		// each tenant's derived options build at most once per server.
-		wp := func(ctx context.Context, o workload.Options) (*workload.Result, error) {
-			return s.workloads.Get(ctx, o.Canonical())
+		// Tenant 0 runs the job's own workload, so resolving its engine
+		// builds nothing extra; as for "shared", its selection memo
+		// reaches the tenant systems through the context.
+		ent, err := j.entry(ctx)
+		if err != nil {
+			return err
 		}
-		r, err := exp.Tenants(ctx, wp, opts, arch.Config{NPRC: maxPRC, NCG: maxCG}, maxK, mix)
+		ctx = exp.WithSelectionMemo(ctx, ent.eng.Memo())
+		r, err := exp.Tenants(ctx, s.workload, opts, arch.Config{NPRC: maxPRC, NCG: maxCG}, maxK, mix)
 		if err != nil {
 			return err
 		}
@@ -292,14 +300,11 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 	case "phase":
 		// The sweep builds one phased workload per divergence level; the
 		// singleflight workload cache dedupes them across jobs.
-		wp := func(ctx context.Context, o workload.Options) (*workload.Result, error) {
-			return s.workloads.Get(ctx, o.Canonical())
-		}
 		seed := spec.Workload.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		r, err := exp.Phase(ctx, wp, arch.Config{NPRC: min(maxPRC, 2), NCG: min(maxCG, 2)}, seed)
+		r, err := exp.Phase(ctx, s.workload, arch.Config{NPRC: min(maxPRC, 2), NCG: min(maxCG, 2)}, seed)
 		if err != nil {
 			return err
 		}

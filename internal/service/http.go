@@ -204,8 +204,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	feval, _ := s.FaultEvaluator(req.Workload.Options())
-	ref, err := feval(ctx, arch.Config{}, exp.PolicyRISC, 0, fault.Options{})
+	j := &jobEval{s: s, opts: req.Workload.Options().Canonical()}
+	ref, err := j.faultEval(ctx, arch.Config{}, exp.PolicyRISC, 0, fault.Options{})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -225,8 +225,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			pt := req.Points[i]
 			ev := api.SweepEvent{Index: i, Point: pt}
 			pol, _ := exp.ParsePolicy(pt.Policy) // validated above
-			ev.Cached = s.results.Peek(PointKeyFaults(req.Workload.Options(), pt.Config(), pol, seed, fo))
-			rep, err := feval(ctx, pt.Config(), pol, seed, fo)
+			rep, hit, err := j.eval(ctx, pt.Config(), pol, seed, fo)
+			ev.Cached = hit
 			if err != nil {
 				ev.Error = err.Error()
 			} else {

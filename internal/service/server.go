@@ -2,11 +2,12 @@
 // service that accepts simulation, figure and sweep jobs over HTTP/JSON,
 // executes them on a bounded worker pool with per-job cancellation and
 // timeouts, and amortises repeated work across requests with a
-// content-addressed result cache and a singleflight workload cache. It is
-// the long-lived counterpart of the one-shot CLIs: the same experiment
-// pipeline (internal/exp) runs underneath, but sweeps over many (fabric x
-// policy x workload) points share traces and previously simulated points
-// instead of rebuilding them per process.
+// singleflight workload cache whose entries are batch engines — one report
+// memo and one selection memo per workload. It is the long-lived
+// counterpart of the one-shot CLIs: the same experiment pipeline
+// (internal/exp) runs underneath, but sweeps over many (fabric x policy x
+// workload) points share traces and previously simulated points instead of
+// rebuilding them per process.
 //
 // With a write-ahead journal attached (Options.Journal) the job table is
 // durable: submissions are journaled before they are acknowledged, and a
@@ -55,8 +56,6 @@ type Options struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs;
 	// submissions beyond it are rejected with 503 (default 256).
 	QueueDepth int
-	// ResultCacheSize bounds the point-result LRU (default 4096).
-	ResultCacheSize int
 	// WorkloadCacheSize bounds the built-workload LRU (default 16).
 	WorkloadCacheSize int
 	// JobTimeout is the default per-job execution deadline; a job spec
@@ -157,7 +156,6 @@ var closedChan = func() chan struct{} {
 type Server struct {
 	opts      Options
 	metrics   *Metrics
-	results   *ResultCache
 	workloads *WorkloadCache
 	journal   *journal.Journal
 	router    *Router
@@ -188,6 +186,7 @@ type Server struct {
 	journalRecords, journalErrors                      *Counter
 	queueDepth, running                                *Gauge
 	jobSeconds, queueWaitSeconds, e2eSeconds           *Histogram
+	cacheHits, cacheMisses                             *Counter
 	pointSeconds                                       *Histogram
 	batchPoints, batchSeedHits                         *Counter
 	batchSeconds                                       *Histogram
@@ -202,7 +201,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:      opts,
 		metrics:   m,
-		results:   NewResultCache(opts.ResultCacheSize, m),
 		workloads: NewWorkloadCache(opts.WorkloadCacheSize, m),
 		journal:   opts.Journal,
 		baseCtx:   ctx,
@@ -224,6 +222,8 @@ func New(opts Options) *Server {
 		jobSeconds:       m.Histogram("mrts_job_seconds"),
 		queueWaitSeconds: m.Histogram("mrts_job_queue_seconds"),
 		e2eSeconds:       m.Histogram("mrts_job_e2e_seconds"),
+		cacheHits:        m.Counter("mrts_result_cache_hits_total"),
+		cacheMisses:      m.Counter("mrts_result_cache_misses_total"),
 		pointSeconds:     m.Histogram("mrts_point_eval_seconds"),
 		batchPoints:      m.Counter("mrts_batch_points_total"),
 		batchSeedHits:    m.Counter("mrts_batch_seed_hits_total"),
@@ -411,9 +411,6 @@ func (s *Server) JournalErr() error {
 
 // Metrics exposes the registry (for /metrics and tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// ResultCache exposes the point cache (for tests and benchmarks).
-func (s *Server) ResultCache() *ResultCache { return s.results }
 
 // Router exposes the admission half of the daemon (draining, rate
 // limiting, dedupe, placement-facing submission).

@@ -244,7 +244,7 @@ func slowSweepSpec() api.JobSpec {
 	var points []api.Point
 	for i := 0; i < 200; i++ {
 		// Every point is a distinct fabric combination, so none of them
-		// can be served from the result cache — the job must simulate.
+		// can be served from the report memo — the job must simulate.
 		points = append(points, api.Point{PRC: 1 + i%20, CG: 1 + i/20, Policy: "mrts"})
 	}
 	return api.JobSpec{Type: api.JobSweep, Workload: api.WorkloadSpec{Frames: 2, Seed: 99}, Points: points}
