@@ -13,94 +13,17 @@ import (
 	"os"
 
 	"mrts/internal/arch"
-	"mrts/internal/cgedpe"
+	"mrts/internal/exp"
 	"mrts/internal/fgfabric"
-	"mrts/internal/h264"
-	"mrts/internal/ise"
-	"mrts/internal/iselib"
-	"mrts/internal/leon"
 )
 
 func main() {
-	app := iselib.MustNewApplication()
-
-	cur := make([]byte, 256)
-	ref := make([]byte, 256)
-	for i := range cur {
-		cur[i] = byte(i * 7)
-		ref[i] = byte(i*5 + 3)
-	}
-	coeffs := [16]int32{120, -55, 910, 3, -4, 0, 66, -2000, 8, 0, 1, -1, 300, -300, 12, 99}
-
 	fmt.Println("Micro-kernel calibration: functional hardware models vs. ISE library")
-	fmt.Printf("%-22s %14s %14s %8s\n", "kernel / target", "measured (cy)", "library (cy)", "ratio")
-
-	row := func(name string, measured int64, library arch.Cycles) {
-		fmt.Printf("%-22s %14d %14d %8.2f\n", name, measured, library,
-			float64(library)/float64(measured))
-	}
-
-	// RISC-mode measurements on the LEON model.
-	sadV, sadCy, err := leon.MeasureSAD(cur, ref)
+	sad, err := exp.Calibration(os.Stdout)
 	check(err)
-	row("sad @ LEON", sadCy, app.Kernel(ise.KernelID(h264.KernelSAD)).RISCLatency)
-
-	_, quantCy, err := leon.MeasureQuant(coeffs, 13107, 43690, 17)
-	check(err)
-	row("quant @ LEON", quantCy, app.Kernel(ise.KernelID(h264.KernelQuant)).RISCLatency)
-
-	_, bsCy, err := leon.MeasureBS(false, false, false, false, 1, 1)
-	check(err)
-	row("bs @ LEON", bsCy, app.Kernel(ise.KernelID(h264.KernelBS)).RISCLatency)
-
-	var blkRISC [16]int32
-	for i := range blkRISC {
-		blkRISC[i] = int32(i*13 - 90)
-	}
-	_, dctRISCCy, err := leon.MeasureDCT(blkRISC)
-	check(err)
-	row("dct @ LEON", dctRISCCy, app.Kernel(ise.KernelID(h264.KernelDCT)).RISCLatency)
-
-	rows := [4][4]uint8{
-		{100, 100, 104, 104}, {100, 101, 105, 104},
-		{99, 100, 103, 104}, {101, 100, 105, 106},
-	}
-	_, filtCy, err := leon.MeasureFilt(rows, 20, 6, 2)
-	check(err)
-	row("filt @ LEON", filtCy, app.Kernel(ise.KernelID(h264.KernelFilt)).RISCLatency)
-
-	// CG-fabric measurements on the EDPE model.
-	sadCGV, sadCGCy, err := cgedpe.MeasureSAD(cur, ref)
-	check(err)
-	row("sad @ CG-EDPE", sadCGCy, app.Kernel(ise.KernelID(h264.KernelSAD)).ISEByID("sad.cg1").FullLatency())
-
-	var blk [16]int32
-	for i := range blk {
-		blk[i] = int32(i*13 - 90)
-	}
-	_, dctCGCy, err := cgedpe.MeasureDCT(blk)
-	check(err)
-	row("dct @ CG-EDPE", dctCGCy, app.Kernel(ise.KernelID(h264.KernelDCT)).ISEByID("dct.cg1").FullLatency())
-
-	_, quantCGCy, err := cgedpe.MeasureQuant(coeffs, 13107, 43690, 17)
-	check(err)
-	row("quant @ CG-EDPE", quantCGCy, app.Kernel(ise.KernelID(h264.KernelQuant)).ISEByID("quant.cg1").FullLatency())
-
-	var resid [16]int32
-	for i := range resid {
-		resid[i] = int32(i*7 - 50)
-	}
-	_, satdCGCy, err := cgedpe.MeasureSATD(resid)
-	check(err)
-	row("satd @ CG-EDPE", satdCGCy, app.Kernel(ise.KernelID(h264.KernelSATD)).ISEByID("satd.cg1").FullLatency())
-
-	if sadV != sadCGV {
-		fmt.Fprintf(os.Stderr, "mrts-isa: models disagree on SAD: %d vs %d\n", sadV, sadCGV)
-		os.Exit(1)
-	}
 
 	fmt.Printf("\nmeasured SAD speedup on the CG fabric: %.1fx (both models agree on the value %d)\n",
-		float64(sadCy)/float64(sadCGCy), sadV)
+		float64(sad.LEONCycles)/float64(sad.CGCycles), sad.Value)
 
 	fmt.Printf("\nFG configuration path: a %d-byte partial bitstream at %d KB/s streams in %.2f ms (constant: %.2f ms)\n",
 		fgfabric.BytesPerDataPath, arch.FGReconfigBandwidthKBps,

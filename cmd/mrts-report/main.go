@@ -13,13 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"mrts/internal/arch"
-	"mrts/internal/cgedpe"
 	"mrts/internal/exp"
-	"mrts/internal/h264"
-	"mrts/internal/ise"
-	"mrts/internal/iselib"
-	"mrts/internal/leon"
+	"mrts/internal/selector"
 	"mrts/internal/video"
 	"mrts/internal/workload"
 )
@@ -28,9 +23,9 @@ func main() {
 	var (
 		frames  = flag.Int("frames", 16, "video frames to encode")
 		seed    = flag.Uint64("seed", 1, "synthetic video seed")
-		maxPRC  = flag.Int("maxprc", 4, "maximum PRC count of the sweeps")
-		maxCG   = flag.Int("maxcg", 3, "maximum CG-EDPE count of the sweeps")
-		tenants = flag.Int("tenants", 8, "largest tenant count of the virtualization sweep")
+		maxPRC  = flag.Int("maxprc", exp.DefaultMaxPRC, "maximum PRC count of the sweeps")
+		maxCG   = flag.Int("maxcg", exp.DefaultMaxCG, "maximum CG-EDPE count of the sweeps")
+		tenants = flag.Int("tenants", exp.MaxTenants, "largest tenant count of the virtualization sweep")
 		mix     = flag.String("mix", "skewed", "tenant mix of the virtualization sweep: uniform|skewed|priority")
 	)
 	flag.Parse()
@@ -44,7 +39,6 @@ func main() {
 	w, err := workload.Build(base)
 	check(err)
 	ctx := context.Background()
-	eval := exp.DirectEvaluator(w)
 
 	fmt.Fprintf(out, "# mRTS evaluation report\n\n")
 	fmt.Fprintf(out, "Workload: %d QCIF frames, seed %d, scene cuts at %d and %d; fabric sweep PRCs 0-%d x CG-EDPEs 0-%d.\n\n",
@@ -63,101 +57,35 @@ func main() {
 	exp.Fig2(w).Render(out)
 	endSection()
 
-	section("Fig. 8 — comparison with state-of-the-art")
-	fig8, err := exp.Fig8(ctx, eval, *maxPRC, *maxCG)
-	check(err)
-	fig8.Render(out)
-	endSection()
-
-	section("Fig. 9 — selection heuristic vs. optimal algorithm")
-	fig9, err := exp.Fig9(ctx, eval, *maxPRC, *maxCG)
-	check(err)
-	fig9.Render(out)
-	endSection()
-
-	section("Fig. 10 — speedup over RISC mode")
-	fig10, err := exp.Fig10(ctx, eval, min(*maxPRC, 3), *maxCG)
-	check(err)
-	fig10.Render(out)
-	endSection()
-
-	section("Section 5.4 — runtime-system overhead")
-	ovh, err := exp.Overhead(w, arch.Config{NPRC: 2, NCG: 2})
-	check(err)
-	ovh.Render(out)
-	endSection()
-
-	section("Fabric sharing — run-time adaptation vs. recompiled oracle")
-	shared, err := exp.Shared(ctx, w, arch.Config{NPRC: *maxPRC, NCG: *maxCG})
-	check(err)
-	shared.Render(out)
-	endSection()
-
-	section("Virtualization — static partitions vs. migrating hypervisor")
-	ten, err := exp.Tenants(ctx, exp.DirectWorkloads(), base,
-		arch.Config{NPRC: *maxPRC, NCG: *maxCG}, *tenants, *mix)
-	check(err)
-	ten.Render(out)
-	endSection()
+	in := exp.FigInput{
+		Base:    base,
+		MaxPRC:  *maxPRC,
+		MaxCG:   *maxCG,
+		Tenants: *tenants,
+		Mix:     *mix,
+		Eval:    exp.DirectFaultEvaluator(w),
+		Workload: func(context.Context) (*workload.Result, *selector.Memo, error) {
+			return w, nil, nil
+		},
+		Workloads: exp.DirectWorkloads(),
+	}
+	for _, fig := range []struct{ title, name string }{
+		{"Fig. 8 — comparison with state-of-the-art", "8"},
+		{"Fig. 9 — selection heuristic vs. optimal algorithm", "9"},
+		{"Fig. 10 — speedup over RISC mode", "10"},
+		{"Section 5.4 — runtime-system overhead", "overhead"},
+		{"Fabric sharing — run-time adaptation vs. recompiled oracle", "shared"},
+		{"Virtualization — static partitions vs. migrating hypervisor", "tenants"},
+	} {
+		section(fig.title)
+		check(exp.RenderFig(ctx, out, fig.name, in))
+		endSection()
+	}
 
 	section("Hardware-model calibration")
-	calibration(out)
+	_, err = exp.Calibration(out)
+	check(err)
 	endSection()
-}
-
-// calibration reproduces the mrts-isa table.
-func calibration(out *os.File) {
-	app := iselib.MustNewApplication()
-	cur := make([]byte, 256)
-	ref := make([]byte, 256)
-	for i := range cur {
-		cur[i] = byte(i * 7)
-		ref[i] = byte(i*5 + 3)
-	}
-	coeffs := [16]int32{120, -55, 910, 3, -4, 0, 66, -2000, 8, 0, 1, -1, 300, -300, 12, 99}
-	var blk [16]int32
-	for i := range blk {
-		blk[i] = int32(i*13 - 90)
-	}
-	fmt.Fprintf(out, "%-22s %14s %14s %8s\n", "kernel / target", "measured (cy)", "library (cy)", "ratio")
-	row := func(name string, measured int64, library arch.Cycles) {
-		fmt.Fprintf(out, "%-22s %14d %14d %8.2f\n", name, measured, library, float64(library)/float64(measured))
-	}
-	_, c1, err := leon.MeasureSAD(cur, ref)
-	check(err)
-	row("sad @ LEON", c1, app.Kernel(ise.KernelID(h264.KernelSAD)).RISCLatency)
-	_, c2, err := leon.MeasureQuant(coeffs, 13107, 43690, 17)
-	check(err)
-	row("quant @ LEON", c2, app.Kernel(ise.KernelID(h264.KernelQuant)).RISCLatency)
-	_, c3, err := leon.MeasureBS(false, false, false, false, 1, 1)
-	check(err)
-	row("bs @ LEON", c3, app.Kernel(ise.KernelID(h264.KernelBS)).RISCLatency)
-	_, c4, err := leon.MeasureDCT(blk)
-	check(err)
-	row("dct @ LEON", c4, app.Kernel(ise.KernelID(h264.KernelDCT)).RISCLatency)
-	_, c5, err := cgedpe.MeasureSAD(cur, ref)
-	check(err)
-	row("sad @ CG-EDPE", c5, app.Kernel(ise.KernelID(h264.KernelSAD)).ISEByID("sad.cg1").FullLatency())
-	_, c6, err := cgedpe.MeasureDCT(blk)
-	check(err)
-	row("dct @ CG-EDPE", c6, app.Kernel(ise.KernelID(h264.KernelDCT)).ISEByID("dct.cg1").FullLatency())
-	_, c7, err := cgedpe.MeasureQuant(coeffs, 13107, 43690, 17)
-	check(err)
-	row("quant @ CG-EDPE", c7, app.Kernel(ise.KernelID(h264.KernelQuant)).ISEByID("quant.cg1").FullLatency())
-	rows := [4][4]uint8{
-		{100, 100, 104, 104}, {100, 101, 105, 104},
-		{99, 100, 103, 104}, {101, 100, 105, 106},
-	}
-	_, c8, err := leon.MeasureFilt(rows, 20, 6, 2)
-	check(err)
-	row("filt @ LEON", c8, app.Kernel(ise.KernelID(h264.KernelFilt)).RISCLatency)
-	var resid [16]int32
-	for i := range resid {
-		resid[i] = int32(i*7 - 50)
-	}
-	_, c9, err := cgedpe.MeasureSATD(resid)
-	check(err)
-	row("satd @ CG-EDPE", c9, app.Kernel(ise.KernelID(h264.KernelSATD)).ISEByID("satd.cg1").FullLatency())
 }
 
 func check(err error) {

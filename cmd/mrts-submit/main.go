@@ -37,6 +37,7 @@ import (
 	"strings"
 	"time"
 
+	"mrts/internal/exp"
 	"mrts/internal/service/api"
 	"mrts/internal/service/client"
 )
@@ -44,14 +45,14 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", "http://localhost:8341", "mrts-serve base URL, or a comma list of cluster member URLs (failover)")
-		fig     = flag.String("fig", "", "figure to regenerate: "+strings.Join(api.Figs, "|")+"|all (empty = single simulation)")
+		fig     = flag.String("fig", "", "figure to regenerate: "+strings.Join(exp.FigNames, "|")+"|all (empty = single simulation)")
 		prc     = flag.Int("prc", 2, "number of PRCs (single simulation)")
 		cgN     = flag.Int("cg", 1, "number of CG-EDPEs (single simulation)")
 		policy  = flag.String("policy", "mrts", "runtime policy (single simulation)")
 		frames  = flag.Int("frames", 16, "video frames to encode")
 		seed    = flag.Uint64("seed", 1, "synthetic video seed")
-		maxPRC  = flag.Int("maxprc", 4, "maximum PRC count of sweeps")
-		maxCG   = flag.Int("maxcg", 3, "maximum CG-EDPE count of sweeps")
+		maxPRC  = flag.Int("maxprc", exp.DefaultMaxPRC, "maximum PRC count of sweeps")
+		maxCG   = flag.Int("maxcg", exp.DefaultMaxCG, "maximum CG-EDPE count of sweeps")
 		stream  = flag.Bool("stream", false, "stream an mRTS point sweep over /v1/sweep instead of submitting a job")
 		timeout = flag.Duration("timeout", 15*time.Minute, "client-side wait timeout")
 		poll    = flag.Duration("poll", 50*time.Millisecond, "job poll interval")
@@ -128,7 +129,7 @@ func main() {
 		fatalIf(err)
 		out = string(b)
 	case "all":
-		for i, name := range []string{"8", "9", "10", "overhead", "shared"} {
+		for i, name := range exp.FigAll {
 			if i > 0 {
 				out += "\n"
 			}

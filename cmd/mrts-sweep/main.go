@@ -9,7 +9,7 @@
 //	mrts-sweep -fig all          # everything
 //	mrts-sweep -fig 10 -frames 16 -maxprc 3 -maxcg 3
 //	mrts-sweep -fig faults       # graceful-degradation sweep
-//	mrts-sweep -fig tenants -tenants 4 -mix skewed  # hypervisor sweep
+//	mrts-sweep -fig tenants -tenants 4 -mix skewed  # hypervisor sweep (default K <= 8, uniform)
 //	mrts-sweep -fig phase        # predictor comparison on dynamic control flow
 package main
 
@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,6 +30,7 @@ import (
 	"mrts/internal/exp"
 	"mrts/internal/fault"
 	"mrts/internal/obs"
+	"mrts/internal/selector"
 	"mrts/internal/sim"
 	"mrts/internal/video"
 	"mrts/internal/workload"
@@ -39,17 +41,16 @@ func main() {
 		fig        = flag.String("fig", "all", "figure to regenerate: "+strings.Join(exp.FigNames, "|")+"|all")
 		frames     = flag.Int("frames", 16, "video frames to encode")
 		seed       = flag.Uint64("seed", 1, "synthetic video seed")
-		maxPRC     = flag.Int("maxprc", 4, "maximum PRC count of the sweep")
-		maxCG      = flag.Int("maxcg", 3, "maximum CG-EDPE count of the sweep")
+		maxPRC     = flag.Int("maxprc", exp.DefaultMaxPRC, "maximum PRC count of the sweep")
+		maxCG      = flag.Int("maxcg", exp.DefaultMaxCG, "maximum CG-EDPE count of the sweep")
 		chart      = flag.Bool("chart", false, "render ASCII charts instead of tables where available")
 		faultSeed  = flag.Uint64("faultseed", 1, "fault-schedule seed of the faults sweep")
-		tenants    = flag.Int("tenants", 4, "largest tenant count of the tenant sweep")
+		tenants    = flag.Int("tenants", exp.MaxTenants, "largest tenant count of the tenant sweep")
 		mix        = flag.String("mix", "uniform", "tenant mix of the tenant sweep: "+strings.Join(exp.TenantMixes, "|"))
 		workers    = flag.Int("workers", 0, "sweep worker-pool size (default GOMAXPROCS)")
-		direct     = flag.Bool("direct", false, "bypass the batch engine: no point deduplication, no cross-point selection reuse (results are byte-identical either way)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
-		traceOut   = flag.String("trace", "", "write the decision traces of every point (JSONL, one run label per point) to this file; render with mrts-timeline (implies -direct: every point must actually run to be traced)")
+		traceOut   = flag.String("trace", "", "write the decision traces of every point (JSONL, one run label per point) to this file; render with mrts-timeline (bypasses the batch engine: every point must actually run to be traced)")
 	)
 	flag.Parse()
 
@@ -82,12 +83,21 @@ func main() {
 		}()
 	}
 
-	base := workload.Options{
-		Frames: *frames,
-		Seed:   *seed,
-		Video:  video.Options{SceneCuts: []int{*frames / 3, 2 * *frames / 3}},
+	in := exp.FigInput{
+		Base: workload.Options{
+			Frames: *frames,
+			Seed:   *seed,
+			Video:  video.Options{SceneCuts: []int{*frames / 3, 2 * *frames / 3}},
+		},
+		MaxPRC:    *maxPRC,
+		MaxCG:     *maxCG,
+		FaultSeed: *faultSeed,
+		Tenants:   *tenants,
+		Mix:       *mix,
+		Chart:     *chart,
+		Workloads: exp.DirectWorkloads(),
 	}
-	w, err := workload.Build(base)
+	w, err := workload.Build(in.Base)
 	if err != nil {
 		fatal(err)
 	}
@@ -96,163 +106,71 @@ func main() {
 	if *workers != 0 {
 		ctx = exp.WithWorkers(ctx, *workers)
 	}
-	eval := exp.DirectEvaluator(w)
-	feval := exp.DirectFaultEvaluator(w)
 
 	// The batch engine deduplicates repeated points and shares selection
 	// work across sweep points; tracing needs every point to really run,
-	// so it falls back to the direct evaluators.
-	var eng *batch.Engine
-	if !*direct && *traceOut == "" {
-		eng = batch.New(w, 0)
-		eval = eng.Evaluator()
-		feval = eng.FaultEvaluator()
-		// The tenant sweep builds its per-tenant instances itself; hand
-		// it the engine's memo through the context.
-		ctx = exp.WithSelectionMemo(ctx, eng.Memo())
+	// so traced points bypass it.
+	eng := batch.New(w, 0)
+	in.Eval = eng.FaultEvaluator()
+	in.Workload = func(context.Context) (*workload.Result, *selector.Memo, error) {
+		return w, eng.Memo(), nil
 	}
-
-	start := time.Now()
-	summary := func() {
-		elapsed := time.Since(start)
-		poolSize := *workers
-		if poolSize <= 0 {
-			poolSize = runtime.GOMAXPROCS(0)
-		}
-		if eng == nil {
-			fmt.Fprintf(os.Stderr, "mrts-sweep: done in %.2fs (%d workers, direct evaluation)\n",
-				elapsed.Seconds(), poolSize)
-			return
-		}
-		st := eng.Stats()
-		fmt.Fprintf(os.Stderr,
-			"mrts-sweep: %d points in %.2fs (%.1f points/sec, %d workers); %d point replays, %d/%d selections seeded\n",
-			st.Points, elapsed.Seconds(), float64(st.Points)/elapsed.Seconds(), poolSize,
-			st.PointHits, st.SeedHits, st.SeedHits+st.SeedMisses)
-	}
-
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		// Points run concurrently (ParMap), so each gets its own labelled
-		// in-memory recorder; completed traces are appended whole under the
-		// mutex, keeping every run's lines contiguous and monotonic.
-		var mu sync.Mutex
-		flush := func(rec *obs.Recorder) {
-			mu.Lock()
-			defer mu.Unlock()
-			if err := rec.WriteJSONL(f); err != nil {
-				fatal(err)
-			}
-		}
-		eval = func(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
-			rec := obs.New()
-			rec.SetRun(fmt.Sprintf("%s/%dx%d", p, cfg.NPRC, cfg.NCG))
-			rep, err := exp.RunPointObserved(ctx, w, cfg, p, 0, fault.Options{}, rec)
-			if err == nil {
-				flush(rec)
-			}
-			return rep, err
-		}
-		feval = func(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-			rec := obs.New()
-			rec.SetRun(fmt.Sprintf("%s/%dx%d/fail%d+%d", p, cfg.NPRC, cfg.NCG, fo.FailPRC, fo.FailCG))
-			rep, err := exp.RunPointObserved(ctx, w, cfg, p, seed, fo, rec)
-			if err == nil {
-				flush(rec)
-			}
-			return rep, err
-		}
+		in.Eval = tracedEvaluator(w, f)
 	}
 
-	run := func(name string) {
-		switch name {
-		case "8":
-			r, err := exp.Fig8(ctx, eval, *maxPRC, *maxCG)
-			if err != nil {
-				fatal(err)
-			}
-			if *chart {
-				r.RenderChart(os.Stdout)
-			} else {
-				r.Render(os.Stdout)
-			}
-		case "9":
-			r, err := exp.Fig9(ctx, eval, *maxPRC, *maxCG)
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(os.Stdout)
-		case "10":
-			r, err := exp.Fig10(ctx, eval, min(*maxPRC, 3), *maxCG)
-			if err != nil {
-				fatal(err)
-			}
-			if *chart {
-				r.RenderChart(os.Stdout)
-			} else {
-				r.Render(os.Stdout)
-			}
-		case "mix":
-			for _, total := range []int{3, 5, 7} {
-				r, err := exp.MixFrontier(ctx, eval, total)
-				if err != nil {
-					fatal(err)
-				}
-				r.Render(os.Stdout)
-				fmt.Println()
-			}
-		case "shared":
-			r, err := exp.Shared(ctx, w, arch.Config{NPRC: 4, NCG: 3})
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(os.Stdout)
-		case "overhead":
-			r, err := exp.Overhead(w, arch.Config{NPRC: 2, NCG: 2})
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(os.Stdout)
-		case "faults":
-			r, err := exp.Faults(ctx, feval, exp.FaultsConfig, *faultSeed)
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(os.Stdout)
-		case "tenants":
-			r, err := exp.Tenants(ctx, exp.DirectWorkloads(), base,
-				arch.Config{NPRC: *maxPRC, NCG: *maxCG}, *tenants, *mix)
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(os.Stdout)
-		case "phase":
-			r, err := exp.Phase(ctx, exp.DirectWorkloads(), arch.Config{}, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(os.Stdout)
-		default:
-			fatal(fmt.Errorf("unknown figure %q (valid: %s, all)", name, strings.Join(exp.FigNames, ", ")))
-		}
+	start := time.Now()
+	if err := exp.RenderFig(ctx, os.Stdout, *fig, in); err != nil {
+		fatal(err)
 	}
-
-	if *fig == "all" {
-		for i, name := range []string{"8", "9", "10", "overhead", "shared"} {
-			if i > 0 {
-				fmt.Println()
-			}
-			run(name)
-		}
-		summary()
+	elapsed := time.Since(start)
+	poolSize := *workers
+	if poolSize <= 0 {
+		poolSize = runtime.GOMAXPROCS(0)
+	}
+	if *traceOut != "" {
+		fmt.Fprintf(os.Stderr, "mrts-sweep: done in %.2fs (%d workers, direct evaluation)\n",
+			elapsed.Seconds(), poolSize)
 		return
 	}
-	run(*fig)
-	summary()
+	st := eng.Stats()
+	fmt.Fprintf(os.Stderr,
+		"mrts-sweep: %d points in %.2fs (%.1f points/sec, %d workers); %d point replays, %d/%d selections seeded\n",
+		st.Points, elapsed.Seconds(), float64(st.Points)/elapsed.Seconds(), poolSize,
+		st.PointHits, st.SeedHits, st.SeedHits+st.SeedMisses)
+}
+
+// tracedEvaluator simulates every point on w with a decision-trace
+// recorder labelled policy/PRCsxCGs (plus /failP+C under a fault
+// scenario) and appends the completed trace to out. Points run
+// concurrently (ParMap), so each gets its own in-memory recorder; whole
+// traces are appended under the mutex, keeping every run's lines
+// contiguous and monotonic.
+func tracedEvaluator(w *workload.Result, out io.Writer) exp.FaultEvaluator {
+	var mu sync.Mutex
+	return func(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
+		rec := obs.New()
+		label := fmt.Sprintf("%s/%dx%d", p, cfg.NPRC, cfg.NCG)
+		if seed != 0 || fo != (fault.Options{}) {
+			label += fmt.Sprintf("/fail%d+%d", fo.FailPRC, fo.FailCG)
+		}
+		rec.SetRun(label)
+		rep, err := exp.RunPointObserved(ctx, w, cfg, p, seed, fo, rec)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if err := rec.WriteJSONL(out); err != nil {
+			return nil, err
+		}
+		return rep, nil
+	}
 }
 
 func fatal(err error) {

@@ -18,6 +18,7 @@ import (
 	"mrts/internal/arch"
 	"mrts/internal/baseline"
 	"mrts/internal/core"
+	"mrts/internal/fault"
 	"mrts/internal/ise"
 	"mrts/internal/sim"
 	"mrts/internal/trace"
@@ -126,17 +127,7 @@ func DirectEvaluator(w *workload.Result) Evaluator {
 // every sweep. The context is checked before the (non-interruptible)
 // simulation starts, so cancelled sweeps stop at point granularity.
 func RunPoint(ctx context.Context, w *workload.Result, cfg arch.Config, p Policy) (*sim.Report, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, context.Cause(ctx)
-		}
-	}
-	rts, err := NewPolicy(p, cfg, w.App, w.Trace)
-	if err != nil {
-		return nil, err
-	}
-	attachMemo(ctx, rts)
-	return sim.Run(w.App, w.Trace, rts)
+	return RunPointObserved(ctx, w, cfg, p, 0, fault.Options{}, nil)
 }
 
 // Combos enumerates fabric combinations the way Fig. 8 orders its x-axis:

@@ -28,23 +28,7 @@ func DirectFaultEvaluator(w *workload.Result) FaultEvaluator {
 // from (seed, fo) and interleaved with the trace. Zero options run the
 // plain fault-free path.
 func RunPointFaults(ctx context.Context, w *workload.Result, cfg arch.Config, p Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, context.Cause(ctx)
-		}
-	}
-	rts, err := NewPolicy(p, cfg, w.App, w.Trace)
-	if err != nil {
-		return nil, err
-	}
-	attachMemo(ctx, rts)
-	var sched *fault.Schedule
-	if !fo.IsZero() {
-		if sched, err = fault.NewSchedule(seed, fo); err != nil {
-			return nil, err
-		}
-	}
-	return sim.RunOpts(w.App, w.Trace, rts, sim.Options{Faults: sched})
+	return RunPointObserved(ctx, w, cfg, p, seed, fo, nil)
 }
 
 // FaultsFractions are the fabric-loss fractions of the degradation sweep.

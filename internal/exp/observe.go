@@ -11,10 +11,13 @@ import (
 )
 
 // RunPointObserved is RunPoint with a decision-trace recorder attached and
-// an optional fault scenario: the unit of work behind the CLIs' -trace
-// flag and the service's trace-capturing jobs. A nil recorder (or zero
-// fault options) degrades to the plain path; either way the report is
-// byte-identical to an unobserved run — the recorder is strictly a tap.
+// an optional fault scenario: the one point-runner body behind RunPoint,
+// RunPointFaults, the CLIs' -trace flag and the service's trace-capturing
+// jobs. A nil recorder (or zero fault options) degrades to the plain path;
+// either way the report is byte-identical to an unobserved run — the
+// recorder is strictly a tap. The context's selection memo, if any, is
+// attached too: a memo hit replays the identical selection and its claim
+// events, so neither the report nor the trace can tell.
 func RunPointObserved(ctx context.Context, w *workload.Result, cfg arch.Config, p Policy, seed uint64, fo fault.Options, rec *obs.Recorder) (*sim.Report, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -25,6 +28,7 @@ func RunPointObserved(ctx context.Context, w *workload.Result, cfg arch.Config, 
 	if err != nil {
 		return nil, err
 	}
+	attachMemo(ctx, rts)
 	var sched *fault.Schedule
 	if !fo.IsZero() {
 		if sched, err = fault.NewSchedule(seed, fo); err != nil {

@@ -100,7 +100,7 @@ func Phase(ctx context.Context, wp WorkloadProvider, cfg arch.Config, seed uint6
 		}
 		row.RISCCycles = risc.TotalCycles
 		for _, k := range PhasePredictors {
-			rep, err := runPhasePoint(ctx, w, cfg, k)
+			rep, err := RunPointPredictor(ctx, w, cfg, k, nil)
 			if err != nil {
 				return row, err
 			}
@@ -116,12 +116,6 @@ func Phase(ctx context.Context, wp WorkloadProvider, cfg arch.Config, seed uint6
 	}
 	res.Rows = rows
 	return res, nil
-}
-
-// runPhasePoint runs mRTS with the given predictor kind — the only knob
-// that varies within a row.
-func runPhasePoint(ctx context.Context, w *workload.Result, cfg arch.Config, k mpu.Kind) (*sim.Report, error) {
-	return RunPointPredictor(ctx, w, cfg, k, nil)
 }
 
 // RunPointPredictor is RunPoint for mRTS with an explicit MPU predictor

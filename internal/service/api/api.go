@@ -30,15 +30,8 @@ const (
 	JobSweep = "sweep"
 )
 
-// Figs lists the valid figure names of a JobFig spec, in mrts-sweep order
-// (the shared exp.FigNames table).
-var Figs = exp.FigNames
-
-// MaxTenants bounds the K of a tenant-sweep fig job: K! interleavings do
-// not exist — the run is deterministic — but each tenant is a full
-// workload build plus two hypervisor runs per row, so the sweep is capped
-// where the paper-style fabric (4/3) stops subdividing meaningfully.
-const MaxTenants = 8
+// MaxTenants bounds the K of a tenant-sweep fig job (exp.MaxTenants).
+const MaxTenants = exp.MaxTenants
 
 // PhasedSpec selects the dynamic control-flow workload generator instead
 // of the encoder pipeline (workload.PhasedOptions). Zero fields take the
@@ -262,7 +255,7 @@ func (s JobSpec) Validate() error {
 		}
 	case JobFig:
 		if !exp.ValidFig(s.Fig) {
-			return fmt.Errorf("api: unknown fig %q (valid: %s)", s.Fig, strings.Join(Figs, ", "))
+			return fmt.Errorf("api: unknown fig %q (valid: %s)", s.Fig, strings.Join(exp.FigNames, ", "))
 		}
 		if s.Tenants < 0 || s.Tenants > MaxTenants {
 			return fmt.Errorf("api: tenant count %d outside 1..%d", s.Tenants, MaxTenants)

@@ -11,6 +11,7 @@ import (
 	"mrts/internal/exp"
 	"mrts/internal/fault"
 	"mrts/internal/obs"
+	"mrts/internal/selector"
 	"mrts/internal/service/api"
 	"mrts/internal/sim"
 	"mrts/internal/workload"
@@ -76,11 +77,6 @@ func (j *jobEval) faultEval(ctx context.Context, cfg arch.Config, p exp.Policy, 
 	return rep, err
 }
 
-func (j *jobEval) plainEval(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
-	rep, _, err := j.eval(ctx, cfg, p, 0, fault.Options{})
-	return rep, err
-}
-
 // FaultEvaluator returns the service's job-execution path as an
 // exp.FaultEvaluator over the workload's batch.Engine, fetched from the
 // workload cache on the first call. The engine's report memo and
@@ -94,8 +90,10 @@ func (s *Server) FaultEvaluator(opts workload.Options) (exp.FaultEvaluator, *Eva
 // Evaluator is FaultEvaluator restricted to the benign scenario — the
 // fault-free sweep path used by figures.
 func (s *Server) Evaluator(opts workload.Options) (exp.Evaluator, *EvalStats) {
-	j := &jobEval{s: s, opts: opts.Canonical()}
-	return j.plainEval, &j.stats
+	feval, stats := s.FaultEvaluator(opts)
+	return func(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
+		return feval(ctx, cfg, p, 0, fault.Options{})
+	}, stats
 }
 
 // workload returns the built workload for opts from the workload cache;
@@ -202,115 +200,36 @@ func (s *Server) execSim(ctx context.Context, spec api.JobSpec, j *jobEval, res 
 	return nil
 }
 
-// execFig regenerates one figure. The rendered text is byte-identical to
-// what `mrts-sweep -fig <name>` prints for the same workload and bounds,
-// because the identical harness and renderer run underneath.
+// execFig regenerates one figure through exp.RenderFig, the driver
+// mrts-sweep renders with, so the text is byte-identical to
+// `mrts-sweep -fig <name>` for the same workload and inputs.
 func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Options, j *jobEval, res *api.JobResult) error {
-	maxPRC, maxCG := spec.MaxPRC, spec.MaxCG
-	if maxPRC == 0 {
-		maxPRC = 4
+	in := exp.FigInput{
+		Base:    opts,
+		MaxPRC:  spec.MaxPRC,
+		MaxCG:   spec.MaxCG,
+		Tenants: spec.Tenants,
+		Mix:     spec.Mix,
+		Eval:    j.faultEval,
+		// The job's own workload-cache entry: its engine's selection memo
+		// reaches the harnesses that run outside the evaluator.
+		Workload: func(ctx context.Context) (*workload.Result, *selector.Memo, error) {
+			ent, err := j.entry(ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			return ent.eng.Workload(), ent.eng.Memo(), nil
+		},
+		// The tenant and phase sweeps' workloads come from the
+		// singleflight workload cache, deduped across jobs.
+		Workloads: s.workload,
 	}
-	if maxCG == 0 {
-		maxCG = 3
+	if spec.Faults != nil {
+		in.FaultSeed = spec.Faults.Seed
 	}
 	var buf bytes.Buffer
-	switch spec.Fig {
-	case "8":
-		r, err := exp.Fig8(ctx, j.plainEval, maxPRC, maxCG)
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	case "9":
-		r, err := exp.Fig9(ctx, j.plainEval, maxPRC, maxCG)
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	case "10":
-		r, err := exp.Fig10(ctx, j.plainEval, min(maxPRC, 3), maxCG)
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	case "mix":
-		for _, total := range []int{3, 5, 7} {
-			r, err := exp.MixFrontier(ctx, j.plainEval, total)
-			if err != nil {
-				return err
-			}
-			r.Render(&buf)
-			fmt.Fprintln(&buf)
-		}
-	case "shared":
-		// The sharing sweep runs its points outside the evaluator; the
-		// engine's selection memo reaches them through the context.
-		ent, err := j.entry(ctx)
-		if err != nil {
-			return err
-		}
-		ctx = exp.WithSelectionMemo(ctx, ent.eng.Memo())
-		r, err := exp.Shared(ctx, ent.eng.Workload(), arch.Config{NPRC: maxPRC, NCG: maxCG})
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	case "overhead":
-		ent, err := j.entry(ctx)
-		if err != nil {
-			return err
-		}
-		r, err := exp.Overhead(ent.eng.Workload(), arch.Config{NPRC: 2, NCG: 2})
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	case "faults":
-		seed := uint64(1)
-		if spec.Faults != nil && spec.Faults.Seed != 0 {
-			seed = spec.Faults.Seed
-		}
-		r, err := exp.Faults(ctx, j.faultEval, exp.FaultsConfig, seed)
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	case "tenants":
-		maxK := spec.Tenants
-		if maxK == 0 {
-			maxK = api.MaxTenants
-		}
-		mix := spec.Mix
-		if mix == "" {
-			mix = "uniform"
-		}
-		// Tenant 0 runs the job's own workload, so resolving its engine
-		// builds nothing extra; as for "shared", its selection memo
-		// reaches the tenant systems through the context.
-		ent, err := j.entry(ctx)
-		if err != nil {
-			return err
-		}
-		ctx = exp.WithSelectionMemo(ctx, ent.eng.Memo())
-		r, err := exp.Tenants(ctx, s.workload, opts, arch.Config{NPRC: maxPRC, NCG: maxCG}, maxK, mix)
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	case "phase":
-		// The sweep builds one phased workload per divergence level; the
-		// singleflight workload cache dedupes them across jobs.
-		seed := spec.Workload.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		r, err := exp.Phase(ctx, s.workload, arch.Config{NPRC: min(maxPRC, 2), NCG: min(maxCG, 2)}, seed)
-		if err != nil {
-			return err
-		}
-		r.Render(&buf)
-	default:
-		return fmt.Errorf("service: unknown fig %q", spec.Fig)
+	if err := exp.RenderFig(ctx, &buf, spec.Fig, in); err != nil {
+		return err
 	}
 	res.Text = buf.String()
 	return nil
