@@ -36,10 +36,8 @@ type StaticRTS struct {
 	// byKernel is the static kernel -> ISE assignment.
 	byKernel map[ise.KernelID]*ise.ISE
 
-	// steady replays stable full-ISE verdicts per kernel (see
-	// ecu.SteadyCache); assign memoizes the byKernel lookup under a
-	// pointer key so the per-execution path never hashes a kernel ID.
-	steady *ecu.SteadyCache
+	// assign memoizes the byKernel lookup under a pointer key so the
+	// per-execution path never hashes a kernel ID.
 	assign map[*ise.Kernel]*ise.ISE
 
 	stats core.Stats
@@ -81,28 +79,22 @@ func (s *StaticRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 	s.ctrl.Advance(now)
 	if s.assign == nil {
 		s.assign = make(map[*ise.Kernel]*ise.ISE)
-		s.steady = ecu.NewSteadyCache()
 	}
 	e, known := s.assign[k]
 	if !known {
 		e = s.byKernel[k.ID]
 		s.assign[k] = e
 	}
-	d := ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency}
-	if e != nil {
-		ver := s.ctrl.Version()
-		if cd, ok := s.steady.Get(k, e, ver); ok {
-			d = cd
-		} else if s.ctrl.ConfiguredPrefix(e) == e.NumDataPaths() {
-			d = ecu.Decision{Mode: ecu.Full, Level: e.NumDataPaths(), Latency: e.FullLatency()}
-			// Full is stable until a version-bumping mutation (eviction,
-			// migration, Reset); RISC is transient and never cached.
-			s.steady.Put(k, e, ver, d)
-		}
+	if e == nil {
+		// No ISE: nothing can ever accelerate the kernel.
+		return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Stable: true}
 	}
-	s.stats.Execs[d.Mode]++
-	s.stats.ExecCycles[d.Mode] += d.Latency
-	return d
+	if s.ctrl.ConfiguredPrefix(e) == e.NumDataPaths() {
+		return ecu.Decision{Mode: ecu.Full, Level: e.NumDataPaths(), Latency: e.FullLatency(), Stable: true}
+	}
+	// RISC while the ISE streams in; once nothing is in flight, the ISE
+	// cannot complete without a new commit.
+	return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Stable: s.ctrl.Settled(now)}
 }
 
 // OnBlockEnd implements core.RuntimeSystem (static systems do not monitor).

@@ -41,7 +41,12 @@ type RuntimeSystem interface {
 	// correct them first. The returned cycles are the selection overhead
 	// visible on the critical path.
 	OnTrigger(block *ise.FunctionalBlock, phase string, triggers []ise.Trigger, now arch.Cycles) (arch.Cycles, error)
-	// Execute dispatches one execution of kernel k starting at time now.
+	// Execute dispatches one execution of kernel k starting at time now
+	// and advances Controller() to now. The returned Decision sets Stable
+	// when the verdict repeats for every later execution of k until the
+	// controller's version changes (see package ecu); the simulator then
+	// stops calling Execute for k's remaining executions of the iteration
+	// and charges them in closed form.
 	Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision
 	// OnBlockEnd delivers the monitored ground truth of the completed
 	// iteration (for the MPU) together with the profile triggers in use.
@@ -84,11 +89,6 @@ type Stats struct {
 	// OverheadTotal is the full selection cost including the part hidden
 	// behind reconfigurations.
 	OverheadTotal arch.Cycles
-	// Execs counts kernel executions per ECU mode.
-	Execs [4]int64
-	// ExecCycles accumulates execution cycles per ECU mode.
-	ExecCycles [4]arch.Cycles
-
 	// CacheHits and CacheMisses are always zero; they remain only because
 	// perfbench reads them.
 	CacheHits, CacheMisses int64
@@ -448,8 +448,6 @@ func (m *MRTS) OnFault(lost []ise.DataPathID, now arch.Cycles) (arch.Cycles, err
 // Execute implements RuntimeSystem: the ECU steers the execution.
 func (m *MRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 	d := m.exec.Decide(k, m.selected[k], now)
-	m.stats.Execs[d.Mode]++
-	m.stats.ExecCycles[d.Mode] += d.Latency
 	if m.obsr != nil {
 		ev := obs.Event{
 			Cycle: now, Source: obs.SourceECU, Kind: obs.KindDispatch,
@@ -527,8 +525,7 @@ func (m *MRTS) Reset() {
 // processor's base instruction set. It provides the speedup denominators of
 // Fig. 8 and Fig. 10 (the first x-axis combination, "RISC-mode").
 type RISCOnly struct {
-	ctrl  *reconfig.Controller
-	stats Stats
+	ctrl *reconfig.Controller
 }
 
 var _ RuntimeSystem = (*RISCOnly)(nil)
@@ -553,12 +550,10 @@ func (r *RISCOnly) OnTrigger(*ise.FunctionalBlock, string, []ise.Trigger, arch.C
 	return 0, nil
 }
 
-// Execute implements RuntimeSystem: always RISC mode.
+// Execute implements RuntimeSystem: always RISC mode, so always stable.
 func (r *RISCOnly) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
-	d := ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency}
-	r.stats.Execs[d.Mode]++
-	r.stats.ExecCycles[d.Mode] += d.Latency
-	return d
+	r.ctrl.Advance(now)
+	return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Stable: true}
 }
 
 // OnBlockEnd implements RuntimeSystem.
@@ -566,7 +561,4 @@ func (r *RISCOnly) OnBlockEnd(*ise.FunctionalBlock, string, []ise.Trigger, []mpu
 }
 
 // Reset implements RuntimeSystem.
-func (r *RISCOnly) Reset() { r.stats = Stats{}; r.ctrl.Reset() }
-
-// Stats returns a snapshot of the accumulated counters.
-func (r *RISCOnly) Stats() Stats { return r.stats }
+func (r *RISCOnly) Reset() { r.ctrl.Reset() }

@@ -105,13 +105,14 @@ func TestMRTSNoChargeOption(t *testing.T) {
 func TestMRTSExecuteTracksStats(t *testing.T) {
 	m := MustNew(arch.Config{}, Options{})
 	blk := testBlock()
-	d := m.Execute(blk.Kernels[0], 0)
-	if d.Mode != ecu.RISC {
-		t.Errorf("no fabric: mode = %v", d.Mode)
+	d := m.Execute(blk.Kernels[0], 40)
+	// Nothing can ever be configured on an empty fabric: the RISC verdict
+	// repeats for the rest of the run.
+	if d != (ecu.Decision{Mode: ecu.RISC, Latency: 500, Stable: true}) {
+		t.Errorf("no fabric: decision = %+v", d)
 	}
-	st := m.Stats()
-	if st.Execs[ecu.RISC] != 1 || st.ExecCycles[ecu.RISC] != 500 {
-		t.Errorf("stats = %+v", st)
+	if m.Controller().Now() != 40 {
+		t.Errorf("Execute left the controller at %d, want 40", m.Controller().Now())
 	}
 }
 
@@ -179,16 +180,16 @@ func TestRISCOnly(t *testing.T) {
 	if v, err := r.OnTrigger(blk, "", triggers(), 0); err != nil || v != 0 {
 		t.Errorf("OnTrigger = %d, %v", v, err)
 	}
-	d := r.Execute(blk.Kernels[0], 0)
-	if d.Mode != ecu.RISC || d.Latency != 500 {
+	d := r.Execute(blk.Kernels[0], 70)
+	if d != (ecu.Decision{Mode: ecu.RISC, Latency: 500, Stable: true}) {
 		t.Errorf("decision = %+v", d)
 	}
-	if r.Stats().Execs[ecu.RISC] != 1 {
-		t.Error("stats not tracked")
+	if r.Controller().Now() != 70 {
+		t.Errorf("Execute left the controller at %d, want 70", r.Controller().Now())
 	}
 	r.Reset()
-	if r.Stats().Execs[ecu.RISC] != 0 {
-		t.Error("Reset did not clear stats")
+	if r.Controller().Now() != 0 {
+		t.Error("Reset did not clear the controller clock")
 	}
 }
 

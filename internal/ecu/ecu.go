@@ -10,6 +10,23 @@
 //     one coarse-grained fabric, bridging the long delay until the first
 //     accelerated execution;
 //  4. otherwise RISC mode on the core processor.
+//
+// # Stable verdicts
+//
+// Decision.Stable promises that the verdict repeats, unchanged, for every
+// later execution of the same kernel until the reconfiguration controller's
+// change version (reconfig.Controller.Version) advances, provided only
+// executions happen in between: no trigger instruction, fault or
+// repartition. Every runtime system's Execute sets it when that holds:
+//
+//   - always for Full, for a ready monoCG slot with no selected ISE that
+//     could overtake it, and for a kernel with nothing to accelerate it;
+//   - for any other verdict only when Controller.Settled holds after the
+//     call: no data path or monoCG load completes in the future, so no
+//     configured prefix can grow and no pending slot can become ready.
+//
+// The simulator relies on the bit to finish a block iteration in closed
+// form once every kernel left in it has a stable verdict (see sim.Stepper).
 package ecu
 
 import (
@@ -58,6 +75,10 @@ type Decision struct {
 	Level int
 	// Latency is the execution latency of the dispatched implementation.
 	Latency arch.Cycles
+	// Stable reports that the verdict repeats for every later execution of
+	// the kernel until the controller's version changes (see the package
+	// documentation).
+	Stable bool
 }
 
 // Options tune the ECU for the ablation studies.
@@ -69,63 +90,15 @@ type Options struct {
 	DisableIntermediate bool
 }
 
-// steadyEntry caches a steady-state decision for one kernel: the verdict
-// reached for `selected` while the controller sat at change version `ver`.
-// Only decisions that are monotone-stable over time are cached — Full and a
-// ready monoCG slot — so the entry stays valid at any later `now` until the
-// controller's version advances (a data-path removal, migration or monoCG
-// release) or the kernel's selected ISE changes.
-type steadyEntry struct {
-	ver      uint64
-	selected *ise.ISE
-	dec      Decision
-}
-
-// SteadyCache is a per-kernel steady-state decision cache validated by the
-// reconfiguration controller's change version. Execution steering runs once
-// per kernel execution — the hottest query in the simulator — and in the
-// steady state every execution re-derives the same verdict from the same
-// fabric state. The cache replays that verdict with one pointer-keyed map
-// lookup instead of walking the configured-path map per data path. It is a
-// pure host-side shortcut: callers may only Put decisions that are stable
-// under an unchanged version (Full, or a ready monoCG slot with no selected
-// ISE that could overtake it), so a hit returns exactly the Decision the
-// full derivation would and simulated timelines stay byte-identical with
-// the cache on or off. Both the ECU and the static baselines use it.
-type SteadyCache struct {
-	m map[*ise.Kernel]steadyEntry
-}
-
-// NewSteadyCache creates an empty steady-state decision cache.
-func NewSteadyCache() *SteadyCache {
-	return &SteadyCache{m: make(map[*ise.Kernel]steadyEntry)}
-}
-
-// Get returns the cached decision for (k, selected) if it was recorded at
-// change version ver.
-func (c *SteadyCache) Get(k *ise.Kernel, selected *ise.ISE, ver uint64) (Decision, bool) {
-	e, ok := c.m[k]
-	if !ok || e.ver != ver || e.selected != selected {
-		return Decision{}, false
-	}
-	return e.dec, true
-}
-
-// Put records a stable decision for (k, selected) at change version ver.
-func (c *SteadyCache) Put(k *ise.Kernel, selected *ise.ISE, ver uint64, d Decision) {
-	c.m[k] = steadyEntry{ver: ver, selected: selected, dec: d}
-}
-
 // ECU steers kernel executions against a reconfiguration controller.
 type ECU struct {
-	ctrl   *reconfig.Controller
-	opts   Options
-	steady *SteadyCache
+	ctrl *reconfig.Controller
+	opts Options
 }
 
 // New creates an ECU bound to a controller.
 func New(ctrl *reconfig.Controller, opts Options) *ECU {
-	return &ECU{ctrl: ctrl, opts: opts, steady: NewSteadyCache()}
+	return &ECU{ctrl: ctrl, opts: opts}
 }
 
 // Decide returns the implementation for one execution of kernel k at time
@@ -134,41 +107,28 @@ func New(ctrl *reconfig.Controller, opts Options) *ECU {
 func (u *ECU) Decide(k *ise.Kernel, selected *ise.ISE, now arch.Cycles) Decision {
 	u.ctrl.Advance(now)
 
-	ver := u.ctrl.Version()
-	if d, ok := u.steady.Get(k, selected, ver); ok {
-		return d
-	}
-
 	if selected != nil {
 		prefix := u.ctrl.ConfiguredPrefix(selected)
 		n := selected.NumDataPaths()
 		if prefix == n {
-			d := Decision{Mode: Full, Level: n, Latency: selected.FullLatency()}
 			// Full is stable: ready times never move under an unchanged
 			// version and the clock only advances.
-			u.steady.Put(k, selected, ver, d)
-			return d
+			return Decision{Mode: Full, Level: n, Latency: selected.FullLatency(), Stable: true}
 		}
 		if prefix >= 1 && !u.opts.DisableIntermediate {
-			// Not cached: the prefix can grow as in-flight data paths
-			// complete, without any controller mutation.
-			return Decision{Mode: Intermediate, Level: prefix, Latency: selected.Latency(prefix)}
+			// The prefix can grow as in-flight data paths complete,
+			// without any controller mutation.
+			return Decision{Mode: Intermediate, Level: prefix, Latency: selected.Latency(prefix),
+				Stable: u.ctrl.Settled(now)}
 		}
 	}
 
 	if !u.opts.DisableMonoCG && k.MonoCG.Available() {
 		if ready, ok := u.ctrl.MonoCGReady(k.ID); ok && ready <= now {
-			d := Decision{Mode: MonoCG, Latency: k.MonoCG.Latency}
-			if selected == nil {
-				// A ready monoCG slot is stable (releasing it bumps the
-				// version) and with no selected ISE nothing can overtake
-				// it. With a selected ISE the verdict is NOT cached: its
-				// in-flight data paths may complete — upgrading the next
-				// execution to intermediate/full — without any
-				// version-bumping mutation.
-				u.steady.Put(k, nil, ver, d)
-			}
-			return d
+			// A ready slot stays ready (releasing it bumps the version);
+			// with a selected ISE, its in-flight data paths may still
+			// overtake it.
+			return Decision{Mode: MonoCG, Latency: k.MonoCG.Latency, Stable: selected == nil || u.ctrl.Settled(now)}
 		} else if !ok {
 			// Load the extension into a free CG-EDPE; its context
 			// streams in within microseconds, so it typically
@@ -176,12 +136,12 @@ func (u *ECU) Decide(k *ise.Kernel, selected *ise.ISE, now arch.Cycles) Decision
 			// RISC mode (paper: "readily available after few
 			// RISC-mode executions").
 			if ready, acquired := u.ctrl.AcquireMonoCG(k, now); acquired && ready <= now {
-				return Decision{Mode: MonoCG, Latency: k.MonoCG.Latency}
+				return Decision{Mode: MonoCG, Latency: k.MonoCG.Latency, Stable: selected == nil || u.ctrl.Settled(now)}
 			}
 		}
 	}
 
-	// RISC verdicts are transient (a pending reconfiguration or monoCG
-	// load may finish by the next execution) and are not cached.
-	return Decision{Mode: RISC, Latency: k.RISCLatency}
+	// RISC verdicts are transient while a reconfiguration or monoCG load
+	// is pending: it may finish by the next execution.
+	return Decision{Mode: RISC, Latency: k.RISCLatency, Stable: u.ctrl.Settled(now)}
 }

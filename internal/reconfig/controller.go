@@ -115,6 +115,9 @@ type Controller struct {
 	cgPortEnd arch.Cycles
 
 	monos map[ise.KernelID]*monoSlot
+	// monoEnd is the latest ready time of any monoCG load since Reset: a
+	// running max like the port ends, so Settled stays O(1).
+	monoEnd arch.Cycles
 
 	// occPRC / occCG mirror the PRC / CG-EDPE units held by c.paths. The
 	// free-capacity queries run once per kernel execution via the ECU, so
@@ -124,10 +127,9 @@ type Controller struct {
 	occCG  int
 	// version counts state changes that can downgrade an execution-steering
 	// decision: data-path removals, ready-time changes (migration) and
-	// monoCG releases. The ECU's steady-state decision cache is valid only
+	// monoCG releases. A stable verdict (ecu.Decision.Stable) holds only
 	// while the version is unchanged. Additions do not bump it — a new data
-	// path can only improve a later decision, never invalidate a cached
-	// full-ISE or monoCG one.
+	// path can only improve a later decision, and no execution adds one.
 	version uint64
 
 	// fabric tracks per-container health; all-healthy (the initial and
@@ -187,7 +189,7 @@ func (c *Controller) Reset() {
 	c.monos = make(map[ise.KernelID]*monoSlot)
 	c.occPRC, c.occCG = 0, 0
 	c.version++
-	c.fgPortEnd, c.cgPortEnd = 0, 0
+	c.fgPortEnd, c.cgPortEnd, c.monoEnd = 0, 0, 0
 	c.now = 0
 	c.reservedPRC, c.reservedCG = 0, 0
 	c.fabric.Reset()
@@ -221,8 +223,21 @@ func (c *Controller) occupiedCG() int { return c.occCG + len(c.monos) }
 // Version returns the controller's change version: it advances whenever a
 // data path is removed or re-scheduled or a monoCG slot is released —
 // exactly the events that can invalidate a previously optimal
-// execution-steering decision. See ecu's decision cache.
+// execution-steering decision. See ecu.Decision.Stable.
 func (c *Controller) Version() uint64 { return c.version }
+
+// Settled reports that nothing the controller has scheduled completes after
+// now: every data-path reconfiguration (including migrations and abandoned
+// retries) and every monoCG load is ready by now. It is conservative — it
+// compares running maxima of the port ends and monoCG ready times, which
+// evictions never lower — so it may report false for a fabric that is in
+// fact quiet, never true for one that is not. While it holds, the
+// configured set and the ready monoCG slots can only change through a
+// controller mutation, which is what makes an execution-steering verdict
+// stable (see ecu.Decision.Stable).
+func (c *Controller) Settled(now arch.Cycles) bool {
+	return c.fgPortEnd <= now && c.cgPortEnd <= now && c.monoEnd <= now
+}
 
 // FreePRC implements ise.FabricView: healthy PRCs neither occupied nor
 // reserved.
@@ -701,6 +716,7 @@ func (c *Controller) AcquireMonoCG(k *ise.Kernel, now arch.Cycles) (arch.Cycles,
 	}
 	ready := now + k.MonoCG.ReconfigCycles()
 	c.monos[k.ID] = &monoSlot{kernel: k.ID, ready: ready}
+	c.monoEnd = maxCycles(c.monoEnd, ready)
 	c.stats.MonoCGLoads++
 	c.stats.CGBusyCycles += k.MonoCG.ReconfigCycles()
 	return ready, true

@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -17,8 +18,13 @@ import (
 //   - occupancy never exceeds the budget (free counters never negative);
 //   - a pinned data path of the current selection is never evicted;
 //   - ready times never precede the request time;
-//   - IsConfigured implies a recorded ready time in the past.
+//   - IsConfigured implies a recorded ready time in the past;
+//   - Settled(now) implies no data path or monoCG slot is ready after now.
+//
+// The operation sequences come from a fixed seed, logged on failure, so a
+// failure replays.
 func TestControllerInvariantsUnderRandomOps(t *testing.T) {
+	const seed = 20111
 	type op struct {
 		Kind uint8
 		A, B uint8
@@ -34,6 +40,7 @@ func TestControllerInvariantsUnderRandomOps(t *testing.T) {
 		MonoCG: ise.MonoCGExt{Latency: 50, Instructions: 8},
 	}
 
+	var settled int
 	f := func(ops []op) bool {
 		c, err := NewController(arch.Config{NPRC: 3, NCG: 3})
 		if err != nil {
@@ -98,11 +105,28 @@ func TestControllerInvariantsUnderRandomOps(t *testing.T) {
 					return false
 				}
 			}
+			if c.Settled(now) {
+				settled++
+				for i := 0; i < 8; i++ {
+					if ready, ok := c.ReadyTime(mkDP(i).ID); ok && ready > now {
+						t.Logf("settled at %d, but data path %s is ready at %d", now, mkDP(i).ID, ready)
+						return false
+					}
+				}
+				if ready, ok := c.MonoCGReady(mono.ID); ok && ready > now {
+					t.Logf("settled at %d, but the monoCG slot is ready at %d", now, ready)
+					return false
+				}
+			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
+	}
+	if settled == 0 {
+		t.Errorf("seed %d: no operation sequence ever settled the controller; the Settled check never ran", seed)
 	}
 }
 

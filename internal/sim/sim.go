@@ -280,6 +280,13 @@ type track struct {
 	lastEnd arch.Cycles
 	gaps    arch.Cycles
 	n       int64
+	// idx is the kernel's index in the iteration's trace.Tail: tracks are
+	// created in order of first appearance, which is the Tail's order.
+	idx int
+	// stable marks d as the kernel's stable verdict at the version the
+	// step last saw (see Step's fast-forward).
+	stable bool
+	d      ecu.Decision
 }
 
 // deliver applies the container fault events due at `now` to the
@@ -379,6 +386,20 @@ func (s *Stepper) Step() error {
 	}
 	s.trackBuf = s.trackBuf[:0]
 	tracks := s.tracks
+	// Fast-forward bookkeeping: once every kernel with executions left
+	// (live) holds a stable verdict at the controller's current version,
+	// the rest of the iteration is charged in closed form. An observer
+	// (one dispatch event per execution) or a fault schedule (deliveries
+	// between executions) keeps the per-execution loop.
+	tail := s.tr.MergedTail(i)
+	fast := tail != nil && s.eng == nil && s.opts.Observer == nil
+	var (
+		ver          uint64
+		live, stable int
+	)
+	if fast {
+		ver, live = s.ctrl.Version(), len(tail.Count)
+	}
 	for _, ev := range s.tr.MergedLoads(i) {
 		k := blk.Kernel(ev.Kernel)
 		t += ev.Gap
@@ -399,7 +420,7 @@ func (s *Stepper) Step() error {
 
 		tk := tracks[ev.Kernel]
 		if tk == nil {
-			s.trackBuf = append(s.trackBuf, track{first: t - start})
+			s.trackBuf = append(s.trackBuf, track{first: t - start, idx: len(s.trackBuf)})
 			tk = &s.trackBuf[len(s.trackBuf)-1]
 			tracks[ev.Kernel] = tk
 		} else {
@@ -408,6 +429,33 @@ func (s *Stepper) Step() error {
 		tk.n++
 		t += d.Latency
 		tk.lastEnd = t
+
+		if !fast {
+			continue
+		}
+		if v := s.ctrl.Version(); v != ver {
+			ver, stable = v, 0
+			for j := range s.trackBuf {
+				s.trackBuf[j].stable = false
+			}
+		}
+		switch {
+		case tk.n == tail.Count[tk.idx]:
+			live--
+			if tk.stable {
+				tk.stable = false
+				stable--
+			}
+		case d.Stable && !tk.stable:
+			// A stable verdict repeats until the version changes, so
+			// the first one seen stands for the rest.
+			tk.stable, tk.d = true, d
+			stable++
+		}
+		if live > 0 && stable == live {
+			t = s.fastForward(tail, t)
+			break
+		}
 	}
 
 	// Monitored ground truth for the MPU.
@@ -432,6 +480,61 @@ func (s *Stepper) Step() error {
 	s.t = t
 	s.next = i + 1
 	return nil
+}
+
+// fastForward charges the rest of the iteration, from clock t on, in
+// closed form: every kernel k with r_k executions left repeats its stable
+// verdict (latency L_k) after its software gap G_k. With w_j = G_j + L_j,
+// the iteration ends at t + Σ r_j·w_j, and k's last execution starts at
+// t + Σ_j (r_j − After[k][j])·w_j − L_k, since exactly r_j − After[k][j]
+// executions of kernel j fall between the cursor and k's last one
+// (inclusive). Each track then gains r_k executions, and its gap sum gains
+// sLast − lastEnd − (r_k − 1)·L_k: the telescoped sum of start − previous
+// end over those executions. The controller is advanced to the last start,
+// exactly where the final Execute call would have left it.
+func (s *Stepper) fastForward(tail *trace.Tail, t arch.Cycles) arch.Cycles {
+	rep := s.rep
+	n := len(tail.Count)
+	from := t
+	for j := range n {
+		tk := &s.trackBuf[j]
+		r := tail.Count[j] - tk.n
+		if r == 0 {
+			continue
+		}
+		d := tk.d
+		rep.ModeExecs[d.Mode] += r
+		rep.ModeCycles[d.Mode] += arch.Cycles(r) * d.Latency
+		rep.KernelCycles += arch.Cycles(r) * d.Latency
+		rep.SoftwareCycles += arch.Cycles(r) * tail.Gap[j]
+		rep.Executions += r
+		t += arch.Cycles(r) * (tail.Gap[j] + d.Latency)
+	}
+	var lastStart arch.Cycles
+	for k := range n {
+		tk := &s.trackBuf[k]
+		rk := tail.Count[k] - tk.n
+		if rk == 0 {
+			continue
+		}
+		sLast := from - tk.d.Latency
+		after := tail.After[k*n : (k+1)*n]
+		for j := range n {
+			if c := tail.Count[j] - s.trackBuf[j].n - after[j]; c > 0 {
+				sLast += arch.Cycles(c) * (tail.Gap[j] + s.trackBuf[j].d.Latency)
+			}
+		}
+		tk.gaps += sLast - tk.lastEnd - arch.Cycles(rk-1)*tk.d.Latency
+		tk.lastEnd = sLast + tk.d.Latency
+		lastStart = max(lastStart, sLast)
+	}
+	// Second pass above reads every track's remaining count, so the counts
+	// are settled only now.
+	for j := range n {
+		s.trackBuf[j].n = tail.Count[j]
+	}
+	s.ctrl.Advance(lastStart)
+	return t
 }
 
 // Finish seals the report: total time and the controller's and runtime

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"mrts/internal/arch"
 	"mrts/internal/core"
 	"mrts/internal/ecu"
 	"mrts/internal/ise"
+	"mrts/internal/mpu"
+	"mrts/internal/obs"
+	"mrts/internal/reconfig"
 	"mrts/internal/trace"
 )
 
@@ -198,5 +202,125 @@ func TestRunReserved(t *testing.T) {
 	// An impossible reservation errors.
 	if _, err := RunReserved(app, tr, m, 5, 0); err == nil {
 		t.Error("over-budget reservation accepted")
+	}
+}
+
+// scriptRTS is a runtime system whose verdicts follow a script, so the
+// fast-forward's closed form can be checked against the per-execution loop
+// down to every observation: each kernel's first execution of an iteration
+// is an unstable RISC verdict, later ones a stable verdict at a
+// per-kernel latency, and the first execution of kernel bumpOn in each
+// iteration bumps the controller's version and changes every latency.
+// Like a real runtime system, it mutates the controller only in a call
+// that returns an unstable verdict.
+type scriptRTS struct {
+	ctrl   *reconfig.Controller
+	mono   *ise.Kernel
+	bumpOn ise.KernelID
+
+	seen   map[ise.KernelID]bool
+	bumped arch.Cycles
+	execs  int
+	obsv   []mpu.Observation
+}
+
+func newScriptRTS(t *testing.T, bumpOn ise.KernelID) *scriptRTS {
+	t.Helper()
+	ctrl, err := reconfig.NewController(arch.Config{NCG: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := &ise.Kernel{ID: "bump", RISCLatency: 1, MonoCG: ise.MonoCGExt{Latency: 1, Instructions: 1}}
+	return &scriptRTS{ctrl: ctrl, mono: mono, bumpOn: bumpOn}
+}
+
+func (r *scriptRTS) Name() string                     { return "script" }
+func (r *scriptRTS) Controller() *reconfig.Controller { return r.ctrl }
+func (r *scriptRTS) Reset() {
+	r.ctrl.Reset()
+	r.execs, r.obsv = 0, nil
+}
+
+func (r *scriptRTS) OnTrigger(*ise.FunctionalBlock, string, []ise.Trigger, arch.Cycles) (arch.Cycles, error) {
+	r.seen, r.bumped = map[ise.KernelID]bool{}, 0
+	return 0, nil
+}
+
+func (r *scriptRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
+	r.ctrl.Advance(now)
+	r.execs++
+	if !r.seen[k.ID] {
+		r.seen[k.ID] = true
+		if k.ID == r.bumpOn {
+			// Loading and dropping a monoCG slot bumps the version.
+			r.ctrl.AcquireMonoCG(r.mono, now)
+			r.ctrl.ReleaseMonoCG(r.mono.ID)
+			r.bumped = 7
+		}
+		return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency}
+	}
+	return ecu.Decision{Mode: ecu.Full, Latency: k.RISCLatency/4 + r.bumped, Stable: true}
+}
+
+func (r *scriptRTS) OnBlockEnd(_ *ise.FunctionalBlock, _ string, _ []ise.Trigger, o []mpu.Observation, _ arch.Cycles) {
+	r.obsv = append(r.obsv, o...)
+}
+
+// TestFastForwardClosedForm checks the closed form against the
+// per-execution loop on a four-kernel block with few executions per
+// kernel, where an off-by-one in any track field shows in the integer
+// observations: reports, every observation handed to the runtime system
+// and both clocks must match. Kernel d executes once, mid-iteration, after
+// the others turned stable; bumping the version there must revoke their
+// stable verdicts.
+func TestFastForwardClosedForm(t *testing.T) {
+	var kernels []*ise.Kernel
+	for i, id := range []ise.KernelID{"a", "b", "c", "d"} {
+		kernels = append(kernels, &ise.Kernel{ID: id, RISCLatency: arch.Cycles(40 + 12*i)})
+	}
+	app, err := ise.NewApplication("script", &ise.FunctionalBlock{ID: "blk", Kernels: kernels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{App: "script"}
+	for i := 0; i < 4; i++ {
+		tr.Iterations = append(tr.Iterations, trace.Iteration{Block: "blk", Seq: i, Prologue: 9, Loads: []trace.KernelLoad{
+			{Kernel: "a", E: int64(5 + i), GapSW: 2},
+			{Kernel: "b", E: 7, GapSW: 3},
+			{Kernel: "c", E: int64(3 + i%2), GapSW: 5},
+			{Kernel: "d", E: 1, GapSW: 4},
+		}})
+	}
+	for _, bumpOn := range []ise.KernelID{"", "a", "d"} {
+		fast, slow := newScriptRTS(t, bumpOn), newScriptRTS(t, bumpOn)
+		fs, err := NewStepper(app, tr, fast, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := NewStepper(app, tr, slow, Options{Observer: obs.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !fs.Done() {
+			if err := fs.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if fs.Now() != ss.Now() || fast.ctrl.Now() != slow.ctrl.Now() {
+				t.Fatalf("bump on %q: clocks %d/%d (stepper/controller), per-execution %d/%d",
+					bumpOn, fs.Now(), fast.ctrl.Now(), ss.Now(), slow.ctrl.Now())
+			}
+		}
+		if !reflect.DeepEqual(fs.Finish(), ss.Finish()) {
+			t.Errorf("bump on %q: reports differ:\n%+v\n%+v", bumpOn, fs.Finish(), ss.Finish())
+		}
+		if !reflect.DeepEqual(fast.obsv, slow.obsv) {
+			t.Errorf("bump on %q: observations differ:\n%+v\n%+v", bumpOn, fast.obsv, slow.obsv)
+		}
+		if fast.execs >= slow.execs {
+			t.Errorf("bump on %q: fast run made %d Execute calls, per-execution run %d", bumpOn, fast.execs, slow.execs)
+		}
 	}
 }

@@ -68,12 +68,13 @@ type Trace struct {
 	// Iterations is the dynamic block sequence in program order.
 	Iterations []Iteration `json:"iterations"`
 
-	// merged memoizes Merge(Iterations[i].Loads) for every iteration. A
-	// trace is immutable once built but replayed once per (policy,
-	// resource-point) pair of a sweep, so re-deriving the merged schedule
-	// per run is pure waste. Built lazily by MergedLoads, safe for
-	// concurrent replays via mergeOnce.
+	// merged memoizes Merge(Iterations[i].Loads) for every iteration and
+	// tails the Tail of each merged schedule. A trace is immutable once
+	// built but replayed once per (policy, resource-point) pair of a sweep,
+	// so re-deriving either per run is pure waste. Built lazily on first
+	// use, safe for concurrent replays via mergeOnce.
 	merged    [][]Event
+	tails     []*Tail
 	mergeOnce sync.Once
 }
 
@@ -82,13 +83,76 @@ type Trace struct {
 // shared by every subsequent replay. Callers must not mutate the returned
 // slice. The trace must not be modified after the first call.
 func (tr *Trace) MergedLoads(i int) []Event {
+	tr.merge()
+	return tr.merged[i]
+}
+
+// MergedTail returns the Tail summary of MergedLoads(i), built with it, or
+// nil when the iteration has no closed form (a kernel listed twice with
+// different software gaps). Callers must not mutate it.
+func (tr *Trace) MergedTail(i int) *Tail {
+	tr.merge()
+	return tr.tails[i]
+}
+
+func (tr *Trace) merge() {
 	tr.mergeOnce.Do(func() {
 		tr.merged = make([][]Event, len(tr.Iterations))
+		tr.tails = make([]*Tail, len(tr.Iterations))
 		for j := range tr.Iterations {
 			tr.merged[j] = Merge(tr.Iterations[j].Loads)
+			tr.tails[j] = newTail(tr.merged[j])
 		}
 	})
-	return tr.merged[i]
+}
+
+// Tail summarises a merged schedule for replaying any suffix of it in
+// closed form: once every kernel left in the suffix runs at a fixed
+// latency, the suffix's timing follows from per-kernel counts alone. The
+// kernels are indexed in order of first appearance in the schedule.
+type Tail struct {
+	// Count[k] is the number of executions of kernel k.
+	Count []int64
+	// Gap[k] is the software time preceding each execution of kernel k.
+	Gap []arch.Cycles
+	// After[k*K+j] is the number of executions of kernel j that follow the
+	// last execution of kernel k (K = len(Count)).
+	After []int64
+}
+
+// newTail builds the Tail of a merged schedule, or returns nil if some
+// kernel's executions carry different gaps.
+func newTail(events []Event) *Tail {
+	idx := make(map[ise.KernelID]int)
+	var last []int
+	t := &Tail{}
+	for p, ev := range events {
+		k, ok := idx[ev.Kernel]
+		if !ok {
+			k = len(t.Count)
+			idx[ev.Kernel] = k
+			t.Count = append(t.Count, 0)
+			t.Gap = append(t.Gap, ev.Gap)
+			last = append(last, 0)
+		} else if t.Gap[k] != ev.Gap {
+			return nil
+		}
+		t.Count[k]++
+		last[k] = p
+	}
+	n := len(t.Count)
+	t.After = make([]int64, n*n)
+	// One backward pass: after[j] counts kernel j's executions behind the
+	// cursor, so at a kernel's last position it is that kernel's row.
+	after := make([]int64, n)
+	for p := len(events) - 1; p >= 0; p-- {
+		k := idx[events[p].Kernel]
+		if last[k] == p {
+			copy(t.After[k*n:(k+1)*n], after)
+		}
+		after[k]++
+	}
+	return t
 }
 
 // Validate checks the trace against an application.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -234,9 +235,12 @@ func TestIterationTotalExecutions(t *testing.T) {
 	}
 }
 
-// Property: Merge output length always equals the sum of loads, and per-
-// kernel counts are preserved, for random load sets.
+// Property: Merge output length always equals the sum of loads, per-kernel
+// counts are preserved, and the schedule's Tail matches a brute-force count
+// over it, for random load sets drawn from a fixed seed (logged on
+// failure, so a failure replays).
 func TestMergePreservesCountsProperty(t *testing.T) {
+	const seed = 20112
 	f := func(e1, e2, e3 uint8) bool {
 		loads := []KernelLoad{
 			{Kernel: "a", E: int64(e1 % 50), GapSW: 1},
@@ -248,12 +252,60 @@ func TestMergePreservesCountsProperty(t *testing.T) {
 		for _, ev := range events {
 			counts[ev.Kernel]++
 		}
+		if !reflect.DeepEqual(newTail(events), bruteTail(events)) {
+			t.Logf("loads %+v: Tail %+v, brute force %+v", loads, newTail(events), bruteTail(events))
+			return false
+		}
 		return counts["a"] == int64(e1%50) &&
 			counts["b"] == int64(e2%50) &&
 			counts["c"] == int64(e3%50)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
+	}
+}
+
+// bruteTail recomputes a Tail position by position: kernels in order of
+// first appearance, and for each kernel every later execution counted
+// from its last one.
+func bruteTail(events []Event) *Tail {
+	var order []ise.KernelID
+	seen := map[ise.KernelID]bool{}
+	for _, ev := range events {
+		if !seen[ev.Kernel] {
+			seen[ev.Kernel] = true
+			order = append(order, ev.Kernel)
+		}
+	}
+	n := len(order)
+	tl := &Tail{After: make([]int64, n*n)}
+	for k, id := range order {
+		var count int64
+		last := -1
+		for p, ev := range events {
+			if ev.Kernel == id {
+				count++
+				last = p
+			}
+		}
+		tl.Count = append(tl.Count, count)
+		tl.Gap = append(tl.Gap, events[last].Gap)
+		for _, ev := range events[last+1:] {
+			for j, jd := range order {
+				if ev.Kernel == jd {
+					tl.After[k*n+j]++
+				}
+			}
+		}
+	}
+	return tl
+}
+
+func TestTailRejectsMixedGaps(t *testing.T) {
+	events := Merge([]KernelLoad{{Kernel: "a", E: 2, GapSW: 1}, {Kernel: "a", E: 2, GapSW: 5}})
+	if tl := newTail(events); tl != nil {
+		t.Errorf("Tail of a kernel with two gaps = %+v, want nil (no closed form)", tl)
 	}
 }
 
