@@ -435,6 +435,22 @@ func BenchmarkEncoderFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadBuild measures building one input of `mrts-sweep -fig
+// all`: 16 QCIF frames at video seed 5 with scene cuts at frames 5 and 10,
+// plus the separate profiling sequence the static triggers come from.
+func BenchmarkWorkloadBuild(b *testing.B) {
+	opts := workload.Options{
+		Frames: 16,
+		Seed:   5,
+		Video:  video.Options{SceneCuts: []int{5, 10}},
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.Build(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulatorRun measures one full simulator run (events/op scale
 // with the workload).
 func BenchmarkSimulatorRun(b *testing.B) {

@@ -89,8 +89,8 @@ func MotionCompensateChroma(at func(x, y int) uint8, mbx, mby int, mv MV, dst []
 
 // encodeChromaMB codes both chroma planes of one macroblock: prediction
 // (intra DC or motion compensation), 4x4 transforms, the 2x2 DC Hadamard
-// path and reconstruction. Kernel invocations are counted into st.
-func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool, mv MV, st *FrameStats) {
+// path and reconstruction. Kernel invocations are counted into e.counts.
+func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool, mv MV) {
 	curP := planesOf(cur)
 	recP := planesOf(rec)
 	cx, cy := mbx/2, mby/2
@@ -100,14 +100,14 @@ func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool
 		var pred [64]int32
 		if intra {
 			dc := PredictChromaDC(recP[p].at, cx, cy)
-			st.Counts[KernelIPred]++
+			e.counts[kIPred]++
 			for i := range pred {
 				pred[i] = dc
 			}
 		} else {
 			var buf [64]uint8
 			MotionCompensateChroma(planesOf(e.ref)[p].at, mbx, mby, mv, buf[:])
-			st.Counts[KernelMC]++
+			e.counts[kMC]++
 			for i, v := range buf {
 				pred[i] = int32(v)
 			}
@@ -126,17 +126,17 @@ func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool
 				}
 			}
 			DCT4(&resid)
-			st.Counts[KernelDCT]++
+			e.counts[kDCT]++
 			dc[q] = resid[0]
 			nz := Quant(&resid, e.cfg.QP, intra)
-			st.Counts[KernelQuant]++
+			e.counts[kQuant]++
 			writeBlock(&e.bw, &resid)
 			if nz > 0 {
-				st.Counts[KernelCAVLC]++
+				e.counts[kCAVLC]++
 				Dequant(&resid, e.cfg.QP)
-				st.Counts[KernelIQuant]++
+				e.counts[kIQuant]++
 				IDCT4(&resid)
-				st.Counts[KernelIDCT]++
+				e.counts[kIDCT]++
 				coded[q] = true
 				blocks[q] = resid
 			}
@@ -144,9 +144,9 @@ func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool
 
 		// Chroma DC path: 2x2 Hadamard, quantisation, serialisation.
 		Hadamard2(&dc)
-		st.Counts[KernelHadamard]++
+		e.counts[kHadamard]++
 		if nz := QuantDC2(&dc, e.cfg.QP); nz > 0 {
-			st.Counts[KernelCAVLC]++
+			e.counts[kCAVLC]++
 		}
 		e.writeChromaDC(&dc)
 
@@ -168,14 +168,14 @@ func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool
 
 // copyChromaMB motion-compensates both chroma planes of a skipped
 // macroblock straight into the reconstruction.
-func (e *Encoder) copyChromaMB(rec *video.Frame, mbx, mby int, mv MV, st *FrameStats) {
+func (e *Encoder) copyChromaMB(rec *video.Frame, mbx, mby int, mv MV) {
 	refP := planesOf(e.ref)
 	recP := planesOf(rec)
 	var buf [64]uint8
 	cx, cy := mbx/2, mby/2
 	for p := 0; p < 2; p++ {
 		MotionCompensateChroma(refP[p].at, mbx, mby, mv, buf[:])
-		st.Counts[KernelMC]++
+		e.counts[kMC]++
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
 				recP[p].set(cx+x, cy+y, buf[y*8+x])

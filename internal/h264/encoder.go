@@ -28,6 +28,48 @@ const (
 	KernelFilt = "filt"
 )
 
+// kernel indexes the per-frame invocation counters the encoder keeps in a
+// fixed array; kernelNames maps each index back to its kernel name.
+type kernel int
+
+const (
+	kSAD kernel = iota
+	kSATD
+	kIPred
+	kDCT
+	kQuant
+	kIQuant
+	kIDCT
+	kHadamard
+	kMC
+	kCAVLC
+	kBS
+	kFilt
+	numKernels
+)
+
+var kernelNames = [numKernels]string{
+	kSAD: KernelSAD, kSATD: KernelSATD, kIPred: KernelIPred,
+	kDCT: KernelDCT, kQuant: KernelQuant, kIQuant: KernelIQuant, kIDCT: KernelIDCT,
+	kHadamard: KernelHadamard, kMC: KernelMC, kCAVLC: KernelCAVLC,
+	kBS: KernelBS, kFilt: KernelFilt,
+}
+
+// kernelCounts accumulates one frame's kernel invocations.
+type kernelCounts [numKernels]int64
+
+// toMap returns the counts keyed by kernel name, holding only kernels
+// invoked at least once.
+func (c *kernelCounts) toMap() map[string]int64 {
+	m := make(map[string]int64, numKernels)
+	for k, n := range c {
+		if n > 0 {
+			m[kernelNames[k]] = n
+		}
+	}
+	return m
+}
+
 // FunctionalBlocks maps each functional block of the encoder to its
 // kernels, in pipeline order.
 var FunctionalBlocks = []struct {
@@ -126,8 +168,10 @@ type Encoder struct {
 	mbW     int
 	mbH     int
 	ref     *video.Frame // previous reconstructed frame
+	plane   refPlane     // ref, edge-extended for motion search and compensation
 	frameNo int
-	bw      BitWriter // per-frame bitstream
+	bw      BitWriter    // per-frame bitstream
+	counts  kernelCounts // per-frame kernel invocations
 }
 
 // NewEncoder creates an encoder for w x h video. Dimensions must be
@@ -153,7 +197,8 @@ func (e *Encoder) EncodeFrame(cur *video.Frame) (*FrameStats, error) {
 	if cur.W != e.w || cur.H != e.h {
 		return nil, fmt.Errorf("h264: frame size %dx%d does not match encoder %dx%d", cur.W, cur.H, e.w, e.h)
 	}
-	st := &FrameStats{Frame: e.frameNo, Counts: make(map[string]int64)}
+	st := &FrameStats{Frame: e.frameNo}
+	e.counts = kernelCounts{}
 	rec := video.NewFrame(e.w, e.h)
 	forceIntra := e.ref == nil ||
 		(e.cfg.ForceIntraEvery > 0 && e.frameNo%e.cfg.ForceIntraEvery == 0)
@@ -172,12 +217,14 @@ func (e *Encoder) EncodeFrame(cur *video.Frame) (*FrameStats, error) {
 	}
 
 	// In-loop deblocking over the reconstructed frame.
-	e.deblock(rec, info, st)
+	runDeblock(rec, info, e.w, e.h, e.cfg.QP, &e.counts)
 
+	st.Counts = e.counts.toMap()
 	st.PSNR = psnr(cur, rec)
 	st.Bits = int64(e.bw.Bits())
 	st.Stream = append([]byte(nil), e.bw.Bytes()...)
 	e.ref = rec
+	e.plane.fill(rec, searchMargin(e.cfg.SearchRange))
 	e.frameNo++
 	return st, nil
 }
@@ -187,18 +234,18 @@ func (e *Encoder) encodeMB(cur, rec *video.Frame, mbx, mby int, forceIntra bool,
 	var motion MotionResult
 	if !forceIntra {
 		// --- Motion estimation & mode decision functional block ---
-		motion = MotionSearch(cur, e.ref, mbx, mby, e.cfg.SearchRange, e.cfg.SkipThreshold)
-		st.Counts[KernelSAD] += motion.Candidates
+		motion = e.plane.search(cur, mbx, mby, e.cfg.SearchRange, e.cfg.SkipThreshold)
+		e.counts[kSAD] += motion.Candidates
 		if motion.Skip {
 			// Skip macroblock: motion-compensated copy, no coding.
 			e.bw.WriteUE(mbTypeSkip)
 			var buf [64]uint8
 			for q := 0; q < 4; q++ {
-				MotionCompensate(e.ref, mbx, mby, q, motion.MV, buf[:])
-				st.Counts[KernelMC]++
+				e.plane.compensate(mbx, mby, q, motion.MV, buf[:])
+				e.counts[kMC]++
 				writeQuadrant(rec, mbx, mby, q, buf[:])
 			}
-			e.copyChromaMB(rec, mbx, mby, motion.MV, st)
+			e.copyChromaMB(rec, mbx, mby, motion.MV)
 			for by := mby; by < mby+16; by += 4 {
 				for bx := mbx; bx < mbx+16; bx += 4 {
 					*infoAt(bx, by) = BlockInfo{MV: motion.MV}
@@ -212,8 +259,8 @@ func (e *Encoder) encodeMB(cur, rec *video.Frame, mbx, mby int, forceIntra bool,
 		var intraEst int32
 		for _, off := range [4][2]int{{0, 0}, {12, 0}, {0, 12}, {12, 12}} {
 			_, cost, modes := BestIntraMode(cur, rec, mbx+off[0], mby+off[1])
-			st.Counts[KernelIPred] += int64(modes)
-			st.Counts[KernelSATD] += int64(modes)
+			e.counts[kIPred] += int64(modes)
+			e.counts[kSATD] += int64(modes)
 			intraEst += cost
 		}
 		intraEst *= 4 // scale the 4 sampled blocks to all 16
@@ -222,32 +269,32 @@ func (e *Encoder) encodeMB(cur, rec *video.Frame, mbx, mby int, forceIntra bool,
 
 	if intra {
 		e.bw.WriteUE(mbTypeIntra)
-		e.encodeIntraMB(cur, rec, mbx, mby, st, infoAt)
-		e.encodeChromaMB(cur, rec, mbx, mby, true, MV{}, st)
+		e.encodeIntraMB(cur, rec, mbx, mby, infoAt)
+		e.encodeChromaMB(cur, rec, mbx, mby, true, MV{})
 		st.Intra++
 		return
 	}
 	e.bw.WriteUE(mbTypeInter)
 	e.bw.WriteSE(int32(motion.MV.X))
 	e.bw.WriteSE(int32(motion.MV.Y))
-	e.encodeInterMB(cur, rec, mbx, mby, motion.MV, st, infoAt)
-	e.encodeChromaMB(cur, rec, mbx, mby, false, motion.MV, st)
+	e.encodeInterMB(cur, rec, mbx, mby, motion.MV, infoAt)
+	e.encodeChromaMB(cur, rec, mbx, mby, false, motion.MV)
 	st.Inter++
 }
 
-func (e *Encoder) encodeIntraMB(cur, rec *video.Frame, mbx, mby int, st *FrameStats, infoAt func(int, int) *BlockInfo) {
+func (e *Encoder) encodeIntraMB(cur, rec *video.Frame, mbx, mby int, infoAt func(int, int) *BlockInfo) {
 	var dcBlock Block4
 	dcIdx := 0
 	for by := mby; by < mby+16; by += 4 {
 		for bx := mbx; bx < mbx+16; bx += 4 {
 			mode, _, modes := BestIntraMode(cur, rec, bx, by)
-			st.Counts[KernelIPred] += int64(modes)
-			st.Counts[KernelSATD] += int64(modes)
+			e.counts[kIPred] += int64(modes)
+			e.counts[kSATD] += int64(modes)
 			e.bw.WriteUE(uint32(mode))
 
 			var pred Block4
 			PredictIntra4(rec, bx, by, mode, &pred)
-			st.Counts[KernelIPred]++
+			e.counts[kIPred]++
 
 			var resid Block4
 			for y := 0; y < 4; y++ {
@@ -256,20 +303,20 @@ func (e *Encoder) encodeIntraMB(cur, rec *video.Frame, mbx, mby int, st *FrameSt
 				}
 			}
 			DCT4(&resid)
-			st.Counts[KernelDCT]++
+			e.counts[kDCT]++
 			dcBlock[dcIdx] = resid[0]
 			dcIdx++
 			nz := Quant(&resid, e.cfg.QP, true)
-			st.Counts[KernelQuant]++
+			e.counts[kQuant]++
 			writeBlock(&e.bw, &resid)
 
 			coded := nz > 0
 			if coded {
-				st.Counts[KernelCAVLC]++
+				e.counts[kCAVLC]++
 				Dequant(&resid, e.cfg.QP)
-				st.Counts[KernelIQuant]++
+				e.counts[kIQuant]++
 				IDCT4(&resid)
-				st.Counts[KernelIDCT]++
+				e.counts[kIDCT]++
 			} else {
 				resid = Block4{}
 			}
@@ -284,19 +331,19 @@ func (e *Encoder) encodeIntraMB(cur, rec *video.Frame, mbx, mby int, st *FrameSt
 	// Luma-DC Hadamard path (the DC coefficients' own transform and
 	// entropy coding).
 	Hadamard4(&dcBlock)
-	st.Counts[KernelHadamard]++
+	e.counts[kHadamard]++
 	if nz := QuantDC(&dcBlock, e.cfg.QP); nz > 0 {
-		st.Counts[KernelCAVLC]++
+		e.counts[kCAVLC]++
 	}
 	writeBlock(&e.bw, &dcBlock)
 }
 
-func (e *Encoder) encodeInterMB(cur, rec *video.Frame, mbx, mby int, mv MV, st *FrameStats, infoAt func(int, int) *BlockInfo) {
+func (e *Encoder) encodeInterMB(cur, rec *video.Frame, mbx, mby int, mv MV, infoAt func(int, int) *BlockInfo) {
 	var pred [256]int32
 	var buf [64]uint8
 	for q := 0; q < 4; q++ {
-		MotionCompensate(e.ref, mbx, mby, q, mv, buf[:])
-		st.Counts[KernelMC]++
+		e.plane.compensate(mbx, mby, q, mv, buf[:])
+		e.counts[kMC]++
 		ox, oy := (q&1)*8, (q>>1)*8
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
@@ -313,18 +360,18 @@ func (e *Encoder) encodeInterMB(cur, rec *video.Frame, mbx, mby int, mv MV, st *
 				}
 			}
 			DCT4(&resid)
-			st.Counts[KernelDCT]++
+			e.counts[kDCT]++
 			nz := Quant(&resid, e.cfg.QP, false)
-			st.Counts[KernelQuant]++
+			e.counts[kQuant]++
 			writeBlock(&e.bw, &resid)
 
 			coded := nz > 0
 			if coded {
-				st.Counts[KernelCAVLC]++
+				e.counts[kCAVLC]++
 				Dequant(&resid, e.cfg.QP)
-				st.Counts[KernelIQuant]++
+				e.counts[kIQuant]++
 				IDCT4(&resid)
-				st.Counts[KernelIDCT]++
+				e.counts[kIDCT]++
 			} else {
 				resid = Block4{}
 			}
@@ -338,19 +385,13 @@ func (e *Encoder) encodeInterMB(cur, rec *video.Frame, mbx, mby int, mv MV, st *
 	}
 }
 
-// deblock runs the in-loop deblocking filter functional block over the
-// reconstructed frame, counting kernel invocations.
-func (e *Encoder) deblock(rec *video.Frame, info []BlockInfo, st *FrameStats) {
-	runDeblock(rec, info, e.w, e.h, e.cfg.QP, st.Counts)
-}
-
 // runDeblock applies the in-loop deblocking filter; it is shared by the
 // encoder and the decoder (which passes nil counts) so both sides filter
 // identically — a requirement for bit-exact reconstruction.
-func runDeblock(rec *video.Frame, info []BlockInfo, w, h, qp int, counts map[string]int64) {
+func runDeblock(rec *video.Frame, info []BlockInfo, w, h, qp int, counts *kernelCounts) {
 	w4 := w / 4
 	at := func(bx, by int) BlockInfo { return info[by*w4+bx] }
-	count := func(k string) {
+	count := func(k kernel) {
 		if counts != nil {
 			counts[k]++
 		}
@@ -359,10 +400,10 @@ func runDeblock(rec *video.Frame, info []BlockInfo, w, h, qp int, counts map[str
 	for by := 0; by < h/4; by++ {
 		for bx := 1; bx < w4; bx++ {
 			bs := BoundaryStrength(at(bx-1, by), at(bx, by))
-			count(KernelBS)
+			count(kBS)
 			if bs != BSNone {
 				FilterEdge(rec, bx*4, by*4, true, bs, qp)
-				count(KernelFilt)
+				count(kFilt)
 			}
 		}
 	}
@@ -370,10 +411,10 @@ func runDeblock(rec *video.Frame, info []BlockInfo, w, h, qp int, counts map[str
 	for by := 1; by < h/4; by++ {
 		for bx := 0; bx < w4; bx++ {
 			bs := BoundaryStrength(at(bx, by-1), at(bx, by))
-			count(KernelBS)
+			count(kBS)
 			if bs != BSNone {
 				FilterEdge(rec, bx*4, by*4, false, bs, qp)
-				count(KernelFilt)
+				count(kFilt)
 			}
 		}
 	}
@@ -384,7 +425,7 @@ func runDeblock(rec *video.Frame, info []BlockInfo, w, h, qp int, counts map[str
 			bs := BoundaryStrength(at(bx-1, by), at(bx, by))
 			if bs != BSNone {
 				FilterChromaEdge(rec, bx*2, by*2, true, bs, qp)
-				count(KernelFilt)
+				count(kFilt)
 			}
 		}
 	}
@@ -393,7 +434,7 @@ func runDeblock(rec *video.Frame, info []BlockInfo, w, h, qp int, counts map[str
 			bs := BoundaryStrength(at(bx, by-1), at(bx, by))
 			if bs != BSNone {
 				FilterChromaEdge(rec, bx*2, by*2, false, bs, qp)
-				count(KernelFilt)
+				count(kFilt)
 			}
 		}
 	}

@@ -49,24 +49,3 @@ func LumaHalfPel(ref *video.Frame, hx, hy int) uint8 {
 		return uint8(sixTap(h(iy-2), h(iy-1), h(iy), h(iy+1), h(iy+2), h(iy+3)))
 	}
 }
-
-// SAD16HalfPel returns the 16x16 SAD between cur at (mbx, mby) and ref
-// displaced by the half-pel vector mv. Integer vectors take the direct
-// path; fractional ones interpolate on the fly.
-func SAD16HalfPel(cur, ref *video.Frame, mbx, mby int, mv MV) int32 {
-	if mv.X&1 == 0 && mv.Y&1 == 0 {
-		return SAD16(cur, ref, mbx, mby, MV{mv.X >> 1, mv.Y >> 1})
-	}
-	var sad int32
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			d := int32(cur.At(mbx+x, mby+y)) -
-				int32(LumaHalfPel(ref, (mbx+x)<<1+mv.X, (mby+y)<<1+mv.Y))
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
-	}
-	return sad
-}

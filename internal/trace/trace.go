@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -203,39 +204,62 @@ type Event struct {
 // blocks where kernels alternate per macroblock; ties break by kernel ID so
 // the schedule is deterministic.
 func Merge(loads []KernelLoad) []Event {
-	type cursor struct {
-		load KernelLoad
-		next int64
+	m := newMerger(loads)
+	events := make([]Event, 0, m.left)
+	for m.left > 0 {
+		l := &loads[m.next()]
+		events = append(events, Event{Kernel: l.Kernel, Gap: l.GapSW})
 	}
-	var total int64
-	curs := make([]cursor, 0, len(loads))
-	for _, l := range loads {
+	return events
+}
+
+// merger walks the merged schedule of a set of loads (see Merge) one
+// execution at a time.
+type merger struct {
+	curs []mergeCursor // loads with executions, sorted by kernel ID
+	left int64         // executions not yet walked
+}
+
+type mergeCursor struct {
+	load int     // position in the loads slice
+	e    int64   // the load's execution count
+	next int64   // executions walked so far
+	pos  float64 // fractional position of the next execution
+}
+
+func newMerger(loads []KernelLoad) merger {
+	m := merger{curs: make([]mergeCursor, 0, len(loads))}
+	for i, l := range loads {
 		if l.E <= 0 {
 			continue
 		}
-		total += l.E
-		curs = append(curs, cursor{load: l})
+		m.left += l.E
+		m.curs = append(m.curs, mergeCursor{load: i, e: l.E, pos: 0.5 / float64(l.E)})
 	}
-	sort.Slice(curs, func(i, j int) bool { return curs[i].load.Kernel < curs[j].load.Kernel })
-	events := make([]Event, 0, total)
-	for int64(len(events)) < total {
-		best := -1
-		var bestPos float64
-		for i := range curs {
-			c := &curs[i]
-			if c.next >= c.load.E {
-				continue
-			}
-			pos := (float64(c.next) + 0.5) / float64(c.load.E)
-			if best < 0 || pos < bestPos {
-				best, bestPos = i, pos
-			}
+	sort.Slice(m.curs, func(i, j int) bool { return loads[m.curs[i].load].Kernel < loads[m.curs[j].load].Kernel })
+	return m
+}
+
+// next returns the position in loads of the next execution's load; it
+// must be called only while m.left > 0. The earliest fractional position
+// wins, the first cursor in kernel order on a tie. An exhausted cursor's
+// position is +Inf, so it never wins while another has executions left.
+func (m *merger) next() int {
+	best := 0
+	for i := 1; i < len(m.curs); i++ {
+		if m.curs[i].pos < m.curs[best].pos {
+			best = i
 		}
-		c := &curs[best]
-		events = append(events, Event{Kernel: c.load.Kernel, Gap: c.load.GapSW})
-		c.next++
 	}
-	return events
+	c := &m.curs[best]
+	c.next++
+	if c.next < c.e {
+		c.pos = (float64(c.next) + 0.5) / float64(c.e)
+	} else {
+		c.pos = math.Inf(1)
+	}
+	m.left--
+	return c.load
 }
 
 // RISCTriggers computes the trigger tuple {K, e, tf, tb} of one iteration
@@ -249,34 +273,47 @@ func RISCTriggers(app *ise.Application, it *Iteration) ([]ise.Trigger, error) {
 		return nil, fmt.Errorf("trace: unknown block %q", it.Block)
 	}
 	type track struct {
+		k       *ise.Kernel
 		first   arch.Cycles
 		lastEnd arch.Cycles
 		gaps    arch.Cycles
 		n       int64
 	}
-	tracks := make(map[ise.KernelID]*track, len(it.Loads))
-	t := it.Prologue
-	for _, ev := range Merge(it.Loads) {
-		k := blk.Kernel(ev.Kernel)
-		if k == nil {
-			return nil, fmt.Errorf("trace: unknown kernel %q in block %q", ev.Kernel, it.Block)
+	// tracks[owner[i]] accumulates the executions of it.Loads[i]'s kernel;
+	// a kernel listed more than once shares its first listing's track.
+	tracks := make([]track, len(it.Loads))
+	owner := make([]int, len(it.Loads))
+	for i, l := range it.Loads {
+		owner[i] = i
+		for j := 0; j < i; j++ {
+			if it.Loads[j].Kernel == l.Kernel {
+				owner[i] = owner[j]
+				break
+			}
 		}
-		t += ev.Gap
-		tr := tracks[ev.Kernel]
-		if tr == nil {
-			tr = &track{first: t}
-			tracks[ev.Kernel] = tr
+	}
+	t := it.Prologue
+	for m := newMerger(it.Loads); m.left > 0; {
+		i := m.next()
+		l := &it.Loads[i]
+		t += l.GapSW
+		tr := &tracks[owner[i]]
+		if tr.n == 0 {
+			if tr.k = blk.Kernel(l.Kernel); tr.k == nil {
+				return nil, fmt.Errorf("trace: unknown kernel %q in block %q", l.Kernel, it.Block)
+			}
+			tr.first = t
 		} else {
 			tr.gaps += t - tr.lastEnd
 		}
 		tr.n++
-		t += k.RISCLatency
+		t += tr.k.RISCLatency
 		tr.lastEnd = t
 	}
-	out := make([]ise.Trigger, 0, len(tracks))
-	for _, l := range it.Loads {
-		tr, ok := tracks[l.Kernel]
-		if !ok {
+	out := make([]ise.Trigger, 0, len(it.Loads))
+	for i, l := range it.Loads {
+		tr := &tracks[owner[i]]
+		if tr.n == 0 {
 			continue
 		}
 		var tb arch.Cycles

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -300,6 +301,108 @@ func bruteTail(events []Event) *Tail {
 		}
 	}
 	return tl
+}
+
+// rescanMerge is the reference merge: every execution rescans all loads
+// and recomputes each one's fractional position.
+func rescanMerge(loads []KernelLoad) []Event {
+	type cursor struct {
+		load KernelLoad
+		next int64
+	}
+	var total int64
+	var curs []cursor
+	for _, l := range loads {
+		if l.E > 0 {
+			total += l.E
+			curs = append(curs, cursor{load: l})
+		}
+	}
+	sort.Slice(curs, func(i, j int) bool { return curs[i].load.Kernel < curs[j].load.Kernel })
+	var events []Event
+	for int64(len(events)) < total {
+		best := -1
+		var bestPos float64
+		for i := range curs {
+			c := &curs[i]
+			if c.next >= c.load.E {
+				continue
+			}
+			if pos := (float64(c.next) + 0.5) / float64(c.load.E); best < 0 || pos < bestPos {
+				best, bestPos = i, pos
+			}
+		}
+		c := &curs[best]
+		events = append(events, Event{Kernel: c.load.Kernel, Gap: c.load.GapSW})
+		c.next++
+	}
+	return events
+}
+
+// mapRISCTriggers is the reference RISCTriggers: per-kernel tracks in a
+// map, filled from the merged event list.
+func mapRISCTriggers(app *ise.Application, it *Iteration) []ise.Trigger {
+	blk := app.Block(it.Block)
+	type track struct {
+		first, lastEnd, gaps arch.Cycles
+		n                    int64
+	}
+	tracks := map[ise.KernelID]*track{}
+	t := it.Prologue
+	for _, ev := range rescanMerge(it.Loads) {
+		t += ev.Gap
+		tr := tracks[ev.Kernel]
+		if tr == nil {
+			tr = &track{first: t}
+			tracks[ev.Kernel] = tr
+		} else {
+			tr.gaps += t - tr.lastEnd
+		}
+		tr.n++
+		t += blk.Kernel(ev.Kernel).RISCLatency
+		tr.lastEnd = t
+	}
+	out := []ise.Trigger{}
+	for _, l := range it.Loads {
+		if tr, ok := tracks[l.Kernel]; ok {
+			var tb arch.Cycles
+			if tr.n > 1 {
+				tb = tr.gaps / arch.Cycles(tr.n-1)
+			}
+			out = append(out, ise.Trigger{Kernel: l.Kernel, E: tr.n, TF: tr.first, TB: tb})
+		}
+	}
+	return out
+}
+
+// TestMergeMatchesRescan checks Merge and RISCTriggers against the
+// reference implementations on random loads, including zero counts and a
+// kernel listed twice with different gaps.
+func TestMergeMatchesRescan(t *testing.T) {
+	app := testApp(t)
+	const seed = 31337
+	rng := rand.New(rand.NewSource(seed))
+	for n := 0; n < 300; n++ {
+		var loads []KernelLoad
+		for i := rng.Intn(4); i >= 0; i-- {
+			loads = append(loads, KernelLoad{
+				Kernel: ise.KernelID([]string{"x", "y"}[rng.Intn(2)]),
+				E:      int64(rng.Intn(40)) - 3,
+				GapSW:  arch.Cycles(rng.Intn(20)),
+			})
+		}
+		if got, want := Merge(loads), rescanMerge(loads); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, loads %+v: Merge %v, reference %v", seed, loads, got, want)
+		}
+		it := &Iteration{Block: "b", Prologue: arch.Cycles(rng.Intn(100)), Loads: loads}
+		got, err := RISCTriggers(app, it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mapRISCTriggers(app, it); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, loads %+v: RISCTriggers %v, reference %v", seed, loads, got, want)
+		}
+	}
 }
 
 func TestTailRejectsMixedGaps(t *testing.T) {

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"mrts/internal/arch"
 	"mrts/internal/h264"
@@ -139,25 +140,38 @@ func Build(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The profiling sequence is independent of the deployment sequence,
+	// so it encodes on a second goroutine meanwhile; both only read app.
+	var (
+		prof    *trace.Trace
+		profErr error
+		wg      sync.WaitGroup
+	)
+	if opts.ProfileSeed != opts.Seed {
+		profOpts := opts
+		profOpts.Video.SceneCuts = nil // a plain profiling sequence
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if prof, _, profErr = encodeTrace(app, profOpts, opts.ProfileSeed); profErr == nil {
+				profErr = prof.BuildProfile(app)
+			}
+		}()
+	}
 	tr, frames, err := encodeTrace(app, opts, opts.Seed)
+	wg.Wait()
 	if err != nil {
 		return nil, err
 	}
-	if opts.ProfileSeed == opts.Seed {
+	switch {
+	case opts.ProfileSeed == opts.Seed:
 		if err := tr.BuildProfile(app); err != nil {
 			return nil, err
 		}
-	} else {
-		profOpts := opts
-		profOpts.Video.SceneCuts = nil // a plain profiling sequence
-		profTr, _, err := encodeTrace(app, profOpts, opts.ProfileSeed)
-		if err != nil {
-			return nil, err
-		}
-		if err := profTr.BuildProfile(app); err != nil {
-			return nil, err
-		}
-		tr.Profile = profTr.Profile
+	case profErr != nil:
+		return nil, profErr
+	default:
+		tr.Profile = prof.Profile
 	}
 	if err := tr.Validate(app); err != nil {
 		return nil, err
