@@ -154,7 +154,7 @@ func BenchmarkFaults(b *testing.B) {
 	var r exp.FaultsResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = exp.Faults(context.Background(), exp.DirectFaultEvaluator(w), exp.FaultsConfig, 1)
+		r, err = exp.Faults(context.Background(), exp.DirectPointEvaluator(w), exp.FaultsConfig, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"mrts/internal/batch"
 	"mrts/internal/exp"
 	"mrts/internal/selector"
 	"mrts/internal/video"
@@ -57,15 +58,18 @@ func main() {
 	exp.Fig2(w).Render(out)
 	endSection()
 
+	// One batch engine serves every section, so points the figures share
+	// simulate once and selections seed across them.
+	eng := batch.New(w, 0)
 	in := exp.FigInput{
 		Base:    base,
 		MaxPRC:  *maxPRC,
 		MaxCG:   *maxCG,
 		Tenants: *tenants,
 		Mix:     *mix,
-		Eval:    exp.DirectFaultEvaluator(w),
+		Eval:    eng.PointEvaluator(),
 		Workload: func(context.Context) (*workload.Result, *selector.Memo, error) {
-			return w, nil, nil
+			return w, eng.Memo(), nil
 		},
 		Workloads: exp.DirectWorkloads(),
 	}

@@ -19,7 +19,6 @@ import (
 	"mrts/internal/arch"
 	"mrts/internal/ecu"
 	"mrts/internal/exp"
-	"mrts/internal/fault"
 	"mrts/internal/mpu"
 	"mrts/internal/obs"
 	"mrts/internal/service/api"
@@ -74,16 +73,17 @@ func main() {
 		fatal(fmt.Errorf("-predictor only applies to the mrts policy, not %q", pol))
 	}
 
+	pt := exp.Point{Config: cfg, Policy: pol}
 	var rec *obs.Recorder
 	if *traceOut != "" {
 		rec = obs.New()
-		rec.SetRun(fmt.Sprintf("%s/%dx%d", pol, cfg.NPRC, cfg.NCG))
+		rec.SetRun(pt.Label())
 	}
 	var rep *sim.Report
 	if *predictor != "" {
 		rep, err = exp.RunPointPredictor(nil, w, cfg, kind, rec)
 	} else {
-		rep, err = exp.RunPointObserved(nil, w, cfg, pol, 0, fault.Options{}, rec)
+		rep, err = exp.RunPointObserved(nil, w, pt, rec)
 	}
 	if err != nil {
 		fatal(err)

@@ -25,10 +25,8 @@ import (
 	"sync"
 	"time"
 
-	"mrts/internal/arch"
 	"mrts/internal/batch"
 	"mrts/internal/exp"
-	"mrts/internal/fault"
 	"mrts/internal/obs"
 	"mrts/internal/selector"
 	"mrts/internal/sim"
@@ -111,7 +109,7 @@ func main() {
 	// work across sweep points; tracing needs every point to really run,
 	// so traced points bypass it.
 	eng := batch.New(w, 0)
-	in.Eval = eng.FaultEvaluator()
+	in.Eval = eng.PointEvaluator()
 	in.Workload = func(context.Context) (*workload.Result, *selector.Memo, error) {
 		return w, eng.Memo(), nil
 	}
@@ -146,21 +144,16 @@ func main() {
 }
 
 // tracedEvaluator simulates every point on w with a decision-trace
-// recorder labelled policy/PRCsxCGs (plus /failP+C under a fault
-// scenario) and appends the completed trace to out. Points run
-// concurrently (ParMap), so each gets its own in-memory recorder; whole
-// traces are appended under the mutex, keeping every run's lines
-// contiguous and monotonic.
-func tracedEvaluator(w *workload.Result, out io.Writer) exp.FaultEvaluator {
+// recorder labelled by exp.Point.Label and appends the completed trace to
+// out. Points run concurrently (ParMap), so each gets its own in-memory
+// recorder; whole traces are appended under the mutex, keeping every
+// run's lines contiguous and monotonic.
+func tracedEvaluator(w *workload.Result, out io.Writer) exp.PointEvaluator {
 	var mu sync.Mutex
-	return func(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
+	return func(ctx context.Context, pt exp.Point) (*sim.Report, error) {
 		rec := obs.New()
-		label := fmt.Sprintf("%s/%dx%d", p, cfg.NPRC, cfg.NCG)
-		if seed != 0 || fo != (fault.Options{}) {
-			label += fmt.Sprintf("/fail%d+%d", fo.FailPRC, fo.FailCG)
-		}
-		rec.SetRun(label)
-		rep, err := exp.RunPointObserved(ctx, w, cfg, p, seed, fo, rec)
+		rec.SetRun(pt.Label())
+		rep, err := exp.RunPointObserved(ctx, w, pt, rec)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,12 @@
 // Package batch is the batch sweep-evaluation engine: it wraps the
-// experiment harness's point evaluators (exp.Evaluator, exp.FaultEvaluator)
-// with two layers of cross-point reuse that leave every simulated cycle
-// untouched:
+// experiment harness's point evaluator (exp.PointEvaluator) with two
+// layers of cross-point reuse that leave every simulated cycle untouched:
 //
-//   - a point-level report memo, deduplicating identical (config, policy,
-//     seed, fault-scenario) evaluations across figures, concurrent sweeps
-//     and service jobs (the "-fig all" pipeline re-evaluates the RISC
-//     reference and overlapping combinations many times), with
-//     singleflight semantics so racing workers share one simulation;
+//   - a point-level report memo, deduplicating identical exp.Point
+//     evaluations across figures, concurrent sweeps and service jobs (the
+//     "-fig all" pipeline re-evaluates the RISC reference and overlapping
+//     combinations many times), with singleflight semantics so racing
+//     workers share one simulation;
 //   - a workload-wide selection memo (selector.Memo) attached to every
 //     greedy-selector policy the evaluators build, so the ISE selection
 //     computed at one sweep point seeds neighbouring points whose selector
@@ -26,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mrts/internal/arch"
 	"mrts/internal/exp"
 	"mrts/internal/fault"
 	"mrts/internal/obs"
@@ -50,27 +48,16 @@ type Stats struct {
 }
 
 // maxPoints bounds the point-report memo. A sweep never comes near it
-// ("-fig all" evaluates 132 points); the bound exists because service
+// ("-fig all" evaluates 158 points); the bound exists because service
 // clients choose fault seeds freely, so distinct points are unbounded.
 const maxPoints = 4096
-
-// pointKey identifies one simulation exactly: the fabric budget, the
-// policy, and the fault scenario with its seed. Simulations are
-// deterministic functions of this key (for a fixed workload), which is
-// what makes the report memo sound.
-type pointKey struct {
-	cfg  arch.Config
-	pol  exp.Policy
-	seed uint64
-	fo   fault.Options
-}
 
 // pointEntry is a singleflight slot: the first goroutine to claim the key
 // runs the simulation; concurrent requesters wait on done and share the
 // result. Only completed, successful entries join the LRU list (el != nil),
 // so eviction never pulls an in-flight entry from under its waiters.
 type pointEntry struct {
-	key  pointKey
+	key  exp.Point
 	done chan struct{}
 	rep  *sim.Report
 	err  error
@@ -89,7 +76,7 @@ type Engine struct {
 
 	mu        sync.Mutex
 	maxPoints int
-	points    map[pointKey]*pointEntry
+	points    map[exp.Point]*pointEntry
 	lru       *list.List // completed entries, front = most recently used
 
 	requests atomic.Int64
@@ -103,7 +90,7 @@ func New(w *workload.Result, memoSize int) *Engine {
 		w:         w,
 		memo:      selector.NewMemo(memoSize),
 		maxPoints: maxPoints,
-		points:    make(map[pointKey]*pointEntry),
+		points:    make(map[exp.Point]*pointEntry),
 		lru:       list.New(),
 	}
 }
@@ -129,30 +116,25 @@ func (e *Engine) Stats() Stats {
 
 // Evaluator returns the engine's fault-free point evaluator, the drop-in
 // replacement for exp.DirectEvaluator.
-func (e *Engine) Evaluator() exp.Evaluator {
-	return func(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
-		rep, _, err := e.Eval(ctx, cfg, p, 0, fault.Options{})
+func (e *Engine) Evaluator() exp.Evaluator { return e.PointEvaluator().Plain() }
+
+// PointEvaluator returns the engine's point evaluator, the drop-in
+// replacement for exp.DirectPointEvaluator.
+func (e *Engine) PointEvaluator() exp.PointEvaluator {
+	return func(ctx context.Context, pt exp.Point) (*sim.Report, error) {
+		rep, _, err := e.Eval(ctx, pt)
 		return rep, err
 	}
 }
 
-// FaultEvaluator returns the engine's fault-scenario evaluator, the
-// drop-in replacement for exp.DirectFaultEvaluator.
-func (e *Engine) FaultEvaluator() exp.FaultEvaluator {
-	return func(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-		rep, _, err := e.Eval(ctx, cfg, p, seed, fo)
-		return rep, err
+// key normalises a point into its memo key: a benign scenario runs the
+// plain fault-free path whatever its seed, horizon or flap-length fields
+// say (no schedule is built), so it shares the fault-free point's entry.
+func key(pt exp.Point) exp.Point {
+	if pt.Faults.IsZero() {
+		pt.Seed, pt.Faults = 0, fault.Options{}
 	}
-}
-
-// key normalises a point: a benign scenario runs the plain fault-free path
-// whatever its seed, horizon or flap-length fields say (no schedule is
-// built), so it shares the fault-free point's memo entry.
-func key(cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) pointKey {
-	if fo.IsZero() {
-		seed, fo = 0, fault.Options{}
-	}
-	return pointKey{cfg: cfg, pol: p, seed: seed, fo: fo}
+	return pt
 }
 
 // Eval returns the report of one point, simulating it only if no earlier
@@ -161,9 +143,9 @@ func key(cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) pointKey 
 // memo or shared with an identical in-flight evaluation. Failed
 // evaluations are never cached; a waiter whose evaluation failed under
 // someone else's context (a cancelled job) retries under its own.
-func (e *Engine) Eval(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (rep *sim.Report, hit bool, err error) {
+func (e *Engine) Eval(ctx context.Context, pt exp.Point) (rep *sim.Report, hit bool, err error) {
 	e.requests.Add(1)
-	k := key(cfg, p, seed, fo)
+	k := key(pt)
 	for {
 		e.mu.Lock()
 		ent, ok := e.points[k]
@@ -212,8 +194,7 @@ func (e *Engine) run(ctx context.Context, ent *pointEntry) {
 		e.mu.Unlock()
 		close(ent.done)
 	}()
-	k := ent.key
-	ent.rep, ent.err = exp.RunPointFaults(exp.WithSelectionMemo(ctx, e.memo), e.w, k.cfg, k.pol, k.seed, k.fo)
+	ent.rep, ent.err = exp.RunPointObserved(exp.WithSelectionMemo(ctx, e.memo), e.w, ent.key, nil)
 }
 
 // remember adds a completed entry to the LRU; e.mu must be held.
@@ -229,12 +210,12 @@ func (e *Engine) remember(ent *pointEntry) {
 // trace must come from a run — and memoises the report, which the
 // observer-off byte-identity guarantee makes equal to the untraced one, for
 // later Eval calls.
-func (e *Engine) Observe(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options, rec *obs.Recorder) (*sim.Report, error) {
-	rep, err := exp.RunPointObserved(ctx, e.w, cfg, p, seed, fo, rec)
+func (e *Engine) Observe(ctx context.Context, pt exp.Point, rec *obs.Recorder) (*sim.Report, error) {
+	rep, err := exp.RunPointObserved(ctx, e.w, pt, rec)
 	if err != nil {
 		return nil, err
 	}
-	k := key(cfg, p, seed, fo)
+	k := key(pt)
 	e.mu.Lock()
 	if _, ok := e.points[k]; !ok {
 		ent := &pointEntry{key: k, done: make(chan struct{}), rep: rep}

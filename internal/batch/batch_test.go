@@ -81,11 +81,11 @@ func TestBatchIdenticalUnderFaults(t *testing.T) {
 	const seed = 7
 
 	eng := New(batchWorkload, 0)
-	feval := eng.FaultEvaluator()
+	feval := eng.PointEvaluator()
 	for _, p := range exp.Fig8Policies {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			batched, err := feval(ctx, cfg, p, seed, fo)
+			batched, err := feval(ctx, exp.Point{Config: cfg, Policy: p, Seed: seed, Faults: fo})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,11 +109,11 @@ func TestFaultsSweepSeededIdentical(t *testing.T) {
 	cfg := arch.Config{NPRC: 2, NCG: 2}
 	eng := New(batchWorkload, 0)
 
-	seeded, err := exp.Faults(ctx, eng.FaultEvaluator(), cfg, 1)
+	seeded, err := exp.Faults(ctx, eng.PointEvaluator(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := exp.Faults(ctx, exp.DirectFaultEvaluator(batchWorkload), cfg, 1)
+	direct, err := exp.Faults(ctx, exp.DirectPointEvaluator(batchWorkload), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBenignFaultNormalised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	benign, err := eng.FaultEvaluator()(ctx, cfg, exp.PolicyMRTS, 99, fault.Options{Horizon: 12345})
+	benign, err := eng.PointEvaluator()(ctx, exp.Point{Config: cfg, Policy: exp.PolicyMRTS, Seed: 99, Faults: fault.Options{Horizon: 12345}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPointMemoLRU(t *testing.T) {
 	c := arch.Config{NPRC: 1, NCG: 1}
 	eval := func(cfg arch.Config) (*sim.Report, bool) {
 		t.Helper()
-		rep, hit, err := eng.Eval(ctx, cfg, exp.PolicyMRTS, 0, fault.Options{})
+		rep, hit, err := eng.Eval(ctx, exp.Point{Config: cfg, Policy: exp.PolicyMRTS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,11 +268,11 @@ func TestPointMemoLRU(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	d := arch.Config{NPRC: 2, NCG: 2}
-	if _, _, err := eng.Eval(cancelled, d, exp.PolicyMRTS, 0, fault.Options{}); err == nil {
+	if _, _, err := eng.Eval(cancelled, exp.Point{Config: d, Policy: exp.PolicyMRTS}); err == nil {
 		t.Fatal("cancelled evaluation succeeded")
 	}
 	eng.mu.Lock()
-	_, cached := eng.points[key(d, exp.PolicyMRTS, 0, fault.Options{})]
+	_, cached := eng.points[exp.Point{Config: d, Policy: exp.PolicyMRTS}]
 	n := len(eng.points)
 	eng.mu.Unlock()
 	if cached || n != 2 {
@@ -286,7 +286,7 @@ func TestPointMemoLRU(t *testing.T) {
 func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
 	eng := New(batchWorkload, 0)
 	cfg := arch.Config{NPRC: 1, NCG: 1}
-	k := key(cfg, exp.PolicyMRTS, 0, fault.Options{})
+	k := exp.Point{Config: cfg, Policy: exp.PolicyMRTS}
 	// Plant an in-flight entry, as an owner would, then fail it.
 	owner := &pointEntry{key: k, done: make(chan struct{})}
 	eng.points[k] = owner
@@ -298,7 +298,7 @@ func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
 	}
 	got := make(chan result)
 	go func() {
-		rep, hit, err := eng.Eval(context.Background(), cfg, exp.PolicyMRTS, 0, fault.Options{})
+		rep, hit, err := eng.Eval(context.Background(), k)
 		got <- result{rep, hit, err}
 	}()
 	for eng.requests.Load() == 0 { // let the waiter reach the entry
@@ -316,5 +316,84 @@ func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
 	}
 	if r.hit {
 		t.Error("waiter that simulated reported a hit")
+	}
+}
+
+// TestSharedOverheadReuseFig8 runs the sharing sweep and the overhead
+// analysis on an engine that has already rendered Fig. 8 at the same
+// bounds: both must equal their direct results, and exactly the points
+// that repeat a Fig. 8 point — the RISC reference, the unreserved mRTS
+// row, every recompiled oracle and the overhead point — must replay. The
+// reserved mRTS reports must also be byte-identical to direct runs, and
+// the overhead point's selection counters come from a run seeded by the
+// shared selection memo.
+func TestSharedOverheadReuseFig8(t *testing.T) {
+	ctx := context.Background()
+	bounds := arch.Config{NPRC: 2, NCG: 2}
+	eng := New(batchWorkload, 0)
+	eval := eng.PointEvaluator()
+	if _, err := exp.Fig8(ctx, eng.Evaluator(), bounds.NPRC, bounds.NCG); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+
+	shared, err := exp.SharedEval(ctx, eval, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overhead, err := exp.OverheadEval(ctx, eval, batchWorkload.App, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Stats()
+
+	directShared, err := exp.Shared(ctx, batchWorkload, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := mustJSON(t, shared), mustJSON(t, directShared); !bytes.Equal(a, b) {
+		t.Errorf("batched sharing sweep differs from direct:\n%s\n%s", a, b)
+	}
+	directOverhead, err := exp.Overhead(batchWorkload, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if overhead != directOverhead {
+		t.Errorf("batched overhead differs from direct:\n%+v\n%+v", overhead, directOverhead)
+	}
+	if overhead.Selections == 0 || overhead.Evaluations == 0 {
+		t.Errorf("overhead point reports no selection work: %+v", overhead)
+	}
+
+	levels := bounds.NPRC * bounds.NCG
+	wantPoints := int64(1 + 2*levels + 1)
+	wantHits := int64(1 + 1 + levels + 1)
+	if got := after.Points - before.Points; got != wantPoints {
+		t.Errorf("points = %d, want %d", got, wantPoints)
+	}
+	if got := after.PointHits - before.PointHits; got != wantHits {
+		t.Errorf("point hits = %d, want %d (RISC, unreserved mRTS, %d oracles, overhead)", got, wantHits, levels)
+	}
+	if after.SeedHits == 0 {
+		t.Error("no selection was seeded across the sweeps")
+	}
+
+	for _, row := range shared.Rows {
+		pt := exp.Point{Config: bounds, Policy: exp.PolicyMRTS,
+			Reserve: arch.Config{NPRC: row.ReservedPRC, NCG: row.ReservedCG}}
+		batched, hit, err := eng.Eval(ctx, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit {
+			t.Errorf("%s: reserved point was not memoised", pt.Label())
+		}
+		direct, err := exp.RunPointObserved(ctx, batchWorkload, pt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := mustJSON(t, batched), mustJSON(t, direct); !bytes.Equal(a, b) {
+			t.Errorf("%s: batched report differs from direct:\n%s\n%s", pt.Label(), a, b)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cgedpe
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -178,8 +179,9 @@ func TestMeasureSADMatchesGo(t *testing.T) {
 		sad, cycles, err := MeasureSAD(cur, ref)
 		return err == nil && sad == want && cycles > 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
@@ -217,8 +219,9 @@ func TestMeasureDCTMatchesReference(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
@@ -261,8 +264,9 @@ func TestMeasureSATDMatchesReference(t *testing.T) {
 		}
 		return got == h264.SATD4(ref)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

@@ -39,8 +39,8 @@ func workersFromContext(ctx context.Context) int {
 type memoKey struct{}
 
 // WithSelectionMemo returns a context under which every greedy-selector
-// policy built by the figure harnesses (RunPoint, RunPointFaults, the
-// tenant sweep's per-tenant instances) gets memo attached via
+// policy built by the figure harnesses (RunPointObserved, the tenant
+// sweep's per-tenant instances) gets memo attached via
 // (*core.MRTS).SetSharedMemo. One memo may serve many workloads, policies
 // and sweep points concurrently: its keys fingerprint the selector's
 // entire input surface including block object identity, so entries never

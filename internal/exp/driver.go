@@ -8,9 +8,7 @@ import (
 	"strings"
 
 	"mrts/internal/arch"
-	"mrts/internal/fault"
 	"mrts/internal/selector"
-	"mrts/internal/sim"
 	"mrts/internal/workload"
 )
 
@@ -46,9 +44,10 @@ type FigInput struct {
 	// Chart renders Figs. 8 and 10 as ASCII charts instead of tables.
 	Chart bool
 
-	// Eval evaluates the sweep points on Base; the plain figures call it
-	// with the zero (benign) fault scenario.
-	Eval FaultEvaluator
+	// Eval evaluates every point of the figures that run on Base; the
+	// fabric-combination sweeps call it with plain (fault-free,
+	// unreserved) points.
+	Eval PointEvaluator
 	// Workload returns Base built, plus the selection memo (nil for none)
 	// the harnesses that build their own policies run under. Only the
 	// figures that need the built workload call it, so a phase run never
@@ -98,9 +97,7 @@ func RenderFig(ctx context.Context, out io.Writer, name string, in FigInput) err
 	}
 	maxPRC := cmp.Or(in.MaxPRC, DefaultMaxPRC)
 	maxCG := cmp.Or(in.MaxCG, DefaultMaxCG)
-	eval := func(ctx context.Context, cfg arch.Config, p Policy) (*sim.Report, error) {
-		return in.Eval(ctx, cfg, p, 0, fault.Options{})
-	}
+	eval := in.Eval.Plain()
 	var r renderer
 	var err error
 	switch name {
@@ -121,22 +118,20 @@ func RenderFig(ctx context.Context, out io.Writer, name string, in FigInput) err
 		}
 		r = m
 	case "shared":
-		var w *workload.Result
-		if ctx, w, err = in.bind(ctx); err == nil {
-			r, err = result(Shared(ctx, w, arch.Config{NPRC: maxPRC, NCG: maxCG}))
-		}
+		r, err = result(SharedEval(ctx, in.Eval, arch.Config{NPRC: maxPRC, NCG: maxCG}))
 	case "overhead":
 		var w *workload.Result
-		if _, w, err = in.bind(ctx); err == nil {
-			r, err = result(Overhead(w, arch.Config{NPRC: 2, NCG: 2}))
+		if w, _, err = in.Workload(ctx); err == nil {
+			r, err = result(OverheadEval(ctx, in.Eval, w.App, arch.Config{NPRC: 2, NCG: 2}))
 		}
 	case "faults":
 		r, err = result(Faults(ctx, in.Eval, FaultsConfig, cmp.Or(in.FaultSeed, 1)))
 	case "tenants":
 		// Tenant 0 runs Base, so resolving it here builds nothing extra;
 		// it puts Base's selection memo under the tenant systems.
-		if ctx, _, err = in.bind(ctx); err == nil {
-			r, err = result(Tenants(ctx, in.Workloads, in.Base, arch.Config{NPRC: maxPRC, NCG: maxCG},
+		var memo *selector.Memo
+		if _, memo, err = in.Workload(ctx); err == nil {
+			r, err = result(Tenants(WithSelectionMemo(ctx, memo), in.Workloads, in.Base, arch.Config{NPRC: maxPRC, NCG: maxCG},
 				cmp.Or(in.Tenants, MaxTenants), cmp.Or(in.Mix, "uniform")))
 		}
 	case "phase":
@@ -154,17 +149,4 @@ func RenderFig(ctx context.Context, out io.Writer, name string, in FigInput) err
 		r.Render(out)
 	}
 	return nil
-}
-
-// bind resolves the built Base workload and returns ctx carrying its
-// selection memo.
-func (in FigInput) bind(ctx context.Context) (context.Context, *workload.Result, error) {
-	w, memo, err := in.Workload(ctx)
-	if err != nil {
-		return ctx, nil, err
-	}
-	if memo != nil {
-		ctx = WithSelectionMemo(ctx, memo)
-	}
-	return ctx, w, nil
 }

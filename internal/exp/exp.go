@@ -9,7 +9,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -18,11 +17,8 @@ import (
 	"mrts/internal/arch"
 	"mrts/internal/baseline"
 	"mrts/internal/core"
-	"mrts/internal/fault"
 	"mrts/internal/ise"
-	"mrts/internal/sim"
 	"mrts/internal/trace"
-	"mrts/internal/workload"
 )
 
 // Policy identifies a runtime system in experiment rows.
@@ -106,28 +102,6 @@ func ValidFig(name string) bool {
 		}
 	}
 	return false
-}
-
-// Evaluator evaluates one (fabric combination, policy) point of a sweep.
-// The figure harnesses are written against this single job-execution path,
-// so the same aggregation code runs whether points are simulated directly
-// (DirectEvaluator) or served from a report memo (batch.Engine) by mrts-sweep
-// and the mrts-serve daemon.
-type Evaluator func(ctx context.Context, cfg arch.Config, p Policy) (*sim.Report, error)
-
-// DirectEvaluator returns an Evaluator that simulates every point on the
-// given workload, with no caching.
-func DirectEvaluator(w *workload.Result) Evaluator {
-	return func(ctx context.Context, cfg arch.Config, p Policy) (*sim.Report, error) {
-		return RunPoint(ctx, w, cfg, p)
-	}
-}
-
-// RunPoint builds and runs one policy on the workload — the unit of work of
-// every sweep. The context is checked before the (non-interruptible)
-// simulation starts, so cancelled sweeps stop at point granularity.
-func RunPoint(ctx context.Context, w *workload.Result, cfg arch.Config, p Policy) (*sim.Report, error) {
-	return RunPointObserved(ctx, w, cfg, p, 0, fault.Options{}, nil)
 }
 
 // Combos enumerates fabric combinations the way Fig. 8 orders its x-axis:

@@ -7,29 +7,7 @@ import (
 	"mrts/internal/arch"
 	"mrts/internal/ecu"
 	"mrts/internal/fault"
-	"mrts/internal/sim"
-	"mrts/internal/workload"
 )
-
-// FaultEvaluator evaluates one (fabric combination, policy, fault
-// scenario) point of a degradation sweep. The zero fault.Options value is
-// the benign scenario and must behave exactly like Evaluator.
-type FaultEvaluator func(ctx context.Context, cfg arch.Config, p Policy, seed uint64, fo fault.Options) (*sim.Report, error)
-
-// DirectFaultEvaluator returns a FaultEvaluator that simulates every point
-// on the given workload, with no caching.
-func DirectFaultEvaluator(w *workload.Result) FaultEvaluator {
-	return func(ctx context.Context, cfg arch.Config, p Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-		return RunPointFaults(ctx, w, cfg, p, seed, fo)
-	}
-}
-
-// RunPointFaults is RunPoint under a fault scenario: the schedule is drawn
-// from (seed, fo) and interleaved with the trace. Zero options run the
-// plain fault-free path.
-func RunPointFaults(ctx context.Context, w *workload.Result, cfg arch.Config, p Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-	return RunPointObserved(ctx, w, cfg, p, seed, fo, nil)
-}
 
 // FaultsFractions are the fabric-loss fractions of the degradation sweep.
 var FaultsFractions = []float64{0, 0.25, 0.5, 0.75, 1.0}
@@ -83,12 +61,12 @@ type FaultsResult struct {
 // and converges to RISC-mode at 100% loss; at partial loss mRTS keeps an
 // advantage over the static baselines because it re-selects over the
 // surviving fabric while their compile-time selections silently lose ISEs.
-func Faults(ctx context.Context, eval FaultEvaluator, cfg arch.Config, seed uint64) (FaultsResult, error) {
+func Faults(ctx context.Context, eval PointEvaluator, cfg arch.Config, seed uint64) (FaultsResult, error) {
 	if cfg == (arch.Config{}) {
 		cfg = FaultsConfig
 	}
 	res := FaultsResult{Config: cfg, Seed: seed}
-	risc, err := eval(ctx, arch.Config{}, PolicyRISC, seed, fault.Options{})
+	risc, err := eval(ctx, Point{Policy: PolicyRISC, Seed: seed})
 	if err != nil {
 		return res, err
 	}
@@ -106,7 +84,7 @@ func Faults(ctx context.Context, eval FaultEvaluator, cfg arch.Config, seed uint
 		}
 		fo := fault.Options{FailPRC: row.FailPRC, FailCG: row.FailCG, Horizon: res.Horizon}
 		for _, p := range Fig8Policies {
-			rep, err := eval(ctx, cfg, p, seed, fo)
+			rep, err := eval(ctx, Point{Config: cfg, Policy: p, Seed: seed, Faults: fo})
 			if err != nil {
 				return row, err
 			}

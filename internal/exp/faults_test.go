@@ -79,7 +79,7 @@ func TestFaultsSweep(t *testing.T) {
 		t.Skip("degradation sweep is expensive")
 	}
 	ctx := context.Background()
-	r, err := Faults(ctx, DirectFaultEvaluator(expWorkload), FaultsConfig, 1)
+	r, err := Faults(ctx, DirectPointEvaluator(expWorkload), FaultsConfig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestObserverByteIdenticalEveryPolicy(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := obs.New()
-			observed, err := RunPointObserved(ctx, expWorkload, pc, p, 0, fault.Options{}, rec)
+			observed, err := RunPointObserved(ctx, expWorkload, Point{Config: pc, Policy: p}, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestObserverByteIdenticalUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	observed, err := RunPointObserved(context.Background(), expWorkload, cfg, PolicyMRTS, seed, fo, rec)
+	observed, err := RunPointObserved(context.Background(), expWorkload, Point{Config: cfg, Policy: PolicyMRTS, Seed: seed, Faults: fo}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestObserverTimestampsMonotonic(t *testing.T) {
 	fo := fault.Options{FailPRC: 1, Horizon: 1_000_000}
 	rec := obs.New()
 	rec.SetRun("mono")
-	if _, err := RunPointObserved(context.Background(), expWorkload, cfg, PolicyMRTS, 3, fo, rec); err != nil {
+	if _, err := RunPointObserved(context.Background(), expWorkload, Point{Config: cfg, Policy: PolicyMRTS, Seed: 3, Faults: fo}, rec); err != nil {
 		t.Fatal(err)
 	}
 	evs := rec.Events()
@@ -117,7 +117,7 @@ func TestObserverTimestampsMonotonic(t *testing.T) {
 func TestObservedTraceRoundTrips(t *testing.T) {
 	rec := obs.New()
 	rec.SetRun("mrts/1x1")
-	if _, err := RunPointObserved(context.Background(), expWorkload, arch.Config{NPRC: 1, NCG: 1}, PolicyMRTS, 0, fault.Options{}, rec); err != nil {
+	if _, err := RunPointObserved(context.Background(), expWorkload, Point{Config: arch.Config{NPRC: 1, NCG: 1}, Policy: PolicyMRTS}, rec); err != nil {
 		t.Fatal(err)
 	}
 	got, err := obs.ReadAll(strings.NewReader(rec.JSONL()))
@@ -151,5 +151,28 @@ func TestObservedTraceRoundTrips(t *testing.T) {
 	if !haveRunMarker || !haveConfig || !haveDispatch {
 		t.Errorf("trace misses expected layers: run=%v config=%v dispatch=%v",
 			haveRunMarker, haveConfig, haveDispatch)
+	}
+}
+
+// TestPointLabel pins the decision-trace run labels: plain points keep the
+// policy/PRCsxCGs form, a fault scenario (or a seed) adds /failP+C and a
+// reservation adds /rsvP+C, so reserved runs stay distinct from the plain
+// run on the same fabric.
+func TestPointLabel(t *testing.T) {
+	cfg := arch.Config{NPRC: 4, NCG: 3}
+	for _, tc := range []struct {
+		pt   Point
+		want string
+	}{
+		{Point{Config: cfg, Policy: PolicyMRTS}, "mRTS/4x3"},
+		{Point{Policy: PolicyRISC}, "RISC-mode/0x0"},
+		{Point{Config: cfg, Policy: PolicyOffline, Seed: 1}, "Offline-optimal/4x3/fail0+0"},
+		{Point{Config: cfg, Policy: PolicyMRTS, Seed: 1, Faults: fault.Options{FailPRC: 2, FailCG: 1}}, "mRTS/4x3/fail2+1"},
+		{Point{Config: cfg, Policy: PolicyMRTS, Reserve: arch.Config{NCG: 2}}, "mRTS/4x3/rsv0+2"},
+		{Point{Config: cfg, Policy: PolicyMRTS, Faults: fault.Options{FailPRC: 1}, Reserve: arch.Config{NPRC: 1}}, "mRTS/4x3/fail1+0/rsv1+0"},
+	} {
+		if got := tc.pt.Label(); got != tc.want {
+			t.Errorf("%+v: label %q, want %q", tc.pt, got, tc.want)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"mrts/internal/arch"
-	"mrts/internal/core"
-	"mrts/internal/sim"
+	"mrts/internal/ise"
 	"mrts/internal/workload"
 )
 
@@ -37,30 +37,33 @@ type OverheadResult struct {
 	VisiblePerBlockShare float64
 }
 
-// Overhead measures the mRTS implementation overhead (paper Section 5.4)
-// on the given fabric combination.
+// Overhead measures the mRTS implementation overhead on w, simulating
+// the point.
 func Overhead(w *workload.Result, cfg arch.Config) (OverheadResult, error) {
+	return OverheadEval(context.TODO(), DirectPointEvaluator(w), w.App, cfg)
+}
+
+// OverheadEval measures the mRTS implementation overhead (paper Section
+// 5.4) of app on the given fabric combination, evaluating the point on
+// eval.
+func OverheadEval(ctx context.Context, eval PointEvaluator, app *ise.Application, cfg arch.Config) (OverheadResult, error) {
 	res := OverheadResult{Config: cfg}
-	m, err := core.New(cfg, core.Options{ChargeOverhead: true})
+	rep, err := eval(ctx, Point{Config: cfg, Policy: PolicyMRTS})
 	if err != nil {
 		return res, err
 	}
-	rep, err := sim.Run(w.App, w.Trace, m)
-	if err != nil {
-		return res, err
-	}
-	st := m.Stats()
+	st := rep.Selection
 	res.Selections = st.Selections
 	res.Evaluations = st.Evaluations
 	if st.Selections > 0 {
 		res.CyclesPerSelection = float64(st.OverheadTotal) / float64(st.Selections)
 	}
 	var kernels int64
-	for _, b := range w.App.Blocks {
+	for _, b := range app.Blocks {
 		kernels += int64(len(b.Kernels))
 	}
 	if kernels > 0 && rep.Iterations > 0 {
-		perIter := kernels / int64(len(w.App.Blocks))
+		perIter := kernels / int64(len(app.Blocks))
 		if perIter > 0 {
 			res.CyclesPerKernel = res.CyclesPerSelection / float64(perIter)
 		}

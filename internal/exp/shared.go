@@ -6,9 +6,6 @@ import (
 	"math"
 
 	"mrts/internal/arch"
-	"mrts/internal/baseline"
-	"mrts/internal/core"
-	"mrts/internal/sim"
 	"mrts/internal/workload"
 )
 
@@ -46,53 +43,46 @@ type SharedResult struct {
 	MinRetention float64
 }
 
-// Shared runs the multi-task fabric-sharing experiment (paper Section 1
-// motivates run-time selection with fabric "shared among various tasks"):
-// for every reservation level, mRTS adapts at run time on the full machine
-// while the yardstick is an offline-optimal selection recompiled for the
-// shrunken budget. A run-time system is valuable exactly when it tracks
-// that oracle without recompilation.
+// Shared runs the fabric-sharing sweep on w, simulating every point.
 func Shared(ctx context.Context, w *workload.Result, full arch.Config) (SharedResult, error) {
+	return SharedEval(ctx, DirectPointEvaluator(w), full)
+}
+
+// SharedEval runs the multi-task fabric-sharing experiment (paper Section
+// 1 motivates run-time selection with fabric "shared among various
+// tasks") on eval: for every reservation level, mRTS adapts at run time on
+// the full machine while the yardstick is an offline-optimal selection
+// recompiled for the shrunken budget. A run-time system is valuable
+// exactly when it tracks that oracle without recompilation.
+func SharedEval(ctx context.Context, eval PointEvaluator, full arch.Config) (SharedResult, error) {
 	res := SharedResult{Full: full, MinRetention: math.Inf(1)}
-	risc, err := RunPoint(ctx, w, arch.Config{}, PolicyRISC)
+	risc, err := eval(ctx, Point{Policy: PolicyRISC})
 	if err != nil {
 		return res, err
 	}
 
-	type level struct{ prc, cg int }
-	var levels []level
+	var levels []arch.Config
 	for prc := 0; prc < full.NPRC; prc++ {
 		for cg := 0; cg < full.NCG; cg++ {
-			levels = append(levels, level{prc, cg})
+			levels = append(levels, arch.Config{NPRC: prc, NCG: cg})
 		}
 	}
 
 	rows, err := ParMap(ctx, len(levels), func(ctx context.Context, i int) (SharedRow, error) {
-		if err := ctx.Err(); err != nil {
-			return SharedRow{}, context.Cause(ctx)
-		}
 		lv := levels[i]
 		row := SharedRow{
-			ReservedPRC: lv.prc,
-			ReservedCG:  lv.cg,
-			Effective:   arch.Config{NPRC: full.NPRC - lv.prc, NCG: full.NCG - lv.cg},
+			ReservedPRC: lv.NPRC,
+			ReservedCG:  lv.NCG,
+			Effective:   arch.Config{NPRC: full.NPRC - lv.NPRC, NCG: full.NCG - lv.NCG},
 		}
-		m, err := core.New(full, core.Options{ChargeOverhead: true})
-		if err != nil {
-			return row, err
-		}
-		rep, err := sim.RunReserved(w.App, w.Trace, m, lv.prc, lv.cg)
+		rep, err := eval(ctx, Point{Config: full, Policy: PolicyMRTS, Reserve: lv})
 		if err != nil {
 			return row, err
 		}
 		row.MRTSCycles = rep.TotalCycles
 		row.Speedup = rep.Speedup(risc)
 
-		oracle, err := baseline.NewOfflineOptimal(row.Effective, w.App, w.Trace)
-		if err != nil {
-			return row, err
-		}
-		orep, err := sim.Run(w.App, w.Trace, oracle)
+		orep, err := eval(ctx, Point{Config: row.Effective, Policy: PolicyOffline})
 		if err != nil {
 			return row, err
 		}

@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -108,8 +109,9 @@ func TestCAVLCPositiveBitsProperty(t *testing.T) {
 		st := EstimateCAVLC(&b)
 		return st.Bits >= 1 && st.TotalCoeffs == nz
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

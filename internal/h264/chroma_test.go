@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -23,8 +24,9 @@ func TestHadamard2Involution(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -156,8 +157,9 @@ func TestFilterEdgePixelsStayInRange(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -40,8 +41,9 @@ func TestDCT4Linear(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
@@ -74,8 +76,9 @@ func TestTransformQuantPipelineError(t *testing.T) {
 			}
 			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("qp %d: %v", qp, err)
+		const seed = 1
+		if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+			t.Errorf("seed %d, qp %d: %v", seed, qp, err)
 		}
 	}
 }
@@ -105,8 +108,9 @@ func TestHadamardInvolution(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
@@ -124,8 +128,9 @@ func TestSATDNonNegative(t *testing.T) {
 		}
 		return SATD4(b) >= 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

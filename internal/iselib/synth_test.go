@@ -1,6 +1,7 @@
 package iselib
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,8 +16,9 @@ func TestGenerateKernelValidates(t *testing.T) {
 		k := GenerateKernel("synth", int(n%64)+1, seed)
 		return k.Validate() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

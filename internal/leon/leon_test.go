@@ -1,6 +1,7 @@
 package leon
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -206,8 +207,9 @@ func TestMeasureSADMatchesGo(t *testing.T) {
 		sad, cycles, err := MeasureSAD(cur, ref)
 		return err == nil && sad == want && cycles > 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

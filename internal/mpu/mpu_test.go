@@ -2,6 +2,7 @@ package mpu
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -64,8 +65,9 @@ func TestConvergenceProperty(t *testing.T) {
 		got := p.Forecast("blk", prof)
 		return math.Abs(float64(got.E)-float64(target)) <= 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -148,7 +149,8 @@ func TestKnapsackMatchesBruteForce(t *testing.T) {
 		walk(0, 0, 0, 0)
 		return total == best
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }

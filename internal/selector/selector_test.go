@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -355,8 +356,9 @@ func TestGreedyInvariantsProperty(t *testing.T) {
 		}
 		return prcUsed <= int(prc%5) && cgUsed <= int(cg%5)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
@@ -381,8 +383,9 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 		want := bruteForceBest(req)
 		return opt.TotalProfit() >= want-1e-6
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 

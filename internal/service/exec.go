@@ -48,7 +48,7 @@ func (j *jobEval) entry(ctx context.Context) (*workEntry, error) {
 
 // eval is the service's one point-evaluation path: the engine's Eval, plus
 // the job's and the server's accounting of what it cost.
-func (j *jobEval) eval(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, bool, error) {
+func (j *jobEval) eval(ctx context.Context, pt exp.Point) (*sim.Report, bool, error) {
 	s := j.s
 	s.batchPoints.Inc()
 	ent, err := j.entry(ctx)
@@ -56,7 +56,7 @@ func (j *jobEval) eval(ctx context.Context, cfg arch.Config, p exp.Policy, seed 
 		return nil, false, err
 	}
 	start := time.Now()
-	rep, hit, err := ent.eng.Eval(ctx, cfg, p, seed, fo)
+	rep, hit, err := ent.eng.Eval(ctx, pt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -72,28 +72,20 @@ func (j *jobEval) eval(ctx context.Context, cfg arch.Config, p exp.Policy, seed 
 	return rep, hit, nil
 }
 
-func (j *jobEval) faultEval(ctx context.Context, cfg arch.Config, p exp.Policy, seed uint64, fo fault.Options) (*sim.Report, error) {
-	rep, _, err := j.eval(ctx, cfg, p, seed, fo)
+// pointEval is eval as the job's exp.PointEvaluator: figure sweeps, sweep
+// batches and sim jobs all evaluate through it.
+func (j *jobEval) pointEval(ctx context.Context, pt exp.Point) (*sim.Report, error) {
+	rep, _, err := j.eval(ctx, pt)
 	return rep, err
 }
 
-// FaultEvaluator returns the service's job-execution path as an
-// exp.FaultEvaluator over the workload's batch.Engine, fetched from the
-// workload cache on the first call. The engine's report memo and
-// selection memo are shared by every job on the workload (see §12.3 of
-// DESIGN.md). Figure sweeps, sweep batches and sim jobs all use this path.
-func (s *Server) FaultEvaluator(opts workload.Options) (exp.FaultEvaluator, *EvalStats) {
-	j := &jobEval{s: s, opts: opts.Canonical()}
-	return j.faultEval, &j.stats
-}
-
-// Evaluator is FaultEvaluator restricted to the benign scenario — the
-// fault-free sweep path used by figures.
+// Evaluator returns the service's job-execution path, restricted to plain
+// points, over the workload's batch.Engine, fetched from the workload
+// cache on the first call. The engine's report memo and selection memo
+// are shared by every job on the workload (see §12.3 of DESIGN.md).
 func (s *Server) Evaluator(opts workload.Options) (exp.Evaluator, *EvalStats) {
-	feval, stats := s.FaultEvaluator(opts)
-	return func(ctx context.Context, cfg arch.Config, p exp.Policy) (*sim.Report, error) {
-		return feval(ctx, cfg, p, 0, fault.Options{})
-	}, stats
+	j := &jobEval{s: s, opts: opts.Canonical()}
+	return exp.PointEvaluator(j.pointEval).Plain(), &j.stats
 }
 
 // workload returns the built workload for opts from the workload cache;
@@ -122,7 +114,7 @@ func (s *Server) execute(ctx context.Context, spec api.JobSpec) (*api.JobResult,
 	case api.JobFig:
 		err = s.execFig(ctx, spec, opts, j, res)
 	case api.JobSweep:
-		err = s.execSweep(ctx, spec.Points, spec.Faults, j.faultEval, res)
+		err = s.execSweep(ctx, spec.Points, spec.Faults, j.pointEval, res)
 	default:
 		err = fmt.Errorf("service: unknown job type %q", spec.Type)
 	}
@@ -161,12 +153,12 @@ func (s *Server) execSim(ctx context.Context, spec api.JobSpec, j *jobEval, res 
 	}
 	// The RISC reference is always fault-free: it has no fabric to fail,
 	// and it anchors the speedup of the degraded run.
-	ref, err := j.faultEval(ctx, arch.Config{}, exp.PolicyRISC, 0, fault.Options{})
+	ref, err := j.pointEval(ctx, exp.Point{Policy: exp.PolicyRISC})
 	if err != nil {
 		return err
 	}
-	seed, fo := faultScenario(spec.Faults, ref)
-	cfg := arch.Config{NPRC: spec.PRC, NCG: spec.CG}
+	pt := exp.Point{Config: arch.Config{NPRC: spec.PRC, NCG: spec.CG}, Policy: p}
+	pt.Seed, pt.Faults = faultScenario(spec.Faults, ref)
 
 	var rep *sim.Report
 	if spec.Trace {
@@ -181,16 +173,16 @@ func (s *Server) execSim(ctx context.Context, spec api.JobSpec, j *jobEval, res 
 		if s.opts.Node != "" {
 			rec.SetNode(s.opts.Node)
 		}
-		rec.SetRun(fmt.Sprintf("%s/%dx%d", p, cfg.NPRC, cfg.NCG))
+		rec.SetRun(fmt.Sprintf("%s/%dx%d", p, pt.Config.NPRC, pt.Config.NCG))
 		start := time.Now()
-		rep, err = ent.eng.Observe(ctx, cfg, p, seed, fo, rec)
+		rep, err = ent.eng.Observe(ctx, pt, rec)
 		if err != nil {
 			return err
 		}
 		s.pointSeconds.Observe(time.Since(start).Seconds())
 		res.TraceJSONL = rec.JSONL()
 	} else {
-		rep, err = j.faultEval(ctx, cfg, p, seed, fo)
+		rep, err = j.pointEval(ctx, pt)
 		if err != nil {
 			return err
 		}
@@ -210,7 +202,7 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 		MaxCG:   spec.MaxCG,
 		Tenants: spec.Tenants,
 		Mix:     spec.Mix,
-		Eval:    j.faultEval,
+		Eval:    j.pointEval,
 		// The job's own workload-cache entry: its engine's selection memo
 		// reaches the harnesses that run outside the evaluator.
 		Workload: func(ctx context.Context) (*workload.Result, *selector.Memo, error) {
@@ -238,8 +230,8 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 // execSweep evaluates an explicit batch of points (the body of both sweep
 // jobs and the streaming /v1/sweep endpoint's final result). A job-level
 // fault scenario applies to every point of the batch.
-func (s *Server) execSweep(ctx context.Context, points []api.Point, faults *api.FaultSpec, eval exp.FaultEvaluator, res *api.JobResult) error {
-	ref, err := eval(ctx, arch.Config{}, exp.PolicyRISC, 0, fault.Options{})
+func (s *Server) execSweep(ctx context.Context, points []api.Point, faults *api.FaultSpec, eval exp.PointEvaluator, res *api.JobResult) error {
+	ref, err := eval(ctx, exp.Point{Policy: exp.PolicyRISC})
 	if err != nil {
 		return err
 	}
@@ -249,7 +241,7 @@ func (s *Server) execSweep(ctx context.Context, points []api.Point, faults *api.
 		if err != nil {
 			return api.Report{}, err
 		}
-		rep, err := eval(ctx, points[i].Config(), p, seed, fo)
+		rep, err := eval(ctx, exp.Point{Config: points[i].Config(), Policy: p, Seed: seed, Faults: fo})
 		if err != nil {
 			return api.Report{}, err
 		}

@@ -105,7 +105,7 @@ func TestFaultsFigMatchesOfflineSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exp.Faults(ctx, exp.DirectFaultEvaluator(w), exp.FaultsConfig, 1)
+	want, err := exp.Faults(ctx, exp.DirectPointEvaluator(w), exp.FaultsConfig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func directFig(t *testing.T, spec api.JobSpec) string {
 		MaxCG:   spec.MaxCG,
 		Tenants: spec.Tenants,
 		Mix:     spec.Mix,
-		Eval:    exp.DirectFaultEvaluator(w),
+		Eval:    exp.DirectPointEvaluator(w),
 		Workload: func(context.Context) (*workload.Result, *selector.Memo, error) {
 			return w, nil, nil
 		},

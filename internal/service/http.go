@@ -11,9 +11,7 @@ import (
 	"strconv"
 	"time"
 
-	"mrts/internal/arch"
 	"mrts/internal/exp"
-	"mrts/internal/fault"
 	"mrts/internal/service/api"
 )
 
@@ -205,7 +203,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	j := &jobEval{s: s, opts: req.Workload.Options().Canonical()}
-	ref, err := j.faultEval(ctx, arch.Config{}, exp.PolicyRISC, 0, fault.Options{})
+	ref, err := j.pointEval(ctx, exp.Point{Policy: exp.PolicyRISC})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -225,7 +223,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			pt := req.Points[i]
 			ev := api.SweepEvent{Index: i, Point: pt}
 			pol, _ := exp.ParsePolicy(pt.Policy) // validated above
-			rep, hit, err := j.eval(ctx, pt.Config(), pol, seed, fo)
+			rep, hit, err := j.eval(ctx, exp.Point{Config: pt.Config(), Policy: pol, Seed: seed, Faults: fo})
 			ev.Cached = hit
 			if err != nil {
 				ev.Error = err.Error()

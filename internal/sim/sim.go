@@ -53,6 +53,9 @@ type Report struct {
 	// reaction; all-zero (and omitted from the wire encoding) for
 	// fault-free runs.
 	Fault FaultStats
+	// Selection summarises the runtime system's own selection work (paper
+	// Section 5.4); zero for policies that never select at run time.
+	Selection SelectionStats
 	// Forecast summarises the MPU's forecast accuracy: per-trigger and
 	// total absolute execution-count error of the forecasts the selector
 	// actually saw. Zero for policies without a predictor (static
@@ -81,6 +84,19 @@ type FaultStats struct {
 	Reselections  int64
 	Invalidations int64
 	Degradations  int64
+}
+
+// SelectionStats mirrors the runtime system's selection counters (from
+// core.Stats).
+type SelectionStats struct {
+	// Selections counts trigger instructions processed; Evaluations
+	// counts profit-function evaluations.
+	Selections  int64
+	Evaluations int64
+	// OverheadVisible is the selection cost on the critical path;
+	// OverheadTotal includes the part hidden behind reconfigurations.
+	OverheadVisible arch.Cycles
+	OverheadTotal   arch.Cycles
 }
 
 // IsZero reports whether no fault activity occurred.
@@ -126,14 +142,6 @@ type Options struct {
 // Reset first, so a Run is reproducible on a reused policy instance.
 func Run(app *ise.Application, tr *trace.Trace, rts core.RuntimeSystem) (*Report, error) {
 	return RunOpts(app, tr, rts, Options{})
-}
-
-// RunReserved replays the trace with part of the fabric reserved by
-// competing tasks for the whole run (paper Section 1: the reconfigurable
-// fabric is shared among various tasks). The reservation is applied after
-// the policy's Reset, before the first trigger instruction.
-func RunReserved(app *ise.Application, tr *trace.Trace, rts core.RuntimeSystem, reservePRC, reserveCG int) (*Report, error) {
-	return RunOpts(app, tr, rts, Options{ReservePRC: reservePRC, ReserveCG: reserveCG})
 }
 
 // RunOpts replays the trace under the given options. Fault events are
@@ -554,6 +562,12 @@ func (s *Stepper) Finish() *Report {
 		rep.Fault.Reselections = st.Reselections
 		rep.Fault.Invalidations = st.Invalidations
 		rep.Fault.Degradations = st.Degradations
+		rep.Selection = SelectionStats{
+			Selections:      st.Selections,
+			Evaluations:     st.Evaluations,
+			OverheadVisible: st.OverheadVisible,
+			OverheadTotal:   st.OverheadTotal,
+		}
 	}
 	if fe, ok := s.rts.(interface{ ForecastErrors() mpu.ErrorReport }); ok {
 		rep.Forecast = fe.ForecastErrors()

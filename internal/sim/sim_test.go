@@ -184,7 +184,7 @@ func TestRunReserved(t *testing.T) {
 	app, tr := testWorld(t)
 	// Reserving the only CG-EDPE forces pure RISC execution.
 	m := core.MustNew(arch.Config{NCG: 1}, core.Options{ChargeOverhead: true})
-	rep, err := RunReserved(app, tr, m, 0, 1)
+	rep, err := RunOpts(app, tr, m, Options{ReserveCG: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRunReserved(t *testing.T) {
 		t.Errorf("kernel cycles %d != RISC %d under full reservation", rep.KernelCycles, ref.KernelCycles)
 	}
 	// An impossible reservation errors.
-	if _, err := RunReserved(app, tr, m, 5, 0); err == nil {
+	if _, err := RunOpts(app, tr, m, Options{ReservePRC: 5}); err == nil {
 		t.Error("over-budget reservation accepted")
 	}
 }

@@ -2,6 +2,7 @@ package video
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -135,8 +136,9 @@ func TestRNGDeterministicProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	const seed = 1
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
