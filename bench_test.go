@@ -464,8 +464,9 @@ func BenchmarkSimulatorRun(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceMerge measures the single-core schedule merge of one
-// functional-block iteration.
+// BenchmarkTraceMerge measures building the merged single-core Schedule
+// (execution order plus closed-form summary) of one functional-block
+// iteration.
 func BenchmarkTraceMerge(b *testing.B) {
 	w, _ := benchWorkload(b)
 	var it *trace.Iteration

@@ -17,7 +17,6 @@ import (
 	"mrts/internal/ise"
 	"mrts/internal/mpu"
 	"mrts/internal/sim"
-	"mrts/internal/trace"
 	"mrts/internal/video"
 	"mrts/internal/workload"
 )
@@ -39,23 +38,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rts.Reset()
 
-	// Drive the runtime system manually so we can watch the forecast of
-	// the deblocking filter kernel before each trigger instruction.
+	// Step the simulator one block iteration at a time so we can watch
+	// the forecast of the deblocking filter kernel before each trigger
+	// instruction.
+	s, err := sim.NewStepper(w.App, w.Trace, rts, sim.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	filt := ise.KernelID(h264.KernelFilt)
 	fmt.Println("deblocking filter: profile forecast vs MPU forecast vs actual executions")
 	fmt.Printf("%6s %6s %10s %10s %10s %10s\n", "frame", "phase", "profile", "forecast", "actual", "error")
 
-	var t arch.Cycles
-	for i := range w.Trace.Iterations {
+	for i := 0; !s.Done(); i++ {
 		it := &w.Trace.Iterations[i]
-		blk := w.App.Block(it.Block)
-		profile := w.Trace.ProfileFor(it.Block, it.Phase)
-
 		if it.Block == "dbf" {
 			var prof, fore ise.Trigger
-			for _, tr := range profile {
+			for _, tr := range w.Trace.ProfileFor(it.Block, it.Phase) {
 				if tr.Kernel == filt {
 					prof = tr
 					fore = rts.Predictor().Forecast("dbf#"+it.Phase, tr)
@@ -71,33 +70,14 @@ func main() {
 			fmt.Printf("%6d %6s %10d %10d %10d %+9.1f%%\n",
 				it.Seq, it.Phase, prof.E, fore.E, actual, errPct)
 		}
-
-		visible, err := rts.OnTrigger(blk, it.Phase, profile, t)
-		if err != nil {
+		if err := s.Step(); err != nil {
 			log.Fatal(err)
 		}
-		t += visible + it.Prologue
-		counts := map[ise.KernelID]int64{}
-		for _, ev := range trace.Merge(it.Loads) {
-			k := blk.Kernel(ev.Kernel)
-			t += ev.Gap
-			d := rts.Execute(k, t)
-			t += d.Latency
-			counts[ev.Kernel]++
-		}
-		var obs []mpu.Observation
-		for _, l := range it.Loads {
-			obs = append(obs, mpu.Observation{Kernel: l.Kernel, E: counts[l.Kernel]})
-		}
-		rts.OnBlockEnd(blk, it.Phase, profile, obs, t)
 	}
+	withMPU := s.Finish()
 
 	// End-to-end comparison against static forecasts.
 	ref, err := sim.RunRISC(w.App, w.Trace)
-	if err != nil {
-		log.Fatal(err)
-	}
-	withMPU, err := sim.Run(w.App, w.Trace, rts)
 	if err != nil {
 		log.Fatal(err)
 	}

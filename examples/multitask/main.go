@@ -1,8 +1,8 @@
 // Multitask demonstrates run-time varying fabric budgets (paper Section 1:
 // the reconfigurable fabric is shared among various tasks). The example
-// drives the runtime system manually — trigger, executions, block end — so
-// it can reserve fabric for a competing task in the middle of the run and
-// show how the next ISE selection adapts to the shrunken budget.
+// steps the simulator one block iteration at a time, so it can reserve
+// fabric for a competing task between two iterations in the middle of the
+// run and show how the next ISE selection adapts to the shrunken budget.
 //
 //	go run ./examples/multitask
 package main
@@ -13,9 +13,7 @@ import (
 
 	"mrts/internal/arch"
 	"mrts/internal/core"
-	"mrts/internal/ise"
-	"mrts/internal/mpu"
-	"mrts/internal/trace"
+	"mrts/internal/sim"
 	"mrts/internal/video"
 	"mrts/internal/workload"
 )
@@ -34,21 +32,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rts.Reset()
 
 	fmt.Printf("fabric budget: %d PRC / %d CG-EDPE\n", cfg.NPRC, cfg.NCG)
 	fmt.Println("a competing task reserves 1 PRC + 2 CG-EDPEs from frame 3 on")
 
-	var t arch.Cycles
+	s, err := sim.NewStepper(w.App, w.Trace, rts, sim.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	frame := -1
-	for i := range w.Trace.Iterations {
+	for i := 0; !s.Done(); i++ {
 		it := &w.Trace.Iterations[i]
 		if it.Seq != frame {
 			frame = it.Seq
 			if frame == 3 {
-				// The other task arrives: shrink our budget.
-				// Reservations cannot displace pinned data paths,
-				// so release the current selection first.
+				// The other task arrives between two iterations: shrink
+				// our budget. Reservations cannot displace pinned data
+				// paths, so release the current selection first.
 				rts.Controller().EvictAll()
 				if err := rts.Controller().Reserve(1, 2); err != nil {
 					log.Fatal(err)
@@ -56,39 +56,21 @@ func main() {
 				fmt.Println("--- competing task arrived: budget now 1 PRC / 1 CG ---")
 			}
 		}
-
-		blk := w.App.Block(it.Block)
-		profile := w.Trace.ProfileFor(it.Block, it.Phase)
-		visible, err := rts.OnTrigger(blk, it.Phase, profile, t)
-		if err != nil {
+		if err := s.Step(); err != nil {
 			log.Fatal(err)
 		}
-		t += visible + it.Prologue
 
+		// The selection the iteration's trigger instruction made.
 		if it.Block == "me" {
 			var picks []string
-			for _, k := range blk.Kernels {
+			for _, k := range w.App.Block(it.Block).Kernels {
 				if e := rts.Selected(k.ID); e != nil {
 					picks = append(picks, fmt.Sprintf("%s(%s)", e.ID, e.Grain()))
 				}
 			}
 			fmt.Printf("frame %d: motion-estimation selection %v\n", it.Seq, picks)
 		}
-
-		// Execute the block's kernel schedule.
-		var obs []mpu.Observation
-		counts := map[ise.KernelID]int64{}
-		for _, ev := range trace.Merge(it.Loads) {
-			k := blk.Kernel(ev.Kernel)
-			t += ev.Gap
-			d := rts.Execute(k, t)
-			t += d.Latency
-			counts[ev.Kernel]++
-		}
-		for _, l := range it.Loads {
-			obs = append(obs, mpu.Observation{Kernel: l.Kernel, E: counts[l.Kernel], TF: 0, TB: 0})
-		}
-		rts.OnBlockEnd(blk, it.Phase, profile, obs, t)
 	}
+	t := s.Finish().TotalCycles
 	fmt.Printf("total: %.2f Mcycles for 6 frames under a varying budget\n", t.MCycles())
 }

@@ -11,9 +11,9 @@
 //     either a pure-FG or a pure-CG ISE (never multi-grained), configured
 //     once at application start and never revised.
 //   - Offline-optimal: optimal static multi-grained selection with full
-//     knowledge of the trace; per-functional-block sets, but never revised
-//     at run time and without ECU steering (no intermediate ISEs, no
-//     monoCG-Extension).
+//     knowledge of the trace, configured once at application start, never
+//     revised at run time and without ECU steering (no intermediate ISEs,
+//     no monoCG-Extension).
 //   - Online-optimal: the mRTS flow with the exhaustive selection
 //     algorithm; the quality yardstick of Fig. 9 (its selection overhead is
 //     not charged to the timeline).

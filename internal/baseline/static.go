@@ -14,33 +14,22 @@ import (
 	"mrts/internal/trace"
 )
 
-// StaticRTS is a runtime system whose ISE selection was fixed offline. Two
-// flavours exist:
-//
-//   - global mode (Morpheus/4S-like and high-budget offline-optimal): all
-//     selected ISEs are configured once at application start;
-//   - multiplex mode (low-budget offline-optimal): each functional block
-//     has its own static set, committed — with eviction — whenever the
-//     block is entered, time-multiplexing the fabric across blocks.
-//
-// Static systems have no Execution Control Unit: a kernel runs its selected
-// ISE once it is fully reconfigured, and in RISC mode before that.
+// StaticRTS is a runtime system whose ISE selection was fixed offline: all
+// selected ISEs are configured once at application start and never
+// revised. Static systems have no Execution Control Unit: a kernel runs its
+// selected ISE once it is fully reconfigured, and in RISC mode before that.
 type StaticRTS struct {
 	name string
 	ctrl *reconfig.Controller
 
-	// global is committed at Reset (empty in multiplex mode).
+	// global is committed at Reset.
 	global []*ise.ISE
-	// perBlock is committed at block entry (empty in global mode).
-	perBlock map[string][]*ise.ISE
 	// byKernel is the static kernel -> ISE assignment.
 	byKernel map[ise.KernelID]*ise.ISE
 
 	// assign memoizes the byKernel lookup under a pointer key so the
 	// per-execution path never hashes a kernel ID.
 	assign map[*ise.Kernel]*ise.ISE
-
-	stats core.Stats
 }
 
 var _ core.RuntimeSystem = (*StaticRTS)(nil)
@@ -51,25 +40,13 @@ func (s *StaticRTS) Name() string { return s.name }
 // Controller implements core.RuntimeSystem.
 func (s *StaticRTS) Controller() *reconfig.Controller { return s.ctrl }
 
-// Stats returns a snapshot of the accumulated counters.
-func (s *StaticRTS) Stats() core.Stats { return s.stats }
-
 // Selected returns the static ISE assignment of the kernel, or nil.
 func (s *StaticRTS) Selected(id ise.KernelID) *ise.ISE { return s.byKernel[id] }
 
 // OnTrigger implements core.RuntimeSystem. Static systems perform no
-// run-time selection (zero overhead); in multiplex mode the block's
-// precomputed set is committed to the fabric. The commit is the
-// fault-tolerant variant: a static set that no longer fits the surviving
-// fabric loses ISEs (their kernels run in RISC mode) instead of aborting
-// the run — but, unlike mRTS, the selection is never revised to suit the
-// remaining capacity.
-func (s *StaticRTS) OnTrigger(block *ise.FunctionalBlock, _ string, _ []ise.Trigger, now arch.Cycles) (arch.Cycles, error) {
+// run-time selection (zero overhead).
+func (s *StaticRTS) OnTrigger(_ *ise.FunctionalBlock, _ string, _ []ise.Trigger, now arch.Cycles) (arch.Cycles, error) {
 	s.ctrl.Advance(now)
-	if set, ok := s.perBlock[block.ID]; ok {
-		res := s.ctrl.CommitSelectionSafe(set, now)
-		s.stats.Degradations += int64(len(res.Skipped))
-	}
 	return 0, nil
 }
 
@@ -101,11 +78,10 @@ func (s *StaticRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 func (s *StaticRTS) OnBlockEnd(*ise.FunctionalBlock, string, []ise.Trigger, []mpu.Observation, arch.Cycles) {
 }
 
-// Reset implements core.RuntimeSystem: in global mode the whole selection
-// is configured at time zero (application start).
+// Reset implements core.RuntimeSystem: the whole selection is configured
+// at time zero (application start).
 func (s *StaticRTS) Reset() {
 	s.ctrl.Reset()
-	s.stats = core.Stats{}
 	if len(s.global) > 0 {
 		if _, err := s.ctrl.CommitSelection(s.global, 0); err != nil {
 			// The constructor verified the fit; a failure here is a bug.
@@ -132,51 +108,10 @@ func aggregateExecutions(tr *trace.Trace) map[ise.KernelID]int64 {
 // across both), solved exactly as a two-dimensional multi-choice knapsack
 // over steady-state profits, configured once at application start.
 func NewMorpheus4S(cfg arch.Config, app *ise.Application, tr *trace.Trace) (*StaticRTS, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ctrl, err := reconfig.NewController(cfg)
-	if err != nil {
-		return nil, err
-	}
-	totals := aggregateExecutions(tr)
-
-	var kernels []*ise.Kernel
-	for _, b := range app.Blocks {
-		kernels = append(kernels, b.Kernels...)
-	}
-	groups := make([][]selector.Option, len(kernels))
-	for i, k := range kernels {
-		for _, e := range k.ISEs {
-			if g := e.Grain(); g != arch.GrainFG && g != arch.GrainCG {
-				continue // no multi-grained ISEs on loosely coupled fabrics
-			}
-			groups[i] = append(groups[i], selector.Option{
-				Label:  e.ID,
-				PRC:    e.CostPRC(),
-				CG:     e.CostCG(),
-				Profit: profit.SteadyStateProfit(k, e, totals[k.ID]),
-			})
-		}
-	}
-	picks, _ := selector.MultiChoiceKnapsack(groups, cfg.NPRC, cfg.NCG)
-
-	s := &StaticRTS{
-		name:     "Morpheus/4S-like",
-		ctrl:     ctrl,
-		perBlock: map[string][]*ise.ISE{},
-		byKernel: make(map[ise.KernelID]*ise.ISE),
-	}
-	for i, pi := range picks {
-		if pi < 0 {
-			continue
-		}
-		e := kernels[i].ISEByID(groups[i][pi].Label)
-		s.global = append(s.global, e)
-		s.byKernel[kernels[i].ID] = e
-	}
-	s.Reset()
-	return s, nil
+	return newStatic("Morpheus/4S-like", cfg, app, tr, func(e *ise.ISE) bool {
+		g := e.Grain()
+		return g == arch.GrainFG || g == arch.GrainCG // no multi-grained ISEs on loosely coupled fabrics
+	})
 }
 
 // NewOfflineOptimal builds the offline-optimal baseline: the optimal
@@ -189,6 +124,14 @@ func NewMorpheus4S(cfg arch.Config, app *ise.Application, tr *trace.Trace) (*Sta
 // steady-state profits from the full trace (the offline scheme knows the
 // true execution counts), configured once at application start.
 func NewOfflineOptimal(cfg arch.Config, app *ise.Application, tr *trace.Trace) (*StaticRTS, error) {
+	return newStatic("Offline-optimal", cfg, app, tr, func(*ise.ISE) bool { return true })
+}
+
+// newStatic builds a static runtime system named name: the exact
+// two-dimensional multi-choice knapsack over the steady-state profits of
+// every kernel's ISEs that pass the filter, on the whole trace's execution
+// counts.
+func newStatic(name string, cfg arch.Config, app *ise.Application, tr *trace.Trace, filter func(*ise.ISE) bool) (*StaticRTS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,6 +148,9 @@ func NewOfflineOptimal(cfg arch.Config, app *ise.Application, tr *trace.Trace) (
 	groups := make([][]selector.Option, len(kernels))
 	for i, k := range kernels {
 		for _, e := range k.ISEs {
+			if !filter(e) {
+				continue
+			}
 			groups[i] = append(groups[i], selector.Option{
 				Label:  e.ID,
 				PRC:    e.CostPRC(),
@@ -215,12 +161,7 @@ func NewOfflineOptimal(cfg arch.Config, app *ise.Application, tr *trace.Trace) (
 	}
 	picks, _ := selector.MultiChoiceKnapsack(groups, cfg.NPRC, cfg.NCG)
 
-	s := &StaticRTS{
-		name:     "Offline-optimal",
-		ctrl:     ctrl,
-		perBlock: map[string][]*ise.ISE{},
-		byKernel: make(map[ise.KernelID]*ise.ISE),
-	}
+	s := &StaticRTS{name: name, ctrl: ctrl, byKernel: make(map[ise.KernelID]*ise.ISE)}
 	for i, pi := range picks {
 		if pi < 0 {
 			continue

@@ -185,14 +185,13 @@ type Stepper struct {
 	t    arch.Cycles
 	next int
 
-	// Per-Step scratch, reused across iterations: the kernel-tracking map
-	// and its arena, and the observation batch handed to OnBlockEnd. The
-	// runtime-system contract is that OnBlockEnd consumes the observations
-	// synchronously (the MPU copies what it keeps), so the slice can be
-	// recycled next Step.
-	tracks   map[ise.KernelID]*track
-	trackBuf []track
-	obsvBuf  []mpu.Observation
+	// Per-Step scratch, reused across iterations: the per-kernel tracks
+	// (indexed like the iteration's trace.Schedule) and the observation
+	// batch handed to OnBlockEnd. The runtime-system contract is that
+	// OnBlockEnd consumes the observations synchronously (the MPU copies
+	// what it keeps), so the slice can be recycled next Step.
+	tracks  []track
+	obsvBuf []mpu.Observation
 }
 
 // NewStepper validates the trace, resets the runtime system, applies the
@@ -284,13 +283,11 @@ func (s *Stepper) AddOverhead(c arch.Cycles) {
 }
 
 type track struct {
+	k       *ise.Kernel
 	first   arch.Cycles
 	lastEnd arch.Cycles
 	gaps    arch.Cycles
 	n       int64
-	// idx is the kernel's index in the iteration's trace.Tail: tracks are
-	// created in order of first appearance, which is the Tail's order.
-	idx int
 	// stable marks d as the kernel's stable verdict at the version the
 	// step last saw (see Step's fast-forward).
 	stable bool
@@ -382,36 +379,34 @@ func (s *Stepper) Step() error {
 
 	// Replay the merged single-core execution schedule (memoized on the
 	// trace — identical for every run over the same workload).
-	if s.tracks == nil {
-		s.tracks = make(map[ise.KernelID]*track, len(it.Loads))
-	} else {
-		clear(s.tracks)
+	sch := s.tr.MergedLoads(i)
+	n := len(sch.Kernels)
+	if cap(s.tracks) < n {
+		s.tracks = make([]track, n)
 	}
-	// The arena must never reallocate mid-loop (the map holds pointers
-	// into it); one entry per load is an upper bound on distinct kernels.
-	if cap(s.trackBuf) < len(it.Loads) {
-		s.trackBuf = make([]track, 0, len(it.Loads))
+	tracks := s.tracks[:n]
+	clear(tracks)
+	for k, id := range sch.Kernels {
+		tracks[k].k = blk.Kernel(id)
 	}
-	s.trackBuf = s.trackBuf[:0]
-	tracks := s.tracks
 	// Fast-forward bookkeeping: once every kernel with executions left
 	// (live) holds a stable verdict at the controller's current version,
 	// the rest of the iteration is charged in closed form. An observer
 	// (one dispatch event per execution) or a fault schedule (deliveries
 	// between executions) keeps the per-execution loop.
-	tail := s.tr.MergedTail(i)
-	fast := tail != nil && s.eng == nil && s.opts.Observer == nil
+	fast := s.eng == nil && s.opts.Observer == nil
 	var (
 		ver          uint64
 		live, stable int
 	)
 	if fast {
-		ver, live = s.ctrl.Version(), len(tail.Count)
+		ver, live = s.ctrl.Version(), n
 	}
-	for _, ev := range s.tr.MergedLoads(i) {
-		k := blk.Kernel(ev.Kernel)
-		t += ev.Gap
-		rep.SoftwareCycles += ev.Gap
+	for _, k := range sch.Order {
+		tk := &tracks[k]
+		gap := sch.Gap[k]
+		t += gap
+		rep.SoftwareCycles += gap
 
 		fv, err := s.deliver(t)
 		if err != nil {
@@ -420,17 +415,14 @@ func (s *Stepper) Step() error {
 		t += fv
 		rep.OverheadCycles += fv
 
-		d := s.rts.Execute(k, t)
+		d := s.rts.Execute(tk.k, t)
 		rep.ModeExecs[d.Mode]++
 		rep.ModeCycles[d.Mode] += d.Latency
 		rep.KernelCycles += d.Latency
 		rep.Executions++
 
-		tk := tracks[ev.Kernel]
-		if tk == nil {
-			s.trackBuf = append(s.trackBuf, track{first: t - start, idx: len(s.trackBuf)})
-			tk = &s.trackBuf[len(s.trackBuf)-1]
-			tracks[ev.Kernel] = tk
+		if tk.n == 0 {
+			tk.first = t - start
 		} else {
 			tk.gaps += t - tk.lastEnd
 		}
@@ -443,12 +435,12 @@ func (s *Stepper) Step() error {
 		}
 		if v := s.ctrl.Version(); v != ver {
 			ver, stable = v, 0
-			for j := range s.trackBuf {
-				s.trackBuf[j].stable = false
+			for j := range tracks {
+				tracks[j].stable = false
 			}
 		}
 		switch {
-		case tk.n == tail.Count[tk.idx]:
+		case tk.n == sch.Count[k]:
 			live--
 			if tk.stable {
 				tk.stable = false
@@ -461,23 +453,20 @@ func (s *Stepper) Step() error {
 			stable++
 		}
 		if live > 0 && stable == live {
-			t = s.fastForward(tail, t)
+			t = s.fastForward(sch, tracks, t)
 			break
 		}
 	}
 
 	// Monitored ground truth for the MPU.
 	obsv := s.obsvBuf[:0]
-	for _, l := range it.Loads {
-		tk, ok := tracks[l.Kernel]
-		if !ok {
-			continue
-		}
+	for k, id := range sch.Kernels {
+		tk := &tracks[k]
 		var tb arch.Cycles
 		if tk.n > 1 {
 			tb = tk.gaps / arch.Cycles(tk.n-1)
 		}
-		obsv = append(obsv, mpu.Observation{Kernel: l.Kernel, E: tk.n, TF: tk.first, TB: tb})
+		obsv = append(obsv, mpu.Observation{Kernel: id, E: tk.n, TF: tk.first, TB: tb})
 	}
 	s.rts.OnBlockEnd(blk, it.Phase, profile, obsv, t)
 	s.obsvBuf = obsv[:0]
@@ -500,13 +489,13 @@ func (s *Stepper) Step() error {
 // sLast − lastEnd − (r_k − 1)·L_k: the telescoped sum of start − previous
 // end over those executions. The controller is advanced to the last start,
 // exactly where the final Execute call would have left it.
-func (s *Stepper) fastForward(tail *trace.Tail, t arch.Cycles) arch.Cycles {
+func (s *Stepper) fastForward(sch *trace.Schedule, tracks []track, t arch.Cycles) arch.Cycles {
 	rep := s.rep
-	n := len(tail.Count)
+	n := len(tracks)
 	from := t
-	for j := range n {
-		tk := &s.trackBuf[j]
-		r := tail.Count[j] - tk.n
+	for j := range tracks {
+		tk := &tracks[j]
+		r := sch.Count[j] - tk.n
 		if r == 0 {
 			continue
 		}
@@ -514,22 +503,22 @@ func (s *Stepper) fastForward(tail *trace.Tail, t arch.Cycles) arch.Cycles {
 		rep.ModeExecs[d.Mode] += r
 		rep.ModeCycles[d.Mode] += arch.Cycles(r) * d.Latency
 		rep.KernelCycles += arch.Cycles(r) * d.Latency
-		rep.SoftwareCycles += arch.Cycles(r) * tail.Gap[j]
+		rep.SoftwareCycles += arch.Cycles(r) * sch.Gap[j]
 		rep.Executions += r
-		t += arch.Cycles(r) * (tail.Gap[j] + d.Latency)
+		t += arch.Cycles(r) * (sch.Gap[j] + d.Latency)
 	}
 	var lastStart arch.Cycles
-	for k := range n {
-		tk := &s.trackBuf[k]
-		rk := tail.Count[k] - tk.n
+	for k := range tracks {
+		tk := &tracks[k]
+		rk := sch.Count[k] - tk.n
 		if rk == 0 {
 			continue
 		}
 		sLast := from - tk.d.Latency
-		after := tail.After[k*n : (k+1)*n]
-		for j := range n {
-			if c := tail.Count[j] - s.trackBuf[j].n - after[j]; c > 0 {
-				sLast += arch.Cycles(c) * (tail.Gap[j] + s.trackBuf[j].d.Latency)
+		after := sch.After[k*n : (k+1)*n]
+		for j := range tracks {
+			if c := sch.Count[j] - tracks[j].n - after[j]; c > 0 {
+				sLast += arch.Cycles(c) * (sch.Gap[j] + tracks[j].d.Latency)
 			}
 		}
 		tk.gaps += sLast - tk.lastEnd - arch.Cycles(rk-1)*tk.d.Latency
@@ -538,8 +527,8 @@ func (s *Stepper) fastForward(tail *trace.Tail, t arch.Cycles) arch.Cycles {
 	}
 	// Second pass above reads every track's remaining count, so the counts
 	// are settled only now.
-	for j := range n {
-		s.trackBuf[j].n = tail.Count[j]
+	for j := range tracks {
+		tracks[j].n = sch.Count[j]
 	}
 	s.ctrl.Advance(lastStart)
 	return t

@@ -69,91 +69,27 @@ type Trace struct {
 	// Iterations is the dynamic block sequence in program order.
 	Iterations []Iteration `json:"iterations"`
 
-	// merged memoizes Merge(Iterations[i].Loads) for every iteration and
-	// tails the Tail of each merged schedule. A trace is immutable once
-	// built but replayed once per (policy, resource-point) pair of a sweep,
-	// so re-deriving either per run is pure waste. Built lazily on first
-	// use, safe for concurrent replays via mergeOnce.
-	merged    [][]Event
-	tails     []*Tail
+	// scheds memoizes Merge(Iterations[i].Loads) for every iteration. A
+	// trace is immutable once built but replayed once per (policy,
+	// resource-point) pair of a sweep, so re-merging per run is pure
+	// waste. Built lazily on first use, safe for concurrent replays via
+	// mergeOnce.
+	scheds    []Schedule
 	mergeOnce sync.Once
 }
 
 // MergedLoads returns the merged single-core execution schedule of
 // iteration i — Merge(tr.Iterations[i].Loads), computed once per trace and
-// shared by every subsequent replay. Callers must not mutate the returned
-// slice. The trace must not be modified after the first call.
-func (tr *Trace) MergedLoads(i int) []Event {
-	tr.merge()
-	return tr.merged[i]
-}
-
-// MergedTail returns the Tail summary of MergedLoads(i), built with it, or
-// nil when the iteration has no closed form (a kernel listed twice with
-// different software gaps). Callers must not mutate it.
-func (tr *Trace) MergedTail(i int) *Tail {
-	tr.merge()
-	return tr.tails[i]
-}
-
-func (tr *Trace) merge() {
+// shared by every subsequent replay. Callers must not mutate it. The trace
+// must not be modified after the first call, and must be valid (Validate).
+func (tr *Trace) MergedLoads(i int) *Schedule {
 	tr.mergeOnce.Do(func() {
-		tr.merged = make([][]Event, len(tr.Iterations))
-		tr.tails = make([]*Tail, len(tr.Iterations))
+		tr.scheds = make([]Schedule, len(tr.Iterations))
 		for j := range tr.Iterations {
-			tr.merged[j] = Merge(tr.Iterations[j].Loads)
-			tr.tails[j] = newTail(tr.merged[j])
+			tr.scheds[j] = *Merge(tr.Iterations[j].Loads)
 		}
 	})
-}
-
-// Tail summarises a merged schedule for replaying any suffix of it in
-// closed form: once every kernel left in the suffix runs at a fixed
-// latency, the suffix's timing follows from per-kernel counts alone. The
-// kernels are indexed in order of first appearance in the schedule.
-type Tail struct {
-	// Count[k] is the number of executions of kernel k.
-	Count []int64
-	// Gap[k] is the software time preceding each execution of kernel k.
-	Gap []arch.Cycles
-	// After[k*K+j] is the number of executions of kernel j that follow the
-	// last execution of kernel k (K = len(Count)).
-	After []int64
-}
-
-// newTail builds the Tail of a merged schedule, or returns nil if some
-// kernel's executions carry different gaps.
-func newTail(events []Event) *Tail {
-	idx := make(map[ise.KernelID]int)
-	var last []int
-	t := &Tail{}
-	for p, ev := range events {
-		k, ok := idx[ev.Kernel]
-		if !ok {
-			k = len(t.Count)
-			idx[ev.Kernel] = k
-			t.Count = append(t.Count, 0)
-			t.Gap = append(t.Gap, ev.Gap)
-			last = append(last, 0)
-		} else if t.Gap[k] != ev.Gap {
-			return nil
-		}
-		t.Count[k]++
-		last[k] = p
-	}
-	n := len(t.Count)
-	t.After = make([]int64, n*n)
-	// One backward pass: after[j] counts kernel j's executions behind the
-	// cursor, so at a kernel's last position it is that kernel's row.
-	after := make([]int64, n)
-	for p := len(events) - 1; p >= 0; p-- {
-		k := idx[events[p].Kernel]
-		if last[k] == p {
-			copy(t.After[k*n:(k+1)*n], after)
-		}
-		after[k]++
-	}
-	return t
+	return &tr.scheds[i]
 }
 
 // Validate checks the trace against an application.
@@ -163,6 +99,9 @@ func (tr *Trace) Validate(app *ise.Application) error {
 		blk := app.Block(it.Block)
 		if blk == nil {
 			return fmt.Errorf("trace: iteration %d references unknown block %q", i, it.Block)
+		}
+		if err := it.checkLoads(); err != nil {
+			return fmt.Errorf("trace: iteration %d (block %q) %w", i, it.Block, err)
 		}
 		for _, l := range it.Loads {
 			if blk.Kernel(l.Kernel) == nil {
@@ -190,60 +129,120 @@ func (tr *Trace) Validate(app *ise.Application) error {
 	return nil
 }
 
-// Event is one kernel execution slot in the merged single-core schedule of
-// a block iteration.
-type Event struct {
-	Kernel ise.KernelID
-	// Gap is the software time preceding this execution.
-	Gap arch.Cycles
+// maxKernels bounds the kernels one iteration may list: a schedule names
+// each execution's kernel by a one-byte index.
+const maxKernels = 256
+
+// checkLoads rejects a load list with no single-core schedule: more than
+// maxKernels entries, or a kernel listed twice.
+func (it *Iteration) checkLoads() error {
+	if len(it.Loads) > maxKernels {
+		return fmt.Errorf("lists %d kernels, more than %d", len(it.Loads), maxKernels)
+	}
+	for i, l := range it.Loads {
+		for _, m := range it.Loads[:i] {
+			if m.Kernel == l.Kernel {
+				return fmt.Errorf("lists kernel %q twice", l.Kernel)
+			}
+		}
+	}
+	return nil
+}
+
+// Schedule is the merged single-core execution schedule of one block
+// iteration. Kernel k is the iteration's k-th load with executions (E > 0),
+// and every per-kernel slice is indexed by k. Besides the execution order,
+// it summarises the schedule for replaying any suffix of it in closed
+// form: once every kernel left in the suffix runs at a fixed latency, the
+// suffix's timing follows from per-kernel counts alone.
+type Schedule struct {
+	// Kernels[k] is kernel k's ID.
+	Kernels []ise.KernelID
+	// Gap[k] is the software time preceding each execution of kernel k.
+	Gap []arch.Cycles
+	// Count[k] is the number of executions of kernel k.
+	Count []int64
+	// Order holds the kernel index of every execution, in schedule order.
+	Order []uint8
+	// After[k*K+j] is the number of executions of kernel j that follow the
+	// last execution of kernel k (K = len(Kernels)).
+	After []int64
 }
 
 // Merge interleaves the kernel loads of an iteration into the single-core
 // execution order. Executions of different kernels are merged by fractional
 // position ((j+0.5)/E), modelling the loop structure of real functional
 // blocks where kernels alternate per macroblock; ties break by kernel ID so
-// the schedule is deterministic.
-func Merge(loads []KernelLoad) []Event {
-	m := newMerger(loads)
-	events := make([]Event, 0, m.left)
-	for m.left > 0 {
-		l := &loads[m.next()]
-		events = append(events, Event{Kernel: l.Kernel, Gap: l.GapSW})
+// the schedule is deterministic. The loads must list each kernel at most
+// once and at most 256 kernels (Validate rejects other traces).
+func Merge(loads []KernelLoad) *Schedule {
+	s := kernelsOf(loads)
+	n := len(s.Kernels)
+	if n > maxKernels {
+		panic(fmt.Sprintf("trace: Merge of %d kernels, more than %d", n, maxKernels))
 	}
-	return events
+	m := newMerger(s)
+	s.Order = make([]uint8, m.left)
+	for p := range s.Order {
+		s.Order[p] = uint8(m.next())
+	}
+	// One backward pass: after[j] counts kernel j's executions behind the
+	// cursor, so where after[k] is still 0 the cursor is at k's last
+	// execution, and after is k's row.
+	s.After = make([]int64, n*n)
+	after := make([]int64, n)
+	for p := len(s.Order) - 1; p >= 0; p-- {
+		k := int(s.Order[p])
+		if after[k] == 0 {
+			copy(s.After[k*n:(k+1)*n], after)
+		}
+		after[k]++
+	}
+	return s
 }
 
-// merger walks the merged schedule of a set of loads (see Merge) one
+// kernelsOf returns the per-kernel part of the loads' schedule: the loads
+// with executions, in load order.
+func kernelsOf(loads []KernelLoad) *Schedule {
+	s := &Schedule{}
+	for _, l := range loads {
+		if l.E > 0 {
+			s.Kernels = append(s.Kernels, l.Kernel)
+			s.Gap = append(s.Gap, l.GapSW)
+			s.Count = append(s.Count, l.E)
+		}
+	}
+	return s
+}
+
+// merger walks the merged order of a schedule's kernels (see Merge) one
 // execution at a time.
 type merger struct {
-	curs []mergeCursor // loads with executions, sorted by kernel ID
+	curs []mergeCursor // one per kernel, sorted by kernel ID
 	left int64         // executions not yet walked
 }
 
 type mergeCursor struct {
-	load int     // position in the loads slice
-	e    int64   // the load's execution count
+	k    int     // kernel index in the schedule
+	e    int64   // the kernel's execution count
 	next int64   // executions walked so far
 	pos  float64 // fractional position of the next execution
 }
 
-func newMerger(loads []KernelLoad) merger {
-	m := merger{curs: make([]mergeCursor, 0, len(loads))}
-	for i, l := range loads {
-		if l.E <= 0 {
-			continue
-		}
-		m.left += l.E
-		m.curs = append(m.curs, mergeCursor{load: i, e: l.E, pos: 0.5 / float64(l.E)})
+func newMerger(s *Schedule) merger {
+	m := merger{curs: make([]mergeCursor, len(s.Count))}
+	for k, e := range s.Count {
+		m.left += e
+		m.curs[k] = mergeCursor{k: k, e: e, pos: 0.5 / float64(e)}
 	}
-	sort.Slice(m.curs, func(i, j int) bool { return loads[m.curs[i].load].Kernel < loads[m.curs[j].load].Kernel })
+	sort.Slice(m.curs, func(i, j int) bool { return s.Kernels[m.curs[i].k] < s.Kernels[m.curs[j].k] })
 	return m
 }
 
-// next returns the position in loads of the next execution's load; it
-// must be called only while m.left > 0. The earliest fractional position
-// wins, the first cursor in kernel order on a tie. An exhausted cursor's
-// position is +Inf, so it never wins while another has executions left.
+// next returns the kernel index of the next execution; it must be called
+// only while m.left > 0. The earliest fractional position wins, the first
+// cursor in kernel order on a tie. An exhausted cursor's position is +Inf,
+// so it never wins while another has executions left.
 func (m *merger) next() int {
 	best := 0
 	for i := 1; i < len(m.curs); i++ {
@@ -259,7 +258,7 @@ func (m *merger) next() int {
 		c.pos = math.Inf(1)
 	}
 	m.left--
-	return c.load
+	return c.k
 }
 
 // RISCTriggers computes the trigger tuple {K, e, tf, tb} of one iteration
@@ -272,6 +271,9 @@ func RISCTriggers(app *ise.Application, it *Iteration) ([]ise.Trigger, error) {
 	if blk == nil {
 		return nil, fmt.Errorf("trace: unknown block %q", it.Block)
 	}
+	if err := it.checkLoads(); err != nil {
+		return nil, fmt.Errorf("trace: block %q %w", it.Block, err)
+	}
 	type track struct {
 		k       *ise.Kernel
 		first   arch.Cycles
@@ -279,29 +281,19 @@ func RISCTriggers(app *ise.Application, it *Iteration) ([]ise.Trigger, error) {
 		gaps    arch.Cycles
 		n       int64
 	}
-	// tracks[owner[i]] accumulates the executions of it.Loads[i]'s kernel;
-	// a kernel listed more than once shares its first listing's track.
-	tracks := make([]track, len(it.Loads))
-	owner := make([]int, len(it.Loads))
-	for i, l := range it.Loads {
-		owner[i] = i
-		for j := 0; j < i; j++ {
-			if it.Loads[j].Kernel == l.Kernel {
-				owner[i] = owner[j]
-				break
-			}
+	s := kernelsOf(it.Loads)
+	tracks := make([]track, len(s.Kernels))
+	for k, id := range s.Kernels {
+		if tracks[k].k = blk.Kernel(id); tracks[k].k == nil {
+			return nil, fmt.Errorf("trace: unknown kernel %q in block %q", id, it.Block)
 		}
 	}
 	t := it.Prologue
-	for m := newMerger(it.Loads); m.left > 0; {
-		i := m.next()
-		l := &it.Loads[i]
-		t += l.GapSW
-		tr := &tracks[owner[i]]
+	for m := newMerger(s); m.left > 0; {
+		k := m.next()
+		t += s.Gap[k]
+		tr := &tracks[k]
 		if tr.n == 0 {
-			if tr.k = blk.Kernel(l.Kernel); tr.k == nil {
-				return nil, fmt.Errorf("trace: unknown kernel %q in block %q", l.Kernel, it.Block)
-			}
 			tr.first = t
 		} else {
 			tr.gaps += t - tr.lastEnd
@@ -310,17 +302,14 @@ func RISCTriggers(app *ise.Application, it *Iteration) ([]ise.Trigger, error) {
 		t += tr.k.RISCLatency
 		tr.lastEnd = t
 	}
-	out := make([]ise.Trigger, 0, len(it.Loads))
-	for i, l := range it.Loads {
-		tr := &tracks[owner[i]]
-		if tr.n == 0 {
-			continue
-		}
+	out := make([]ise.Trigger, len(s.Kernels))
+	for k, id := range s.Kernels {
+		tr := &tracks[k]
 		var tb arch.Cycles
 		if tr.n > 1 {
 			tb = tr.gaps / arch.Cycles(tr.n-1)
 		}
-		out = append(out, ise.Trigger{Kernel: l.Kernel, E: tr.n, TF: tr.first, TB: tb})
+		out[k] = ise.Trigger{Kernel: id, E: tr.n, TF: tr.first, TB: tb}
 	}
 	return out, nil
 }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +26,7 @@ func testApp(t *testing.T) *ise.Application {
 			}},
 		}
 	}
-	blk := &ise.FunctionalBlock{ID: "b", Kernels: []*ise.Kernel{mk("x", 100), mk("y", 200)}}
+	blk := &ise.FunctionalBlock{ID: "b", Kernels: []*ise.Kernel{mk("w", 150), mk("x", 100), mk("y", 200), mk("z", 50)}}
 	app, err := ise.NewApplication("test", blk)
 	if err != nil {
 		t.Fatal(err)
@@ -32,17 +34,32 @@ func testApp(t *testing.T) *ise.Application {
 	return app
 }
 
+// event is one execution of a merged schedule, with its kernel resolved.
+type event struct {
+	Kernel ise.KernelID
+	Gap    arch.Cycles
+}
+
+// events maps a schedule's Order to kernel IDs and gaps.
+func events(s *Schedule) []event {
+	out := make([]event, len(s.Order))
+	for p, k := range s.Order {
+		out[p] = event{Kernel: s.Kernels[k], Gap: s.Gap[k]}
+	}
+	return out
+}
+
 func TestMergeCounts(t *testing.T) {
 	loads := []KernelLoad{
 		{Kernel: "x", E: 3, GapSW: 10},
 		{Kernel: "y", E: 2, GapSW: 20},
 	}
-	events := Merge(loads)
-	if len(events) != 5 {
-		t.Fatalf("merged %d events, want 5", len(events))
+	evs := events(Merge(loads))
+	if len(evs) != 5 {
+		t.Fatalf("merged %d events, want 5", len(evs))
 	}
 	counts := map[ise.KernelID]int{}
-	for _, ev := range events {
+	for _, ev := range evs {
 		counts[ev.Kernel]++
 	}
 	if counts["x"] != 3 || counts["y"] != 2 {
@@ -56,10 +73,10 @@ func TestMergeInterleaves(t *testing.T) {
 		{Kernel: "a", E: 4, GapSW: 1},
 		{Kernel: "b", E: 4, GapSW: 1},
 	}
-	events := Merge(loads)
-	for i := 0; i < len(events); i += 2 {
-		if events[i].Kernel == events[i+1].Kernel {
-			t.Fatalf("events %d/%d not interleaved: %v", i, i+1, events)
+	evs := events(Merge(loads))
+	for i := 0; i < len(evs); i += 2 {
+		if evs[i].Kernel == evs[i+1].Kernel {
+			t.Fatalf("events %d/%d not interleaved: %v", i, i+1, evs)
 		}
 	}
 }
@@ -74,18 +91,18 @@ func TestMergeDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("Merge is not deterministic")
 	}
-	// Order of loads must not matter.
+	// Order of loads must not matter (it only renumbers the kernels).
 	rev := []KernelLoad{loads[2], loads[1], loads[0]}
 	c := Merge(rev)
-	if !reflect.DeepEqual(a, c) {
+	if !reflect.DeepEqual(events(a), events(c)) {
 		t.Error("Merge depends on load order")
 	}
 }
 
 func TestMergeSkipsZeroLoads(t *testing.T) {
-	events := Merge([]KernelLoad{{Kernel: "x", E: 0, GapSW: 1}})
-	if len(events) != 0 {
-		t.Errorf("zero-count load produced %d events", len(events))
+	s := Merge([]KernelLoad{{Kernel: "x", E: 0, GapSW: 1}})
+	if len(s.Order) != 0 || len(s.Kernels) != 0 {
+		t.Errorf("zero-count load produced %d executions of %d kernels", len(s.Order), len(s.Kernels))
 	}
 }
 
@@ -237,9 +254,9 @@ func TestIterationTotalExecutions(t *testing.T) {
 }
 
 // Property: Merge output length always equals the sum of loads, per-kernel
-// counts are preserved, and the schedule's Tail matches a brute-force count
-// over it, for random load sets drawn from a fixed seed (logged on
-// failure, so a failure replays).
+// counts are preserved, and the schedule's per-kernel summary matches a
+// brute-force count over its order, for random load sets drawn from a
+// fixed seed (logged on failure, so a failure replays).
 func TestMergePreservesCountsProperty(t *testing.T) {
 	const seed = 20112
 	f := func(e1, e2, e3 uint8) bool {
@@ -248,13 +265,14 @@ func TestMergePreservesCountsProperty(t *testing.T) {
 			{Kernel: "b", E: int64(e2 % 50), GapSW: 2},
 			{Kernel: "c", E: int64(e3 % 50), GapSW: 3},
 		}
-		events := Merge(loads)
+		s := Merge(loads)
+		evs := events(s)
 		counts := map[ise.KernelID]int64{}
-		for _, ev := range events {
+		for _, ev := range evs {
 			counts[ev.Kernel]++
 		}
-		if !reflect.DeepEqual(newTail(events), bruteTail(events)) {
-			t.Logf("loads %+v: Tail %+v, brute force %+v", loads, newTail(events), bruteTail(events))
+		if want := bruteSchedule(loads, evs); !reflect.DeepEqual(s, want) {
+			t.Logf("loads %+v: Schedule %+v, brute force %+v", loads, s, want)
 			return false
 		}
 		return counts["a"] == int64(e1%50) &&
@@ -267,45 +285,46 @@ func TestMergePreservesCountsProperty(t *testing.T) {
 	}
 }
 
-// bruteTail recomputes a Tail position by position: kernels in order of
-// first appearance, and for each kernel every later execution counted
-// from its last one.
-func bruteTail(events []Event) *Tail {
+// bruteSchedule recomputes a Schedule position by position from its
+// executions: kernels (and their gaps) are the loads with executions in
+// load order, and for each kernel every later execution is counted from
+// its last one.
+func bruteSchedule(loads []KernelLoad, evs []event) *Schedule {
 	var order []ise.KernelID
-	seen := map[ise.KernelID]bool{}
-	for _, ev := range events {
-		if !seen[ev.Kernel] {
-			seen[ev.Kernel] = true
-			order = append(order, ev.Kernel)
+	var gaps []arch.Cycles
+	for _, l := range loads {
+		if l.E > 0 {
+			order = append(order, l.Kernel)
+			gaps = append(gaps, l.GapSW)
 		}
 	}
 	n := len(order)
-	tl := &Tail{After: make([]int64, n*n)}
+	s := &Schedule{Kernels: order, Gap: gaps, Order: make([]uint8, len(evs)), After: make([]int64, n*n)}
 	for k, id := range order {
 		var count int64
 		last := -1
-		for p, ev := range events {
+		for p, ev := range evs {
 			if ev.Kernel == id {
+				s.Order[p] = uint8(k)
 				count++
 				last = p
 			}
 		}
-		tl.Count = append(tl.Count, count)
-		tl.Gap = append(tl.Gap, events[last].Gap)
-		for _, ev := range events[last+1:] {
+		s.Count = append(s.Count, count)
+		for _, ev := range evs[last+1:] {
 			for j, jd := range order {
 				if ev.Kernel == jd {
-					tl.After[k*n+j]++
+					s.After[k*n+j]++
 				}
 			}
 		}
 	}
-	return tl
+	return s
 }
 
 // rescanMerge is the reference merge: every execution rescans all loads
 // and recomputes each one's fractional position.
-func rescanMerge(loads []KernelLoad) []Event {
+func rescanMerge(loads []KernelLoad) []event {
 	type cursor struct {
 		load KernelLoad
 		next int64
@@ -319,7 +338,7 @@ func rescanMerge(loads []KernelLoad) []Event {
 		}
 	}
 	sort.Slice(curs, func(i, j int) bool { return curs[i].load.Kernel < curs[j].load.Kernel })
-	var events []Event
+	var events []event
 	for int64(len(events)) < total {
 		best := -1
 		var bestPos float64
@@ -333,7 +352,7 @@ func rescanMerge(loads []KernelLoad) []Event {
 			}
 		}
 		c := &curs[best]
-		events = append(events, Event{Kernel: c.load.Kernel, Gap: c.load.GapSW})
+		events = append(events, event{Kernel: c.load.Kernel, Gap: c.load.GapSW})
 		c.next++
 	}
 	return events
@@ -376,22 +395,23 @@ func mapRISCTriggers(app *ise.Application, it *Iteration) []ise.Trigger {
 }
 
 // TestMergeMatchesRescan checks Merge and RISCTriggers against the
-// reference implementations on random loads, including zero counts and a
-// kernel listed twice with different gaps.
+// reference implementations on random loads of distinct kernels, including
+// zero counts.
 func TestMergeMatchesRescan(t *testing.T) {
 	app := testApp(t)
+	ids := []ise.KernelID{"w", "x", "y", "z"}
 	const seed = 31337
 	rng := rand.New(rand.NewSource(seed))
 	for n := 0; n < 300; n++ {
 		var loads []KernelLoad
-		for i := rng.Intn(4); i >= 0; i-- {
+		for _, i := range rng.Perm(len(ids))[:1+rng.Intn(len(ids))] {
 			loads = append(loads, KernelLoad{
-				Kernel: ise.KernelID([]string{"x", "y"}[rng.Intn(2)]),
+				Kernel: ids[i],
 				E:      int64(rng.Intn(40)) - 3,
 				GapSW:  arch.Cycles(rng.Intn(20)),
 			})
 		}
-		if got, want := Merge(loads), rescanMerge(loads); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+		if got, want := events(Merge(loads)), rescanMerge(loads); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d, loads %+v: Merge %v, reference %v", seed, loads, got, want)
 		}
 		it := &Iteration{Block: "b", Prologue: arch.Cycles(rng.Intn(100)), Loads: loads}
@@ -405,10 +425,49 @@ func TestMergeMatchesRescan(t *testing.T) {
 	}
 }
 
-func TestTailRejectsMixedGaps(t *testing.T) {
-	events := Merge([]KernelLoad{{Kernel: "a", E: 2, GapSW: 1}, {Kernel: "a", E: 2, GapSW: 5}})
-	if tl := newTail(events); tl != nil {
-		t.Errorf("Tail of a kernel with two gaps = %+v, want nil (no closed form)", tl)
+// TestValidateRejectsUnschedulableLoads checks that a kernel listed twice
+// and an iteration of more than maxKernels kernels are invalid input, while
+// maxKernels kernels still merge into one-byte indices.
+func TestValidateRejectsUnschedulableLoads(t *testing.T) {
+	app := testApp(t)
+	dup := &Trace{Iterations: []Iteration{{Block: "b", Loads: []KernelLoad{
+		{Kernel: "x", E: 2, GapSW: 1}, {Kernel: "y", E: 1}, {Kernel: "x", E: 2, GapSW: 5},
+	}}}}
+	if err := dup.Validate(app); err == nil || !strings.Contains(err.Error(), `"x" twice`) {
+		t.Errorf("duplicate kernel: Validate = %v, want a duplicate error", err)
+	}
+	if _, err := RISCTriggers(app, &dup.Iterations[0]); err == nil {
+		t.Error("RISCTriggers accepted a duplicate kernel")
+	}
+
+	var kernels []*ise.Kernel
+	var loads []KernelLoad
+	for i := range maxKernels + 1 {
+		id := ise.KernelID(fmt.Sprintf("k%d", i))
+		kernels = append(kernels, &ise.Kernel{ID: id, RISCLatency: 10})
+		loads = append(loads, KernelLoad{Kernel: id, E: 1, GapSW: 1})
+	}
+	big, err := ise.NewApplication("big", &ise.FunctionalBlock{ID: "b", Kernels: kernels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trace{Iterations: []Iteration{{Block: "b", Loads: loads}}}
+	if err := tr.Validate(big); err == nil || !strings.Contains(err.Error(), "257 kernels") {
+		t.Errorf("%d kernels: Validate = %v, want a kernel-count error", len(loads), err)
+	}
+	tr = &Trace{Iterations: []Iteration{{Block: "b", Loads: loads[:maxKernels]}}}
+	if err := tr.Validate(big); err != nil {
+		t.Fatalf("%d kernels rejected: %v", maxKernels, err)
+	}
+	s := tr.MergedLoads(0)
+	seen := make([]bool, maxKernels)
+	for _, k := range s.Order {
+		seen[k] = true
+	}
+	for k, ok := range seen {
+		if !ok || s.Count[k] != 1 {
+			t.Fatalf("kernel %d: seen %v, count %d in a %d-kernel schedule", k, ok, s.Count[k], maxKernels)
+		}
 	}
 }
 
