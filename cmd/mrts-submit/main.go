@@ -44,7 +44,7 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", "http://localhost:8341", "mrts-serve base URL, or a comma list of cluster member URLs (failover)")
+		addr    = flag.String("addr", "http://localhost:8341", "mrts-serve base URL, or a comma list of cluster member URLs; calls fail over between members and retry transient errors")
 		fig     = flag.String("fig", "", "figure to regenerate: "+strings.Join(exp.FigNames, "|")+"|all (empty = single simulation)")
 		prc     = flag.Int("prc", 2, "number of PRCs (single simulation)")
 		cgN     = flag.Int("cg", 1, "number of CG-EDPEs (single simulation)")
@@ -159,36 +159,21 @@ func main() {
 	}
 }
 
-// jobClient is the slice of the client API mrts-submit uses; both the
-// single-daemon client.Client and the failover client.Cluster satisfy
-// it, so -addr can name one daemon or a comma list of cluster members.
-type jobClient interface {
-	Submit(ctx context.Context, spec api.JobSpec) (string, error)
-	Wait(ctx context.Context, id string, interval time.Duration) (*api.JobStatus, error)
-	Cancel(ctx context.Context, id string) (*api.JobStatus, error)
-	Sweep(ctx context.Context, req api.SweepRequest, onEvent func(api.SweepEvent)) (*api.SweepEvent, error)
-	Metrics(ctx context.Context) (string, error)
-}
-
-// newClient builds a plain client for one address or a failover client
-// for a comma list of cluster member addresses. A positive hedge makes
-// cluster submissions race the next member instead of waiting out a
-// timeout on the preferred one (same Idempotency-Key, so at most one
-// job is created however many attempts land).
-func newClient(addr string, retries int, hedge time.Duration) jobClient {
+// newClient builds the client for one daemon address or a comma list
+// of cluster member addresses (a single address is a one-member
+// cluster). A positive hedge makes cluster submissions race the next
+// member instead of waiting out a timeout on the preferred one (same
+// Idempotency-Key, so at most one job is created however many attempts
+// land).
+func newClient(addr string, retries int, hedge time.Duration) *client.Client {
 	addrs := strings.Split(addr, ",")
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
-	if len(addrs) == 1 {
-		c := client.New(addrs[0])
-		c.Retry = client.RetryPolicy{MaxAttempts: retries}
-		return c
-	}
-	cc := client.NewCluster(addrs)
-	cc.Retry = client.RetryPolicy{MaxAttempts: retries}
-	cc.Hedge = hedge
-	return cc
+	c := client.NewCluster(addrs)
+	c.Retry = client.RetryPolicy{MaxAttempts: retries}
+	c.Hedge = hedge
+	return c
 }
 
 func figSpec(name string, wl api.WorkloadSpec, faults *api.FaultSpec, maxPRC, maxCG int) api.JobSpec {
@@ -197,7 +182,7 @@ func figSpec(name string, wl api.WorkloadSpec, faults *api.FaultSpec, maxPRC, ma
 
 // runJob submits and (unless nowait) waits; a nil return means the ID was
 // printed and the caller should stop.
-func runJob(ctx context.Context, c jobClient, spec api.JobSpec, poll time.Duration, nowait bool) *api.JobStatus {
+func runJob(ctx context.Context, c *client.Client, spec api.JobSpec, poll time.Duration, nowait bool) *api.JobStatus {
 	id, err := c.Submit(ctx, spec)
 	fatalIf(err)
 	if nowait {
@@ -217,7 +202,7 @@ func runJob(ctx context.Context, c jobClient, spec api.JobSpec, poll time.Durati
 // streamSweep runs the mRTS policy over the full fabric sweep through the
 // streaming endpoint, printing each point as it completes. A fault
 // scenario, when given, applies to every point.
-func streamSweep(ctx context.Context, c jobClient, wl api.WorkloadSpec, faults *api.FaultSpec, maxPRC, maxCG int) {
+func streamSweep(ctx context.Context, c *client.Client, wl api.WorkloadSpec, faults *api.FaultSpec, maxPRC, maxCG int) {
 	var points []api.Point
 	for p := 0; p <= maxPRC; p++ {
 		for cg := 0; cg <= maxCG; cg++ {

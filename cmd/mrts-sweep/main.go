@@ -14,13 +14,16 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -48,7 +51,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "sweep worker-pool size (default GOMAXPROCS)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
-		traceOut   = flag.String("trace", "", "write the decision traces of every point (JSONL, one run label per point) to this file; render with mrts-timeline (bypasses the batch engine: every point must actually run to be traced)")
+		traceOut   = flag.String("trace", "", "write the decision traces of every point (JSONL, one run label per point, runs sorted by label) to this file; render with mrts-timeline (bypasses the batch engine: every point must actually run to be traced)")
 	)
 	flag.Parse()
 
@@ -113,13 +116,16 @@ func main() {
 	in.Workload = func(context.Context) (*workload.Result, *selector.Memo, error) {
 		return w, eng.Memo(), nil
 	}
+	var traces *traceRuns
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		in.Eval = tracedEvaluator(w, f)
+		if traces, err = newTraceRuns(w, f); err != nil {
+			fatal(err)
+		}
+		in.Eval = traces.eval
 	}
 
 	start := time.Now()
@@ -127,6 +133,11 @@ func main() {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
+	if traces != nil {
+		if err := traces.flush(); err != nil {
+			fatal(err)
+		}
+	}
 	poolSize := *workers
 	if poolSize <= 0 {
 		poolSize = runtime.GOMAXPROCS(0)
@@ -143,27 +154,81 @@ func main() {
 		st.PointHits, st.SeedHits, st.SeedHits+st.SeedMisses)
 }
 
-// tracedEvaluator simulates every point on w with a decision-trace
-// recorder labelled by exp.Point.Label and appends the completed trace to
-// out. Points run concurrently (ParMap), so each gets its own in-memory
-// recorder; whole traces are appended under the mutex, keeping every
-// run's lines contiguous and monotonic.
-func tracedEvaluator(w *workload.Result, out io.Writer) exp.PointEvaluator {
-	var mu sync.Mutex
-	return func(ctx context.Context, pt exp.Point) (*sim.Report, error) {
-		rec := obs.New()
-		rec.SetRun(pt.Label())
-		rep, err := exp.RunPointObserved(ctx, w, pt, rec)
-		if err != nil {
+// traceRuns records the decision trace of every point evaluated on w,
+// each run labelled by exp.Point.Label. Points run concurrently (ParMap),
+// so each gets its own in-memory recorder, and whole traces are appended
+// to an unlinked spill file under the mutex as they complete. flush then
+// copies the runs to the trace file in a fixed order, so the file does
+// not depend on the worker count or on completion order, and memory
+// holds no more than the runs in flight.
+type traceRuns struct {
+	w          *workload.Result
+	out, spill *os.File
+
+	mu   sync.Mutex
+	end  int64
+	runs []traceRun
+}
+
+// traceRun locates one run in the spill file. key is the run label, then
+// the full point: equal keys are equal points, whose traces are equal.
+type traceRun struct {
+	key    string
+	off, n int64
+}
+
+// newTraceRuns records into a spill file next to out.
+func newTraceRuns(w *workload.Result, out *os.File) (*traceRuns, error) {
+	spill, err := os.CreateTemp(filepath.Dir(out.Name()), ".mrts-sweep-trace-*")
+	if err != nil {
+		// out may be a device or a pipe, whose directory takes no files.
+		if spill, err = os.CreateTemp("", "mrts-sweep-trace-*"); err != nil {
 			return nil, err
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err := rec.WriteJSONL(out); err != nil {
-			return nil, err
-		}
-		return rep, nil
 	}
+	// The open descriptor keeps the data readable; no exit path leaves
+	// the spill file behind.
+	_ = os.Remove(spill.Name())
+	return &traceRuns{w: w, out: out, spill: spill}, nil
+}
+
+func (t *traceRuns) eval(ctx context.Context, pt exp.Point) (*sim.Report, error) {
+	rec := obs.New()
+	rec.SetRun(pt.Label())
+	rep, err := exp.RunPointObserved(ctx, t.w, pt, rec)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	bw := bufio.NewWriterSize(t.spill, 64<<10)
+	if err := rec.WriteJSONL(bw); err != nil {
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	end, err := t.spill.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil, err
+	}
+	t.runs = append(t.runs, traceRun{key: pt.Label() + "\x00" + fmt.Sprintf("%+v", pt), off: t.end, n: end - t.end})
+	t.end = end
+	return rep, nil
+}
+
+// flush writes every recorded run to the trace file, ordered by key, and
+// closes both files.
+func (t *traceRuns) flush() error {
+	defer t.spill.Close()
+	sort.Slice(t.runs, func(i, j int) bool { return t.runs[i].key < t.runs[j].key })
+	for _, r := range t.runs {
+		if _, err := io.Copy(t.out, io.NewSectionReader(t.spill, r.off, r.n)); err != nil {
+			t.out.Close()
+			return err
+		}
+	}
+	return t.out.Close()
 }
 
 func fatal(err error) {

@@ -403,6 +403,52 @@ func TestSubmitRoutesToRingOwner(t *testing.T) {
 	}
 }
 
+// TestCancelThroughNonOwner: a cancel sent to a member that does not hold
+// the job fans out to the holder's strictly-local cancel endpoint, which
+// the holder serves with its wrapped server's own handler.
+func TestCancelThroughNonOwner(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	blockingExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+		select {
+		case <-release:
+			return fakeExec(ctx, spec)
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+	}
+	tc := startCluster(t, []string{"a", "b", "c"},
+		func(id string) service.Options {
+			return service.Options{Workers: 1, ExecOverride: blockingExec}
+		}, nil)
+
+	spec := specOwnedBy(t, tc.nodes["a"], "c", 1)
+	ctx := context.Background()
+	id, err := client.New(tc.urls["c"]).Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("submit at owner: %v", err)
+	}
+	st, err := client.New(tc.urls["a"]).Cancel(ctx, id)
+	if err != nil {
+		t.Fatalf("cancel through non-owner a: %v", err)
+	}
+	if st.ID != id {
+		t.Errorf("cancel answered for job %q, want %q", st.ID, id)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	final, err := client.New(tc.urls["b"]).Wait(wctx, id, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait through b: %v", err)
+	}
+	if final.State != api.StateCancelled {
+		t.Errorf("job state after cancel = %s, want cancelled", final.State)
+	}
+	if tc.localHas("a", id) || tc.localHas("b", id) {
+		t.Error("a non-owner holds the job after a proxied cancel")
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Work stealing: an idle node drains a hot member's queue, losing nothing
 // ---------------------------------------------------------------------------

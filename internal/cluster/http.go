@@ -3,15 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
-	"net"
 	"net/http"
 	"sort"
-	"strconv"
-	"time"
 
 	"mrts/internal/service"
 	"mrts/internal/service/api"
@@ -90,26 +85,29 @@ const NodeHeader = "X-Mrts-Node"
 
 // Handler returns the node's HTTP surface: the public /v1 API with
 // cluster routing layered on top (submissions redirect to the owning
-// node, lookups fan out across members), the internal /cluster/v1
-// endpoints peers use for replication, stealing and strictly-local
-// lookups, and the wrapped server's remaining endpoints (/v1/sweep,
-// /healthz, /readyz, /metrics) untouched.
+// node, lookups and cancels fan out across members), the internal
+// /cluster/v1 endpoints peers use for replication, stealing and
+// strictly-local job access — the wrapped server's own /v1 job handlers,
+// which never fan out — and the wrapped server's remaining endpoints
+// (/v1/sweep, /healthz, /readyz, /metrics) untouched.
 func (n *Node) Handler() http.Handler {
 	base := n.srv.Handler()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", n.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", n.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", n.handleGet)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", n.handleCancel)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", n.handleCancel)
+	mux.HandleFunc("GET /v1/jobs/{id}", n.routeJob(n.srv.HandleGet, http.MethodGet, ""))
+	cancel := n.routeJob(n.srv.HandleCancel, http.MethodPost, "/cancel")
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", cancel)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", cancel)
 
 	mux.HandleFunc("POST /cluster/v1/replicate", n.handleReplicate)
 	mux.HandleFunc("POST /cluster/v1/steal", n.handleSteal)
 	mux.HandleFunc("POST /cluster/v1/steal-ack", n.handleStealAck)
 	mux.HandleFunc("POST /cluster/v1/resync", n.handleResync)
 	mux.HandleFunc("GET /cluster/v1/stats", n.handleStats)
-	mux.HandleFunc("GET /cluster/v1/jobs", n.handleLocalList)
-	mux.HandleFunc("GET /cluster/v1/jobs/{id}", n.handleLocalGet)
+	mux.HandleFunc("GET /cluster/v1/jobs", n.srv.HandleList)
+	mux.HandleFunc("GET /cluster/v1/jobs/{id}", n.srv.HandleGet)
+	mux.HandleFunc("POST /cluster/v1/jobs/{id}/cancel", n.srv.HandleCancel)
 
 	// /metrics reads through the node so the fault engine's counters are
 	// synced into the registry right before the page renders.
@@ -122,18 +120,6 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // handleSubmit routes a submission: the spec's fingerprint picks the
 // owning member; a non-owner answers 307 with the owner's submit URL
 // (clients re-POST there — Go's http.Client does it automatically), the
@@ -142,7 +128,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec api.JobSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
 	owner := n.ring.Owner(Fingerprint(spec), n.mem.Alive)
@@ -155,107 +141,43 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Admission control runs at the owner only, so a redirect hop does
 	// not double-charge the client's rate budget.
-	if !n.admitClient(w, r) {
+	if !n.srv.AdmitClient(w, r) {
 		return
 	}
 	job, deduped, err := n.admitOwned("", r.Header.Get("Idempotency-Key"), spec)
-	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case errors.Is(err, service.ErrDraining):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	st := n.srv.Status(job, false)
-	if deduped {
-		w.Header().Set("Idempotent-Replayed", "true")
-	}
-	w.Header().Set(NodeHeader, n.cfg.Self)
-	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: job.ID, State: st.State})
-}
-
-// admitClient mirrors the single-node rate limit gate: keyed by
-// X-Client-ID, else remote IP.
-func (n *Node) admitClient(w http.ResponseWriter, r *http.Request) bool {
-	key := r.Header.Get("X-Client-ID")
-	if key == "" {
-		key = r.RemoteAddr
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			key = host
-		}
-	}
-	ok, wait := n.srv.Router().Admit(key, time.Now())
-	if ok {
-		return true
-	}
-	n.srv.Metrics().Counter("mrts_rate_limited_total").Inc()
-	secs := int(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, "rate limited, retry in %ds", secs)
-	return false
-}
-
-// handleGet serves a job status from wherever the job lives: locally
-// first, then by fanning out to every alive peer's strictly-local
-// endpoint (which cannot recurse back here), so a client can poll any
-// member — including after the original owner died and a follower
-// adopted the job.
-func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if job, ok := n.srv.Job(id); ok {
+	if err == nil {
 		w.Header().Set(NodeHeader, n.cfg.Self)
-		writeJSON(w, http.StatusOK, n.srv.Status(job, true))
-		return
 	}
-	if body, peer, ok := n.peerFetch(r, "/cluster/v1/jobs/"+id); ok {
-		n.proxiedLookups.Inc()
-		w.Header().Set(NodeHeader, peer)
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-		return
-	}
-	writeError(w, http.StatusNotFound, "unknown job %q", id)
+	n.srv.WriteSubmit(w, job, deduped, err)
 }
 
-// handleCancel cancels a job wherever it lives, with the same local →
-// fan-out order as handleGet.
-func (n *Node) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if job, ok := n.srv.Cancel(id); ok {
-		w.Header().Set(NodeHeader, n.cfg.Self)
-		writeJSON(w, http.StatusOK, n.srv.Status(job, true))
-		return
-	}
-	for peer, addr := range n.alivePeers() {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-			addr+"/cluster/v1/jobs/"+id+"/cancel", nil)
-		if err != nil {
-			continue
+// routeJob serves a per-job request (status or cancel) from wherever the
+// job lives: locally through the wrapped server's handler, else from the
+// first alive peer whose strictly-local /cluster/v1/jobs/{id}+suffix
+// endpoint (which cannot recurse back here) holds it. So a client can
+// reach a job through any member — including after the original owner
+// died and a follower adopted the job.
+func (n *Node) routeJob(local http.HandlerFunc, method, suffix string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if _, ok := n.srv.Job(id); ok {
+			w.Header().Set(NodeHeader, n.cfg.Self)
+			local(w, r)
+			return
 		}
-		resp, err := n.cfg.HTTPClient.Do(req)
-		if err != nil {
-			continue
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK && rerr == nil {
+		found := false
+		n.fanOut(r, method, "/cluster/v1/jobs/"+id+suffix, func(peer string, body []byte) bool {
 			n.proxiedLookups.Inc()
 			w.Header().Set(NodeHeader, peer)
 			w.Header().Set("Content-Type", "application/json")
 			_, _ = w.Write(body)
-			return
+			found = true
+			return false
+		})
+		if !found {
+			service.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		}
 	}
-	writeError(w, http.StatusNotFound, "unknown job %q", id)
 }
 
 // handleList merges the job tables of every alive member, deduped by
@@ -265,32 +187,22 @@ func (n *Node) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleList(w http.ResponseWriter, r *http.Request) {
 	seen := make(map[string]bool)
 	var out []api.JobStatus
-	for _, st := range n.srv.Jobs() {
-		seen[st.ID] = true
-		out = append(out, st)
-	}
-	for _, addr := range n.alivePeers() {
-		var peerJobs []api.JobStatus
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, addr+"/cluster/v1/jobs", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := n.cfg.HTTPClient.Do(req)
-		if err != nil {
-			continue
-		}
-		err = json.NewDecoder(resp.Body).Decode(&peerJobs)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		for _, st := range peerJobs {
+	add := func(jobs []api.JobStatus) {
+		for _, st := range jobs {
 			if !seen[st.ID] {
 				seen[st.ID] = true
 				out = append(out, st)
 			}
 		}
 	}
+	add(n.srv.Jobs())
+	n.fanOut(r, http.MethodGet, "/cluster/v1/jobs", func(_ string, body []byte) bool {
+		var peerJobs []api.JobStatus
+		if json.Unmarshal(body, &peerJobs) == nil {
+			add(peerJobs)
+		}
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Created != out[j].Created {
 			return out[i].Created < out[j].Created
@@ -300,32 +212,17 @@ func (n *Node) handleList(w http.ResponseWriter, r *http.Request) {
 	if out == nil {
 		out = []api.JobStatus{}
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleLocalGet is the strictly-local status lookup peers fan out to.
-func (n *Node) handleLocalGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := n.srv.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, n.srv.Status(job, true))
-}
-
-// handleLocalList is the strictly-local job list peers merge.
-func (n *Node) handleLocalList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.srv.Jobs())
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req replicateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid replicate request: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "invalid replicate request: %v", err)
 		return
 	}
 	if req.From == "" {
-		writeError(w, http.StatusBadRequest, "replicate request needs a from member")
+		service.WriteError(w, http.StatusBadRequest, "replicate request needs a from member")
 		return
 	}
 	seq, crc, err := n.storeReplica(req.From, req.Seq, req.Reset, req.Records)
@@ -336,7 +233,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	// The explicit ack: the owner verifies seq and chain CRC against its
 	// expectation and resyncs on any mismatch.
-	writeJSON(w, http.StatusOK, replicateResponse{Seq: seq, CRC: crc})
+	service.WriteJSON(w, http.StatusOK, replicateResponse{Seq: seq, CRC: crc})
 }
 
 func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
@@ -348,19 +245,19 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := n.srv.Status(job, false)
-	writeJSON(w, http.StatusOK, stealResponse{ID: job.ID, IdemKey: job.IdemKey, Spec: st.Spec, Fence: fence})
+	service.WriteJSON(w, http.StatusOK, stealResponse{ID: job.ID, IdemKey: job.IdemKey, Spec: st.Spec, Fence: fence})
 }
 
 func (n *Node) handleStealAck(w http.ResponseWriter, r *http.Request) {
 	var req ackRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid ack: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "invalid ack: %v", err)
 		return
 	}
 	if !n.ackSteal(req.ID, req.Fence) {
 		// Expired, unknown, or fence-rejected: the grant this ack names
 		// is not outstanding; whatever copy exists here settles itself.
-		writeError(w, http.StatusConflict, "steal of %q expired or fenced off", req.ID)
+		service.WriteError(w, http.StatusConflict, "steal of %q expired or fenced off", req.ID)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -372,7 +269,7 @@ func (n *Node) handleStealAck(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleResync(w http.ResponseWriter, r *http.Request) {
 	var req resyncRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid resync request: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "invalid resync request: %v", err)
 		return
 	}
 	resolved := 0
@@ -381,11 +278,11 @@ func (n *Node) handleResync(w http.ResponseWriter, r *http.Request) {
 			resolved++
 		}
 	}
-	writeJSON(w, http.StatusOK, resyncResponse{Resolved: resolved})
+	service.WriteJSON(w, http.StatusOK, resyncResponse{Resolved: resolved})
 }
 
 func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statsResponse{
+	service.WriteJSON(w, http.StatusOK, statsResponse{
 		Node:  n.cfg.Self,
 		Queue: n.srv.QueueLen(),
 		Ready: n.srv.Ready(),
@@ -403,11 +300,13 @@ func (n *Node) alivePeers() map[string]string {
 	return out
 }
 
-// peerFetch GETs path from each alive peer in turn and returns the
-// first 200 body.
-func (n *Node) peerFetch(r *http.Request, path string) (body []byte, peer string, ok bool) {
+// fanOut sends an empty-bodied method request for path to every alive
+// peer in turn and hands each 200 answer's body to each, stopping early
+// once each returns false. Unreachable peers and non-200 answers are
+// skipped.
+func (n *Node) fanOut(r *http.Request, method, path string, each func(peer string, body []byte) bool) {
 	for id, addr := range n.alivePeers() {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, addr+path, nil)
+		req, err := http.NewRequestWithContext(r.Context(), method, addr+path, nil)
 		if err != nil {
 			continue
 		}
@@ -417,11 +316,10 @@ func (n *Node) peerFetch(r *http.Request, path string) (body []byte, peer string
 		}
 		b, rerr := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK && rerr == nil {
-			return b, id, true
+		if resp.StatusCode == http.StatusOK && rerr == nil && !each(id, b) {
+			return
 		}
 	}
-	return nil, "", false
 }
 
 // postJSON posts in (nil = empty body) to url and decodes a 200

@@ -1,6 +1,6 @@
 // Package client is the Go client of the mrts-serve HTTP API, used by
 // cmd/mrts-submit and by programs that want to run sweeps against a
-// shared daemon instead of simulating in-process.
+// shared daemon, or a cluster of them, instead of simulating in-process.
 package client
 
 import (
@@ -84,17 +84,12 @@ func (r RetryPolicy) nextDelay(attempt int, lastErr error, j *jitter) time.Durat
 // replaces handed every client in the process the same backoff schedule
 // (and one contended lock): clients retrying against the same recovering
 // daemon would sleep in lockstep and arrive together. The seed is drawn
-// lazily on first use so idle clients cost no entropy.
+// lazily on first use so idle clients cost no entropy, and the zero value
+// is ready to use.
 type jitter struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 }
-
-func newJitter() *jitter { return &jitter{} }
-
-// fallbackJitter serves zero-literal clients built without New; they all
-// share one stream, which is still properly seeded and race-free.
-var fallbackJitter = newJitter()
 
 func (j *jitter) int63n(n int64) int64 {
 	j.mu.Lock()
@@ -153,44 +148,73 @@ func (e *StatusError) Temporary() bool {
 		e.Code == http.StatusTooManyRequests
 }
 
-// Client talks to one mrts-serve daemon.
+// Client talks to one mrts-serve daemon or to a sharded cluster of them.
+// It holds the member base URLs and routes every call to a preferred
+// member, rotating to the next on transport failures and gateway-class
+// responses; a single daemon is the one-member case, where the rotation
+// is a plain retry loop. Submission redirects (a non-owner answers 307
+// with the owner's URL) are followed transparently by net/http — request
+// bodies built from bytes are replayable — so the client only has to
+// survive members that are down, not members that merely don't own the
+// key.
+//
+// The preferred member is sticky: after a successful call the member
+// that answered stays preferred, so a healthy cluster sees each client
+// pinned to one entry point instead of spraying connections.
 type Client struct {
-	// BaseURL is the daemon's root, e.g. "http://localhost:8341".
-	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Retry bounds the transient-failure retry loop of every JSON call
-	// (not the streaming Sweep, which cannot resume mid-stream). The
-	// zero value performs no retries.
+	// Retry bounds the per-call attempt loop. MaxAttempts counts total
+	// tries across members; it is raised to the member count so every
+	// member gets at least one try. BaseDelay/MaxDelay shape the sleep
+	// inserted after a full rotation of failures (every member down or
+	// overloaded), honouring server Retry-After hints. The zero value
+	// tries each member once.
 	Retry RetryPolicy
+	// Hedge, when positive, makes Submit race members instead of trying
+	// them strictly in sequence: if the preferred member has not answered
+	// within Hedge, the submission is also sent to the next member, and
+	// so on until one answers. All racing attempts share one
+	// Idempotency-Key, so however many land — on however many entry
+	// points, each redirecting to the same owner — at most one job is
+	// created. This keeps tail latency bounded when the preferred member
+	// sits on the wrong side of a partition: the client does not have to
+	// burn a full timeout before failing over. Zero disables hedging
+	// (strictly sequential failover, the default); it has no effect on a
+	// one-member client.
+	Hedge time.Duration
 
-	// jitter is the client's private backoff jitter stream. A pointer so
-	// the shallow copies the cluster client makes share one stream.
-	jitter *jitter
+	addrs []string
+	// jitter is the client's private backoff jitter stream; rotations
+	// across members draw from one source.
+	jitter jitter
+
+	mu  sync.Mutex
+	cur int
 }
 
-// New creates a client for the daemon at baseURL.
-func New(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), jitter: newJitter()}
-}
+// New creates a client for the daemon at baseURL, e.g.
+// "http://localhost:8341": the one-member NewCluster.
+func New(baseURL string) *Client { return NewCluster([]string{baseURL}) }
 
-func (c *Client) jitterSrc() *jitter {
-	if c.jitter != nil {
-		return c.jitter
+// NewCluster creates a failover client over the member base URLs.
+func NewCluster(addrs []string) *Client {
+	c := &Client{}
+	for _, a := range addrs {
+		c.addrs = append(c.addrs, strings.TrimRight(a, "/"))
 	}
-	return fallbackJitter
+	return c
 }
+
+// Addrs returns the configured member base URLs.
+func (c *Client) Addrs() []string { return append([]string(nil), c.addrs...) }
+
+func (c *Client) jitterSrc() *jitter { return &c.jitter }
 
 // SeedRetryJitter pins the client's backoff jitter to a fixed seed, making
 // retry delays reproducible. Intended for tests and simulations; production
-// clients keep the default entropy-seeded stream. Not safe to call
-// concurrently with in-flight requests.
-func (c *Client) SeedRetryJitter(seed int64) {
-	if c.jitter == nil {
-		c.jitter = newJitter()
-	}
-	c.jitter.reseed(seed)
-}
+// clients keep the default entropy-seeded stream.
+func (c *Client) SeedRetryJitter(seed int64) { c.jitter.reseed(seed) }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
@@ -199,30 +223,88 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// pick returns the preferred member index.
+func (c *Client) pick() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cur
+}
+
+// pin records the member that last answered successfully.
+func (c *Client) pin(i int) {
+	c.mu.Lock()
+	c.cur = i
+	c.mu.Unlock()
+}
+
+// brokenStream marks a sweep stream that failed after delivering events.
+// Events are not replayable, so the call loop returns it to the caller
+// instead of re-running the sweep.
+type brokenStream struct{ error }
+
+func (e brokenStream) Unwrap() error { return e.error }
+
 // retryable reports whether the error is transient: a transport-level
 // failure (connection refused/reset, daemon restarting) or a
-// gateway-class response. Definitive daemon answers are not retried.
+// gateway-class response. Definitive daemon answers and broken streams
+// are not retried.
 func retryable(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {
 		return se.Temporary()
+	}
+	if errors.As(err, new(brokenStream)) {
+		return false
 	}
 	// Everything else from Do is transport-level: the request may not
 	// have produced a definitive answer.
 	return true
 }
 
-// do performs one JSON round trip, retrying transient failures under the
-// client's RetryPolicy. The attempt loop is bounded by MaxAttempts and by
-// the context: both the sleep and the request honour ctx cancellation.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.doHdr(ctx, method, path, nil, in, out)
+// call runs one attempt body against members starting at the preferred
+// one, advancing on retryable failures. After each full rotation of
+// failures it sleeps (Retry-After hint or exponential backoff) before
+// going around again, until the attempt budget or ctx runs out; with one
+// member that is a sleep between every two attempts. Definitive answers
+// — 2xx, 4xx — end the loop immediately; both the sleep and the request
+// honour ctx cancellation.
+func (c *Client) call(ctx context.Context, attempt func(base string) error) error {
+	n := len(c.addrs)
+	if n == 0 {
+		return &StatusError{Code: http.StatusBadGateway, Message: "client has no members", RetryAfter: -1}
+	}
+	attempts := c.Retry.MaxAttempts
+	if attempts < n {
+		attempts = n
+	}
+	start := c.pick()
+	var lastErr error
+	for i := 0; i < attempts; i++ {
+		idx := (start + i) % n
+		lastErr = attempt(c.addrs[idx])
+		if lastErr == nil {
+			c.pin(idx)
+			return nil
+		}
+		if !retryable(lastErr) || ctx.Err() != nil {
+			return lastErr
+		}
+		if (i+1)%n == 0 && i+1 < attempts {
+			// Every member failed this round: back off before the next
+			// rotation instead of hammering a struggling cluster.
+			select {
+			case <-ctx.Done():
+				return lastErr
+			case <-time.After(c.Retry.nextDelay((i+1)/n, lastErr, c.jitterSrc())):
+			}
+		}
+	}
+	return lastErr
 }
 
-// doHdr is do with extra request headers, applied to every attempt. Retried
-// POSTs must carry the same Idempotency-Key on each attempt, which is why
-// the headers are fixed here rather than per attempt.
-func (c *Client) doHdr(ctx context.Context, method, path string, hdr http.Header, in, out any) error {
+// do performs one JSON call under the attempt loop. The headers are fixed
+// for every attempt: retried POSTs must carry the same Idempotency-Key.
+func (c *Client) do(ctx context.Context, method, path string, hdr http.Header, in, out any) error {
 	var payload []byte
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -231,25 +313,59 @@ func (c *Client) doHdr(ctx context.Context, method, path string, hdr http.Header
 		}
 		payload = b
 	}
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	return c.call(ctx, func(base string) error {
+		return c.doOnce(ctx, base, method, path, hdr, payload, out)
+	})
+}
+
+// doOnce is one JSON round trip against the member at base.
+func (c *Client) doOnce(ctx context.Context, base, method, path string, hdr http.Header, payload []byte, out any) error {
+	resp, err := c.send(ctx, base, method, path, hdr, payload)
+	if err != nil {
+		return err
 	}
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		lastErr = c.doOnce(ctx, method, path, hdr, payload, out)
-		if lastErr == nil {
-			return nil
-		}
-		if attempt >= attempts || !retryable(lastErr) || ctx.Err() != nil {
-			return lastErr
-		}
-		select {
-		case <-ctx.Done():
-			return lastErr
-		case <-time.After(c.Retry.nextDelay(attempt, lastErr, c.jitterSrc())):
+	defer resp.Body.Close()
+	if out != nil {
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	return nil
+}
+
+// send performs one request against the member at base and returns the
+// response of a 2xx answer, whose body the caller closes. Every other
+// answer comes back as a *StatusError.
+func (c *Client) send(ctx context.Context, base, method, path string, hdr http.Header, payload []byte) (*http.Response, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	for k, vs := range hdr {
+		for _, v := range vs {
+			req.Header.Add(k, v)
 		}
 	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		return nil, &StatusError{
+			Method:     method,
+			Path:       path,
+			Code:       resp.StatusCode,
+			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+			Message:    errorMessage(resp.Body),
+		}
+	}
+	return resp, nil
 }
 
 // parseRetryAfter parses a Retry-After header in either RFC 7231 form:
@@ -284,44 +400,6 @@ func parseRetryAfterAt(v string, now time.Time) time.Duration {
 	return -1
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, hdr http.Header, payload []byte, out any) error {
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
-	if err != nil {
-		return err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		se := &StatusError{
-			Method:     method,
-			Path:       path,
-			Code:       resp.StatusCode,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-			Message:    errorMessage(resp.Body),
-		}
-		return se
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
-}
-
 // errorMessage extracts the human-readable message of a non-2xx body:
 // the api.ErrorResponse JSON the daemon sends, or — when a proxy or a
 // non-JSON handler produced the response — the trimmed raw body, so the
@@ -338,19 +416,95 @@ func errorMessage(body io.Reader) string {
 	return strings.TrimSpace(string(raw))
 }
 
-// Submit enqueues a job and returns its ID. Submission is made safe to
-// retry by a per-call idempotency key: POST /v1/jobs is not naturally
-// idempotent, and the retry loop re-sends it whenever the transport failed
-// — including after the daemon accepted the job but the response was lost.
-// The key, constant across attempts, lets the daemon map the replay onto
-// the already-created job instead of duplicating it.
+// Submit enqueues a job on the owning member (following its redirect)
+// and returns its ID. Submission is made safe to retry by a per-call
+// idempotency key: POST /v1/jobs is not naturally idempotent, and the
+// attempt loop re-sends it whenever the transport failed — including
+// after the daemon accepted the job but the response was lost. The key,
+// constant across every attempt and every member — hedged or sequential —
+// lets the owner map the replay onto the already-created job instead of
+// duplicating it.
 func (c *Client) Submit(ctx context.Context, spec api.JobSpec) (string, error) {
 	hdr := http.Header{"Idempotency-Key": []string{newIdemKey()}}
+	payload, err := json.Marshal(spec)
+	if err != nil {
+		return "", err
+	}
+	if c.Hedge > 0 && len(c.addrs) > 1 {
+		if id, err := c.hedgedSubmit(ctx, payload, hdr); err == nil || !retryable(err) || ctx.Err() != nil {
+			return id, err
+		}
+		// Every raced attempt failed retryably (the whole cluster looked
+		// down from here). Fall through to the sequential loop, which
+		// backs off between rotations — still under the same key.
+	}
 	var resp api.SubmitResponse
-	if err := c.doHdr(ctx, http.MethodPost, "/v1/jobs", hdr, spec, &resp); err != nil {
+	err = c.call(ctx, func(base string) error {
+		return c.doOnce(ctx, base, http.MethodPost, "/v1/jobs", hdr, payload, &resp)
+	})
+	if err != nil {
 		return "", err
 	}
 	return resp.ID, nil
+}
+
+// hedgedSubmit races the submission across members: the preferred member
+// goes first, and every Hedge interval without an answer (or immediately
+// when an attempt fails retryably) the next member is tried too. The
+// first success wins; its member becomes preferred. Because every
+// attempt carries the caller's single Idempotency-Key, concurrent
+// landings dedupe server-side onto one job — hedging trades duplicate
+// requests for bounded tail latency, never for duplicate work.
+func (c *Client) hedgedSubmit(ctx context.Context, payload []byte, hdr http.Header) (string, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // reels in the losing attempts
+	n := len(c.addrs)
+	type outcome struct {
+		idx int
+		id  string
+		err error
+	}
+	results := make(chan outcome, n) // buffered: losers must not leak
+	attempt := func(idx int) {
+		var resp api.SubmitResponse
+		err := c.doOnce(ctx, c.addrs[idx], http.MethodPost, "/v1/jobs", hdr, payload, &resp)
+		results <- outcome{idx: idx, id: resp.ID, err: err}
+	}
+	start := c.pick()
+	launched := 1
+	go attempt(start % n)
+	t := time.NewTimer(c.Hedge)
+	defer t.Stop()
+	var lastErr error
+	for done := 0; done < launched; {
+		select {
+		case <-ctx.Done():
+			return "", context.Cause(ctx)
+		case <-t.C:
+			if launched < n {
+				go attempt((start + launched) % n)
+				launched++
+				t.Reset(c.Hedge)
+			}
+		case out := <-results:
+			done++
+			if out.err == nil {
+				c.pin(out.idx)
+				return out.id, nil
+			}
+			lastErr = out.err
+			if !retryable(out.err) {
+				return "", out.err
+			}
+			if launched < n {
+				// A failed attempt frees its slot: hedge immediately
+				// rather than waiting out the interval.
+				go attempt((start + launched) % n)
+				launched++
+			}
+		}
+	}
+	return "", lastErr
 }
 
 // newIdemKey draws a fresh 128-bit idempotency key.
@@ -362,51 +516,59 @@ func newIdemKey() string {
 	return "idem-" + hex.EncodeToString(b[:])
 }
 
-// Job polls one job.
+// Job polls one job; any cluster member can answer (lookups fan out
+// server-side), so a job owned by a dead member is still reachable.
 func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 	var st api.JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// Jobs lists every retained job.
+// Jobs lists every retained job (a cluster member merges its peers').
 func (c *Client) Jobs(ctx context.Context) ([]api.JobStatus, error) {
 	var out []api.JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Cancel cancels a job and returns its (possibly already terminal) status.
+// Cancel cancels a job wherever it lives and returns its (possibly
+// already terminal) status.
 func (c *Client) Cancel(ctx context.Context, id string) (*api.JobStatus, error) {
 	var st api.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, &st); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
 // Wait polls the job every interval until it is terminal or ctx expires.
+// Retryable errors do not end the wait: the poll loop rides through a
+// daemon restart, an overload window or a member death (once a survivor
+// adopts the job). A definitive error does.
 func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (*api.JobStatus, error) {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	var last *api.JobStatus
 	for {
 		st, err := c.Job(ctx, id)
-		if err != nil {
+		if err == nil {
+			last = st
+			if st.State.Terminal() {
+				return st, nil
+			}
+		} else if !retryable(err) {
 			return nil, err
-		}
-		if st.State.Terminal() {
-			return st, nil
 		}
 		select {
 		case <-ctx.Done():
-			return st, context.Cause(ctx)
+			return last, context.Cause(ctx)
 		case <-t.C:
 		}
 	}
@@ -421,30 +583,41 @@ func (c *Client) Run(ctx context.Context, spec api.JobSpec, poll time.Duration) 
 	return c.Wait(ctx, id, poll)
 }
 
-// Sweep streams a point batch. onEvent (may be nil) is called for every
-// progress event in arrival order; the final summary event is returned.
+// Sweep streams a point batch from the first member that accepts it.
+// onEvent (may be nil) is called for every progress event in arrival
+// order; the final summary event is returned. A stream that breaks after
+// its first event is returned to the caller, not resumed or re-run
+// (events are not replayable); re-running the sweep is cheap, because
+// every completed point is already in the serving member's report memo.
 func (c *Client) Sweep(ctx context.Context, req api.SweepRequest, onEvent func(api.SweepEvent)) (*api.SweepEvent, error) {
-	b, err := json.Marshal(req)
+	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/sweep", bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if msg := errorMessage(resp.Body); msg != "" {
-			return nil, fmt.Errorf("sweep: %s (HTTP %d)", msg, resp.StatusCode)
+	var final *api.SweepEvent
+	err = c.call(ctx, func(base string) error {
+		resp, err := c.send(ctx, base, http.MethodPost, "/v1/sweep", nil, payload)
+		if err != nil {
+			return err
 		}
-		return nil, fmt.Errorf("sweep: HTTP %d", resp.StatusCode)
+		defer resp.Body.Close()
+		final, err = readSweep(resp.Body, onEvent)
+		return err
+	})
+	return final, err
+}
+
+// readSweep reads an ndjson sweep stream up to its summary event. An
+// error after the first delivered event is a brokenStream.
+func readSweep(body io.Reader, onEvent func(api.SweepEvent)) (*api.SweepEvent, error) {
+	delivered := false
+	fail := func(err error) (*api.SweepEvent, error) {
+		if delivered {
+			err = brokenStream{err}
+		}
+		return nil, err
 	}
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -453,7 +626,7 @@ func (c *Client) Sweep(ctx context.Context, req api.SweepRequest, onEvent func(a
 		}
 		var ev api.SweepEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("sweep: bad event: %w", err)
+			return fail(fmt.Errorf("sweep: bad event: %w", err))
 		}
 		if ev.Done {
 			return &ev, nil
@@ -461,35 +634,33 @@ func (c *Client) Sweep(ctx context.Context, req api.SweepRequest, onEvent func(a
 		if onEvent != nil {
 			onEvent(ev)
 		}
+		delivered = true
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return fail(err)
 	}
-	return nil, fmt.Errorf("sweep: stream ended without summary event")
+	return fail(errors.New("sweep: stream ended without summary event"))
 }
 
-// Healthz checks liveness.
+// Healthz checks liveness; on a cluster it succeeds when any member is
+// alive.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
 }
 
-// Metrics fetches the plain-text metrics page.
+// Metrics fetches the plain-text metrics page of the first answering
+// member.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if msg := errorMessage(resp.Body); msg != "" {
-			return "", fmt.Errorf("metrics: %s (HTTP %d)", msg, resp.StatusCode)
+	var text string
+	err := c.call(ctx, func(base string) error {
+		resp, err := c.send(ctx, base, http.MethodGet, "/metrics", nil, nil)
+		if err != nil {
+			return err
 		}
-		return "", fmt.Errorf("metrics: HTTP %d", resp.StatusCode)
-	}
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		text = string(b)
+		return err
+	})
+	return text, err
 }

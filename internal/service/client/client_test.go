@@ -14,7 +14,8 @@ import (
 )
 
 // flaky returns a handler that answers `failures` requests with the given
-// status before succeeding, and the total request count.
+// status before succeeding, and the total request count. A successful
+// job poll reports the job done; every other success is an empty list.
 func flaky(failures int, code int) (http.Handler, *atomic.Int64) {
 	var calls atomic.Int64
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -22,6 +23,10 @@ func flaky(failures int, code int) (http.Handler, *atomic.Int64) {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(code)
 			w.Write([]byte(`{"error":"try again"}`))
+			return
+		}
+		if strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			w.Write([]byte(`{"id":"j1","state":"done"}`))
 			return
 		}
 		w.Write([]byte(`[]`))
@@ -46,6 +51,26 @@ func TestRetryRecoversFromGatewayErrors(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("attempts = %d, want 3", got)
+	}
+}
+
+// A one-address Wait keeps polling through a 503 window longer than one
+// call's retry budget and returns the terminal status.
+func TestWaitRidesThroughTransientWindow(t *testing.T) {
+	h, calls := flaky(5, http.StatusServiceUnavailable)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	c := retryClient(ts.URL, 2) // each poll gives up after 2 attempts
+	st, err := c.Wait(context.Background(), "j1", time.Millisecond)
+	if err != nil {
+		t.Fatalf("Wait through a 503 window = %v, want the terminal status", err)
+	}
+	if st.State != api.StateDone {
+		t.Errorf("state = %s, want done", st.State)
+	}
+	if got := calls.Load(); got != 6 {
+		t.Errorf("requests = %d, want 6 (five 503s, then done)", got)
 	}
 }
 
@@ -383,7 +408,8 @@ func TestEmptyErrorBody(t *testing.T) {
 
 // The backoff jitter is a per-client stream: seeding it pins the delay
 // schedule (reproducible chaos tests), different seeds diverge, and a
-// zero-literal Client without New still draws from the shared fallback.
+// zero-literal Client without New still draws from its own lazily seeded
+// stream.
 func TestRetryJitterSeededReproducible(t *testing.T) {
 	r := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
 	seq := func(seed int64) []time.Duration {

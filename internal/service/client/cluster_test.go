@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -98,5 +99,71 @@ func TestClusterFollowsSubmitRedirect(t *testing.T) {
 	key, _ := ownerKey.Load().(string)
 	if key == "" {
 		t.Error("Idempotency-Key dropped across the redirect")
+	}
+}
+
+// TestSweepAndMetricsStatusErrors: a definitive non-2xx answer to a
+// sweep or a metrics fetch is a *StatusError, sent once and never retried.
+func TestSweepAndMetricsStatusErrors(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusBadRequest)
+		w.Write([]byte(`{"error":"sweep needs at least one point"}`))
+	}))
+	defer ts.Close()
+
+	cc := NewCluster([]string{ts.URL})
+	cc.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"sweep", func() error {
+			_, err := cc.Sweep(context.Background(), api.SweepRequest{}, nil)
+			return err
+		}},
+		{"metrics", func() error {
+			_, err := cc.Metrics(context.Background())
+			return err
+		}},
+	} {
+		calls.Store(0)
+		err := tc.call()
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("%s: err = %v, want a *StatusError with HTTP 400", tc.name, err)
+		}
+		if got := calls.Load(); got != 1 {
+			t.Errorf("%s: definitive 400 sent %d times, want 1", tc.name, got)
+		}
+	}
+}
+
+// TestSweepBrokenStreamNotRerun: a stream that breaks after delivering an
+// event is returned to the caller; re-running it would hand onEvent the
+// same events again.
+func TestSweepBrokenStreamNotRerun(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Write([]byte(`{"index":0,"point":{"prc":1,"cg":1,"policy":"mrts"}}` + "\n"))
+		// No summary event: the stream ends mid-sweep.
+	}))
+	defer ts.Close()
+
+	cc := NewCluster([]string{ts.URL})
+	cc.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	var events int
+	_, err := cc.Sweep(context.Background(), api.SweepRequest{}, func(api.SweepEvent) { events++ })
+	if err == nil {
+		t.Fatal("broken stream reported success")
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("broken stream run %d times, want 1", got)
+	}
+	if events != 1 {
+		t.Errorf("onEvent called %d times, want 1", events)
 	}
 }

@@ -38,10 +38,10 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("GET /v1/jobs", s.HandleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.HandleGet)
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.HandleCancel)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.HandleCancel)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -71,7 +71,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a code response.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -79,14 +80,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError writes a code response whose body is an api.ErrorResponse.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// admitClient applies the per-client rate limit (when configured) and
+// AdmitClient applies the per-client rate limit (when configured) and
 // writes the 429 + Retry-After response itself on rejection. Clients are
 // keyed by the X-Client-ID header when present, else by remote IP.
-func (s *Server) admitClient(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) AdmitClient(w http.ResponseWriter, r *http.Request) bool {
 	key := r.Header.Get("X-Client-ID")
 	if key == "" {
 		key = r.RemoteAddr
@@ -104,32 +106,39 @@ func (s *Server) admitClient(w http.ResponseWriter, r *http.Request) bool {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, "rate limited, retry in %ds", secs)
+	WriteError(w, http.StatusTooManyRequests, "rate limited, retry in %ds", secs)
 	return false
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.admitClient(w, r) {
+	if !s.AdmitClient(w, r) {
 		return
 	}
 	var spec api.JobSpec
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
 	job, deduped, err := s.SubmitIdem(r.Header.Get("Idempotency-Key"), spec)
+	s.WriteSubmit(w, job, deduped, err)
+}
+
+// WriteSubmit writes the outcome of a submission: 503 with a Retry-After
+// hint when the queue is full (1 s) or the server is draining (5 s), 400
+// for any other error, else 202 with the job's ID and state.
+func (s *Server) WriteSubmit(w http.ResponseWriter, job *Job, deduped bool, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// A deduped retry gets the original job back — possibly already past
@@ -139,29 +148,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if deduped {
 		w.Header().Set("Idempotent-Replayed", "true")
 	}
-	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: job.ID, State: st.State})
+	WriteJSON(w, http.StatusAccepted, api.SubmitResponse{ID: job.ID, State: st.State})
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
+// HandleList serves GET /v1/jobs from this server's own job table.
+func (s *Server) HandleList(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.Jobs())
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
+// HandleGet serves GET /v1/jobs/{id} from this server's own job table.
+func (s *Server) HandleGet(w http.ResponseWriter, r *http.Request) {
+	s.serveJob(w, r, s.Job)
+}
+
+// HandleCancel serves POST /v1/jobs/{id}/cancel (and DELETE
+// /v1/jobs/{id}) for a job in this server's own table.
+func (s *Server) HandleCancel(w http.ResponseWriter, r *http.Request) {
+	s.serveJob(w, r, s.Cancel)
+}
+
+// serveJob applies op to the {id} job and writes its full status, or 404.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, op func(string) (*Job, bool)) {
+	job, ok := op(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Status(job, true))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Status(job, true))
+	WriteJSON(w, http.StatusOK, s.Status(job, true))
 }
 
 // handleSweep evaluates a batch of points synchronously in the request,
@@ -169,35 +182,35 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // completes, then a final summary event. Closing the request aborts the
 // remaining points.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if !s.admitClient(w, r) {
+	if !s.AdmitClient(w, r) {
 		return
 	}
 	if s.router.Draining() {
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
+		WriteError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
 		return
 	}
 	var req api.SweepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep request: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid sweep request: %v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "sweep needs at least one point")
+		WriteError(w, http.StatusBadRequest, "sweep needs at least one point")
 		return
 	}
 	for _, p := range req.Points {
 		if err := p.Config().Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if _, err := exp.ParsePolicy(p.Policy); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	if err := req.Faults.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -205,7 +218,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	j := &jobEval{s: s, opts: req.Workload.Options().Canonical()}
 	ref, err := j.pointEval(ctx, exp.Point{Policy: exp.PolicyRISC})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	seed, fo := faultScenario(req.Faults, ref)

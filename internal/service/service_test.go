@@ -36,7 +36,7 @@ func newTestServer(t *testing.T, opts Options) (*Server, *client.Client) {
 
 func TestEndpointErrors(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 2})
-	base := c.BaseURL
+	base := c.Addrs()[0]
 
 	post := func(path, body string) *http.Response {
 		t.Helper()
