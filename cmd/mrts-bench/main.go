@@ -23,13 +23,13 @@ import (
 )
 
 // defaultPattern selects the fast, deterministic micro/meso benches of the
-// selection fast path and of the workload build (one encoded frame, one
-// figure input); the figure-level benches are too slow and noisy for a CI
-// guard.
+// selection fast path, of one simulator run and of the workload build (one
+// encoded frame, one figure input); the figure-level benches are too slow
+// and noisy for a CI guard.
 const defaultPattern = "BenchmarkProfitFunction$|BenchmarkGreedySelection$|BenchmarkOptimalSelection$|" +
 	"BenchmarkTriggerSelection$|BenchmarkSelectionObserved$|BenchmarkGreedyIncremental|" +
 	"BenchmarkSelectorScalability|BenchmarkOptimalScalability|BenchmarkServiceThroughput$|" +
-	"BenchmarkSweepWallclock|BenchmarkPhasedPrediction|BenchmarkEncoderFrame$|BenchmarkWorkloadBuild$"
+	"BenchmarkSimulatorRun$|BenchmarkSweepWallclock|BenchmarkPhasedPrediction|BenchmarkEncoderFrame$|BenchmarkWorkloadBuild$"
 
 type metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`

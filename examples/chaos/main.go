@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -24,9 +25,17 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drives the demo. Every failure returns through it, so the deferred
+// kill stops the daemon on the error path too.
+func run() error {
 	tmp, err := os.MkdirTemp("", "mrts-chaos-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(tmp)
 	journalDir := filepath.Join(tmp, "journal")
@@ -38,17 +47,30 @@ func main() {
 	build := exec.Command("go", "build", "-o", bin, "./cmd/mrts-serve")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		log.Fatal("build: ", err)
+		return fmt.Errorf("build: %w", err)
 	}
-	addr := freeAddr()
+	addr, err := freeAddr()
+	if err != nil {
+		return err
+	}
 
-	start := func() *exec.Cmd {
+	// srv is the running incarnation, if any; the deferred kill stops it
+	// whichever way run returns.
+	var srv *exec.Cmd
+	defer func() {
+		if srv != nil {
+			_ = srv.Process.Kill()
+			_, _ = srv.Process.Wait()
+		}
+	}()
+	start := func() error {
 		cmd := exec.Command(bin, "-addr", addr, "-workers", "2", "-journal", journalDir)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		return cmd
+		srv = cmd
+		return nil
 	}
 	c := client.New("http://" + addr)
 	c.Retry = client.RetryPolicy{MaxAttempts: 60, BaseDelay: 50 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
@@ -56,8 +78,12 @@ func main() {
 
 	// 2. First incarnation: submit a batch of figure and simulation jobs.
 	fmt.Println("\n--- incarnation 1: submitting jobs ---")
-	srv := start()
-	waitHealthy(ctx, c)
+	if err := start(); err != nil {
+		return err
+	}
+	if err := waitHealthy(ctx, c); err != nil {
+		return err
+	}
 	w := api.WorkloadSpec{Frames: 12, Seed: 1}
 	specs := []api.JobSpec{
 		{Type: api.JobFig, Workload: w, Fig: "8", MaxPRC: 3, MaxCG: 2},
@@ -69,7 +95,7 @@ func main() {
 	for i, spec := range specs {
 		id, err := c.Submit(ctx, spec)
 		if err != nil {
-			log.Fatal("submit: ", err)
+			return fmt.Errorf("submit: %w", err)
 		}
 		ids[i] = id
 		fmt.Printf("  accepted %s (%s %s)\n", id, spec.Type, spec.Fig)
@@ -81,6 +107,7 @@ func main() {
 	fmt.Println("\n--- SIGKILL mid-sweep ---")
 	_ = srv.Process.Kill()
 	_, _ = srv.Process.Wait()
+	srv = nil
 	if fi, err := os.Stat(filepath.Join(journalDir, "journal.jsonl")); err == nil {
 		fmt.Printf("  journal survives the crash: %d bytes\n", fi.Size())
 	}
@@ -89,13 +116,16 @@ func main() {
 	// back from the journal, unfinished jobs are re-enqueued and re-run
 	// under their original IDs.
 	fmt.Println("\n--- incarnation 2: replaying the journal ---")
-	srv = start()
-	defer func() { _ = srv.Process.Kill() }()
-	waitHealthy(ctx, c)
+	if err := start(); err != nil {
+		return err
+	}
+	if err := waitHealthy(ctx, c); err != nil {
+		return err
+	}
 	for i, id := range ids {
 		st, err := c.Wait(ctx, id, 25*time.Millisecond)
 		if err != nil {
-			log.Fatalf("job %s lost after crash: %v", id, err)
+			return fmt.Errorf("job %s lost after crash: %w", id, err)
 		}
 		fmt.Printf("  %s -> %s (spec %d)\n", id, st.State, i)
 	}
@@ -105,21 +135,21 @@ func main() {
 	// crash changes nothing about the science.
 	recovered, err := c.Job(ctx, ids[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rerunID, err := c.Submit(ctx, specs[0]) // same spec, fresh job
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rerun, err := c.Wait(ctx, rerunID, 25*time.Millisecond)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	same := recovered.Result != nil && rerun.Result != nil && recovered.Result.Text == rerun.Result.Text
 	fmt.Printf("\nrecovered figure == uninterrupted figure: %v (%d bytes)\n",
 		same, len(recovered.Result.Text))
 	if !same {
-		log.Fatal("crash recovery changed the output")
+		return errors.New("crash recovery changed the output")
 	}
 
 	// 6. Finish with the graceful path for contrast: SIGTERM drains
@@ -127,27 +157,29 @@ func main() {
 	fmt.Println("\n--- SIGTERM: graceful drain ---")
 	_ = srv.Process.Signal(syscall.SIGTERM)
 	_, _ = srv.Process.Wait()
+	srv = nil
 	fmt.Println("done: zero jobs lost across one crash and one drain")
+	return nil
 }
 
-func freeAddr() string {
+func freeAddr() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	return addr
+	return addr, nil
 }
 
-func waitHealthy(ctx context.Context, c *client.Client) {
+func waitHealthy(ctx context.Context, c *client.Client) error {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if err := c.Healthz(ctx); err == nil {
-			return
+			return nil
 		}
 		if time.Now().After(deadline) {
-			log.Fatal("daemon never became healthy")
+			return errors.New("daemon never became healthy")
 		}
 		time.Sleep(25 * time.Millisecond)
 	}

@@ -24,9 +24,17 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drives the demo. Every failure returns through it, so the deferred
+// kills stop the nodes on the error path too.
+func run() error {
 	tmp, err := os.MkdirTemp("", "mrts-cluster-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(tmp)
 
@@ -36,7 +44,7 @@ func main() {
 	build := exec.Command("go", "build", "-o", bin, "./cmd/mrts-cluster")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		log.Fatal("build: ", err)
+		return fmt.Errorf("build: %w", err)
 	}
 
 	// 2. Three members on one host, all configured with the same list.
@@ -44,33 +52,31 @@ func main() {
 	addrs := make([]string, len(ids))
 	var memberList []string
 	for i, id := range ids {
-		addrs[i] = freeAddr()
+		if addrs[i], err = freeAddr(); err != nil {
+			return err
+		}
 		memberList = append(memberList, fmt.Sprintf("%s=http://%s", id, addrs[i]))
 	}
 	members := strings.Join(memberList, ",")
 
 	procs := make(map[string]*exec.Cmd, len(ids))
-	start := func(i int) {
-		id := ids[i]
-		cmd := exec.Command(bin,
-			"-id", id, "-addr", addrs[i], "-members", members,
-			"-dir", filepath.Join(tmp, id), "-workers", "2",
-			"-probe", "100ms", "-deadafter", "2", "-steal", "50ms")
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			log.Fatal(err)
-		}
-		procs[id] = cmd
-	}
-	for i := range ids {
-		start(i)
-	}
 	defer func() {
 		for _, p := range procs {
 			_ = p.Process.Kill()
 			_, _ = p.Process.Wait()
 		}
 	}()
+	for i, id := range ids {
+		cmd := exec.Command(bin,
+			"-id", id, "-addr", addrs[i], "-members", members,
+			"-dir", filepath.Join(tmp, id), "-workers", "2",
+			"-probe", "100ms", "-deadafter", "2", "-steal", "50ms")
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			return err
+		}
+		procs[id] = cmd
+	}
 
 	urls := make([]string, len(addrs))
 	for i, a := range addrs {
@@ -79,7 +85,9 @@ func main() {
 	cc := client.NewCluster(urls)
 	cc.Retry = client.RetryPolicy{MaxAttempts: 60, BaseDelay: 50 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	ctx := context.Background()
-	waitHealthy(ctx, cc)
+	if err := waitHealthy(ctx, cc); err != nil {
+		return err
+	}
 	fmt.Printf("\n--- 3-node cluster up: %s ---\n", members)
 
 	// 3. Submit a batch; the ring spreads ownership across the members.
@@ -96,7 +104,7 @@ func main() {
 	for i, spec := range specs {
 		id, err := cc.Submit(ctx, spec)
 		if err != nil {
-			log.Fatal("submit: ", err)
+			return fmt.Errorf("submit: %w", err)
 		}
 		ids2[i] = id
 		fmt.Printf("  accepted %s (%s %s)\n", id, spec.Type, spec.Fig)
@@ -115,11 +123,11 @@ func main() {
 	for i, id := range ids2 {
 		st, err := waitAdopted(ctx, cc, id)
 		if err != nil {
-			log.Fatalf("job %s lost after node kill: %v", id, err)
+			return fmt.Errorf("job %s lost after node kill: %w", id, err)
 		}
 		fmt.Printf("  %s -> %s (spec %d)\n", id, st.State, i)
 		if st.State != api.StateDone {
-			log.Fatalf("job %s finished %s: %s", id, st.State, st.Error)
+			return fmt.Errorf("job %s finished %s: %s", id, st.State, st.Error)
 		}
 	}
 
@@ -127,22 +135,23 @@ func main() {
 	// cluster reproduces the same bytes.
 	orig, err := cc.Job(ctx, ids2[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rerunID, err := cc.Submit(ctx, specs[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rerun, err := cc.Wait(ctx, rerunID, 25*time.Millisecond)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	same := orig.Result != nil && rerun.Result != nil && orig.Result.Text == rerun.Result.Text
 	fmt.Printf("\nfigure after node kill == fresh run: %v (%d bytes)\n", same, len(orig.Result.Text))
 	if !same {
-		log.Fatal("node failure changed the output")
+		return errors.New("node failure changed the output")
 	}
 	fmt.Println("done: zero jobs lost across one node kill")
+	return nil
 }
 
 // waitAdopted waits for a job that may have lived on the killed node.
@@ -161,24 +170,24 @@ func waitAdopted(ctx context.Context, cc *client.Client, id string) (*api.JobSta
 	}
 }
 
-func freeAddr() string {
+func freeAddr() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	return addr
+	return addr, nil
 }
 
-func waitHealthy(ctx context.Context, cc *client.Client) {
+func waitHealthy(ctx context.Context, cc *client.Client) error {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if err := cc.Healthz(ctx); err == nil {
-			return
+			return nil
 		}
 		if time.Now().After(deadline) {
-			log.Fatal("cluster never became healthy")
+			return errors.New("cluster never became healthy")
 		}
 		time.Sleep(25 * time.Millisecond)
 	}

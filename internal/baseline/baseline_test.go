@@ -1,12 +1,15 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 
 	"mrts/internal/arch"
 	"mrts/internal/ecu"
 	"mrts/internal/ise"
+	"mrts/internal/obs"
 	"mrts/internal/sim"
+	"mrts/internal/trace"
 	"mrts/internal/workload"
 )
 
@@ -212,6 +215,64 @@ func TestStaticRTSResetRecommits(t *testing.T) {
 	}
 	if r1.TotalCycles != r2.TotalCycles {
 		t.Error("static policy not reproducible across runs")
+	}
+}
+
+// TestStaticObservedTrace checks the decision trace of an observed static
+// baseline: after the run marker come the configuration events of the
+// commit Reset made at application start, one per scheduled
+// reconfiguration, and then one ECU dispatch per execution. The report
+// must equal the untraced run's.
+func TestStaticObservedTrace(t *testing.T) {
+	w := smallWorkload(t)
+	cfg := arch.Config{NPRC: 2, NCG: 1}
+	for _, build := range []func(arch.Config, *ise.Application, *trace.Trace) (*StaticRTS, error){NewOfflineOptimal, NewMorpheus4S} {
+		s, err := build(cfg, w.App, w.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := sim.Run(w.App, w.Trace, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.New()
+		rep, err := sim.RunOpts(w.App, w.Trace, s, sim.Options{Observer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, plain) {
+			t.Errorf("%s: observed report differs from the untraced one", s.Name())
+		}
+		evs := rec.Events()
+		if len(evs) == 0 || evs[0].Kind != obs.KindRun {
+			t.Fatalf("%s: trace does not open with the run marker", s.Name())
+		}
+		var configs, dispatches int64
+		for i, ev := range evs[1:] {
+			switch {
+			case ev.Kind == obs.KindConfig:
+				if dispatches > 0 || ev.Cycle != 0 || ev.Ready < ev.Latency {
+					t.Errorf("%s: event %d: config %+v, want one at application start before any dispatch", s.Name(), i+1, ev)
+				}
+				if r, ok := s.Controller().ReadyTime(ise.DataPathID(ev.Path)); !ok || r != ev.Ready {
+					t.Errorf("%s: config %s ready at %d, controller says %d", s.Name(), ev.Path, ev.Ready, r)
+				}
+				configs++
+			case ev.Kind == obs.KindDispatch:
+				if e := s.Selected(ise.KernelID(ev.Kernel)); e != nil && ev.ISE != e.ID {
+					t.Errorf("%s: dispatch of %s names ISE %q, want %q", s.Name(), ev.Kernel, ev.ISE, e.ID)
+				}
+				dispatches++
+			default:
+				t.Errorf("%s: unexpected event %+v", s.Name(), ev)
+			}
+		}
+		if want := rep.Reconfig.FGReconfigs + rep.Reconfig.CGReconfigs; configs != want || configs == 0 {
+			t.Errorf("%s: %d config events, want %d (one per reconfiguration, at least one)", s.Name(), configs, want)
+		}
+		if dispatches != rep.Executions {
+			t.Errorf("%s: %d dispatch events for %d executions", s.Name(), dispatches, rep.Executions)
+		}
 	}
 }
 

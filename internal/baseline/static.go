@@ -8,6 +8,7 @@ import (
 	"mrts/internal/ecu"
 	"mrts/internal/ise"
 	"mrts/internal/mpu"
+	"mrts/internal/obs"
 	"mrts/internal/profit"
 	"mrts/internal/reconfig"
 	"mrts/internal/selector"
@@ -30,6 +31,10 @@ type StaticRTS struct {
 	// assign memoizes the byKernel lookup under a pointer key so the
 	// per-execution path never hashes a kernel ID.
 	assign map[*ise.Kernel]*ise.ISE
+
+	// obsr records the commit and every dispatch when tracing is on (nil
+	// otherwise; Reset removes it).
+	obsr *obs.Recorder
 }
 
 var _ core.RuntimeSystem = (*StaticRTS)(nil)
@@ -62,16 +67,61 @@ func (s *StaticRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 		e = s.byKernel[k.ID]
 		s.assign[k] = e
 	}
+	d := s.decide(k, e, now)
+	if s.obsr != nil {
+		ev := obs.Event{
+			Cycle: now, Source: obs.SourceECU, Kind: obs.KindDispatch,
+			Kernel: string(k.ID), Mode: d.Mode.String(), Level: d.Level,
+			Latency: d.Latency,
+		}
+		if e != nil {
+			ev.ISE = e.ID
+		}
+		s.obsr.Record(ev)
+	}
+	return d
+}
+
+func (s *StaticRTS) decide(k *ise.Kernel, e *ise.ISE, now arch.Cycles) ecu.Decision {
 	if e == nil {
 		// No ISE: nothing can ever accelerate the kernel.
-		return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Stable: true}
+		return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Until: ecu.Forever}
 	}
 	if s.ctrl.ConfiguredPrefix(e) == e.NumDataPaths() {
-		return ecu.Decision{Mode: ecu.Full, Level: e.NumDataPaths(), Latency: e.FullLatency(), Stable: true}
+		return ecu.Decision{Mode: ecu.Full, Level: e.NumDataPaths(), Latency: e.FullLatency(), Until: ecu.Forever}
 	}
-	// RISC while the ISE streams in; once nothing is in flight, the ISE
-	// cannot complete without a new commit.
-	return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Stable: s.ctrl.Settled(now)}
+	// RISC while the ISE streams in, until the next of its loads (or any
+	// other) completes; once nothing is in flight, the ISE cannot
+	// complete without a new commit.
+	return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Until: s.ctrl.NextReady(now)}
+}
+
+// SetObserver installs (or, with nil, removes) the decision-trace recorder
+// on the runtime system and its controller. Reset committed the whole
+// selection before the simulator could install an observer, so an
+// observed run starts with that commit's configuration events: one per
+// data path in request order, scheduled at application start, exactly as
+// the controller records a commit it observes.
+func (s *StaticRTS) SetObserver(r *obs.Recorder) {
+	s.obsr = r
+	s.ctrl.SetObserver(r)
+	if r == nil {
+		return
+	}
+	seen := make(map[ise.DataPathID]bool)
+	for _, e := range s.global {
+		for _, d := range e.DataPaths {
+			if seen[d.ID] {
+				continue
+			}
+			seen[d.ID] = true
+			ready, _ := s.ctrl.ReadyTime(d.ID)
+			r.Record(obs.Event{
+				Source: obs.SourceReconfig, Kind: obs.KindConfig,
+				Path: string(d.ID), Fabric: d.Kind.String(), Ready: ready, Latency: d.ReconfigCycles(),
+			})
+		}
+	}
 }
 
 // OnBlockEnd implements core.RuntimeSystem (static systems do not monitor).
@@ -81,6 +131,7 @@ func (s *StaticRTS) OnBlockEnd(*ise.FunctionalBlock, string, []ise.Trigger, []mp
 // Reset implements core.RuntimeSystem: the whole selection is configured
 // at time zero (application start).
 func (s *StaticRTS) Reset() {
+	s.obsr = nil
 	s.ctrl.Reset()
 	if len(s.global) > 0 {
 		if _, err := s.ctrl.CommitSelection(s.global, 0); err != nil {

@@ -42,11 +42,13 @@ type RuntimeSystem interface {
 	// visible on the critical path.
 	OnTrigger(block *ise.FunctionalBlock, phase string, triggers []ise.Trigger, now arch.Cycles) (arch.Cycles, error)
 	// Execute dispatches one execution of kernel k starting at time now
-	// and advances Controller() to now. The returned Decision sets Stable
-	// when the verdict repeats for every later execution of k until the
-	// controller's version changes (see package ecu); the simulator then
-	// stops calling Execute for k's remaining executions of the iteration
-	// and charges them in closed form.
+	// and advances Controller() to now. The returned Decision's Until is
+	// its lease: the verdict repeats for every execution of k that starts
+	// before Until while the controller's version is unchanged (see
+	// package ecu). Until then the simulator reuses the verdict instead of
+	// calling Execute, and once every kernel left in the iteration holds a
+	// lease of ecu.Forever it charges the rest in closed form. The zero
+	// Until grants no lease.
 	Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision
 	// OnBlockEnd delivers the monitored ground truth of the completed
 	// iteration (for the MPU) together with the profile triggers in use.
@@ -550,10 +552,10 @@ func (r *RISCOnly) OnTrigger(*ise.FunctionalBlock, string, []ise.Trigger, arch.C
 	return 0, nil
 }
 
-// Execute implements RuntimeSystem: always RISC mode, so always stable.
+// Execute implements RuntimeSystem: always RISC mode, leased forever.
 func (r *RISCOnly) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 	r.ctrl.Advance(now)
-	return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Stable: true}
+	return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency, Until: ecu.Forever}
 }
 
 // OnBlockEnd implements RuntimeSystem.

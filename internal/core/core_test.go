@@ -108,7 +108,7 @@ func TestMRTSExecuteTracksStats(t *testing.T) {
 	d := m.Execute(blk.Kernels[0], 40)
 	// Nothing can ever be configured on an empty fabric: the RISC verdict
 	// repeats for the rest of the run.
-	if d != (ecu.Decision{Mode: ecu.RISC, Latency: 500, Stable: true}) {
+	if d != (ecu.Decision{Mode: ecu.RISC, Latency: 500, Until: ecu.Forever}) {
 		t.Errorf("no fabric: decision = %+v", d)
 	}
 	if m.Controller().Now() != 40 {
@@ -181,7 +181,7 @@ func TestRISCOnly(t *testing.T) {
 		t.Errorf("OnTrigger = %d, %v", v, err)
 	}
 	d := r.Execute(blk.Kernels[0], 70)
-	if d != (ecu.Decision{Mode: ecu.RISC, Latency: 500, Stable: true}) {
+	if d != (ecu.Decision{Mode: ecu.RISC, Latency: 500, Until: ecu.Forever}) {
 		t.Errorf("decision = %+v", d)
 	}
 	if r.Controller().Now() != 70 {

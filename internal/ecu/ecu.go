@@ -11,22 +11,29 @@
 //     accelerated execution;
 //  4. otherwise RISC mode on the core processor.
 //
-// # Stable verdicts
+// # Verdict leases
 //
-// Decision.Stable promises that the verdict repeats, unchanged, for every
-// later execution of the same kernel until the reconfiguration controller's
-// change version (reconfig.Controller.Version) advances, provided only
-// executions happen in between: no trigger instruction, fault or
-// repartition. Every runtime system's Execute sets it when that holds:
+// Decision.Until is the verdict's lease: the verdict repeats, unchanged,
+// for every later execution of the same kernel that starts before Until,
+// provided the reconfiguration controller's change version
+// (reconfig.Controller.Version) does not advance and only executions
+// happen in between — no trigger instruction, fault or repartition. In the
+// paper's ECU a verdict can change only when a data-path or monoCG load
+// completes or the fabric is mutated; the version covers the mutations and
+// reconfig.Controller.NextReady names the next completion. So:
 //
-//   - always for Full, for a ready monoCG slot with no selected ISE that
-//     could overtake it, and for a kernel with nothing to accelerate it;
-//   - for any other verdict only when Controller.Settled holds after the
-//     call: no data path or monoCG load completes in the future, so no
-//     configured prefix can grow and no pending slot can become ready.
+//   - Until is Forever for Full, for a ready monoCG slot with no selected
+//     ISE that could overtake it, and (in the static baselines and RISC
+//     mode) for a kernel without an ISE: only a mutation changes those
+//     verdicts;
+//   - every other verdict is leased until NextReady(now), the earliest
+//     data-path or monoCG ready time after now (Forever if none);
+//   - the zero Until is no lease at all: the caller asks again on the next
+//     execution, so a runtime system that sets nothing stays correct.
 //
-// The simulator relies on the bit to finish a block iteration in closed
-// form once every kernel left in it has a stable verdict (see sim.Stepper).
+// The simulator reuses a leased verdict without calling Execute, and
+// finishes a block iteration in closed form once every kernel left in it
+// holds a verdict leased Forever (see sim.Stepper).
 package ecu
 
 import (
@@ -75,11 +82,15 @@ type Decision struct {
 	Level int
 	// Latency is the execution latency of the dispatched implementation.
 	Latency arch.Cycles
-	// Stable reports that the verdict repeats for every later execution of
-	// the kernel until the controller's version changes (see the package
-	// documentation).
-	Stable bool
+	// Until is the verdict's lease: it repeats for every execution of the
+	// kernel that starts before Until while the controller's version is
+	// unchanged (see the package documentation). Zero means no lease.
+	Until arch.Cycles
 }
+
+// Forever is the unbounded lease: the verdict holds until the controller's
+// version changes.
+const Forever = reconfig.Forever
 
 // Options tune the ECU for the ablation studies.
 type Options struct {
@@ -111,15 +122,15 @@ func (u *ECU) Decide(k *ise.Kernel, selected *ise.ISE, now arch.Cycles) Decision
 		prefix := u.ctrl.ConfiguredPrefix(selected)
 		n := selected.NumDataPaths()
 		if prefix == n {
-			// Full is stable: ready times never move under an unchanged
-			// version and the clock only advances.
-			return Decision{Mode: Full, Level: n, Latency: selected.FullLatency(), Stable: true}
+			// Full holds forever: ready times never move under an
+			// unchanged version and the clock only advances.
+			return Decision{Mode: Full, Level: n, Latency: selected.FullLatency(), Until: Forever}
 		}
 		if prefix >= 1 && !u.opts.DisableIntermediate {
 			// The prefix can grow as in-flight data paths complete,
 			// without any controller mutation.
 			return Decision{Mode: Intermediate, Level: prefix, Latency: selected.Latency(prefix),
-				Stable: u.ctrl.Settled(now)}
+				Until: u.ctrl.NextReady(now)}
 		}
 	}
 
@@ -128,7 +139,7 @@ func (u *ECU) Decide(k *ise.Kernel, selected *ise.ISE, now arch.Cycles) Decision
 			// A ready slot stays ready (releasing it bumps the version);
 			// with a selected ISE, its in-flight data paths may still
 			// overtake it.
-			return Decision{Mode: MonoCG, Latency: k.MonoCG.Latency, Stable: selected == nil || u.ctrl.Settled(now)}
+			return Decision{Mode: MonoCG, Latency: k.MonoCG.Latency, Until: u.monoUntil(selected, now)}
 		} else if !ok {
 			// Load the extension into a free CG-EDPE; its context
 			// streams in within microseconds, so it typically
@@ -136,12 +147,22 @@ func (u *ECU) Decide(k *ise.Kernel, selected *ise.ISE, now arch.Cycles) Decision
 			// RISC mode (paper: "readily available after few
 			// RISC-mode executions").
 			if ready, acquired := u.ctrl.AcquireMonoCG(k, now); acquired && ready <= now {
-				return Decision{Mode: MonoCG, Latency: k.MonoCG.Latency, Stable: selected == nil || u.ctrl.Settled(now)}
+				return Decision{Mode: MonoCG, Latency: k.MonoCG.Latency, Until: u.monoUntil(selected, now)}
 			}
 		}
 	}
 
-	// RISC verdicts are transient while a reconfiguration or monoCG load
-	// is pending: it may finish by the next execution.
-	return Decision{Mode: RISC, Latency: k.RISCLatency, Stable: u.ctrl.Settled(now)}
+	// RISC verdicts last only until the next pending reconfiguration or
+	// monoCG load finishes: it may serve the next execution.
+	return Decision{Mode: RISC, Latency: k.RISCLatency, Until: u.ctrl.NextReady(now)}
+}
+
+// monoUntil leases a ready monoCG verdict: forever without a selected ISE,
+// otherwise until the next load completes, which may finish a prefix that
+// overtakes the slot.
+func (u *ECU) monoUntil(selected *ise.ISE, now arch.Cycles) arch.Cycles {
+	if selected == nil {
+		return Forever
+	}
+	return u.ctrl.NextReady(now)
 }

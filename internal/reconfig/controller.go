@@ -16,6 +16,7 @@ package reconfig
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"mrts/internal/arch"
@@ -116,7 +117,7 @@ type Controller struct {
 
 	monos map[ise.KernelID]*monoSlot
 	// monoEnd is the latest ready time of any monoCG load since Reset: a
-	// running max like the port ends, so Settled stays O(1).
+	// running max like the port ends, so a settled NextReady stays O(1).
 	monoEnd arch.Cycles
 
 	// occPRC / occCG mirror the PRC / CG-EDPE units held by c.paths. The
@@ -127,7 +128,7 @@ type Controller struct {
 	occCG  int
 	// version counts state changes that can downgrade an execution-steering
 	// decision: data-path removals, ready-time changes (migration) and
-	// monoCG releases. A stable verdict (ecu.Decision.Stable) holds only
+	// monoCG releases. A verdict's lease (ecu.Decision.Until) holds only
 	// while the version is unchanged. Additions do not bump it — a new data
 	// path can only improve a later decision, and no execution adds one.
 	version uint64
@@ -223,20 +224,40 @@ func (c *Controller) occupiedCG() int { return c.occCG + len(c.monos) }
 // Version returns the controller's change version: it advances whenever a
 // data path is removed or re-scheduled or a monoCG slot is released —
 // exactly the events that can invalidate a previously optimal
-// execution-steering decision. See ecu.Decision.Stable.
+// execution-steering decision before its lease runs out (NextReady covers
+// the other way a verdict changes: a load completing). See
+// ecu.Decision.Until.
 func (c *Controller) Version() uint64 { return c.version }
 
-// Settled reports that nothing the controller has scheduled completes after
-// now: every data-path reconfiguration (including migrations and abandoned
-// retries) and every monoCG load is ready by now. It is conservative — it
-// compares running maxima of the port ends and monoCG ready times, which
-// evictions never lower — so it may report false for a fabric that is in
-// fact quiet, never true for one that is not. While it holds, the
-// configured set and the ready monoCG slots can only change through a
-// controller mutation, which is what makes an execution-steering verdict
-// stable (see ecu.Decision.Stable).
-func (c *Controller) Settled(now arch.Cycles) bool {
-	return c.fgPortEnd <= now && c.cgPortEnd <= now && c.monoEnd <= now
+// Forever is the time that never comes: NextReady's answer when nothing
+// the controller holds becomes ready after now, and the lease of a verdict
+// that only a controller mutation can change (see ecu.Decision.Until).
+const Forever = arch.Cycles(math.MaxInt64)
+
+// NextReady returns the earliest time after now at which a data path or a
+// monoCG slot the controller holds becomes ready, or Forever if none does.
+// Until then the set of configured data paths and ready monoCG slots can
+// change only through a controller mutation (which bumps Version), so an
+// execution-steering verdict taken at now holds for every execution that
+// starts before it (see ecu.Decision.Until). When every port end and
+// monoCG load lies at or before now — the common settled case — it answers
+// without looking at the individual slots.
+func (c *Controller) NextReady(now arch.Cycles) arch.Cycles {
+	if c.fgPortEnd <= now && c.cgPortEnd <= now && c.monoEnd <= now {
+		return Forever
+	}
+	next := Forever
+	for _, s := range c.paths {
+		if s.ready > now && s.ready < next {
+			next = s.ready
+		}
+	}
+	for _, m := range c.monos {
+		if m.ready > now && m.ready < next {
+			next = m.ready
+		}
+	}
+	return next
 }
 
 // FreePRC implements ise.FabricView: healthy PRCs neither occupied nor

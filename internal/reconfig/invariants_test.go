@@ -19,7 +19,9 @@ import (
 //   - a pinned data path of the current selection is never evicted;
 //   - ready times never precede the request time;
 //   - IsConfigured implies a recorded ready time in the past;
-//   - Settled(now) implies no data path or monoCG slot is ready after now.
+//   - NextReady(now) is exact: no data path or monoCG slot becomes ready
+//     in (now, NextReady(now)), and the answer is one of their ready times
+//     after now, or Forever when none lies after now.
 //
 // The operation sequences come from a fixed seed, logged on failure, so a
 // failure replays.
@@ -40,7 +42,7 @@ func TestControllerInvariantsUnderRandomOps(t *testing.T) {
 		MonoCG: ise.MonoCGExt{Latency: 50, Instructions: 8},
 	}
 
-	var settled int
+	var settled, pending int
 	f := func(ops []op) bool {
 		c, err := NewController(arch.Config{NPRC: 3, NCG: 3})
 		if err != nil {
@@ -105,18 +107,29 @@ func TestControllerInvariantsUnderRandomOps(t *testing.T) {
 					return false
 				}
 			}
-			if c.Settled(now) {
+			var readies []arch.Cycles
+			for i := 0; i < 8; i++ {
+				if ready, ok := c.ReadyTime(mkDP(i).ID); ok {
+					readies = append(readies, ready)
+				}
+			}
+			if ready, ok := c.MonoCGReady(mono.ID); ok {
+				readies = append(readies, ready)
+			}
+			next, want := c.NextReady(now), Forever
+			for _, r := range readies {
+				if r > now && r < want {
+					want = r
+				}
+			}
+			if next != want {
+				t.Logf("NextReady(%d) = %d, want %d (ready times %v)", now, next, want, readies)
+				return false
+			}
+			if next == Forever {
 				settled++
-				for i := 0; i < 8; i++ {
-					if ready, ok := c.ReadyTime(mkDP(i).ID); ok && ready > now {
-						t.Logf("settled at %d, but data path %s is ready at %d", now, mkDP(i).ID, ready)
-						return false
-					}
-				}
-				if ready, ok := c.MonoCGReady(mono.ID); ok && ready > now {
-					t.Logf("settled at %d, but the monoCG slot is ready at %d", now, ready)
-					return false
-				}
+			} else {
+				pending++
 			}
 		}
 		return true
@@ -125,8 +138,8 @@ func TestControllerInvariantsUnderRandomOps(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 	}
-	if settled == 0 {
-		t.Errorf("seed %d: no operation sequence ever settled the controller; the Settled check never ran", seed)
+	if settled == 0 || pending == 0 {
+		t.Errorf("seed %d: NextReady answered Forever %d times and a ready time %d times; both cases must run", seed, settled, pending)
 	}
 }
 

@@ -138,29 +138,49 @@ func (c *countingRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 }
 
 // TestFastForwardSkipsExecute pins the mechanism, so a silent fall-back to
-// the per-execution loop cannot pass the identity tests: an untraced
-// Offline-optimal run at 4/3 settles within the first executions of each
-// iteration and must call Execute for under a tenth of its executions,
-// while the same run with an observer must call it for every one.
+// the per-execution loop cannot pass the identity tests. An untraced run
+// reuses every leased verdict and fast-forwards steady tails, so it calls
+// Execute only where a verdict may change: the Offline-optimal run at 4/3
+// settles within the first executions of each iteration, and mRTS and
+// RISPP-like, which reconfigure at every trigger, must still call Execute
+// for under 1% of their executions on the plain and the phased workload.
+// The same run with an observer must call it for every execution.
 func TestFastForwardSkipsExecute(t *testing.T) {
-	cfg := arch.Config{NPRC: 4, NCG: 3}
-	for _, observed := range []bool{false, true} {
-		rts := &countingRTS{RuntimeSystem: newPolicy(t, exp.PolicyOffline, cfg, ffWorkload)}
-		var opts sim.Options
-		if observed {
-			opts.Observer = obs.New()
+	type run struct {
+		p   exp.Policy
+		cfg arch.Config
+	}
+	runs := []run{{exp.PolicyOffline, arch.Config{NPRC: 4, NCG: 3}}}
+	for _, p := range []exp.Policy{exp.PolicyMRTS, exp.PolicyRISPP} {
+		for _, cfg := range []arch.Config{{NPRC: 2, NCG: 1}, {NPRC: 4, NCG: 3}} {
+			runs = append(runs, run{p, cfg})
 		}
-		rep, err := sim.RunOpts(ffWorkload.App, ffWorkload.Trace, rts, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		share := float64(rts.calls) / float64(rep.Executions)
-		t.Logf("observed=%v: %d Execute calls for %d executions (%.4f)", observed, rts.calls, rep.Executions, share)
-		if observed && rts.calls != rep.Executions {
-			t.Errorf("observed run called Execute %d times for %d executions, want every one", rts.calls, rep.Executions)
-		}
-		if !observed && share >= 0.1 {
-			t.Errorf("untraced run called Execute for %.1f%% of executions, want < 10%%", 100*share)
+	}
+	for _, r := range runs {
+		for _, w := range []struct {
+			name string
+			w    *workload.Result
+		}{{"plain", ffWorkload}, {"phased", ffPhased}} {
+			for _, observed := range []bool{false, true} {
+				rts := &countingRTS{RuntimeSystem: newPolicy(t, r.p, r.cfg, w.w)}
+				var opts sim.Options
+				if observed {
+					opts.Observer = obs.New()
+				}
+				rep, err := sim.RunOpts(w.w.App, w.w.Trace, rts, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/%dx%d/%s observed=%v", r.p, r.cfg.NPRC, r.cfg.NCG, w.name, observed)
+				share := float64(rts.calls) / float64(rep.Executions)
+				t.Logf("%s: %d Execute calls for %d executions (%.4f)", name, rts.calls, rep.Executions, share)
+				if observed && rts.calls != rep.Executions {
+					t.Errorf("%s: called Execute %d times for %d executions, want every one", name, rts.calls, rep.Executions)
+				}
+				if !observed && share >= 0.01 {
+					t.Errorf("%s: called Execute for %.2f%% of executions, want < 1%%", name, 100*share)
+				}
+			}
 		}
 	}
 }

@@ -219,22 +219,23 @@ func NewStepper(app *ise.Application, tr *trace.Trace, rts core.RuntimeSystem, o
 		// reused policy instance never replays stale faults.
 		ctrl.SetVerifier(nil)
 	}
-	// Install the decision-trace observer (or, explicitly, none — same
-	// stale-state reasoning as the verifier). Runtime systems with their
-	// own recording sites get it via the optional interface; static
-	// policies still trace reconfiguration-port activity through the
-	// controller.
-	if so, ok := rts.(interface{ SetObserver(*obs.Recorder) }); ok {
-		so.SetObserver(opts.Observer)
-	} else {
-		ctrl.SetObserver(opts.Observer)
-	}
+	// Open the decision trace with the run marker, then install the
+	// observer (or, explicitly, none — same stale-state reasoning as the
+	// verifier). Runtime systems with their own recording sites get it via
+	// the optional interface (a static policy then records the commit its
+	// Reset made unobserved); the others still trace reconfiguration-port
+	// activity through the controller.
 	if opts.Observer != nil {
 		cfg := rts.Controller().Config()
 		opts.Observer.Record(obs.Event{
 			Source: obs.SourceSim, Kind: obs.KindRun,
 			Detail: fmt.Sprintf("policy=%s prc=%d cg=%d", rts.Name(), cfg.NPRC, cfg.NCG),
 		})
+	}
+	if so, ok := rts.(interface{ SetObserver(*obs.Recorder) }); ok {
+		so.SetObserver(opts.Observer)
+	} else {
+		ctrl.SetObserver(opts.Observer)
 	}
 	fh, reacts := rts.(core.FaultHandler)
 	return &Stepper{
@@ -288,10 +289,10 @@ type track struct {
 	lastEnd arch.Cycles
 	gaps    arch.Cycles
 	n       int64
-	// stable marks d as the kernel's stable verdict at the version the
-	// step last saw (see Step's fast-forward).
-	stable bool
-	d      ecu.Decision
+	// d is the kernel's last verdict and until its lease at the version
+	// the step last saw (zero: none; see Step).
+	d     ecu.Decision
+	until arch.Cycles
 }
 
 // deliver applies the container fault events due at `now` to the
@@ -389,15 +390,17 @@ func (s *Stepper) Step() error {
 	for k, id := range sch.Kernels {
 		tracks[k].k = blk.Kernel(id)
 	}
-	// Fast-forward bookkeeping: once every kernel with executions left
-	// (live) holds a stable verdict at the controller's current version,
-	// the rest of the iteration is charged in closed form. An observer
-	// (one dispatch event per execution) or a fault schedule (deliveries
-	// between executions) keeps the per-execution loop.
+	// Lease bookkeeping: an execution that starts while its kernel's
+	// verdict is leased (t < until, at the version the lease was taken)
+	// reuses it without calling Execute; once every kernel with executions
+	// left (live) holds a verdict leased Forever, the rest of the
+	// iteration is charged in closed form. An observer (one dispatch
+	// event per execution) or a fault schedule (deliveries between
+	// executions) keeps the per-execution loop: no lease is ever taken.
 	fast := s.eng == nil && s.opts.Observer == nil
 	var (
-		ver          uint64
-		live, stable int
+		ver           uint64
+		live, forever int
 	)
 	if fast {
 		ver, live = s.ctrl.Version(), n
@@ -415,7 +418,28 @@ func (s *Stepper) Step() error {
 		t += fv
 		rep.OverheadCycles += fv
 
-		d := s.rts.Execute(tk.k, t)
+		d := tk.d
+		if t < tk.until {
+			// Execute would return the leased verdict; it would only
+			// advance the controller clock.
+			s.ctrl.Advance(t)
+		} else {
+			d = s.rts.Execute(tk.k, t)
+			if fast {
+				if v := s.ctrl.Version(); v != ver {
+					// A mutation revokes every lease, but not the
+					// verdict just taken against the new state.
+					ver, forever = v, 0
+					for j := range tracks {
+						tracks[j].until = 0
+					}
+				}
+				tk.d, tk.until = d, d.Until
+				if d.Until == ecu.Forever {
+					forever++
+				}
+			}
+		}
 		rep.ModeExecs[d.Mode]++
 		rep.ModeCycles[d.Mode] += d.Latency
 		rep.KernelCycles += d.Latency
@@ -433,26 +457,13 @@ func (s *Stepper) Step() error {
 		if !fast {
 			continue
 		}
-		if v := s.ctrl.Version(); v != ver {
-			ver, stable = v, 0
-			for j := range tracks {
-				tracks[j].stable = false
-			}
-		}
-		switch {
-		case tk.n == sch.Count[k]:
+		if tk.n == sch.Count[k] {
 			live--
-			if tk.stable {
-				tk.stable = false
-				stable--
+			if tk.until == ecu.Forever {
+				forever--
 			}
-		case d.Stable && !tk.stable:
-			// A stable verdict repeats until the version changes, so
-			// the first one seen stands for the rest.
-			tk.stable, tk.d = true, d
-			stable++
 		}
-		if live > 0 && stable == live {
+		if live > 0 && forever == live {
 			t = s.fastForward(sch, tracks, t)
 			break
 		}
@@ -480,12 +491,12 @@ func (s *Stepper) Step() error {
 }
 
 // fastForward charges the rest of the iteration, from clock t on, in
-// closed form: every kernel k with r_k executions left repeats its stable
-// verdict (latency L_k) after its software gap G_k. With w_j = G_j + L_j,
-// the iteration ends at t + Σ r_j·w_j, and k's last execution starts at
-// t + Σ_j (r_j − After[k][j])·w_j − L_k, since exactly r_j − After[k][j]
-// executions of kernel j fall between the cursor and k's last one
-// (inclusive). Each track then gains r_k executions, and its gap sum gains
+// closed form: every kernel k with r_k executions left repeats its verdict
+// leased Forever (latency L_k) after its software gap G_k. With
+// w_j = G_j + L_j, the iteration ends at t + Σ r_j·w_j, and k's last
+// execution starts at t + Σ_j (r_j − After[k][j])·w_j − L_k, since
+// exactly r_j − After[k][j] executions of kernel j fall between the
+// cursor and k's last one (inclusive). Each track then gains r_k executions, and its gap sum gains
 // sLast − lastEnd − (r_k − 1)·L_k: the telescoped sum of start − previous
 // end over those executions. The controller is advanced to the last start,
 // exactly where the final Execute call would have left it.

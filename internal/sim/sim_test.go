@@ -206,22 +206,33 @@ func TestRunReserved(t *testing.T) {
 }
 
 // scriptRTS is a runtime system whose verdicts follow a script, so the
-// fast-forward's closed form can be checked against the per-execution loop
-// down to every observation: each kernel's first execution of an iteration
-// is an unstable RISC verdict, later ones a stable verdict at a
+// lease reuse and the fast-forward's closed form can be checked against
+// the per-execution loop down to every observation: each kernel's first
+// execution of an iteration is an unleased RISC verdict, later ones a
+// verdict leased until lease(now) (Forever when lease is nil) at a
 // per-kernel latency, and the first execution of kernel bumpOn in each
 // iteration bumps the controller's version and changes every latency.
 // Like a real runtime system, it mutates the controller only in a call
-// that returns an unstable verdict.
+// that returns an unleased verdict. Every Execute call is logged.
 type scriptRTS struct {
 	ctrl   *reconfig.Controller
 	mono   *ise.Kernel
 	bumpOn ise.KernelID
+	lease  func(now arch.Cycles) arch.Cycles
 
 	seen   map[ise.KernelID]bool
 	bumped arch.Cycles
 	execs  int
+	iter   int
+	calls  []scriptCall
 	obsv   []mpu.Observation
+}
+
+// scriptCall is one logged Execute call.
+type scriptCall struct {
+	iter int
+	k    ise.KernelID
+	now  arch.Cycles
 }
 
 func newScriptRTS(t *testing.T, bumpOn ise.KernelID) *scriptRTS {
@@ -238,17 +249,19 @@ func (r *scriptRTS) Name() string                     { return "script" }
 func (r *scriptRTS) Controller() *reconfig.Controller { return r.ctrl }
 func (r *scriptRTS) Reset() {
 	r.ctrl.Reset()
-	r.execs, r.obsv = 0, nil
+	r.execs, r.iter, r.calls, r.obsv = 0, -1, nil, nil
 }
 
 func (r *scriptRTS) OnTrigger(*ise.FunctionalBlock, string, []ise.Trigger, arch.Cycles) (arch.Cycles, error) {
 	r.seen, r.bumped = map[ise.KernelID]bool{}, 0
+	r.iter++
 	return 0, nil
 }
 
 func (r *scriptRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 	r.ctrl.Advance(now)
 	r.execs++
+	r.calls = append(r.calls, scriptCall{r.iter, k.ID, now})
 	if !r.seen[k.ID] {
 		r.seen[k.ID] = true
 		if k.ID == r.bumpOn {
@@ -259,21 +272,22 @@ func (r *scriptRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 		}
 		return ecu.Decision{Mode: ecu.RISC, Latency: k.RISCLatency}
 	}
-	return ecu.Decision{Mode: ecu.Full, Latency: k.RISCLatency/4 + r.bumped, Stable: true}
+	until := ecu.Forever
+	if r.lease != nil {
+		until = r.lease(now)
+	}
+	return ecu.Decision{Mode: ecu.Full, Latency: k.RISCLatency/4 + r.bumped, Until: until}
 }
 
 func (r *scriptRTS) OnBlockEnd(_ *ise.FunctionalBlock, _ string, _ []ise.Trigger, o []mpu.Observation, _ arch.Cycles) {
 	r.obsv = append(r.obsv, o...)
 }
 
-// TestFastForwardClosedForm checks the closed form against the
-// per-execution loop on a four-kernel block with few executions per
-// kernel, where an off-by-one in any track field shows in the integer
-// observations: reports, every observation handed to the runtime system
-// and both clocks must match. Kernel d executes once, mid-iteration, after
-// the others turned stable; bumping the version there must revoke their
-// stable verdicts.
-func TestFastForwardClosedForm(t *testing.T) {
+// scriptWorld is a four-kernel block with few executions per kernel,
+// where an off-by-one in any track field shows in the integer
+// observations. Kernel d executes once, mid-iteration.
+func scriptWorld(t *testing.T) (*ise.Application, *trace.Trace) {
+	t.Helper()
 	var kernels []*ise.Kernel
 	for i, id := range []ise.KernelID{"a", "b", "c", "d"} {
 		kernels = append(kernels, &ise.Kernel{ID: id, RISCLatency: arch.Cycles(40 + 12*i)})
@@ -291,36 +305,134 @@ func TestFastForwardClosedForm(t *testing.T) {
 			{Kernel: "d", E: 1, GapSW: 4},
 		}})
 	}
+	return app, tr
+}
+
+// runScriptPair steps an untraced and an observed (per-execution) run of
+// the script in lockstep and checks that both clocks agree after every
+// Step and that the reports and every observation are equal.
+func runScriptPair(t *testing.T, name string, fast, slow *scriptRTS) {
+	t.Helper()
+	app, tr := scriptWorld(t)
+	fs, err := NewStepper(app, tr, fast, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewStepper(app, tr, slow, Options{Observer: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !fs.Done() {
+		if err := fs.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if fs.Now() != ss.Now() || fast.ctrl.Now() != slow.ctrl.Now() {
+			t.Fatalf("%s: clocks %d/%d (stepper/controller), per-execution %d/%d",
+				name, fs.Now(), fast.ctrl.Now(), ss.Now(), slow.ctrl.Now())
+		}
+	}
+	if !reflect.DeepEqual(fs.Finish(), ss.Finish()) {
+		t.Errorf("%s: reports differ:\n%+v\n%+v", name, fs.Finish(), ss.Finish())
+	}
+	if !reflect.DeepEqual(fast.obsv, slow.obsv) {
+		t.Errorf("%s: observations differ:\n%+v\n%+v", name, fast.obsv, slow.obsv)
+	}
+}
+
+// TestFastForwardClosedForm checks the closed form against the
+// per-execution loop: reports, every observation handed to the runtime
+// system and both clocks must match. Kernel d executes once,
+// mid-iteration, after the others hold verdicts leased Forever; bumping
+// the version there must revoke their leases.
+func TestFastForwardClosedForm(t *testing.T) {
 	for _, bumpOn := range []ise.KernelID{"", "a", "d"} {
 		fast, slow := newScriptRTS(t, bumpOn), newScriptRTS(t, bumpOn)
-		fs, err := NewStepper(app, tr, fast, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := NewStepper(app, tr, slow, Options{Observer: obs.New()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !fs.Done() {
-			if err := fs.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if err := ss.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if fs.Now() != ss.Now() || fast.ctrl.Now() != slow.ctrl.Now() {
-				t.Fatalf("bump on %q: clocks %d/%d (stepper/controller), per-execution %d/%d",
-					bumpOn, fs.Now(), fast.ctrl.Now(), ss.Now(), slow.ctrl.Now())
-			}
-		}
-		if !reflect.DeepEqual(fs.Finish(), ss.Finish()) {
-			t.Errorf("bump on %q: reports differ:\n%+v\n%+v", bumpOn, fs.Finish(), ss.Finish())
-		}
-		if !reflect.DeepEqual(fast.obsv, slow.obsv) {
-			t.Errorf("bump on %q: observations differ:\n%+v\n%+v", bumpOn, fast.obsv, slow.obsv)
-		}
+		runScriptPair(t, "bump on "+string(bumpOn), fast, slow)
 		if fast.execs >= slow.execs {
 			t.Errorf("bump on %q: fast run made %d Execute calls, per-execution run %d", bumpOn, fast.execs, slow.execs)
+		}
+	}
+}
+
+// TestLeaseBoundaries checks the lease rule execution by execution. The
+// script leases each verdict until the next multiple of window, so leases
+// run out mid-iteration: an untraced run must reuse the verdict for every
+// start before Until and call Execute again at the first start at or
+// after it. A zero Until is no lease, and a version bump mid-iteration
+// (kernel d) revokes every lease. The expected calls are derived from the
+// observed run, which calls Execute for every execution, and both runs
+// must agree on clocks, reports and observations.
+func TestLeaseBoundaries(t *testing.T) {
+	// With this window one start lands exactly on its lease's Until, and
+	// the bump on d revokes leases that would still hold.
+	const window = 221
+	next := func(now arch.Cycles) arch.Cycles { return now - now%window + window }
+	none := func(arch.Cycles) arch.Cycles { return 0 }
+	for _, sc := range []struct {
+		name   string
+		bumpOn ise.KernelID
+		lease  func(arch.Cycles) arch.Cycles
+	}{
+		{"window", "", next},
+		{"window/bump on d", "d", next},
+		{"zero", "", none},
+		{"zero/bump on a", "a", none},
+	} {
+		fast, slow := newScriptRTS(t, sc.bumpOn), newScriptRTS(t, sc.bumpOn)
+		fast.lease, slow.lease = sc.lease, sc.lease
+		runScriptPair(t, sc.name, fast, slow)
+
+		// Replay the lease rule over every execution of the observed run.
+		var want []scriptCall
+		var seen map[ise.KernelID]bool
+		var until, held map[ise.KernelID]arch.Cycles
+		iter, reused, renewed, exact, revoked := -1, 0, 0, 0, 0
+		for _, c := range slow.calls {
+			if c.iter != iter {
+				iter, seen = c.iter, map[ise.KernelID]bool{}
+				until, held = map[ise.KernelID]arch.Cycles{}, map[ise.KernelID]arch.Cycles{}
+			}
+			first := !seen[c.k]
+			seen[c.k] = true
+			if c.now < until[c.k] {
+				reused++
+				continue
+			}
+			if u := until[c.k]; u > 0 {
+				renewed++
+				if c.now == u {
+					exact++
+				}
+			}
+			if c.now < held[c.k] {
+				revoked++
+			}
+			want = append(want, c)
+			if first && c.k == sc.bumpOn {
+				until = map[ise.KernelID]arch.Cycles{}
+			}
+			until[c.k], held[c.k] = 0, 0
+			if !first {
+				until[c.k] = sc.lease(c.now)
+				held[c.k] = until[c.k]
+			}
+		}
+		t.Logf("%s: %d Execute calls for %d executions: %d reused, %d renewed (%d exactly at Until), %d revoked",
+			sc.name, len(fast.calls), len(slow.calls), reused, renewed, exact, revoked)
+		if !reflect.DeepEqual(fast.calls, want) {
+			t.Errorf("%s: Execute calls\n%v\nwant\n%v", sc.name, fast.calls, want)
+		}
+		leased := sc.lease(1) > 0
+		switch {
+		case leased && (reused == 0 || renewed == 0 || exact == 0):
+			t.Errorf("%s: the script exercises no lease boundary", sc.name)
+		case !leased && len(fast.calls) != len(slow.calls):
+			t.Errorf("%s: zero Until: %d Execute calls for %d executions", sc.name, len(fast.calls), len(slow.calls))
+		case sc.bumpOn != "" && leased && revoked == 0:
+			t.Errorf("%s: the bump revoked no lease", sc.name)
 		}
 	}
 }
