@@ -23,13 +23,15 @@ import (
 )
 
 // defaultPattern selects the fast, deterministic micro/meso benches of the
-// selection fast path, of one simulator run and of the workload build (one
-// encoded frame, one figure input); the figure-level benches are too slow
-// and noisy for a CI guard.
+// selection fast path, of one simulator run, of one schedule merge (with
+// its prefix index) and of the workload build (one encoded frame, one
+// figure input); the figure-level benches are too slow and noisy for a CI
+// guard.
 const defaultPattern = "BenchmarkProfitFunction$|BenchmarkGreedySelection$|BenchmarkOptimalSelection$|" +
 	"BenchmarkTriggerSelection$|BenchmarkSelectionObserved$|BenchmarkGreedyIncremental|" +
 	"BenchmarkSelectorScalability|BenchmarkOptimalScalability|BenchmarkServiceThroughput$|" +
-	"BenchmarkSimulatorRun$|BenchmarkSweepWallclock|BenchmarkPhasedPrediction|BenchmarkEncoderFrame$|BenchmarkWorkloadBuild$"
+	"BenchmarkSimulatorRun$|BenchmarkTraceMerge$|BenchmarkSweepWallclock|BenchmarkPhasedPrediction|" +
+	"BenchmarkEncoderFrame$|BenchmarkWorkloadBuild$"
 
 type metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`

@@ -32,8 +32,9 @@
 //     execution, so a runtime system that sets nothing stays correct.
 //
 // The simulator reuses a leased verdict without calling Execute, and
-// finishes a block iteration in closed form once every kernel left in it
-// holds a verdict leased Forever (see sim.Stepper).
+// charges a whole stretch of a block iteration in closed form when every
+// kernel in it holds a lease that outlasts the stretch's last start (see
+// sim.Stepper); a steady tail leased Forever is one such stretch.
 package ecu
 
 import (

@@ -139,12 +139,13 @@ func (c *countingRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 
 // TestFastForwardSkipsExecute pins the mechanism, so a silent fall-back to
 // the per-execution loop cannot pass the identity tests. An untraced run
-// reuses every leased verdict and fast-forwards steady tails, so it calls
-// Execute only where a verdict may change: the Offline-optimal run at 4/3
-// settles within the first executions of each iteration, and mRTS and
-// RISPP-like, which reconfigure at every trigger, must still call Execute
-// for under 1% of their executions on the plain and the phased workload.
-// The same run with an observer must call it for every execution.
+// reuses every leased verdict and charges leased stretches in closed
+// form, so it calls Execute only where a verdict may change: the
+// Offline-optimal run at 4/3 settles within the first executions of each
+// iteration, and mRTS and RISPP-like, which reconfigure at every trigger,
+// must still call Execute for under 1% of their executions on the plain
+// and the phased workload, and walk under 5% of them one by one. The same
+// run with an observer must call Execute for, and walk, every execution.
 func TestFastForwardSkipsExecute(t *testing.T) {
 	type run struct {
 		p   exp.Policy
@@ -167,18 +168,30 @@ func TestFastForwardSkipsExecute(t *testing.T) {
 				if observed {
 					opts.Observer = obs.New()
 				}
-				rep, err := sim.RunOpts(w.w.App, w.w.Trace, rts, opts)
+				st, err := sim.NewStepper(w.w.App, w.w.Trace, rts, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				for !st.Done() {
+					if err := st.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rep := st.Finish()
 				name := fmt.Sprintf("%s/%dx%d/%s observed=%v", r.p, r.cfg.NPRC, r.cfg.NCG, w.name, observed)
 				share := float64(rts.calls) / float64(rep.Executions)
-				t.Logf("%s: %d Execute calls for %d executions (%.4f)", name, rts.calls, rep.Executions, share)
-				if observed && rts.calls != rep.Executions {
-					t.Errorf("%s: called Execute %d times for %d executions, want every one", name, rts.calls, rep.Executions)
+				walked := float64(st.Walked()) / float64(rep.Executions)
+				t.Logf("%s: %d Execute calls, %d walked for %d executions (%.4f, %.4f)",
+					name, rts.calls, st.Walked(), rep.Executions, share, walked)
+				if observed && (rts.calls != rep.Executions || st.Walked() != rep.Executions) {
+					t.Errorf("%s: called Execute %d times and walked %d of %d executions, want every one",
+						name, rts.calls, st.Walked(), rep.Executions)
 				}
 				if !observed && share >= 0.01 {
 					t.Errorf("%s: called Execute for %.2f%% of executions, want < 1%%", name, 100*share)
+				}
+				if !observed && walked >= 0.05 {
+					t.Errorf("%s: walked %.2f%% of executions one by one, want < 5%%", name, 100*walked)
 				}
 			}
 		}

@@ -184,6 +184,9 @@ type Stepper struct {
 	rep  *Report
 	t    arch.Cycles
 	next int
+	// walked counts the executions replayed one by one rather than in a
+	// closed-form window.
+	walked int64
 
 	// Per-Step scratch, reused across iterations: the per-kernel tracks
 	// (indexed like the iteration's trace.Schedule) and the observation
@@ -283,12 +286,15 @@ func (s *Stepper) AddOverhead(c arch.Cycles) {
 	s.rep.OverheadCycles += c
 }
 
+// track is one kernel's part of the iteration being replayed: n
+// executions so far, the first starting at first, the latest ending at
+// lastEnd, and sumL their summed latency. The gaps between consecutive
+// executions then sum to lastEnd − first − sumL, so a closed-form window
+// need not know where a kernel's executions before its last one fall.
 type track struct {
-	k       *ise.Kernel
-	first   arch.Cycles
-	lastEnd arch.Cycles
-	gaps    arch.Cycles
-	n       int64
+	k                    *ise.Kernel
+	first, lastEnd, sumL arch.Cycles
+	n                    int64
 	// d is the kernel's last verdict and until its lease at the version
 	// the step last saw (zero: none; see Step).
 	d     ecu.Decision
@@ -297,11 +303,9 @@ type track struct {
 
 // deliver applies the container fault events due at `now` to the
 // reconfiguration controller and notifies the runtime system once per
-// batch; it returns the visible re-selection overhead.
+// batch; it returns the visible re-selection overhead. Only a run with a
+// fault engine calls it.
 func (s *Stepper) deliver(now arch.Cycles) (arch.Cycles, error) {
-	if s.eng == nil {
-		return 0, nil
-	}
 	events := s.eng.Next(now)
 	if len(events) == 0 {
 		return 0, nil
@@ -357,12 +361,14 @@ func (s *Stepper) Step() error {
 
 	// Fault events that struck since the last delivery point are
 	// applied before the trigger instruction sees the fabric.
-	fv, err := s.deliver(t)
-	if err != nil {
-		return err
+	if s.eng != nil {
+		fv, err := s.deliver(t)
+		if err != nil {
+			return err
+		}
+		t += fv
+		rep.OverheadCycles += fv
 	}
-	t += fv
-	rep.OverheadCycles += fv
 
 	// Trigger instruction: the runtime system selects ISEs and
 	// starts reconfigurations; its visible overhead extends the
@@ -392,81 +398,84 @@ func (s *Stepper) Step() error {
 	}
 	// Lease bookkeeping: an execution that starts while its kernel's
 	// verdict is leased (t < until, at the version the lease was taken)
-	// reuses it without calling Execute; once every kernel with executions
-	// left (live) holds a verdict leased Forever, the rest of the
-	// iteration is charged in closed form. An observer (one dispatch
-	// event per execution) or a fault schedule (deliveries between
-	// executions) keeps the per-execution loop: no lease is ever taken.
+	// reuses it without calling Execute. At every chunk boundary of the
+	// schedule, and after every Execute call that grants a lease, the
+	// stretch up to the farthest later boundary that every kernel in it
+	// reaches under its lease is charged in closed form (window);
+	// otherwise the executions are walked one by one up to the next
+	// boundary or lease. An observer (one dispatch event per execution)
+	// or a fault schedule (deliveries between executions) keeps the
+	// per-execution walk: no lease is ever taken.
 	fast := s.eng == nil && s.opts.Observer == nil
-	var (
-		ver           uint64
-		live, forever int
-	)
+	var ver uint64
 	if fast {
-		ver, live = s.ctrl.Version(), n
+		ver = s.ctrl.Version()
 	}
-	for _, k := range sch.Order {
-		tk := &tracks[k]
-		gap := sch.Gap[k]
-		t += gap
-		rep.SoftwareCycles += gap
-
-		fv, err := s.deliver(t)
-		if err != nil {
-			return err
+	for p, end := 0, len(sch.Order); p < end; {
+		if fast {
+			if q := window(sch, tracks, p, t); q > 0 {
+				t = s.charge(sch, tracks, q, t)
+				p = min(q*trace.Stride, end)
+				continue
+			}
 		}
-		t += fv
-		rep.OverheadCycles += fv
+		from := p
+		for stop := min(p-p%trace.Stride+trace.Stride, end); p < stop; {
+			k := sch.Order[p]
+			p++
+			tk := &tracks[k]
+			gap := sch.Gap[k]
+			t += gap
+			rep.SoftwareCycles += gap
 
-		d := tk.d
-		if t < tk.until {
-			// Execute would return the leased verdict; it would only
-			// advance the controller clock.
-			s.ctrl.Advance(t)
-		} else {
-			d = s.rts.Execute(tk.k, t)
-			if fast {
-				if v := s.ctrl.Version(); v != ver {
-					// A mutation revokes every lease, but not the
-					// verdict just taken against the new state.
-					ver, forever = v, 0
-					for j := range tracks {
-						tracks[j].until = 0
+			if s.eng != nil {
+				fv, err := s.deliver(t)
+				if err != nil {
+					return err
+				}
+				t += fv
+				rep.OverheadCycles += fv
+			}
+
+			d := tk.d
+			leased := false
+			if t < tk.until {
+				// Execute would return the leased verdict; it would
+				// only advance the controller clock.
+				s.ctrl.Advance(t)
+			} else {
+				d = s.rts.Execute(tk.k, t)
+				if fast {
+					if v := s.ctrl.Version(); v != ver {
+						// A mutation revokes every lease, but not the
+						// verdict just taken against the new state.
+						ver = v
+						for j := range tracks {
+							tracks[j].until = 0
+						}
 					}
-				}
-				tk.d, tk.until = d, d.Until
-				if d.Until == ecu.Forever {
-					forever++
+					tk.d, tk.until = d, d.Until
+					leased = d.Until > t
 				}
 			}
-		}
-		rep.ModeExecs[d.Mode]++
-		rep.ModeCycles[d.Mode] += d.Latency
-		rep.KernelCycles += d.Latency
-		rep.Executions++
+			rep.ModeExecs[d.Mode]++
+			rep.ModeCycles[d.Mode] += d.Latency
+			rep.KernelCycles += d.Latency
+			rep.Executions++
 
-		if tk.n == 0 {
-			tk.first = t - start
-		} else {
-			tk.gaps += t - tk.lastEnd
-		}
-		tk.n++
-		t += d.Latency
-		tk.lastEnd = t
-
-		if !fast {
-			continue
-		}
-		if tk.n == sch.Count[k] {
-			live--
-			if tk.until == ecu.Forever {
-				forever--
+			if tk.n == 0 {
+				tk.first = t
+			}
+			tk.n++
+			tk.sumL += d.Latency
+			t += d.Latency
+			tk.lastEnd = t
+			if leased {
+				// The new lease may complete a window.
+				break
 			}
 		}
-		if live > 0 && forever == live {
-			t = s.fastForward(sch, tracks, t)
-			break
-		}
+		s.walked += int64(p - from)
 	}
 
 	// Monitored ground truth for the MPU.
@@ -475,9 +484,9 @@ func (s *Stepper) Step() error {
 		tk := &tracks[k]
 		var tb arch.Cycles
 		if tk.n > 1 {
-			tb = tk.gaps / arch.Cycles(tk.n-1)
+			tb = (tk.lastEnd - tk.first - tk.sumL) / arch.Cycles(tk.n-1)
 		}
-		obsv = append(obsv, mpu.Observation{Kernel: id, E: tk.n, TF: tk.first, TB: tb})
+		obsv = append(obsv, mpu.Observation{Kernel: id, E: tk.n, TF: tk.first - start, TB: tb})
 	}
 	s.rts.OnBlockEnd(blk, it.Phase, profile, obsv, t)
 	s.obsvBuf = obsv[:0]
@@ -490,58 +499,112 @@ func (s *Stepper) Step() error {
 	return nil
 }
 
-// fastForward charges the rest of the iteration, from clock t on, in
-// closed form: every kernel k with r_k executions left repeats its verdict
-// leased Forever (latency L_k) after its software gap G_k. With
-// w_j = G_j + L_j, the iteration ends at t + Σ r_j·w_j, and k's last
-// execution starts at t + Σ_j (r_j − After[k][j])·w_j − L_k, since
-// exactly r_j − After[k][j] executions of kernel j fall between the
-// cursor and k's last one (inclusive). Each track then gains r_k executions, and its gap sum gains
-// sLast − lastEnd − (r_k − 1)·L_k: the telescoped sum of start − previous
-// end over those executions. The controller is advanced to the last start,
-// exactly where the final Execute call would have left it.
-func (s *Stepper) fastForward(sch *trace.Schedule, tracks []track, t arch.Cycles) arch.Cycles {
+// window returns the farthest Prefix row q whose boundary lies after
+// position p and whose stretch, the executions from p up to that
+// boundary, replays at the tracks' leased verdicts, or 0 if none does.
+// The tracks hold the counts at p and t is the clock there. The stretch
+// holds every one of its kernels' leases, and so needs no Execute call, if
+// its last start falls before the Until of every kernel in it (fits). A
+// kernel without a lease has Until 0, so it blocks any stretch it is in.
+// A stretch that fits contains only stretches that fit, so once the next
+// row fits, the rest of the iteration is tried (a steady tail), and
+// otherwise the farthest row is found by galloping out and bisecting.
+func window(sch *trace.Schedule, tracks []track, p int, t arch.Cycles) int {
+	lo, last := p/trace.Stride+1, sch.Chunks()
+	if !fits(sch, tracks, lo, t) {
+		return 0
+	}
+	if lo == last || fits(sch, tracks, last, t) {
+		return last
+	}
+	hi := last // row lo fits, row hi does not
+	for step := 1; lo+step < hi; step *= 2 {
+		if !fits(sch, tracks, lo+step, t) {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
+	for hi-lo > 1 {
+		if q := (lo + hi) / 2; fits(sch, tracks, q, t) {
+			lo = q
+		} else {
+			hi = q
+		}
+	}
+	return lo
+}
+
+// fits reports whether the stretch from the tracks' counts up to row q
+// replays at fixed verdicts from clock t: with w_j = G_j + L_j and r_j
+// executions of kernel j in it, it ends at t + Σ r_j·w_j, and its last
+// start is that end minus the last execution's latency.
+func fits(sch *trace.Schedule, tracks []track, q int, t arch.Cycles) bool {
+	n := len(tracks)
+	row := sch.Prefix[q*n : (q+1)*n]
+	until := ecu.Forever
+	for j := range tracks {
+		tk := &tracks[j]
+		if r := int64(row[j]) - tk.n; r > 0 {
+			t += arch.Cycles(r) * (sch.Gap[j] + tk.d.Latency)
+			until = min(until, tk.until)
+		}
+	}
+	end := min(q*trace.Stride, len(sch.Order))
+	return t-tracks[sch.Order[end-1]].d.Latency < until
+}
+
+// charge replays the stretch from the tracks' counts up to Prefix row q,
+// from clock t, in closed form, and returns the clock at its end. Every
+// kernel j with r_j executions in it repeats its leased verdict (latency
+// L_j) after its software gap G_j. A kernel k whose last execution falls
+// in the stretch ends it at t + Σ_j (Count_j − n_j − After[k][j])·w_j,
+// since that many executions of kernel j lie between the cursor and k's
+// last one (inclusive); any other kernel's lastEnd is rewritten by its
+// later executions. The controller is advanced to the stretch's last
+// start, exactly where its last Execute call would have left it.
+func (s *Stepper) charge(sch *trace.Schedule, tracks []track, q int, t arch.Cycles) arch.Cycles {
 	rep := s.rep
 	n := len(tracks)
+	row := sch.Prefix[q*n : (q+1)*n]
 	from := t
 	for j := range tracks {
 		tk := &tracks[j]
-		r := sch.Count[j] - tk.n
+		r := int64(row[j]) - tk.n
 		if r == 0 {
 			continue
 		}
 		d := tk.d
+		lat := arch.Cycles(r) * d.Latency
 		rep.ModeExecs[d.Mode] += r
-		rep.ModeCycles[d.Mode] += arch.Cycles(r) * d.Latency
-		rep.KernelCycles += arch.Cycles(r) * d.Latency
+		rep.ModeCycles[d.Mode] += lat
+		rep.KernelCycles += lat
 		rep.SoftwareCycles += arch.Cycles(r) * sch.Gap[j]
 		rep.Executions += r
+		tk.sumL += lat
 		t += arch.Cycles(r) * (sch.Gap[j] + d.Latency)
 	}
-	var lastStart arch.Cycles
 	for k := range tracks {
 		tk := &tracks[k]
-		rk := sch.Count[k] - tk.n
-		if rk == 0 {
+		if tk.n == sch.Count[k] || int64(row[k]) < sch.Count[k] {
 			continue
 		}
-		sLast := from - tk.d.Latency
+		end := from
 		after := sch.After[k*n : (k+1)*n]
 		for j := range tracks {
 			if c := sch.Count[j] - tracks[j].n - after[j]; c > 0 {
-				sLast += arch.Cycles(c) * (sch.Gap[j] + tracks[j].d.Latency)
+				end += arch.Cycles(c) * (sch.Gap[j] + tracks[j].d.Latency)
 			}
 		}
-		tk.gaps += sLast - tk.lastEnd - arch.Cycles(rk-1)*tk.d.Latency
-		tk.lastEnd = sLast + tk.d.Latency
-		lastStart = max(lastStart, sLast)
+		tk.lastEnd = end
 	}
-	// Second pass above reads every track's remaining count, so the counts
-	// are settled only now.
+	// The pass above reads every track's count at the cursor, so the
+	// counts move to row q only now.
 	for j := range tracks {
-		tracks[j].n = sch.Count[j]
+		tracks[j].n = int64(row[j])
 	}
-	s.ctrl.Advance(lastStart)
+	end := min(q*trace.Stride, len(sch.Order))
+	s.ctrl.Advance(t - tracks[sch.Order[end-1]].d.Latency)
 	return t
 }
 

@@ -206,7 +206,7 @@ func TestRunReserved(t *testing.T) {
 }
 
 // scriptRTS is a runtime system whose verdicts follow a script, so the
-// lease reuse and the fast-forward's closed form can be checked against
+// lease reuse and the closed-form windows can be checked against
 // the per-execution loop down to every observation: each kernel's first
 // execution of an iteration is an unleased RISC verdict, later ones a
 // verdict leased until lease(now) (Forever when lease is nil) at a
@@ -283,9 +283,11 @@ func (r *scriptRTS) OnBlockEnd(_ *ise.FunctionalBlock, _ string, _ []ise.Trigger
 	r.obsv = append(r.obsv, o...)
 }
 
-// scriptWorld is a four-kernel block with few executions per kernel,
-// where an off-by-one in any track field shows in the integer
-// observations. Kernel d executes once, mid-iteration.
+// scriptWorld is a four-kernel block. Its first four iterations fit in
+// one schedule chunk with few executions per kernel, where an off-by-one
+// in any track field shows in the integer observations; the last four
+// span several chunks, so closed-form windows start and end inside them.
+// Kernel d executes once, mid-iteration, and kernel c three or four times.
 func scriptWorld(t *testing.T) (*ise.Application, *trace.Trace) {
 	t.Helper()
 	var kernels []*ise.Kernel
@@ -297,10 +299,14 @@ func scriptWorld(t *testing.T) (*ise.Application, *trace.Trace) {
 		t.Fatal(err)
 	}
 	tr := &trace.Trace{App: "script"}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
+		a, b := int64(5+i), int64(7)
+		if i >= 4 {
+			a, b = int64(100+9*i), 150
+		}
 		tr.Iterations = append(tr.Iterations, trace.Iteration{Block: "blk", Seq: i, Prologue: 9, Loads: []trace.KernelLoad{
-			{Kernel: "a", E: int64(5 + i), GapSW: 2},
-			{Kernel: "b", E: 7, GapSW: 3},
+			{Kernel: "a", E: a, GapSW: 2},
+			{Kernel: "b", E: b, GapSW: 3},
 			{Kernel: "c", E: int64(3 + i%2), GapSW: 5},
 			{Kernel: "d", E: 1, GapSW: 4},
 		}})
@@ -310,8 +316,9 @@ func scriptWorld(t *testing.T) (*ise.Application, *trace.Trace) {
 
 // runScriptPair steps an untraced and an observed (per-execution) run of
 // the script in lockstep and checks that both clocks agree after every
-// Step and that the reports and every observation are equal.
-func runScriptPair(t *testing.T, name string, fast, slow *scriptRTS) {
+// Step and that the reports and every observation are equal. It returns
+// the untraced stepper.
+func runScriptPair(t *testing.T, name string, fast, slow *scriptRTS) *Stepper {
 	t.Helper()
 	app, tr := scriptWorld(t)
 	fs, err := NewStepper(app, tr, fast, Options{})
@@ -340,6 +347,7 @@ func runScriptPair(t *testing.T, name string, fast, slow *scriptRTS) {
 	if !reflect.DeepEqual(fast.obsv, slow.obsv) {
 		t.Errorf("%s: observations differ:\n%+v\n%+v", name, fast.obsv, slow.obsv)
 	}
+	return fs
 }
 
 // TestFastForwardClosedForm checks the closed form against the
@@ -357,20 +365,151 @@ func TestFastForwardClosedForm(t *testing.T) {
 	}
 }
 
-// TestLeaseBoundaries checks the lease rule execution by execution. The
-// script leases each verdict until the next multiple of window, so leases
-// run out mid-iteration: an untraced run must reuse the verdict for every
-// start before Until and call Execute again at the first start at or
-// after it. A zero Until is no lease, and a version bump mid-iteration
-// (kernel d) revokes every lease. The expected calls are derived from the
+// leaseReplay is what the lease and window rules predict for an untraced
+// run of the script, replayed over the calls of its observed run (which
+// calls Execute for every execution, in schedule order).
+type leaseReplay struct {
+	calls  []scriptCall // the Execute calls the untraced run must make
+	walked int64        // the executions it must walk one by one
+
+	reused, renewed, exact, revoked int
+	// Window coverage: a renewal walked mid-chunk after a window (a
+	// window ending mid-chunk); a window attempt blocked only because a
+	// stretch's last start lands exactly on Until; a window, not to the
+	// iteration's end, holding a kernel's last execution; and a window
+	// attempt blocked only by a kernel not yet started in the iteration.
+	midChunk, exactAtBoundary, lastInside, notStarted int
+}
+
+// replayLeases replays the lease and window rules over an observed run's
+// calls. From position p, a window covers the executions up to the
+// farthest chunk boundary b > p such that every kernel in them holds a
+// lease and the start of execution b−1 falls before the earliest of their
+// Untils; its executions reuse their leases. The replay tries one at the
+// iteration's start, at every boundary and after every call that grants a
+// lease; in between, every execution is walked: it reuses its kernel's
+// lease if it starts before Until and calls Execute otherwise. The first
+// execution of a kernel in an iteration takes no lease, every later call
+// takes lease(now), and the first call of kernel bumpOn revokes every
+// lease.
+func replayLeases(calls []scriptCall, bumpOn ise.KernelID, lease func(arch.Cycles) arch.Cycles) leaseReplay {
+	var r leaseReplay
+	for len(calls) > 0 {
+		n := 1
+		for n < len(calls) && calls[n].iter == calls[0].iter {
+			n++
+		}
+		it := calls[:n]
+		calls = calls[n:]
+		last := map[ise.KernelID]int{}
+		for p, c := range it {
+			last[c.k] = p
+		}
+		seen := map[ise.KernelID]bool{}
+		until, held := map[ise.KernelID]arch.Cycles{}, map[ise.KernelID]arch.Cycles{}
+		// window returns the farthest boundary a window from p reaches
+		// (p if none), scanning the boundaries in order: a stretch that
+		// fits holds only stretches that fit.
+		window := func(p int) int {
+			q := p
+			for b := p - p%trace.Stride + trace.Stride; ; b += trace.Stride {
+				b = min(b, n)
+				lim, started := ecu.Forever, ecu.Forever
+				fresh := false
+				for _, c := range it[p:b] {
+					lim = min(lim, until[c.k])
+					if seen[c.k] {
+						started = min(started, until[c.k])
+					} else {
+						fresh = true
+					}
+				}
+				end := it[b-1].now
+				if end >= lim {
+					if end == lim {
+						r.exactAtBoundary++
+					}
+					if fresh && end < started {
+						r.notStarted++
+					}
+					return q
+				}
+				if q = b; q == n {
+					return q
+				}
+			}
+		}
+		skipped := false
+		for p := 0; p < n; {
+			if q := window(p); q > p {
+				for i, c := range it[p:q] {
+					if last[c.k] == p+i && q < n {
+						r.lastInside++
+					}
+				}
+				r.reused += q - p
+				p, skipped = q, true
+				continue
+			}
+			for stop := min(p-p%trace.Stride+trace.Stride, n); p < stop; {
+				c := it[p]
+				p++
+				r.walked++
+				first := !seen[c.k]
+				seen[c.k] = true
+				if c.now < until[c.k] {
+					r.reused++
+					continue
+				}
+				if u := until[c.k]; u > 0 {
+					r.renewed++
+					if c.now == u {
+						r.exact++
+					}
+					if skipped && (p-1)%trace.Stride > 0 {
+						r.midChunk++
+					}
+				}
+				if c.now < held[c.k] {
+					r.revoked++
+				}
+				r.calls = append(r.calls, c)
+				if first && c.k == bumpOn {
+					until = map[ise.KernelID]arch.Cycles{}
+				}
+				until[c.k], held[c.k] = 0, 0
+				if !first {
+					until[c.k] = lease(c.now)
+					held[c.k] = until[c.k]
+				}
+				if until[c.k] > c.now {
+					break
+				}
+			}
+			skipped = false
+		}
+	}
+	return r
+}
+
+// TestLeaseBoundaries checks the lease and window rules execution by
+// execution. The script leases each verdict until the next multiple of
+// window, so leases run out mid-iteration and mid-chunk: an untraced run
+// must reuse the verdict for every start before Until, call Execute again
+// at the first start at or after it, and skip exactly the stretches whose
+// last start falls before the Until of every kernel in them. A zero Until
+// is no lease, and a version bump mid-iteration (kernel d) revokes every
+// lease. The expected calls and walked executions are replayed from the
 // observed run, which calls Execute for every execution, and both runs
 // must agree on clocks, reports and observations.
 func TestLeaseBoundaries(t *testing.T) {
-	// With this window one start lands exactly on its lease's Until, and
+	// With this window one start lands exactly on its lease's Until, one
+	// chunk's last start lands exactly on the Until that blocks it, and
 	// the bump on d revokes leases that would still hold.
-	const window = 221
+	const window = 1391
 	next := func(now arch.Cycles) arch.Cycles { return now - now%window + window }
 	none := func(arch.Cycles) arch.Cycles { return 0 }
+	forever := func(arch.Cycles) arch.Cycles { return ecu.Forever }
 	for _, sc := range []struct {
 		name   string
 		bumpOn ise.KernelID
@@ -380,59 +519,35 @@ func TestLeaseBoundaries(t *testing.T) {
 		{"window/bump on d", "d", next},
 		{"zero", "", none},
 		{"zero/bump on a", "a", none},
+		{"forever/bump on d", "d", forever},
 	} {
 		fast, slow := newScriptRTS(t, sc.bumpOn), newScriptRTS(t, sc.bumpOn)
 		fast.lease, slow.lease = sc.lease, sc.lease
-		runScriptPair(t, sc.name, fast, slow)
+		fs := runScriptPair(t, sc.name, fast, slow)
 
-		// Replay the lease rule over every execution of the observed run.
-		var want []scriptCall
-		var seen map[ise.KernelID]bool
-		var until, held map[ise.KernelID]arch.Cycles
-		iter, reused, renewed, exact, revoked := -1, 0, 0, 0, 0
-		for _, c := range slow.calls {
-			if c.iter != iter {
-				iter, seen = c.iter, map[ise.KernelID]bool{}
-				until, held = map[ise.KernelID]arch.Cycles{}, map[ise.KernelID]arch.Cycles{}
-			}
-			first := !seen[c.k]
-			seen[c.k] = true
-			if c.now < until[c.k] {
-				reused++
-				continue
-			}
-			if u := until[c.k]; u > 0 {
-				renewed++
-				if c.now == u {
-					exact++
-				}
-			}
-			if c.now < held[c.k] {
-				revoked++
-			}
-			want = append(want, c)
-			if first && c.k == sc.bumpOn {
-				until = map[ise.KernelID]arch.Cycles{}
-			}
-			until[c.k], held[c.k] = 0, 0
-			if !first {
-				until[c.k] = sc.lease(c.now)
-				held[c.k] = until[c.k]
-			}
+		r := replayLeases(slow.calls, sc.bumpOn, sc.lease)
+		t.Logf("%s: %d Execute calls, %d walked for %d executions: %d reused, %d renewed (%d exactly at Until), %d revoked; "+
+			"windows: %d ending mid-chunk, %d blocked exactly at Until, %d holding a last execution, %d before a first one",
+			sc.name, len(fast.calls), fs.Walked(), len(slow.calls), r.reused, r.renewed, r.exact, r.revoked,
+			r.midChunk, r.exactAtBoundary, r.lastInside, r.notStarted)
+		if !reflect.DeepEqual(fast.calls, r.calls) {
+			t.Errorf("%s: Execute calls\n%v\nwant\n%v", sc.name, fast.calls, r.calls)
 		}
-		t.Logf("%s: %d Execute calls for %d executions: %d reused, %d renewed (%d exactly at Until), %d revoked",
-			sc.name, len(fast.calls), len(slow.calls), reused, renewed, exact, revoked)
-		if !reflect.DeepEqual(fast.calls, want) {
-			t.Errorf("%s: Execute calls\n%v\nwant\n%v", sc.name, fast.calls, want)
+		if fs.Walked() != r.walked {
+			t.Errorf("%s: walked %d executions one by one, want %d", sc.name, fs.Walked(), r.walked)
 		}
 		leased := sc.lease(1) > 0
 		switch {
-		case leased && (reused == 0 || renewed == 0 || exact == 0):
-			t.Errorf("%s: the script exercises no lease boundary", sc.name)
+		case leased && r.walked == int64(len(slow.calls)):
+			t.Errorf("%s: no chunk was skipped", sc.name)
 		case !leased && len(fast.calls) != len(slow.calls):
 			t.Errorf("%s: zero Until: %d Execute calls for %d executions", sc.name, len(fast.calls), len(slow.calls))
-		case sc.bumpOn != "" && leased && revoked == 0:
+		case sc.bumpOn != "" && leased && r.revoked == 0:
 			t.Errorf("%s: the bump revoked no lease", sc.name)
+		case sc.name == "window" && (r.reused == 0 || r.renewed == 0 || r.exact == 0):
+			t.Errorf("%s: the script exercises no lease boundary", sc.name)
+		case sc.name == "window" && (r.midChunk == 0 || r.exactAtBoundary == 0 || r.lastInside == 0 || r.notStarted == 0):
+			t.Errorf("%s: the script misses a window boundary", sc.name)
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // TestMergedLoadsAllocation bounds what the merged schedules of the seed-1
 // default workload (48 iterations, 135 060 executions) cost to build and
-// keep: one byte per execution plus the per-kernel tables.
+// keep: one byte per execution, the prefix index (K/8 bytes per
+// execution) and the per-kernel tables.
 func TestMergedLoadsAllocation(t *testing.T) {
 	w, err := workload.Build(workload.Options{Seed: 1})
 	if err != nil {

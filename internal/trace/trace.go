@@ -134,12 +134,20 @@ func (tr *Trace) Validate(app *ise.Application) error {
 const maxKernels = 256
 
 // checkLoads rejects a load list with no single-core schedule: more than
-// maxKernels entries, or a kernel listed twice.
+// maxKernels entries, a kernel listed twice, or more executions than a
+// schedule's 32-bit prefix counts hold.
 func (it *Iteration) checkLoads() error {
 	if len(it.Loads) > maxKernels {
 		return fmt.Errorf("lists %d kernels, more than %d", len(it.Loads), maxKernels)
 	}
+	var execs int64
 	for i, l := range it.Loads {
+		if l.E > 0 {
+			if l.E > math.MaxInt32-execs {
+				return fmt.Errorf("has more than %d executions", math.MaxInt32)
+			}
+			execs += l.E
+		}
 		for _, m := range it.Loads[:i] {
 			if m.Kernel == l.Kernel {
 				return fmt.Errorf("lists kernel %q twice", l.Kernel)
@@ -149,12 +157,18 @@ func (it *Iteration) checkLoads() error {
 	return nil
 }
 
+// Stride is the spacing, in executions, of a Schedule's prefix-count rows.
+const Stride = 32
+
 // Schedule is the merged single-core execution schedule of one block
 // iteration. Kernel k is the iteration's k-th load with executions (E > 0),
 // and every per-kernel slice is indexed by k. Besides the execution order,
-// it summarises the schedule for replaying any suffix of it in closed
-// form: once every kernel left in the suffix runs at a fixed latency, the
-// suffix's timing follows from per-kernel counts alone.
+// it summarises the schedule for replaying a stretch of it in closed form:
+// while every kernel in the stretch runs at a fixed latency, the stretch's
+// timing follows from per-kernel counts alone. Prefix gives the counts up
+// to every chunk boundary (the multiples of Stride, and the end), so a
+// replayer that knows its counts at the cursor knows those of the stretch
+// up to any later boundary; After places each kernel's last execution.
 type Schedule struct {
 	// Kernels[k] is kernel k's ID.
 	Kernels []ise.KernelID
@@ -167,14 +181,23 @@ type Schedule struct {
 	// After[k*K+j] is the number of executions of kernel j that follow the
 	// last execution of kernel k (K = len(Kernels)).
 	After []int64
+	// Prefix[c*K+j] is the number of executions of kernel j in
+	// Order[:min(c*Stride, len(Order))], for c = 0..Chunks(); its last row
+	// is Count.
+	Prefix []int32
 }
+
+// Chunks returns the index of the last Prefix row: the number of chunks
+// of Stride executions Order spans, the last one possibly shorter.
+func (s *Schedule) Chunks() int { return (len(s.Order) + Stride - 1) / Stride }
 
 // Merge interleaves the kernel loads of an iteration into the single-core
 // execution order. Executions of different kernels are merged by fractional
 // position ((j+0.5)/E), modelling the loop structure of real functional
 // blocks where kernels alternate per macroblock; ties break by kernel ID so
 // the schedule is deterministic. The loads must list each kernel at most
-// once and at most 256 kernels (Validate rejects other traces).
+// once, at most 256 kernels and at most 2³¹−1 executions (Validate rejects
+// other traces).
 func Merge(loads []KernelLoad) *Schedule {
 	s := kernelsOf(loads)
 	n := len(s.Kernels)
@@ -182,9 +205,22 @@ func Merge(loads []KernelLoad) *Schedule {
 		panic(fmt.Sprintf("trace: Merge of %d kernels, more than %d", n, maxKernels))
 	}
 	m := newMerger(s)
+	if m.left > math.MaxInt32 {
+		panic(fmt.Sprintf("trace: Merge of %d executions, more than %d", m.left, math.MaxInt32))
+	}
 	s.Order = make([]uint8, m.left)
-	for p := range s.Order {
-		s.Order[p] = uint8(m.next())
+	// The prefix rows are written in the same pass: after each chunk, a
+	// kernel's count is its merge cursor's.
+	s.Prefix = make([]int32, (s.Chunks()+1)*n)
+	for c := range s.Chunks() {
+		order := s.Order[c*Stride : min((c+1)*Stride, len(s.Order))]
+		for p := range order {
+			order[p] = uint8(m.next())
+		}
+		row := s.Prefix[(c+1)*n : (c+2)*n]
+		for _, cur := range m.curs {
+			row[cur.k] = int32(cur.next)
+		}
 	}
 	// One backward pass: after[j] counts kernel j's executions behind the
 	// cursor, so where after[k] is still 0 the cursor is at k's last

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -287,8 +288,8 @@ func TestMergePreservesCountsProperty(t *testing.T) {
 
 // bruteSchedule recomputes a Schedule position by position from its
 // executions: kernels (and their gaps) are the loads with executions in
-// load order, and for each kernel every later execution is counted from
-// its last one.
+// load order, for each kernel every later execution is counted from its
+// last one, and every prefix row rescans the order up to its boundary.
 func bruteSchedule(loads []KernelLoad, evs []event) *Schedule {
 	var order []ise.KernelID
 	var gaps []arch.Cycles
@@ -299,7 +300,7 @@ func bruteSchedule(loads []KernelLoad, evs []event) *Schedule {
 		}
 	}
 	n := len(order)
-	s := &Schedule{Kernels: order, Gap: gaps, Order: make([]uint8, len(evs)), After: make([]int64, n*n)}
+	s := &Schedule{Kernels: order, Gap: gaps, Order: make([]uint8, len(evs)), After: make([]int64, n*n), Prefix: []int32{}}
 	for k, id := range order {
 		var count int64
 		last := -1
@@ -319,7 +320,21 @@ func bruteSchedule(loads []KernelLoad, evs []event) *Schedule {
 			}
 		}
 	}
-	return s
+	for c := 0; ; c++ {
+		end := min(c*Stride, len(s.Order))
+		for j := range order {
+			var cnt int32
+			for _, k := range s.Order[:end] {
+				if int(k) == j {
+					cnt++
+				}
+			}
+			s.Prefix = append(s.Prefix, cnt)
+		}
+		if end == len(s.Order) {
+			return s
+		}
+	}
 }
 
 // rescanMerge is the reference merge: every execution rescans all loads
@@ -411,8 +426,8 @@ func TestMergeMatchesRescan(t *testing.T) {
 				GapSW:  arch.Cycles(rng.Intn(20)),
 			})
 		}
-		if got, want := events(Merge(loads)), rescanMerge(loads); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d, loads %+v: Merge %v, reference %v", seed, loads, got, want)
+		if got, want := Merge(loads), bruteSchedule(loads, rescanMerge(loads)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, loads %+v: Merge %+v, reference %+v", seed, loads, got, want)
 		}
 		it := &Iteration{Block: "b", Prologue: arch.Cycles(rng.Intn(100)), Loads: loads}
 		got, err := RISCTriggers(app, it)
@@ -421,6 +436,46 @@ func TestMergeMatchesRescan(t *testing.T) {
 		}
 		if want := mapRISCTriggers(app, it); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d, loads %+v: RISCTriggers %v, reference %v", seed, loads, got, want)
+		}
+	}
+}
+
+// TestMergePrefixRows checks the prefix index at the chunk edges against
+// the brute-force schedule: an order shorter than one chunk, exactly one
+// and exactly several chunks, one past a chunk, a single kernel and no
+// executions at all. Each row count and the last row (Count) are checked
+// explicitly too.
+func TestMergePrefixRows(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		e      []int64
+		chunks int
+	}{
+		{"short", []int64{3, 5}, 1},
+		{"one chunk", []int64{Stride / 2, Stride / 2}, 1},
+		{"three chunks", []int64{Stride, 2*Stride - 7, 7}, 3},
+		{"one past", []int64{Stride, 1}, 2},
+		{"single kernel", []int64{2*Stride + 3}, 3},
+		{"single kernel, exact", []int64{Stride}, 1},
+		{"empty", []int64{0}, 0},
+	} {
+		var loads []KernelLoad
+		for i, e := range tc.e {
+			loads = append(loads, KernelLoad{Kernel: ise.KernelID(string(rune('p' + i))), E: e, GapSW: arch.Cycles(i)})
+		}
+		s := Merge(loads)
+		if want := bruteSchedule(loads, events(s)); !reflect.DeepEqual(s, want) {
+			t.Errorf("%s: Merge %+v, brute force %+v", tc.name, s, want)
+		}
+		n := len(s.Kernels)
+		if s.Chunks() != tc.chunks || len(s.Prefix) != (tc.chunks+1)*n {
+			t.Errorf("%s: %d chunks, %d prefix counts; want %d chunks of %d kernels", tc.name, s.Chunks(), len(s.Prefix), tc.chunks, n)
+			continue
+		}
+		for k := range n {
+			if got := s.Prefix[tc.chunks*n+k]; int64(got) != s.Count[k] {
+				t.Errorf("%s: last row counts %d executions of kernel %d, want %d", tc.name, got, k, s.Count[k])
+			}
 		}
 	}
 }
@@ -438,6 +493,12 @@ func TestValidateRejectsUnschedulableLoads(t *testing.T) {
 	}
 	if _, err := RISCTriggers(app, &dup.Iterations[0]); err == nil {
 		t.Error("RISCTriggers accepted a duplicate kernel")
+	}
+	huge := &Trace{Iterations: []Iteration{{Block: "b", Loads: []KernelLoad{
+		{Kernel: "x", E: math.MaxInt32}, {Kernel: "y", E: math.MaxInt64},
+	}}}}
+	if err := huge.Validate(app); err == nil || !strings.Contains(err.Error(), "executions") {
+		t.Errorf("too many executions: Validate = %v, want an execution-count error", err)
 	}
 
 	var kernels []*ise.Kernel
