@@ -30,6 +30,7 @@ import (
 	"mrts/internal/mpu"
 	"mrts/internal/obs"
 	"mrts/internal/profit"
+	"mrts/internal/reconfig"
 	"mrts/internal/selector"
 	"mrts/internal/service"
 	"mrts/internal/service/api"
@@ -347,6 +348,56 @@ func BenchmarkTriggerSelection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCommitSelection measures the reconfiguration controller alone:
+// one op commits, in order and at their trigger times, the non-empty
+// selections an mRTS run of the Small workload makes on a 4/3 fabric,
+// including the lazy evictions they cause (evictions/op).
+func BenchmarkCommitSelection(b *testing.B) {
+	w := workload.Small()
+	cfg := arch.Config{NPRC: 4, NCG: 3}
+	rts, err := exp.NewPolicy(exp.PolicyMRTS, cfg, w.App, w.Trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := obs.New()
+	if _, err := sim.RunOpts(w.App, w.Trace, rts, sim.Options{Observer: rec}); err != nil {
+		b.Fatal(err)
+	}
+	type commit struct {
+		sel []*ise.ISE
+		now arch.Cycles
+	}
+	var commits []commit
+	for _, ev := range rec.Events() {
+		if ev.Kind != obs.KindClaim {
+			continue
+		}
+		if ev.Round == 1 {
+			commits = append(commits, commit{now: ev.Cycle})
+		}
+		c := &commits[len(commits)-1]
+		for _, e := range w.App.Block(ev.Block).Kernel(ise.KernelID(ev.Kernel)).ISEs {
+			if e.ID == ev.ISE {
+				c.sel = append(c.sel, e)
+			}
+		}
+	}
+	ctrl, err := reconfig.NewController(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctrl.Reset()
+		for _, c := range commits {
+			ctrl.CommitSelectionSafe(c.sel, c.now)
+		}
+	}
+	b.ReportMetric(float64(ctrl.Stats().Evictions), "evictions/op")
+	b.ReportMetric(float64(len(commits)), "commits/op")
 }
 
 // BenchmarkGreedyIncremental stresses the incremental greedy on a large

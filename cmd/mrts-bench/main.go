@@ -23,12 +23,12 @@ import (
 )
 
 // defaultPattern selects the fast, deterministic micro/meso benches of the
-// selection fast path, of one simulator run, of one schedule merge (with
-// its prefix index) and of the workload build (one encoded frame, one
-// figure input); the figure-level benches are too slow and noisy for a CI
-// guard.
+// selection fast path, of the reconfiguration controller's commits, of one
+// simulator run, of one schedule merge (with its prefix index) and of the
+// workload build (one encoded frame, one figure input); the figure-level
+// benches are too slow and noisy for a CI guard.
 const defaultPattern = "BenchmarkProfitFunction$|BenchmarkGreedySelection$|BenchmarkOptimalSelection$|" +
-	"BenchmarkTriggerSelection$|BenchmarkSelectionObserved$|BenchmarkGreedyIncremental|" +
+	"BenchmarkTriggerSelection$|BenchmarkSelectionObserved$|BenchmarkCommitSelection$|BenchmarkGreedyIncremental|" +
 	"BenchmarkSelectorScalability|BenchmarkOptimalScalability|BenchmarkServiceThroughput$|" +
 	"BenchmarkSimulatorRun$|BenchmarkTraceMerge$|BenchmarkSweepWallclock|BenchmarkPhasedPrediction|" +
 	"BenchmarkEncoderFrame$|BenchmarkWorkloadBuild$"

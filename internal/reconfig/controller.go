@@ -11,13 +11,22 @@
 // matches the RISPP-style fabric management the paper builds on — a data
 // path that survives until the same functional block is entered again
 // costs nothing to "reconfigure".
+//
+// The fabric holds at most NPRC+NCG units and every data path occupies at
+// least one, so the controller keeps its data paths in a small slice of
+// slots (stored by value, in no particular order) and finds them with a
+// linear scan: on the trigger and execution paths that is cheaper than
+// hashing a data-path ID, and needs no allocation. removePath is the only
+// way a slot leaves the slice — it swap-removes the slot and keeps the
+// occupancy counters and the change version in sync — so every query that
+// depends on order (eviction, ConfiguredPaths, migration) sorts first.
 package reconfig
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mrts/internal/arch"
 	"mrts/internal/ise"
@@ -108,21 +117,23 @@ type Controller struct {
 
 	now arch.Cycles
 
-	// paths holds every data path that is configured or in flight.
-	paths map[ise.DataPathID]*slot
+	// paths holds every data path that is configured or in flight, one
+	// slot per data path (see the package comment).
+	paths []slot
 	// fgPortEnd / cgPortEnd are the times the configuration ports become
 	// free again.
 	fgPortEnd arch.Cycles
 	cgPortEnd arch.Cycles
 
-	monos map[ise.KernelID]*monoSlot
+	// monos holds the loaded monoCG-Extension slots, one per kernel.
+	monos []monoSlot
 	// monoEnd is the latest ready time of any monoCG load since Reset: a
 	// running max like the port ends, so a settled NextReady stays O(1).
 	monoEnd arch.Cycles
 
 	// occPRC / occCG mirror the PRC / CG-EDPE units held by c.paths. The
 	// free-capacity queries run once per kernel execution via the ECU, so
-	// they must not iterate the paths map; every insert and delete keeps
+	// they must not iterate the paths; every insert and delete keeps
 	// these counters in sync instead (occupiedCG adds len(monos) on top).
 	occPRC int
 	occCG  int
@@ -160,8 +171,7 @@ func NewController(cfg arch.Config) (*Controller, error) {
 	}
 	return &Controller{
 		cfg:    cfg,
-		paths:  make(map[ise.DataPathID]*slot),
-		monos:  make(map[ise.KernelID]*monoSlot),
+		paths:  make([]slot, 0, cfg.NPRC+cfg.NCG),
 		fabric: arch.NewFabric(cfg),
 	}, nil
 }
@@ -186,8 +196,10 @@ func (c *Controller) Advance(now arch.Cycles) {
 // survives. Simulation runs Reset the controller first, so every report's
 // counters cover exactly one run.
 func (c *Controller) Reset() {
-	c.paths = make(map[ise.DataPathID]*slot)
-	c.monos = make(map[ise.KernelID]*monoSlot)
+	clear(c.paths)
+	c.paths = c.paths[:0]
+	clear(c.monos)
+	c.monos = c.monos[:0]
 	c.occPRC, c.occCG = 0, 0
 	c.version++
 	c.fgPortEnd, c.cgPortEnd, c.monoEnd = 0, 0, 0
@@ -247,9 +259,9 @@ func (c *Controller) NextReady(now arch.Cycles) arch.Cycles {
 		return Forever
 	}
 	next := Forever
-	for _, s := range c.paths {
-		if s.ready > now && s.ready < next {
-			next = s.ready
+	for i := range c.paths {
+		if r := c.paths[i].ready; r > now && r < next {
+			next = r
 		}
 	}
 	for _, m := range c.monos {
@@ -275,17 +287,27 @@ func (c *Controller) FreeCG() int {
 // IsConfigured implements ise.FabricView: the data path is present and its
 // reconfiguration has completed at the controller's current time.
 func (c *Controller) IsConfigured(id ise.DataPathID) bool {
-	s, ok := c.paths[id]
-	return ok && s.ready <= c.now
+	i := c.find(id)
+	return i >= 0 && c.paths[i].ready <= c.now
 }
 
 // ReadyTime reports when the data path will be (or was) configured.
 func (c *Controller) ReadyTime(id ise.DataPathID) (arch.Cycles, bool) {
-	s, ok := c.paths[id]
-	if !ok {
+	i := c.find(id)
+	if i < 0 {
 		return 0, false
 	}
-	return s.ready, true
+	return c.paths[i].ready, true
+}
+
+// find returns the index of the data path's slot, or -1.
+func (c *Controller) find(id ise.DataPathID) int {
+	for i := range c.paths {
+		if c.paths[i].dp.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // ConfiguredPrefix returns the length of the longest prefix of the ISE's
@@ -339,25 +361,21 @@ func (c *Controller) evict(kind arch.FabricKind, units int) int {
 // the given pin state until `units` capacity units are freed. record logs
 // the removed paths as fault-invalidated (container failures only).
 func (c *Controller) evictPass(kind arch.FabricKind, units int, pinned, record bool) int {
-	var cands []*slot
+	var buf [slotBuf]slot
+	cands := buf[:0]
 	for _, s := range c.paths {
 		if s.pinned != pinned || s.dp.Kind != kind {
 			continue
 		}
 		cands = append(cands, s)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].ready != cands[j].ready {
-			return cands[i].ready < cands[j].ready
-		}
-		return cands[i].dp.ID < cands[j].dp.ID
-	})
+	sortOldestFirst(cands)
 	freed := 0
 	for _, s := range cands {
 		if freed >= units {
 			break
 		}
-		c.removePath(s)
+		c.removePath(c.find(s.dp.ID))
 		c.stats.Evictions++
 		if record {
 			c.stats.FaultEvictions++
@@ -378,13 +396,42 @@ func (c *Controller) evictPass(kind arch.FabricKind, units int, pinned, record b
 	return freed
 }
 
-// removePath deletes one data path and keeps the occupancy counters and
-// change version in sync. Every `delete(c.paths, ...)` must go through it.
-func (c *Controller) removePath(s *slot) {
-	delete(c.paths, s.dp.ID)
-	c.occPRC -= s.dp.PRCs
-	c.occCG -= s.dp.CGs
+// removePath deletes the data path in slot i and keeps the occupancy
+// counters and change version in sync. Every removal of a single slot must
+// go through it. It swap-removes, so slot indices taken before the call
+// are stale after it.
+func (c *Controller) removePath(i int) {
+	dp := c.paths[i].dp
+	last := len(c.paths) - 1
+	c.paths[i] = c.paths[last]
+	c.paths[last] = slot{}
+	c.paths = c.paths[:last]
+	c.occPRC -= dp.PRCs
+	c.occCG -= dp.CGs
 	c.version++
+}
+
+// slotBuf sizes the stack buffers that eviction and migration collect
+// their candidate slots in; a fabric larger than that spills to the heap.
+const slotBuf = 16
+
+// sortOldestFirst orders slots by ready time, ties by ID — the eviction
+// and migration order. IDs are unique, so the order is total and the
+// insertion sort (no allocation, and the slices are fabric-sized) yields
+// the one sequence any sort would.
+func sortOldestFirst(s []slot) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && olderSlot(&s[j], &s[j-1]); j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+func olderSlot(a, b *slot) bool {
+	if a.ready != b.ready {
+		return a.ready < b.ready
+	}
+	return a.dp.ID < b.dp.ID
 }
 
 // evictOverflow restores the capacity invariant after a container of the
@@ -403,20 +450,16 @@ func (c *Controller) evictOverflow(kind arch.FabricKind) {
 	if overflow <= 0 {
 		return
 	}
-	if kind == arch.CG && len(c.monos) > 0 {
-		ids := make([]ise.KernelID, 0, len(c.monos))
-		for id := range c.monos {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if overflow <= 0 {
-				break
+	// monoCG contexts go in kernel-ID order.
+	for kind == arch.CG && overflow > 0 && len(c.monos) > 0 {
+		first := 0
+		for i := range c.monos {
+			if c.monos[i].kernel < c.monos[first].kernel {
+				first = i
 			}
-			delete(c.monos, id)
-			c.version++
-			overflow--
 		}
+		c.removeMono(first)
+		overflow--
 	}
 	if overflow > 0 {
 		overflow -= c.evictPass(kind, overflow, false, true)
@@ -472,7 +515,7 @@ func (c *Controller) RecoverUnit(kind arch.FabricKind) bool {
 func (c *Controller) TakeInvalidated() []ise.DataPathID {
 	out := c.invalidated
 	c.invalidated = nil
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -497,9 +540,9 @@ func (c *Controller) declareFailed(kind arch.FabricKind) {
 // the time the data path becomes available.
 func (c *Controller) Request(d ise.DataPath, now arch.Cycles) (arch.Cycles, error) {
 	c.Advance(now)
-	if s, ok := c.paths[d.ID]; ok {
-		s.pinned = true
-		return s.ready, nil
+	if i := c.find(d.ID); i >= 0 {
+		c.paths[i].pinned = true
+		return c.paths[i].ready, nil
 	}
 	switch d.Kind {
 	case arch.FG:
@@ -522,7 +565,7 @@ func (c *Controller) Request(d ise.DataPath, now arch.Cycles) (arch.Cycles, erro
 		c.declareFailed(d.Kind)
 		return ready, fmt.Errorf("reconfig: data path %q: %w", d.ID, ErrConfigFailed)
 	}
-	c.paths[d.ID] = &slot{dp: d, ready: ready, pinned: true}
+	c.paths = append(c.paths, slot{dp: d, ready: ready, pinned: true})
 	c.occPRC += d.PRCs
 	c.occCG += d.CGs
 	return ready, nil
@@ -632,8 +675,8 @@ func (c *Controller) CommitSelectionSafe(selected []*ise.ISE, now arch.Cycles) C
 
 func (c *Controller) commit(selected []*ise.ISE, now arch.Cycles, tolerate bool) ([]arch.Cycles, []int, error) {
 	c.Advance(now)
-	for _, s := range c.paths {
-		s.pinned = false
+	for i := range c.paths {
+		c.paths[i].pinned = false
 	}
 	// monoCG slots do not survive a new selection: the CG-EDPEs they
 	// borrow must be available for the committed data paths.
@@ -643,8 +686,8 @@ func (c *Controller) commit(selected []*ise.ISE, now arch.Cycles, tolerate bool)
 	// requests below.
 	for _, e := range selected {
 		for _, d := range e.DataPaths {
-			if s, ok := c.paths[d.ID]; ok {
-				s.pinned = true
+			if i := c.find(d.ID); i >= 0 {
+				c.paths[i].pinned = true
 			}
 		}
 	}
@@ -710,7 +753,8 @@ func (v selectionView) PortBacklog(kind arch.FabricKind) arch.Cycles {
 // EvictAll removes every configured and in-flight data path and monoCG slot.
 func (c *Controller) EvictAll() {
 	c.stats.Evictions += int64(len(c.paths))
-	c.paths = make(map[ise.DataPathID]*slot)
+	clear(c.paths)
+	c.paths = c.paths[:0]
 	c.occPRC, c.occCG = 0, 0
 	c.version++
 	c.releaseAllMono()
@@ -726,8 +770,8 @@ func (c *Controller) AcquireMonoCG(k *ise.Kernel, now arch.Cycles) (arch.Cycles,
 		return 0, false
 	}
 	c.Advance(now)
-	if m, ok := c.monos[k.ID]; ok {
-		return m.ready, true
+	if i := c.findMono(k.ID); i >= 0 {
+		return c.monos[i].ready, true
 	}
 	if c.FreeCG() < 1 {
 		c.evict(arch.CG, 1)
@@ -736,7 +780,7 @@ func (c *Controller) AcquireMonoCG(k *ise.Kernel, now arch.Cycles) (arch.Cycles,
 		return 0, false
 	}
 	ready := now + k.MonoCG.ReconfigCycles()
-	c.monos[k.ID] = &monoSlot{kernel: k.ID, ready: ready}
+	c.monos = append(c.monos, monoSlot{kernel: k.ID, ready: ready})
 	c.monoEnd = maxCycles(c.monoEnd, ready)
 	c.stats.MonoCGLoads++
 	c.stats.CGBusyCycles += k.MonoCG.ReconfigCycles()
@@ -746,28 +790,45 @@ func (c *Controller) AcquireMonoCG(k *ise.Kernel, now arch.Cycles) (arch.Cycles,
 // MonoCGReady reports whether the kernel holds a monoCG slot and when it is
 // (or was) ready.
 func (c *Controller) MonoCGReady(id ise.KernelID) (arch.Cycles, bool) {
-	m, ok := c.monos[id]
-	if !ok {
+	i := c.findMono(id)
+	if i < 0 {
 		return 0, false
 	}
-	return m.ready, true
+	return c.monos[i].ready, true
 }
 
 // ReleaseMonoCG frees the kernel's monoCG slot, if any.
 func (c *Controller) ReleaseMonoCG(id ise.KernelID) {
-	if _, ok := c.monos[id]; ok {
-		delete(c.monos, id)
-		c.version++
+	if i := c.findMono(id); i >= 0 {
+		c.removeMono(i)
 	}
+}
+
+// findMono returns the index of the kernel's monoCG slot, or -1.
+func (c *Controller) findMono(id ise.KernelID) int {
+	for i := range c.monos {
+		if c.monos[i].kernel == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// removeMono swap-removes monoCG slot i and bumps the change version.
+func (c *Controller) removeMono(i int) {
+	last := len(c.monos) - 1
+	c.monos[i] = c.monos[last]
+	c.monos[last] = monoSlot{}
+	c.monos = c.monos[:last]
+	c.version++
 }
 
 func (c *Controller) releaseAllMono() {
 	if len(c.monos) == 0 {
 		return
 	}
-	for id := range c.monos {
-		delete(c.monos, id)
-	}
+	clear(c.monos)
+	c.monos = c.monos[:0]
 	c.version++
 }
 
@@ -775,12 +836,12 @@ func (c *Controller) releaseAllMono() {
 // current time, sorted for determinism.
 func (c *Controller) ConfiguredPaths() []ise.DataPathID {
 	var out []ise.DataPathID
-	for id, s := range c.paths {
+	for _, s := range c.paths {
 		if s.ready <= c.now {
-			out = append(out, id)
+			out = append(out, s.dp.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -409,3 +409,30 @@ func TestCommitSelectionOverBudgetFails(t *testing.T) {
 		t.Error("selection larger than the fabric accepted")
 	}
 }
+
+// TestControllerQueriesAllocFree pins that the per-trigger and
+// per-execution queries allocate nothing: IsConfigured, NextReady (with a
+// load in flight, so it scans the slots) and a Request for a data path
+// that is already present.
+func TestControllerQueriesAllocFree(t *testing.T) {
+	c := newCtrl(t, 4, 3)
+	if _, err := c.CommitSelection([]*ise.ISE{
+		mkISE("e1", fgDP("a"), fgDP("b")), mkISE("e2", cgDP("c")), mkISE("e3", fgDP("d")),
+	}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c.NextReady(0) == Forever {
+		t.Fatal("no load in flight at time 0")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.IsConfigured("d")
+		c.IsConfigured("missing")
+		c.NextReady(0)
+		if _, err := c.Request(fgDP("b"), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("controller queries allocate %v per run, want 0", allocs)
+	}
+}

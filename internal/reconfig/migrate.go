@@ -2,7 +2,6 @@ package reconfig
 
 import (
 	"fmt"
-	"sort"
 
 	"mrts/internal/arch"
 	"mrts/internal/obs"
@@ -61,7 +60,8 @@ func (c *Controller) Repartition(kind arch.FabricKind, capacity, retained int, n
 
 	// Surviving paths of this kind, oldest first: the retained prefix of
 	// the old window keeps them configured, the rest moved containers.
-	var survivors []*slot
+	var buf [slotBuf]slot
+	survivors := buf[:0]
 	occupied := 0
 	for _, s := range c.paths {
 		if s.dp.Kind != kind {
@@ -74,12 +74,7 @@ func (c *Controller) Repartition(kind arch.FabricKind, capacity, retained int, n
 	if move <= 0 {
 		return 0, now, nil
 	}
-	sort.Slice(survivors, func(i, j int) bool {
-		if survivors[i].ready != survivors[j].ready {
-			return survivors[i].ready < survivors[j].ready
-		}
-		return survivors[i].dp.ID < survivors[j].dp.ID
-	})
+	sortOldestFirst(survivors)
 
 	migrated := 0
 	last := now
@@ -95,8 +90,8 @@ func (c *Controller) Repartition(kind arch.FabricKind, capacity, retained int, n
 			// The destination container died under retry exhaustion: the
 			// path is lost in transit.
 			c.declareFailed(kind)
-			if _, alive := c.paths[s.dp.ID]; alive {
-				c.removePath(s)
+			if i := c.find(s.dp.ID); i >= 0 {
+				c.removePath(i)
 				c.stats.Evictions++
 				c.invalidated = append(c.invalidated, s.dp.ID)
 			}
@@ -104,8 +99,12 @@ func (c *Controller) Repartition(kind arch.FabricKind, capacity, retained int, n
 		}
 		// The migrated path is unconfigured until it finishes re-streaming:
 		// moving its ready time forward can downgrade steering decisions,
-		// so the change version must advance.
-		s.ready = ready
+		// so the change version must advance. (A survivor the overflow
+		// eviction of an earlier failed migration took is gone: its copy
+		// is still accounted as migrated, but no slot is left to move.)
+		if i := c.find(s.dp.ID); i >= 0 {
+			c.paths[i].ready = ready
+		}
 		c.version++
 		c.stats.Migrations++
 		c.stats.MigrationCycles += s.dp.ReconfigCycles()

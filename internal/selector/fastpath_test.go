@@ -22,7 +22,8 @@ func referenceGreedy(q Request) (Result, error) {
 		res Result
 		ps  profit.Scratch
 	)
-	st := newState(q.Fabric)
+	st := new(state)
+	st.reset(q.Fabric)
 	cands := gatherCandidates(q)
 
 	for len(cands) > 0 {

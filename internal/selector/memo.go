@@ -147,6 +147,9 @@ type MemoStats struct {
 	Hits, Misses uint64
 }
 
+// fingerprintPool holds the buffers Memo probes build fingerprints in.
+var fingerprintPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // Memo is a concurrency-safe, bounded LRU memo of Greedy results keyed by
 // request fingerprint. It is the cross-point sharing layer of the batch
 // engine: one Memo is scoped to one workload and shared by every (policy
@@ -201,9 +204,17 @@ func (m *Memo) GreedyWithHit(q Request) (Result, bool, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, false, err
 	}
-	key := Fingerprint(q)
+	// The fingerprint is built into a pooled buffer and probed through a
+	// string conversion the compiler does not allocate for; only an
+	// insert materialises the key string.
+	bp := fingerprintPool.Get().(*[]byte)
+	key := AppendFingerprint((*bp)[:0], q)
+	defer func() {
+		*bp = key
+		fingerprintPool.Put(bp)
+	}()
 	m.mu.Lock()
-	if el, ok := m.byKey[key]; ok {
+	if el, ok := m.byKey[string(key)]; ok {
 		m.order.MoveToFront(el)
 		res := el.Value.(*memoEntry).res
 		m.mu.Unlock()
@@ -217,10 +228,11 @@ func (m *Memo) GreedyWithHit(q Request) (Result, bool, error) {
 	}
 	m.misses.Add(1)
 	m.mu.Lock()
-	if el, ok := m.byKey[key]; ok {
+	if el, ok := m.byKey[string(key)]; ok {
 		m.order.MoveToFront(el)
 	} else {
-		m.byKey[key] = m.order.PushFront(&memoEntry{key: key, res: res})
+		k := string(key)
+		m.byKey[k] = m.order.PushFront(&memoEntry{key: k, res: res})
 		if m.order.Len() > m.cap {
 			oldest := m.order.Back()
 			m.order.Remove(oldest)

@@ -1,8 +1,7 @@
 package selector
 
 import (
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"mrts/internal/ise"
@@ -21,27 +20,20 @@ func Optimal(q Request) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
-	var res Result
-
-	// One group per trigger; per group the candidate ISEs plus their
-	// stand-alone profit (against the initial fabric) used for bounding.
-	type option struct {
-		c          candidate
-		standalone float64 // exact profit against the initial fabric
-		prc        int
-		cg         int
-		shared     bool // shares data paths with some other kernel's ISE
-	}
-	type group struct {
-		kernel ise.KernelID
-		opts   []option
-		best   float64 // upper bound on any option's profit in any context
-	}
+	sc := optimalPool.Get().(*optimalScratch)
+	defer sc.release()
+	sc.res = Result{}
+	st := &sc.st
+	st.reset(q.Fabric)
 
 	dpOwners := countDataPathOwners(q)
-	var prof profit.Scratch
-	var groups []group
-	base := newState(q.Fabric)
+	// Every group's options are a window of one buffer sized for all
+	// candidates, so appending never moves an earlier group's window.
+	if n := numCandidates(q); cap(sc.opts) < n {
+		sc.opts = make([]candidate, 0, n)
+	}
+	opts := sc.opts[:0]
+	groups := sc.groups[:0]
 	for _, t := range q.Triggers {
 		k := q.Block.Kernel(t.Kernel)
 		if k == nil {
@@ -49,13 +41,14 @@ func Optimal(q Request) (Result, error) {
 		}
 		p := profit.ParamsFromTrigger(t)
 		g := group{kernel: k.ID}
+		first := len(opts)
 		for _, e := range k.ISEs {
 			prc, cg := e.CostPRC(), e.CostCG()
-			if prc > base.freePRC || cg > base.freeCG {
+			if prc > st.freePRC || cg > st.freeCG {
 				continue // can never fit
 			}
-			res.Evaluations++
-			pr := prof.Profit(k, e, q.Fabric, p, q.Model)
+			sc.res.Evaluations++
+			pr := sc.prof.Profit(k, e, q.Fabric, p, q.Model)
 			shared := false
 			for _, d := range e.DataPaths {
 				if dpOwners[d.ID] > 1 {
@@ -69,7 +62,7 @@ func Optimal(q Request) (Result, error) {
 			if pr <= 0 && !shared {
 				continue
 			}
-			g.opts = append(g.opts, option{c: candidate{kernel: k, e: e, params: p}, standalone: pr, prc: prc, cg: cg, shared: shared})
+			opts = append(opts, candidate{kernel: k, e: e, params: p})
 			// Per-option upper bound on the profit in any context. An
 			// unshared option's data paths are never configured by other
 			// kernels' choices, so context can only add port backlog —
@@ -87,78 +80,121 @@ func Optimal(q Request) (Result, error) {
 				g.best = b
 			}
 		}
+		g.opts = opts[first:len(opts):len(opts)]
 		groups = append(groups, g)
 	}
+	sc.opts, sc.groups = opts, groups
 
 	// Sort groups by descending best profit so bounds tighten early.
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].best > groups[j].best })
+	slices.SortStableFunc(groups, func(a, b group) int {
+		switch {
+		case a.best > b.best:
+			return -1
+		case a.best < b.best:
+			return 1
+		}
+		return 0
+	})
 
-	// suffixBound[i] = sum of best profits of groups i..end.
-	suffixBound := make([]float64, len(groups)+1)
+	// suffix[i] = sum of best profits of groups i..end (appending a make
+	// extends the buffer in place, without allocating).
+	sc.suffix = append(sc.suffix[:0], make([]float64, len(groups)+1)...)
 	for i := len(groups) - 1; i >= 0; i-- {
-		suffixBound[i] = suffixBound[i+1] + groups[i].best
+		sc.suffix[i] = sc.suffix[i+1] + groups[i].best
 	}
 
-	bestTotal := -1.0
-	var bestChoices []Choice
-	current := make([]Choice, 0, len(groups))
+	sc.bestTotal = -1
+	sc.best = sc.best[:0]
+	sc.current = sc.current[:0]
+	sc.model = q.Model
+	sc.walk(0, 0)
 
-	var walk func(i int, st *state, total float64)
-	walk = func(i int, st *state, total float64) {
-		res.Rounds++
-		if total+suffixBound[i] <= bestTotal {
-			return
-		}
-		if i == len(groups) {
-			if total > bestTotal {
-				bestTotal = total
-				bestChoices = append(bestChoices[:0], current...)
-			}
-			return
-		}
-		g := groups[i]
-		for _, o := range g.opts {
-			if !st.fits(o.c.e) {
-				continue
-			}
-			// Exact profit in the context of already-chosen ISEs:
-			// shared data paths cost nothing a second time, and the
-			// reconfigurations queued by earlier choices delay this
-			// ISE on the configuration ports.
-			res.Evaluations++
-			pr := prof.Profit(o.c.kernel, o.c.e, st, o.c.params, q.Model)
-			if pr <= 0 {
-				continue
-			}
-			// Claim / recurse / restore.
-			savedPRC, savedCG := st.freePRC, st.freeCG
-			savedFG, savedCGPort := st.pendingFG, st.pendingCG
-			var newlyClaimed []ise.DataPathID
-			for _, d := range o.c.e.DataPaths {
-				if !st.claimed[d.ID] {
-					newlyClaimed = append(newlyClaimed, d.ID)
-				}
-			}
-			st.claim(o.c.e)
-			current = append(current, Choice{Kernel: g.kernel, ISE: o.c.e, Profit: pr})
-			walk(i+1, st, total+pr)
-			current = current[:len(current)-1]
-			st.freePRC, st.freeCG = savedPRC, savedCG
-			st.pendingFG, st.pendingCG = savedFG, savedCGPort
-			for _, id := range newlyClaimed {
-				delete(st.claimed, id)
-			}
-		}
-		// Also consider leaving this kernel unselected (RISC mode).
-		walk(i+1, st, total)
+	res := sc.res
+	if len(sc.best) > 0 {
+		res.Selected = slices.Clone(sc.best)
 	}
-	walk(0, newState(q.Fabric), 0)
-
-	res.Selected = bestChoices
 	// The exhaustive algorithm cannot overlap its search with
 	// reconfiguration: everything is on the critical path.
 	res.FirstRoundEvaluations = res.Evaluations
 	return res, nil
+}
+
+// group holds one trigger's candidate ISEs that can fit and may profit.
+type group struct {
+	kernel ise.KernelID
+	opts   []candidate
+	best   float64 // upper bound on any option's profit in any context
+}
+
+// optimalScratch is the per-call working memory of Optimal, pooled like
+// Greedy's so a warm call allocates only the Result's Selected copy.
+type optimalScratch struct {
+	model   profit.Model
+	st      state
+	prof    profit.Scratch
+	groups  []group
+	opts    []candidate
+	suffix  []float64
+	current []Choice
+	best    []Choice
+	// bestTotal is the incumbent's profit; res accumulates the counters.
+	bestTotal float64
+	res       Result
+}
+
+var optimalPool = sync.Pool{New: func() any { return new(optimalScratch) }}
+
+func (sc *optimalScratch) release() {
+	// Drop the caller's fabric view so the pool does not pin it (see
+	// greedyScratch.release).
+	sc.st.base = nil
+	optimalPool.Put(sc)
+}
+
+// walk explores groups i.. with the incumbent and the current partial
+// choice in os, total being the current choice's profit.
+func (sc *optimalScratch) walk(i int, total float64) {
+	sc.res.Rounds++
+	if total+sc.suffix[i] <= sc.bestTotal {
+		return
+	}
+	if i == len(sc.groups) {
+		if total > sc.bestTotal {
+			sc.bestTotal = total
+			sc.best = append(sc.best[:0], sc.current...)
+		}
+		return
+	}
+	st := &sc.st
+	g := &sc.groups[i]
+	for j := range g.opts {
+		o := &g.opts[j]
+		if !st.fits(o.e) {
+			continue
+		}
+		// Exact profit in the context of already-chosen ISEs:
+		// shared data paths cost nothing a second time, and the
+		// reconfigurations queued by earlier choices delay this
+		// ISE on the configuration ports.
+		sc.res.Evaluations++
+		pr := sc.prof.Profit(o.kernel, o.e, st, o.params, sc.model)
+		if pr <= 0 {
+			continue
+		}
+		// Claim / recurse / restore.
+		savedPRC, savedCG := st.freePRC, st.freeCG
+		savedFG, savedCGPort := st.pendingFG, st.pendingCG
+		savedClaimed := len(st.claimed)
+		st.claim(o.e)
+		sc.current = append(sc.current, Choice{Kernel: g.kernel, ISE: o.e, Profit: pr})
+		sc.walk(i+1, total+pr)
+		sc.current = sc.current[:len(sc.current)-1]
+		st.freePRC, st.freeCG = savedPRC, savedCG
+		st.pendingFG, st.pendingCG = savedFG, savedCGPort
+		st.claimed = st.claimed[:savedClaimed]
+	}
+	// Also consider leaving this kernel unselected (RISC mode).
+	sc.walk(i+1, total)
 }
 
 // dpOwnersCache memoizes countDataPathOwners across Optimal calls: the
@@ -183,15 +219,18 @@ const dpOwnersCacheCap = 64
 // kernels whose candidate ISEs reference it, memoized per (block,
 // triggered-kernel sequence).
 func countDataPathOwners(q Request) map[ise.DataPathID]int {
-	var sb strings.Builder
+	// The key's kernel list is built on the stack and looked up through a
+	// string conversion the compiler does not allocate for; only an
+	// insert materialises it.
+	var buf [128]byte
+	kernels := buf[:0]
 	for _, t := range q.Triggers {
-		sb.WriteString(string(t.Kernel))
-		sb.WriteByte('|')
+		kernels = append(kernels, t.Kernel...)
+		kernels = append(kernels, '|')
 	}
-	key := dpOwnersKey{block: q.Block, kernels: sb.String()}
 
 	dpOwnersCache.Lock()
-	if m, ok := dpOwnersCache.m[key]; ok {
+	if m, ok := dpOwnersCache.m[dpOwnersKey{block: q.Block, kernels: string(kernels)}]; ok {
 		dpOwnersCache.Unlock()
 		return m
 	}
@@ -203,7 +242,7 @@ func countDataPathOwners(q Request) map[ise.DataPathID]int {
 	if len(dpOwnersCache.m) >= dpOwnersCacheCap {
 		clear(dpOwnersCache.m)
 	}
-	dpOwnersCache.m[key] = out
+	dpOwnersCache.m[dpOwnersKey{block: q.Block, kernels: string(kernels)}] = out
 	dpOwnersCache.Unlock()
 	return out
 }

@@ -157,7 +157,10 @@ type state struct {
 	base    ise.FabricView
 	freePRC int
 	freeCG  int
-	claimed map[ise.DataPathID]bool
+	// claimed lists the data paths claimed so far, each once, in claim
+	// order; a selection claims a handful, so a scan beats hashing, and
+	// Optimal's backtracking restores it by truncation.
+	claimed []ise.DataPathID
 	// pendingFG/pendingCG accumulate the reconfiguration time of data
 	// paths claimed by earlier choices of this selection: later
 	// candidates queue behind them on the serial configuration ports.
@@ -170,23 +173,13 @@ var (
 	_ ise.PortView   = (*state)(nil)
 )
 
-func newState(base ise.FabricView) *state {
-	s := &state{}
-	s.reset(base)
-	return s
-}
-
 // reset re-initialises the state onto a new base view, reusing the claimed
-// map so pooled states allocate nothing on reuse.
+// list so pooled states allocate nothing on reuse.
 func (s *state) reset(base ise.FabricView) {
 	s.base = base
 	s.freePRC = base.FreePRC()
 	s.freeCG = base.FreeCG()
-	if s.claimed == nil {
-		s.claimed = make(map[ise.DataPathID]bool)
-	} else {
-		clear(s.claimed)
-	}
+	s.claimed = s.claimed[:0]
 	s.pendingFG = 0
 	s.pendingCG = 0
 }
@@ -210,14 +203,25 @@ func (s *state) PortBacklog(kind arch.FabricKind) arch.Cycles {
 // IsConfigured is the reconfiguration-time view used by the profit
 // function: physically configured or claimed by an earlier choice.
 func (s *state) IsConfigured(id ise.DataPathID) bool {
-	return s.claimed[id] || s.base.IsConfigured(id)
+	return s.isClaimed(id) || s.base.IsConfigured(id)
+}
+
+// isClaimed reports whether an earlier choice of this selection claimed
+// the data path.
+func (s *state) isClaimed(id ise.DataPathID) bool {
+	for _, c := range s.claimed {
+		if c == id {
+			return true
+		}
+	}
+	return false
 }
 
 // capacityCost returns the fabric the ISE occupies beyond the data paths
 // already claimed by this selection.
 func (s *state) capacityCost(e *ise.ISE) (prc, cg int) {
 	for _, d := range e.DataPaths {
-		if s.claimed[d.ID] {
+		if s.isClaimed(d.ID) {
 			continue
 		}
 		prc += d.PRCs
@@ -241,19 +245,24 @@ func (s *state) covered(e *ise.ISE) bool {
 
 // claim consumes fabric capacity for the ISE's unclaimed data paths, marks
 // all of its data paths as claimed for later candidates, and queues the
-// reconfiguration time of genuinely new data paths on the ports.
+// reconfiguration time of genuinely new data paths on the ports. It only
+// appends to s.claimed, so truncating the list to its length before the
+// call undoes the marks.
 func (s *state) claim(e *ise.ISE) {
 	prc, cg := s.capacityCost(e)
 	s.freePRC -= prc
 	s.freeCG -= cg
 	for _, d := range e.DataPaths {
-		if !s.claimed[d.ID] && !s.base.IsConfigured(d.ID) {
+		if s.isClaimed(d.ID) {
+			continue
+		}
+		if !s.base.IsConfigured(d.ID) {
 			if d.Kind == arch.FG {
 				s.pendingFG += d.ReconfigCycles()
 			} else {
 				s.pendingCG += d.ReconfigCycles()
 			}
 		}
-		s.claimed[d.ID] = true
+		s.claimed = append(s.claimed, d.ID)
 	}
 }

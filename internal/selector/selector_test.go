@@ -461,21 +461,16 @@ func bruteForceBest(q Request) float64 {
 			}
 			savedPRC, savedCG := st.freePRC, st.freeCG
 			savedFG, savedCGP := st.pendingFG, st.pendingCG
-			var added []ise.DataPathID
-			for _, d := range e.DataPaths {
-				if !st.claimed[d.ID] {
-					added = append(added, d.ID)
-				}
-			}
+			savedClaimed := len(st.claimed)
 			st.claim(e)
 			walk(i+1, st, total+pr)
 			st.freePRC, st.freeCG = savedPRC, savedCG
 			st.pendingFG, st.pendingCG = savedFG, savedCGP
-			for _, id := range added {
-				delete(st.claimed, id)
-			}
+			st.claimed = st.claimed[:savedClaimed]
 		}
 	}
-	walk(0, newState(q.Fabric), 0)
+	st := new(state)
+	st.reset(q.Fabric)
+	walk(0, st, 0)
 	return best
 }

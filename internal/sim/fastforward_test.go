@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mrts/internal/arch"
@@ -11,6 +12,7 @@ import (
 	"mrts/internal/ecu"
 	"mrts/internal/exp"
 	"mrts/internal/ise"
+	"mrts/internal/mpu"
 	"mrts/internal/obs"
 	"mrts/internal/sim"
 	"mrts/internal/vfabric"
@@ -47,9 +49,13 @@ func newPolicy(t *testing.T, p exp.Policy, cfg arch.Config, w *workload.Result) 
 // observed run must call Execute for every execution. For RISC and every
 // Fig. 8 policy over a spread of fabrics, on a plain, a reserved and a
 // phased workload, the two are stepped in lockstep: both clocks (stepper
-// and controller) must agree after every Step and the reports must be
-// byte-identical JSON. Two-tenant hypervisor runs, which repartition
-// between Steps, must produce byte-identical reports too.
+// and controller) and the MPU's whole learned state must agree after every
+// Step, and the reports must be byte-identical JSON. The MPU state is what
+// every later forecast is issued from; it also holds the learned TB of
+// each (block, kernel), which the default count-only forecasts do not
+// apply, so a closed-form window that books a wrong last end shows here
+// even when no report field moves. Two-tenant hypervisor runs, which
+// repartition between Steps, must produce byte-identical reports too.
 func TestFastForwardMatchesPerExecution(t *testing.T) {
 	type scenario struct {
 		name string
@@ -90,6 +96,9 @@ func TestFastForwardMatchesPerExecution(t *testing.T) {
 							t.Fatalf("iteration %d: fast clocks %d/%d (stepper/controller), per-execution %d/%d",
 								i, fast.Now(), fc, slow.Now(), slc)
 						}
+						if fp := predictorOf(fast.RTS()); fp != nil && !reflect.DeepEqual(fp, predictorOf(slow.RTS())) {
+							t.Fatalf("iteration %d: the MPU state differs from the per-execution run's", i)
+						}
 					}
 					a, b := mustMarshal(t, fast.Finish()), mustMarshal(t, slow.Finish())
 					if !bytes.Equal(a, b) {
@@ -124,6 +133,15 @@ func TestFastForwardMatchesPerExecution(t *testing.T) {
 			})
 		}
 	}
+}
+
+// predictorOf returns the runtime system's MPU, or nil for policies
+// without one.
+func predictorOf(rts core.RuntimeSystem) *mpu.Predictor {
+	if p, ok := rts.(interface{ Predictor() *mpu.Predictor }); ok {
+		return p.Predictor()
+	}
+	return nil
 }
 
 // countingRTS counts Execute calls and forwards everything else.
