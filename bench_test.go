@@ -255,7 +255,7 @@ func BenchmarkProfitFunction(b *testing.B) {
 	var s profit.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Profit(k, e, nil, p, profit.Multigrained)
+		s.Profit(k, e, 0, nil, p, profit.Multigrained)
 	}
 }
 

@@ -148,12 +148,22 @@ type MRTS struct {
 	exec *ecu.ECU
 	opts Options
 
-	// selected maps the kernel object — the pointer the simulator hands
-	// Execute — to its selected ISE. Pointer keys keep the per-execution
-	// lookup off the string-hashing path; selections resolve kernel IDs to
+	// selected pairs each kernel object — the pointer the simulator hands
+	// Execute — with its selected ISE. A selection holds a handful of
+	// kernels, so Execute scans it; selections resolve kernel IDs to
 	// pointers once, at selection time.
-	selected map[*ise.Kernel]*ise.ISE
+	selected []selection
 	stats    Stats
+
+	// sites caches the MPU site of each (block, phase) trigger
+	// instruction seen, so a trigger resolves its site without building
+	// the "block#phase" key.
+	sites []siteRef
+	// forecasts, choices and ises are the per-trigger buffers of
+	// selectAndCommit.
+	forecasts []ise.Trigger
+	choices   []selector.Choice
+	ises      []*ise.ISE
 
 	// sharedMemo, when non-nil, answers selections from a cross-point
 	// memo shared with other policy instances and sweep points over the
@@ -182,6 +192,18 @@ type MRTS struct {
 	inIteration bool
 }
 
+// selection is one entry of the current selection.
+type selection struct {
+	kernel *ise.Kernel
+	ise    *ise.ISE
+}
+
+type siteRef struct {
+	block *ise.FunctionalBlock
+	phase string
+	site  *mpu.Site
+}
+
 var _ RuntimeSystem = (*MRTS)(nil)
 var _ FaultHandler = (*MRTS)(nil)
 
@@ -204,7 +226,6 @@ func New(cfg arch.Config, opts Options) (*MRTS, error) {
 		ctrl:          ctrl,
 		pred:          mpu.New(opts.MPU...),
 		opts:          opts,
-		selected:      make(map[*ise.Kernel]*ise.ISE),
 		greedyDefault: greedyDefault,
 	}
 	m.exec = ecu.New(ctrl, opts.ECU)
@@ -262,16 +283,38 @@ func (m *MRTS) Predictor() *mpu.Predictor { return m.pred }
 // Stats returns a snapshot of the accumulated counters.
 func (m *MRTS) Stats() Stats { return m.stats }
 
-// Selected returns the ISE currently selected for the kernel, or nil. It
-// scans the (block-sized) selection map — diagnostics and tests only; the
-// hot path in Execute is keyed by kernel pointer.
+// Selected returns the ISE currently selected for the kernel, or nil
+// (diagnostics and tests; Execute looks kernels up by pointer).
 func (m *MRTS) Selected(id ise.KernelID) *ise.ISE {
-	for k, e := range m.selected {
-		if k.ID == id {
-			return e
+	for _, s := range m.selected {
+		if s.kernel.ID == id {
+			return s.ise
 		}
 	}
 	return nil
+}
+
+// selectedISE returns the ISE selected for the kernel object, or nil.
+func (m *MRTS) selectedISE(k *ise.Kernel) *ise.ISE {
+	for _, s := range m.selected {
+		if s.kernel == k {
+			return s.ise
+		}
+	}
+	return nil
+}
+
+// site returns the MPU site of the block's trigger instruction for the
+// phase, resolving it by key only on first sight.
+func (m *MRTS) site(block *ise.FunctionalBlock, phase string) *mpu.Site {
+	for _, r := range m.sites {
+		if r.block == block && r.phase == phase {
+			return r.site
+		}
+	}
+	s := m.pred.Site(forecastKey(block.ID, phase))
+	m.sites = append(m.sites, siteRef{block: block, phase: phase, site: s})
+	return s
 }
 
 // OnTrigger implements RuntimeSystem: it corrects the trigger forecasts via
@@ -291,7 +334,8 @@ func (m *MRTS) OnTrigger(block *ise.FunctionalBlock, phase string, triggers []is
 // kernels degrade through the ECU chain) instead of aborting the run.
 func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, triggers []ise.Trigger, now arch.Cycles) (arch.Cycles, error) {
 	m.ctrl.Advance(now)
-	corrected := m.pred.ForecastAll(forecastKey(block.ID, phase), triggers)
+	m.forecasts = m.site(block, phase).AppendForecasts(m.forecasts[:0], triggers)
+	corrected := m.forecasts
 	if m.obsr != nil {
 		for i, t := range corrected {
 			ev := obs.Event{
@@ -319,9 +363,13 @@ func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, trigger
 		shared bool
 		err    error
 	)
-	if m.sharedMemo != nil {
+	switch {
+	case m.sharedMemo != nil:
 		res, shared, err = m.sharedMemo.GreedyWithHit(req)
-	} else {
+	case m.greedyDefault:
+		res, err = selector.GreedyInto(m.choices, req)
+		m.choices = res.Selected
+	default:
 		res, err = m.opts.Select(req)
 	}
 	if err != nil {
@@ -346,7 +394,11 @@ func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, trigger
 	// A skipped ISE keeps its kernel -> ISE assignment: its configured
 	// prefix (if any) stays on the fabric, so the ECU can still dispatch
 	// it as an intermediate ISE, and falls back to monoCG/RISC otherwise.
-	commit := m.ctrl.CommitSelectionSafe(res.ISEs(), now)
+	m.ises = m.ises[:0]
+	for _, c := range res.Selected {
+		m.ises = append(m.ises, c.ISE)
+	}
+	commit := m.ctrl.CommitSelectionSafe(m.ises, now)
 	m.stats.Degradations += int64(len(commit.Skipped))
 	if m.obsr != nil {
 		for _, i := range commit.Skipped {
@@ -358,12 +410,10 @@ func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, trigger
 			})
 		}
 	}
-	for id := range m.selected {
-		delete(m.selected, id)
-	}
+	m.selected = m.selected[:0]
 	for _, c := range res.Selected {
 		if k := block.Kernel(c.Kernel); k != nil {
-			m.selected[k] = c.ISE
+			m.setSelected(k, c.ISE)
 		}
 	}
 
@@ -383,6 +433,17 @@ func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, trigger
 	return visible, nil
 }
 
+// setSelected assigns the kernel's ISE, replacing an earlier assignment.
+func (m *MRTS) setSelected(k *ise.Kernel, e *ise.ISE) {
+	for i := range m.selected {
+		if m.selected[i].kernel == k {
+			m.selected[i].ise = e
+			return
+		}
+	}
+	m.selected = append(m.selected, selection{kernel: k, ise: e})
+}
+
 // OnFault implements FaultHandler: selected ISEs whose data paths were
 // lost are invalidated, the MPU is told to discard the disrupted
 // iteration's observations, and — if a trigger instruction has been seen —
@@ -396,22 +457,29 @@ func (m *MRTS) OnFault(lost []ise.DataPathID, now arch.Cycles) (arch.Cycles, err
 		for _, id := range lost {
 			lostSet[id] = true
 		}
-		for k, e := range m.selected {
-			for _, d := range e.DataPaths {
+		kept := m.selected[:0]
+		for _, s := range m.selected {
+			lostPath := ise.DataPathID("")
+			for _, d := range s.ise.DataPaths {
 				if lostSet[d.ID] {
-					delete(m.selected, k)
-					m.stats.Invalidations++
-					if m.obsr != nil {
-						m.obsr.Record(obs.Event{
-							Cycle: now, Source: obs.SourceCore, Kind: obs.KindInvalidate,
-							Kernel: string(k.ID), ISE: e.ID, Path: string(d.ID),
-							Detail: "data path lost to container failure",
-						})
-					}
+					lostPath = d.ID
 					break
 				}
 			}
+			if lostPath == "" {
+				kept = append(kept, s)
+				continue
+			}
+			m.stats.Invalidations++
+			if m.obsr != nil {
+				m.obsr.Record(obs.Event{
+					Cycle: now, Source: obs.SourceCore, Kind: obs.KindInvalidate,
+					Kernel: string(s.kernel.ID), ISE: s.ise.ID, Path: string(lostPath),
+					Detail: "data path lost to container failure",
+				})
+			}
 		}
+		m.selected = kept
 	}
 	if m.lastBlock == nil {
 		return 0, nil
@@ -425,7 +493,7 @@ func (m *MRTS) OnFault(lost []ise.DataPathID, now arch.Cycles) (arch.Cycles, err
 	// taint nothing — the previous iteration's observations are already
 	// folded and the next iteration's are clean.
 	if m.inIteration {
-		m.pred.NoteDisruption(forecastKey(m.lastBlock.ID, m.lastPhase))
+		m.site(m.lastBlock, m.lastPhase).NoteDisruption()
 		if m.obsr != nil {
 			m.obsr.Record(obs.Event{
 				Cycle: now, Source: obs.SourceMPU, Kind: obs.KindDisrupt,
@@ -438,9 +506,7 @@ func (m *MRTS) OnFault(lost []ise.DataPathID, now arch.Cycles) (arch.Cycles, err
 		// Selection itself failed: degrade to RISC for every kernel
 		// rather than aborting the run.
 		m.stats.Degradations++
-		for id := range m.selected {
-			delete(m.selected, id)
-		}
+		m.selected = m.selected[:0]
 		return 0, nil
 	}
 	m.stats.Reselections++
@@ -449,14 +515,15 @@ func (m *MRTS) OnFault(lost []ise.DataPathID, now arch.Cycles) (arch.Cycles, err
 
 // Execute implements RuntimeSystem: the ECU steers the execution.
 func (m *MRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
-	d := m.exec.Decide(k, m.selected[k], now)
+	sel := m.selectedISE(k)
+	d := m.exec.Decide(k, sel, now)
 	if m.obsr != nil {
 		ev := obs.Event{
 			Cycle: now, Source: obs.SourceECU, Kind: obs.KindDispatch,
 			Kernel: string(k.ID), Mode: d.Mode.String(), Level: d.Level,
 			Latency: d.Latency,
 		}
-		if e := m.selected[k]; e != nil {
+		if e := sel; e != nil {
 			ev.ISE = e.ID
 		}
 		m.obsr.Record(ev)
@@ -470,13 +537,9 @@ func (m *MRTS) Execute(k *ise.Kernel, now arch.Cycles) ecu.Decision {
 // BlockEnd consumes a pending disruption mark at the discard site.
 func (m *MRTS) OnBlockEnd(block *ise.FunctionalBlock, phase string, profile []ise.Trigger, obs []mpu.Observation, now arch.Cycles) {
 	m.ctrl.Advance(now)
-	byKernel := make(map[ise.KernelID]ise.Trigger, len(profile))
-	for _, t := range profile {
-		byKernel[t.Kernel] = t
-	}
-	key := forecastKey(block.ID, phase)
+	site := m.site(block, phase)
 	for _, o := range obs {
-		absErr, scored := m.pred.Observe(key, byKernel[o.Kernel], o)
+		absErr, scored := site.Observe(profileOf(profile, o.Kernel), o)
 		if m.obsr != nil {
 			ev := obsEvent(now, block.ID, phase, o)
 			if scored {
@@ -485,8 +548,19 @@ func (m *MRTS) OnBlockEnd(block *ise.FunctionalBlock, phase string, profile []is
 			m.obsr.Record(ev)
 		}
 	}
-	m.pred.BlockEnd(key)
+	site.BlockEnd()
 	m.inIteration = false
+}
+
+// profileOf returns the kernel's profile trigger (the last one listed for
+// it), or the zero trigger.
+func profileOf(profile []ise.Trigger, k ise.KernelID) ise.Trigger {
+	for i := len(profile) - 1; i >= 0; i-- {
+		if profile[i].Kernel == k {
+			return profile[i]
+		}
+	}
+	return ise.Trigger{}
 }
 
 // obsEvent builds the MPU observation event for one monitored kernel.
@@ -517,7 +591,9 @@ func (m *MRTS) Reset() {
 	m.obsr = nil
 	m.ctrl.Reset()
 	m.pred.Reset()
-	m.selected = make(map[*ise.Kernel]*ise.ISE)
+	m.selected = m.selected[:0]
+	clear(m.sites)
+	m.sites = m.sites[:0]
 	m.stats = Stats{}
 	m.lastBlock, m.lastPhase, m.lastTriggers = nil, "", nil
 	m.inIteration = false

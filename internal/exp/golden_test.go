@@ -77,3 +77,43 @@ func readGoldens(t *testing.T, path string) map[string]string {
 	}
 	return out
 }
+
+// TestCaseStudyGoldens pins the bytes of the motivational case study and
+// the calibration table, which render outside FigNames: Fig. 1 at
+// mrts-case's default range, Fig. 2 on mrts-case's default workload (16
+// frames, seed 1, scene cuts at frames 5 and 10) and the calibration table
+// mrts-isa prints. So the first two goldens are also
+//
+//	mrts-case -fig 1 | sha256sum
+//	mrts-case -fig 2 | sha256sum
+func TestCaseStudyGoldens(t *testing.T) {
+	want := readGoldens(t, "testdata/case.sha256")
+	w, err := workload.Build(workload.Options{
+		Frames: 16, Seed: 1,
+		Video: video.Options{SceneCuts: []int{16 / 3, 2 * 16 / 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := map[string]func(*bytes.Buffer) error{
+		"1": func(b *bytes.Buffer) error { Fig1(6000, 200).Render(b); return nil },
+		"2": func(b *bytes.Buffer) error { Fig2(w).Render(b); return nil },
+		"calibration": func(b *bytes.Buffer) error {
+			_, err := Calibration(b)
+			return err
+		},
+	}
+	for name, fn := range render {
+		var buf bytes.Buffer
+		if err := fn(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: sha256 %s, golden %q\n%s", name, got, want[name], buf.Bytes())
+		}
+	}
+	if len(want) != len(render) {
+		t.Errorf("%d goldens for %d renderings", len(want), len(render))
+	}
+}

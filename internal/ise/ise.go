@@ -75,6 +75,10 @@ func (d DataPath) Validate() error {
 	return nil
 }
 
+// MaxDataPaths bounds the data paths of one ISE: the profit function takes
+// an ISE's configured data paths as a 64-bit mask.
+const MaxDataPaths = 64
+
 // ISE is one compile-time prepared Instruction Set Extension of a kernel.
 type ISE struct {
 	// ID is unique within the application.
@@ -172,6 +176,9 @@ func (e *ISE) Validate() error {
 	}
 	if len(e.DataPaths) == 0 {
 		return fmt.Errorf("ise: ISE %q has no data paths", e.ID)
+	}
+	if len(e.DataPaths) > MaxDataPaths {
+		return fmt.Errorf("ise: ISE %q has %d data paths, at most %d are supported", e.ID, len(e.DataPaths), MaxDataPaths)
 	}
 	if len(e.Latencies) != len(e.DataPaths) {
 		return fmt.Errorf("ise: ISE %q has %d latencies for %d data paths",

@@ -28,6 +28,7 @@ package mpu
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mrts/internal/arch"
@@ -112,8 +113,8 @@ func (s *ErrorStats) add(absErr, obsE int64) {
 }
 
 // ErrorReport is the Predictor's forecast-accuracy summary: totals plus a
-// per-trigger-instruction breakdown (keys are the block IDs core hands
-// ForecastAll, i.e. "block" or "block#phase").
+// per-trigger-instruction breakdown (keys are the site keys, i.e. "block"
+// or "block#phase").
 type ErrorReport struct {
 	// Predictor is the kind that produced the forecasts.
 	Predictor string
@@ -127,6 +128,12 @@ type ErrorReport struct {
 func (r ErrorReport) IsZero() bool { return r.Total.IsZero() }
 
 // Predictor is the MPU forecast store. The zero value is not usable; use New.
+//
+// It keeps one Site per trigger instruction (a "block" or "block#phase"
+// key); a site holds the learned state of every kernel the instruction
+// forecasts in slices indexed by the kernel's position in the site. The
+// string-keyed methods look the site up by key; runtime systems resolve a
+// site once and call its methods directly.
 type Predictor struct {
 	// alpha is the error back-propagation learning rate: the fraction of
 	// the forecast error folded back into the prediction after each
@@ -144,28 +151,43 @@ type Predictor struct {
 	// kind selects the forecast-correction algorithm.
 	kind Kind
 
-	state  map[key]*entry       // back-propagation state
-	phases map[string]*phaseTbl // per-phase history tables (KindPhase)
-	blend  map[key]*blendEntry  // fast/slow EWMA pairs (KindDecay)
-
-	// disrupted marks trigger-instruction keys whose pending observations
-	// must be discarded: a fabric fault mid-iteration perturbs the
-	// monitored timings in a way that says nothing about the workload. The
-	// mark lives until the iteration it taints is over — BlockEnd consumes
-	// it at the discard site; pulling the next iteration's forecasts early
-	// (a pipelined driver) must not launder the tainted observations in.
-	disrupted map[string]bool
-
-	// issued remembers the last execution-count forecast handed out per
-	// (key, kernel), so the matching observation can be scored.
-	issued  map[key]int64
-	errTot  ErrorStats
-	errKeys map[string]*ErrorStats
+	sites  map[string]*Site
+	errTot ErrorStats
 }
 
-type key struct {
-	block  string
+// Site is the MPU state of one trigger instruction. Sites survive Reset
+// (their state is cleared in place), so a runtime system may keep the
+// pointer Predictor.Site returned for the Predictor's lifetime.
+type Site struct {
+	p   *Predictor
+	key string
+	// kernels holds the per-kernel state, in first-sight order.
+	kernels []kernelState
+	// phase is the regime table (KindPhase only).
+	phase phaseTbl
+	// disrupted marks the site's pending observations for discard: a
+	// fabric fault mid-iteration perturbs the monitored timings in a way
+	// that says nothing about the workload. The mark lives until the
+	// iteration it taints is over — BlockEnd consumes it at the discard
+	// site; pulling the next iteration's forecasts early (a pipelined
+	// driver) must not launder the tainted observations in.
+	disrupted bool
+	errs      ErrorStats
+}
+
+// kernelState is one kernel's state within a site.
+type kernelState struct {
 	kernel ise.KernelID
+	// bp is the back-propagation state (KindBackProp), valid when hasBP.
+	bp    entry
+	hasBP bool
+	// blend is the fast/slow EWMA pair (KindDecay), valid when hasBlend.
+	blend    blendEntry
+	hasBlend bool
+	// issued is the last execution-count forecast handed out, so the
+	// matching observation can be scored; valid when hasIssued.
+	issued    int64
+	hasIssued bool
 }
 
 type entry struct {
@@ -192,6 +214,12 @@ func (en *entry) apply(t ise.Trigger, timing bool) ise.Trigger {
 	return t
 }
 
+// seedEntry is the state a kernel starts from: the profile trigger that
+// was used.
+func seedEntry(t ise.Trigger) entry {
+	return entry{e: float64(t.E), tf: float64(t.TF), tb: float64(t.TB)}
+}
+
 // Phase-table tuning. A regime is one learned execution phase of a trigger
 // instruction; iterations whose counts sit within matchThreshold relative
 // distance of a regime's predictions refine that regime, anything farther
@@ -209,12 +237,24 @@ type phaseTbl struct {
 	pending []pendingObs
 }
 
+// regime holds one learned phase: vals[i] is the entry of the site's
+// kernel i, valid when known[i].
 type regime struct {
-	vals map[ise.KernelID]*entry
-	used int64
+	vals  []entry
+	known []bool
+	used  int64
+}
+
+// lookup returns the regime's entry for kernel position i, or nil.
+func (r *regime) lookup(i int) *entry {
+	if i < len(r.known) && r.known[i] {
+		return &r.vals[i]
+	}
+	return nil
 }
 
 type pendingObs struct {
+	pos  int
 	obs  Observation
 	prof ise.Trigger
 }
@@ -276,21 +316,13 @@ func WithPredictor(k Kind) Option {
 // New creates a Predictor.
 func New(opts ...Option) *Predictor {
 	p := &Predictor{
-		alpha:     0.25,
-		enabled:   true,
-		kind:      KindBackProp,
-		state:     make(map[key]*entry),
-		disrupted: make(map[string]bool),
-		issued:    make(map[key]int64),
+		alpha:   0.25,
+		enabled: true,
+		kind:    KindBackProp,
+		sites:   make(map[string]*Site),
 	}
 	for _, o := range opts {
 		o(p)
-	}
-	switch p.kind {
-	case KindPhase:
-		p.phases = make(map[string]*phaseTbl)
-	case KindDecay:
-		p.blend = make(map[key]*blendEntry)
 	}
 	return p
 }
@@ -301,29 +333,97 @@ func (p *Predictor) Enabled() bool { return p.enabled }
 // Kind returns the active forecast-correction algorithm.
 func (p *Predictor) Kind() Kind { return p.kind }
 
-// Forecast corrects the profile trigger of a kernel in a block with the
-// MPU's learned state. On first sight (or when disabled) the profile values
-// pass through unchanged.
+// Site returns the state of the trigger instruction with the given key,
+// creating it on first use.
+func (p *Predictor) Site(key string) *Site {
+	s := p.sites[key]
+	if s == nil {
+		s = &Site{p: p, key: key}
+		p.sites[key] = s
+	}
+	return s
+}
+
+// Forecast is Site(block).Forecast(t).
 func (p *Predictor) Forecast(block string, t ise.Trigger) ise.Trigger {
+	return p.Site(block).Forecast(t)
+}
+
+// ForecastAll is Site(block).AppendForecasts into a fresh slice.
+func (p *Predictor) ForecastAll(block string, ts []ise.Trigger) []ise.Trigger {
+	return p.Site(block).AppendForecasts(make([]ise.Trigger, 0, len(ts)), ts)
+}
+
+// NoteDisruption is Site(block).NoteDisruption().
+func (p *Predictor) NoteDisruption(block string) { p.Site(block).NoteDisruption() }
+
+// Disrupted is Site(block).Disrupted().
+func (p *Predictor) Disrupted(block string) bool { return p.Site(block).Disrupted() }
+
+// Observe is Site(block).Observe(profile, obs).
+func (p *Predictor) Observe(block string, profile ise.Trigger, obs Observation) (absErr int64, scored bool) {
+	return p.Site(block).Observe(profile, obs)
+}
+
+// BlockEnd is Site(block).BlockEnd().
+func (p *Predictor) BlockEnd(block string) { p.Site(block).BlockEnd() }
+
+// find returns the position of the kernel's state in the site, or -1.
+// hint is the kernel's likely position (its index in the trigger or
+// observation list), checked first: a trigger instruction lists its
+// kernels in the same order every iteration.
+func (s *Site) find(id ise.KernelID, hint int) int {
+	if hint >= 0 && hint < len(s.kernels) && s.kernels[hint].kernel == id {
+		return hint
+	}
+	for i := range s.kernels {
+		if s.kernels[i].kernel == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// slot returns the position of the kernel's state, adding it on first
+// sight.
+func (s *Site) slot(id ise.KernelID, hint int) int {
+	if i := s.find(id, hint); i >= 0 {
+		return i
+	}
+	s.kernels = append(s.kernels, kernelState{kernel: id})
+	return len(s.kernels) - 1
+}
+
+// Forecast corrects the profile trigger of a kernel with the site's
+// learned state. On first sight (or when disabled) the profile values pass
+// through unchanged.
+func (s *Site) Forecast(t ise.Trigger) ise.Trigger { return s.forecast(t, -1) }
+
+func (s *Site) forecast(t ise.Trigger, hint int) ise.Trigger {
+	p := s.p
 	if !p.enabled {
 		return t
 	}
 	switch p.kind {
 	case KindPhase:
-		pt := p.phases[block]
-		if pt == nil || pt.cur == nil {
+		if s.phase.cur == nil {
 			return t
 		}
-		en, ok := pt.cur.vals[t.Kernel]
-		if !ok {
+		i := s.find(t.Kernel, hint)
+		if i < 0 {
+			return t
+		}
+		en := s.phase.cur.lookup(i)
+		if en == nil {
 			return t
 		}
 		return en.apply(t, p.timing)
 	case KindDecay:
-		en, ok := p.blend[key{block, t.Kernel}]
-		if !ok {
+		i := s.find(t.Kernel, hint)
+		if i < 0 || !s.kernels[i].hasBlend {
 			return t
 		}
+		en := &s.kernels[i].blend
 		// Weight each average by the other's recent error: the one that
 		// has been wrong lately contributes less.
 		w := 0.5
@@ -337,26 +437,29 @@ func (p *Predictor) Forecast(block string, t ise.Trigger) ise.Trigger {
 		}
 		return t
 	default:
-		en, ok := p.state[key{block, t.Kernel}]
-		if !ok {
+		i := s.find(t.Kernel, hint)
+		if i < 0 || !s.kernels[i].hasBP {
 			return t
 		}
-		return en.apply(t, p.timing)
+		return s.kernels[i].bp.apply(t, p.timing)
 	}
 }
 
-// ForecastAll corrects a whole trigger instruction and records the issued
-// execution-count forecasts for error accounting, so the iteration's
-// observations can be scored against what the selector actually saw.
-func (p *Predictor) ForecastAll(block string, ts []ise.Trigger) []ise.Trigger {
-	out := make([]ise.Trigger, len(ts))
+// AppendForecasts corrects a whole trigger instruction, appending the
+// forecasts to dst, and records the issued execution-count forecasts for
+// error accounting, so the iteration's observations can be scored against
+// what the selector actually saw.
+func (s *Site) AppendForecasts(dst, ts []ise.Trigger) []ise.Trigger {
+	s.kernels = slices.Grow(s.kernels, max(0, len(ts)-len(s.kernels)))
 	for i, t := range ts {
-		out[i] = p.Forecast(block, t)
-		if p.enabled {
-			p.issued[key{block, t.Kernel}] = out[i].E
+		f := s.forecast(t, i)
+		dst = append(dst, f)
+		if s.p.enabled {
+			k := &s.kernels[s.slot(t.Kernel, i)]
+			k.issued, k.hasIssued = f.E, true
 		}
 	}
-	return out
+	return dst
 }
 
 // NoteDisruption tells the MPU that a fabric fault disturbed the current
@@ -366,15 +469,15 @@ func (p *Predictor) ForecastAll(block string, ts []ise.Trigger) []ise.Trigger {
 // mark is consumed by BlockEnd — the end of the iteration it taints — not
 // by the next forecast pull, so a driver that pre-fetches the next
 // iteration's forecasts cannot launder the tainted observations in.
-func (p *Predictor) NoteDisruption(block string) {
-	if p.enabled {
-		p.disrupted[block] = true
+func (s *Site) NoteDisruption() {
+	if s.p.enabled {
+		s.disrupted = true
 	}
 }
 
-// Disrupted reports whether the key's pending observations are marked for
+// Disrupted reports whether the site's pending observations are marked for
 // discard (tests and diagnostics).
-func (p *Predictor) Disrupted(block string) bool { return p.disrupted[block] }
+func (s *Site) Disrupted() bool { return s.disrupted }
 
 // Observe folds the monitored values of one kernel of a completed block
 // iteration back into the forecasts and scores the issued forecast against
@@ -386,42 +489,31 @@ func (p *Predictor) Disrupted(block string) bool { return p.disrupted[block] }
 // The caller signals the end of the iteration with BlockEnd, which consumes
 // a pending disruption mark and lets the phase predictor match the
 // iteration's observation vector against its regime table.
-func (p *Predictor) Observe(block string, profile ise.Trigger, obs Observation) (absErr int64, scored bool) {
-	if !p.enabled || p.disrupted[block] {
+func (s *Site) Observe(profile ise.Trigger, obs Observation) (absErr int64, scored bool) {
+	p := s.p
+	if !p.enabled || s.disrupted {
 		return 0, false
 	}
-	k := key{block, obs.Kernel}
-	if iss, ok := p.issued[k]; ok {
-		absErr = iss - obs.E
+	i := s.slot(obs.Kernel, -1)
+	k := &s.kernels[i]
+	if k.hasIssued {
+		absErr = k.issued - obs.E
 		if absErr < 0 {
 			absErr = -absErr
 		}
 		scored = true
 		p.errTot.add(absErr, obs.E)
-		if p.errKeys == nil {
-			p.errKeys = make(map[string]*ErrorStats)
-		}
-		ks := p.errKeys[block]
-		if ks == nil {
-			ks = &ErrorStats{}
-			p.errKeys[block] = ks
-		}
-		ks.add(absErr, obs.E)
+		s.errs.add(absErr, obs.E)
 	}
 	switch p.kind {
 	case KindPhase:
-		pt := p.phases[block]
-		if pt == nil {
-			pt = &phaseTbl{}
-			p.phases[block] = pt
-		}
-		pt.pending = append(pt.pending, pendingObs{obs: obs, prof: profile})
+		s.phase.pending = append(s.phase.pending, pendingObs{pos: i, obs: obs, prof: profile})
 	case KindDecay:
-		en, ok := p.blend[k]
-		if !ok {
-			seed := entry{e: float64(profile.E), tf: float64(profile.TF), tb: float64(profile.TB)}
-			en = &blendEntry{fast: seed, slow: seed}
-			p.blend[k] = en
+		en := &k.blend
+		if !k.hasBlend {
+			seed := seedEntry(profile)
+			*en = blendEntry{fast: seed, slow: seed}
+			k.hasBlend = true
 		}
 		ef, es := float64(obs.E)-en.fast.e, float64(obs.E)-en.slow.e
 		if ef < 0 {
@@ -435,12 +527,10 @@ func (p *Predictor) Observe(block string, profile ise.Trigger, obs Observation) 
 		en.fast.fold(fastAlpha, obs)
 		en.slow.fold(p.alpha, obs)
 	default:
-		en, ok := p.state[k]
-		if !ok {
-			en = &entry{e: float64(profile.E), tf: float64(profile.TF), tb: float64(profile.TB)}
-			p.state[k] = en
+		if !k.hasBP {
+			k.bp, k.hasBP = seedEntry(profile), true
 		}
-		en.fold(p.alpha, obs)
+		k.bp.fold(p.alpha, obs)
 	}
 	return absErr, scored
 }
@@ -451,13 +541,13 @@ func (p *Predictor) Observe(block string, profile ise.Trigger, obs Observation) 
 // predictor, matches the iteration's buffered observation vector against
 // the learned regimes. Runtime systems call it once per OnBlockEnd, after
 // the iteration's Observes.
-func (p *Predictor) BlockEnd(block string) {
-	delete(p.disrupted, block)
-	if p.kind != KindPhase || !p.enabled {
+func (s *Site) BlockEnd() {
+	s.disrupted = false
+	if s.p.kind != KindPhase || !s.p.enabled {
 		return
 	}
-	pt := p.phases[block]
-	if pt == nil || len(pt.pending) == 0 {
+	pt := &s.phase
+	if len(pt.pending) == 0 {
 		return
 	}
 	pt.clock++
@@ -471,10 +561,14 @@ func (p *Predictor) BlockEnd(block string) {
 		best = pt.newRegime()
 	}
 	for _, po := range pt.pending {
-		en, ok := best.vals[po.obs.Kernel]
-		if !ok {
-			en = &entry{e: float64(po.prof.E), tf: float64(po.prof.TF), tb: float64(po.prof.TB)}
-			best.vals[po.obs.Kernel] = en
+		en := best.lookup(po.pos)
+		if en == nil {
+			for len(best.known) <= po.pos {
+				best.vals = append(best.vals, entry{})
+				best.known = append(best.known, false)
+			}
+			best.vals[po.pos], best.known[po.pos] = seedEntry(po.prof), true
+			en = &best.vals[po.pos]
 		}
 		en.fold(phaseAlpha, po.obs)
 	}
@@ -491,8 +585,8 @@ func (pt *phaseTbl) distance(r *regime) float64 {
 	var num, den float64
 	seen := false
 	for _, po := range pt.pending {
-		en, ok := r.vals[po.obs.Kernel]
-		if !ok {
+		en := r.lookup(po.pos)
+		if en == nil {
 			continue
 		}
 		seen = true
@@ -519,7 +613,7 @@ func (pt *phaseTbl) distance(r *regime) float64 {
 // newRegime founds a regime for an unseen execution phase, evicting the
 // least recently used one beyond the table bound.
 func (pt *phaseTbl) newRegime() *regime {
-	r := &regime{vals: make(map[ise.KernelID]*entry), used: pt.clock}
+	r := &regime{used: pt.clock}
 	if len(pt.regimes) < maxRegimes {
 		pt.regimes = append(pt.regimes, r)
 		return r
@@ -537,48 +631,56 @@ func (pt *phaseTbl) newRegime() *regime {
 // Errors returns a snapshot of the forecast-error accounting.
 func (p *Predictor) Errors() ErrorReport {
 	rep := ErrorReport{Predictor: string(p.kind), Total: p.errTot}
-	if len(p.errKeys) > 0 {
-		rep.Keys = make(map[string]ErrorStats, len(p.errKeys))
-		for k, v := range p.errKeys {
-			rep.Keys[k] = *v
+	for key, s := range p.sites {
+		if s.errs.IsZero() {
+			continue
 		}
+		if rep.Keys == nil {
+			rep.Keys = make(map[string]ErrorStats)
+		}
+		rep.Keys[key] = s.errs
 	}
 	return rep
 }
 
 // Reset clears all learned state, disruption marks and error accounting.
+// Sites stay valid: their state is cleared in place.
 func (p *Predictor) Reset() {
-	p.state = make(map[key]*entry)
-	p.disrupted = make(map[string]bool)
-	p.issued = make(map[key]int64)
 	p.errTot = ErrorStats{}
-	p.errKeys = nil
-	switch p.kind {
-	case KindPhase:
-		p.phases = make(map[string]*phaseTbl)
-	case KindDecay:
-		p.blend = make(map[key]*blendEntry)
+	for _, s := range p.sites {
+		clear(s.kernels)
+		s.kernels = s.kernels[:0]
+		clear(s.phase.regimes)
+		clear(s.phase.pending)
+		s.phase = phaseTbl{regimes: s.phase.regimes[:0], pending: s.phase.pending[:0]}
+		s.disrupted = false
+		s.errs = ErrorStats{}
 	}
 }
 
 // Len returns the number of (block, kernel) forecasts currently tracked.
 func (p *Predictor) Len() int {
-	switch p.kind {
-	case KindPhase:
-		n := 0
-		for _, pt := range p.phases {
-			kernels := map[ise.KernelID]bool{}
-			for _, r := range pt.regimes {
-				for k := range r.vals {
-					kernels[k] = true
+	n := 0
+	for _, s := range p.sites {
+		for i, k := range s.kernels {
+			switch p.kind {
+			case KindPhase:
+				for _, r := range s.phase.regimes {
+					if r.lookup(i) != nil {
+						n++
+						break
+					}
+				}
+			case KindDecay:
+				if k.hasBlend {
+					n++
+				}
+			default:
+				if k.hasBP {
+					n++
 				}
 			}
-			n += len(kernels)
 		}
-		return n
-	case KindDecay:
-		return len(p.blend)
-	default:
-		return len(p.state)
 	}
+	return n
 }

@@ -198,7 +198,7 @@ func TestPhaseRegimeTableBounded(t *testing.T) {
 		p.Observe("blk", prof, Observation{Kernel: "k", E: e})
 		p.BlockEnd("blk")
 	}
-	if n := len(p.phases["blk"].regimes); n > maxRegimes {
+	if n := len(p.Site("blk").phase.regimes); n > maxRegimes {
 		t.Errorf("regime table grew to %d entries, bound is %d", n, maxRegimes)
 	}
 }

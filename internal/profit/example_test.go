@@ -48,7 +48,7 @@ func ExampleScratch_Profit() {
 		Latencies: []arch.Cycles{200},
 	}
 	var s profit.Scratch
-	p := s.Profit(kernel, cgISE, nil,
+	p := s.Profit(kernel, cgISE, 0, nil,
 		profit.Params{E: 100, TF: 500, TB: 50}, profit.Multigrained)
 	fmt.Printf("expected saving: %.0f cycles\n", p)
 	// Output: expected saving: 80000 cycles

@@ -68,24 +68,48 @@ func PIF(k *ise.Kernel, e *ise.ISE, executions int64) float64 {
 	return sw / hw
 }
 
+// ConfiguredMask returns the ISE's configured mask on the fabric: bit i is
+// set when e.DataPaths[i] is configured. A nil fabric configures nothing.
+// It is the mask AppendRecT and Scratch.Profit take, for callers that hold
+// a FabricView rather than per-path state.
+func ConfiguredMask(e *ise.ISE, fab ise.FabricView) uint64 {
+	var mask uint64
+	if fab == nil {
+		return 0
+	}
+	for i, d := range e.DataPaths {
+		if fab.IsConfigured(d.ID) {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
+// PortsOf returns the fabric's configuration-port view, or nil when it
+// reports no port backlog.
+func PortsOf(fab ise.FabricView) ise.PortView {
+	pv, _ := fab.(ise.PortView)
+	return pv
+}
+
 // AppendRecT appends the effective cumulative reconfiguration times of
 // the intermediate ISEs under the given fabric state and cost model to dst
 // (usually a reused scratch buffer sliced to length zero): after the call,
 // dst[len0+i] is the time until data paths 1..i are available, i = 0..n.
-// Data paths that are already configured (e.g. shared with a previously
-// selected ISE) cost nothing. Each fabric reconfigures through its own
-// serial configuration port; if the fabric view reports a port backlog
-// (ise.PortView), new reconfigurations queue behind it.
-func AppendRecT(dst []arch.Cycles, e *ise.ISE, fab ise.FabricView, m Model) []arch.Cycles {
+// Data paths whose bit is set in configured (see ConfiguredMask; e.g.
+// shared with a previously selected ISE) cost nothing. Each fabric
+// reconfigures through its own serial configuration port; with a non-nil
+// ports view, new reconfigurations queue behind its backlog.
+func AppendRecT(dst []arch.Cycles, e *ise.ISE, configured uint64, ports ise.PortView, m Model) []arch.Cycles {
 	dst = append(dst, 0)
 	var fgT, cgT arch.Cycles
-	if pv, ok := fab.(ise.PortView); ok && m != PortBlind {
-		fgT = pv.PortBacklog(arch.FG)
-		cgT = pv.PortBacklog(arch.CG)
+	if ports != nil && m != PortBlind {
+		fgT = ports.PortBacklog(arch.FG)
+		cgT = ports.PortBacklog(arch.CG)
 	}
 	var avail arch.Cycles
-	for _, d := range e.DataPaths {
-		if fab == nil || !fab.IsConfigured(d.ID) {
+	for i, d := range e.DataPaths {
+		if configured&(1<<i) == 0 {
 			dur := dataPathReconfig(d, m)
 			kind := d.Kind
 			if m == FGTuned {
@@ -210,13 +234,14 @@ type Scratch struct {
 // absorbed by RISC mode and the intermediate ISEs. The result does not
 // depend on what the scratch buffers held before.
 //
-// fab supplies already-configured (shared) data paths and may be nil.
-func (s *Scratch) Profit(k *ise.Kernel, e *ise.ISE, fab ise.FabricView, p Params, m Model) float64 {
+// configured marks the already-configured (shared) data paths and ports
+// supplies the port backlog (nil: idle ports), as for AppendRecT.
+func (s *Scratch) Profit(k *ise.Kernel, e *ise.ISE, configured uint64, ports ise.PortView, p Params, m Model) float64 {
 	if p.E <= 0 {
 		return 0
 	}
 	n := e.NumDataPaths()
-	s.rec = AppendRecT(s.rec[:0], e, fab, m)
+	s.rec = AppendRecT(s.rec[:0], e, configured, ports, m)
 	s.noe = AppendNoE(s.noe[:0], e, k, s.rec, p)
 	rec, noe := s.rec, s.noe
 

@@ -84,7 +84,7 @@ func TestPIFOrderingSmallVsLargeCounts(t *testing.T) {
 
 func TestRecTFromScratch(t *testing.T) {
 	k := testKernel()
-	rec := AppendRecT(nil, k.ISEs[0], nil, Multigrained) // two FG data paths, serial port
+	rec := AppendRecT(nil, k.ISEs[0], 0, nil, Multigrained) // two FG data paths, serial port
 	want := []arch.Cycles{0, arch.FGReconfigCycles, 2 * arch.FGReconfigCycles}
 	for i := range want {
 		if rec[i] != want[i] {
@@ -97,7 +97,7 @@ func TestRecTParallelPorts(t *testing.T) {
 	// mg2 = FG path then CG path: the CG context streams while the FG
 	// bitstream loads, so availability is dominated by the FG port.
 	k := testKernel()
-	rec := AppendRecT(nil, k.ISEs[2], nil, Multigrained)
+	rec := AppendRecT(nil, k.ISEs[2], 0, nil, Multigrained)
 	if rec[1] != arch.FGReconfigCycles {
 		t.Errorf("RecT[1] = %d, want %d", rec[1], arch.FGReconfigCycles)
 	}
@@ -115,7 +115,7 @@ func (f configuredFabric) IsConfigured(d ise.DataPathID) bool { return f[d] }
 func TestRecTSharedDataPaths(t *testing.T) {
 	k := testKernel()
 	fab := configuredFabric{"a": true}
-	rec := AppendRecT(nil, k.ISEs[0], fab, Multigrained)
+	rec := AppendRecT(nil, k.ISEs[0], ConfiguredMask(k.ISEs[0], fab), PortsOf(fab), Multigrained)
 	if rec[1] != 0 {
 		t.Errorf("configured data path should cost nothing, got %d", rec[1])
 	}
@@ -139,7 +139,7 @@ func (f backloggedFabric) PortBacklog(k arch.FabricKind) arch.Cycles {
 func TestRecTPortBacklog(t *testing.T) {
 	k := testKernel()
 	fab := backloggedFabric{configuredFabric: configuredFabric{}, fg: 1000}
-	rec := AppendRecT(nil, k.ISEs[0], fab, Multigrained)
+	rec := AppendRecT(nil, k.ISEs[0], ConfiguredMask(k.ISEs[0], fab), PortsOf(fab), Multigrained)
 	if rec[1] != 1000+arch.FGReconfigCycles {
 		t.Errorf("RecT[1] = %d, want backlog + reconfig", rec[1])
 	}
@@ -149,7 +149,7 @@ func TestRecTFGTunedModel(t *testing.T) {
 	// The RISPP cost model charges the CG data path with FG latency on
 	// the FG port.
 	k := testKernel()
-	rec := AppendRecT(nil, k.ISEs[2], nil, FGTuned)
+	rec := AppendRecT(nil, k.ISEs[2], 0, nil, FGTuned)
 	if rec[2] != 2*arch.FGReconfigCycles {
 		t.Errorf("FGTuned RecT[2] = %d, want %d", rec[2], 2*arch.FGReconfigCycles)
 	}
@@ -159,7 +159,7 @@ func TestNoEBudget(t *testing.T) {
 	k := testKernel()
 	e := k.ISEs[0]
 	p := Params{E: 50, TF: 100, TB: 10}
-	noe := AppendNoE(nil, e, k, AppendRecT(nil, e, nil, Multigrained), p)
+	noe := AppendNoE(nil, e, k, AppendRecT(nil, e, 0, nil, Multigrained), p)
 	if len(noe) != 1 {
 		t.Fatalf("NoE length = %d, want n-1 = 1", len(noe))
 	}
@@ -177,7 +177,7 @@ func TestNoEBudget(t *testing.T) {
 
 func TestNoEZeroExecutions(t *testing.T) {
 	k := testKernel()
-	noe := AppendNoE(nil, k.ISEs[0], k, AppendRecT(nil, k.ISEs[0], nil, Multigrained), Params{E: 0, TB: 10})
+	noe := AppendNoE(nil, k.ISEs[0], k, AppendRecT(nil, k.ISEs[0], 0, nil, Multigrained), Params{E: 0, TB: 10})
 	for _, v := range noe {
 		if v != 0 {
 			t.Errorf("NoE with e=0 should be all zero, got %v", noe)
@@ -187,7 +187,7 @@ func TestNoEZeroExecutions(t *testing.T) {
 
 func TestNoESingleDataPath(t *testing.T) {
 	k := testKernel()
-	if noe := AppendNoE(nil, k.ISEs[1], k, AppendRecT(nil, k.ISEs[1], nil, Multigrained), Params{E: 100, TB: 10}); noe != nil {
+	if noe := AppendNoE(nil, k.ISEs[1], k, AppendRecT(nil, k.ISEs[1], 0, nil, Multigrained), Params{E: 100, TB: 10}); noe != nil {
 		t.Errorf("single-data-path ISE has no intermediate ISEs, got %v", noe)
 	}
 }
@@ -195,7 +195,7 @@ func TestNoESingleDataPath(t *testing.T) {
 func TestProfitZeroWhenNoExecutions(t *testing.T) {
 	k := testKernel()
 	var s Scratch
-	if got := s.Profit(k, k.ISEs[0], nil, Params{E: 0}, Multigrained); got != 0 {
+	if got := s.Profit(k, k.ISEs[0], 0, nil, Params{E: 0}, Multigrained); got != 0 {
 		t.Errorf("profit with e=0 = %v", got)
 	}
 }
@@ -204,8 +204,8 @@ func TestProfitCGBeatsFGAtFewExecutions(t *testing.T) {
 	k := testKernel()
 	var s Scratch
 	p := Params{E: 30, TF: 50, TB: 100}
-	cg := s.Profit(k, k.ISEs[1], nil, p, Multigrained)
-	fg := s.Profit(k, k.ISEs[0], nil, p, Multigrained)
+	cg := s.Profit(k, k.ISEs[1], 0, nil, p, Multigrained)
+	fg := s.Profit(k, k.ISEs[0], 0, nil, p, Multigrained)
 	if cg <= fg {
 		t.Errorf("CG profit (%v) should beat FG profit (%v) at 30 executions", cg, fg)
 	}
@@ -215,8 +215,8 @@ func TestProfitSharedDataPathsIncrease(t *testing.T) {
 	k := testKernel()
 	var s Scratch
 	p := Params{E: 500, TF: 50, TB: 100}
-	base := s.Profit(k, k.ISEs[0], nil, p, Multigrained)
-	shared := s.Profit(k, k.ISEs[0], configuredFabric{"a": true, "b": true}, p, Multigrained)
+	base := s.Profit(k, k.ISEs[0], 0, nil, p, Multigrained)
+	shared := s.Profit(k, k.ISEs[0], ConfiguredMask(k.ISEs[0], configuredFabric{"a": true, "b": true}), PortsOf(configuredFabric{"a": true, "b": true}), p, Multigrained)
 	if shared <= base {
 		t.Errorf("fully configured ISE profit (%v) should exceed from-scratch (%v)", shared, base)
 	}
@@ -234,7 +234,7 @@ func TestProfitBoundedBySteadyState(t *testing.T) {
 	f := func(e uint16, tf uint16, tb uint8) bool {
 		p := Params{E: int64(e % 5000), TF: arch.Cycles(tf), TB: arch.Cycles(tb)}
 		for _, ext := range k.ISEs {
-			pr := s.Profit(k, ext, nil, p, Multigrained)
+			pr := s.Profit(k, ext, 0, nil, p, Multigrained)
 			if pr < 0 {
 				return false
 			}
@@ -256,7 +256,7 @@ func TestProfitMonotonicInExecutions(t *testing.T) {
 	p1 := Params{E: 100, TF: 50, TB: 20}
 	p2 := Params{E: 1000, TF: 50, TB: 20}
 	for _, ext := range k.ISEs {
-		if s.Profit(k, ext, nil, p2, Multigrained) < s.Profit(k, ext, nil, p1, Multigrained) {
+		if s.Profit(k, ext, 0, nil, p2, Multigrained) < s.Profit(k, ext, 0, nil, p1, Multigrained) {
 			t.Errorf("ISE %s: profit decreased with more executions", ext.ID)
 		}
 	}
@@ -300,12 +300,12 @@ func TestPortBlindIgnoresBacklog(t *testing.T) {
 	k := testKernel()
 	var s Scratch
 	fab := backloggedFabric{configuredFabric: configuredFabric{}, fg: 500_000}
-	aware := s.Profit(k, k.ISEs[0], fab, Params{E: 1000, TF: 100, TB: 50}, Multigrained)
-	blind := s.Profit(k, k.ISEs[0], fab, Params{E: 1000, TF: 100, TB: 50}, PortBlind)
+	aware := s.Profit(k, k.ISEs[0], ConfiguredMask(k.ISEs[0], fab), PortsOf(fab), Params{E: 1000, TF: 100, TB: 50}, Multigrained)
+	blind := s.Profit(k, k.ISEs[0], ConfiguredMask(k.ISEs[0], fab), PortsOf(fab), Params{E: 1000, TF: 100, TB: 50}, PortBlind)
 	if blind <= aware {
 		t.Errorf("port-blind profit (%v) should exceed port-aware (%v) under a big backlog", blind, aware)
 	}
-	rec := AppendRecT(nil, k.ISEs[0], fab, PortBlind)
+	rec := AppendRecT(nil, k.ISEs[0], ConfiguredMask(k.ISEs[0], fab), PortsOf(fab), PortBlind)
 	if rec[1] != arch.FGReconfigCycles {
 		t.Errorf("port-blind RecT[1] = %d, want bare reconfiguration time", rec[1])
 	}

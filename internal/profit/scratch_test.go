@@ -36,11 +36,11 @@ func TestAppendRecTMatchesRecT(t *testing.T) {
 	k := testKernel()
 	for _, tc := range scratchCases() {
 		for _, e := range k.ISEs {
-			want := AppendRecT(nil, e, tc.fab, tc.m)
+			want := AppendRecT(nil, e, ConfiguredMask(e, tc.fab), PortsOf(tc.fab), tc.m)
 			if len(want) != e.NumDataPaths()+1 {
 				t.Fatalf("%s/%s: AppendRecT len = %d, want %d", tc.name, e.ID, len(want), e.NumDataPaths()+1)
 			}
-			got := AppendRecT([]arch.Cycles{7, 8}, e, tc.fab, tc.m)
+			got := AppendRecT([]arch.Cycles{7, 8}, e, ConfiguredMask(e, tc.fab), PortsOf(tc.fab), tc.m)
 			if got[0] != 7 || got[1] != 8 {
 				t.Errorf("%s/%s: AppendRecT clobbered the dst prefix", tc.name, e.ID)
 			}
@@ -66,7 +66,7 @@ func TestAppendNoEMatchesNoE(t *testing.T) {
 	}
 	for _, tc := range scratchCases() {
 		for _, e := range k.ISEs {
-			rec := AppendRecT(nil, e, tc.fab, tc.m)
+			rec := AppendRecT(nil, e, ConfiguredMask(e, tc.fab), PortsOf(tc.fab), tc.m)
 			for _, p := range params {
 				want := AppendNoE(nil, e, k, rec, p)
 				if n := max(e.NumDataPaths()-1, 0); len(want) != n {
@@ -97,8 +97,8 @@ func TestScratchProfitMatchesProfit(t *testing.T) {
 		for _, tc := range scratchCases() {
 			for _, e := range k.ISEs {
 				var fresh Scratch
-				want := fresh.Profit(k, e, tc.fab, p, tc.m)
-				got := s.Profit(k, e, tc.fab, p, tc.m)
+				want := fresh.Profit(k, e, ConfiguredMask(e, tc.fab), PortsOf(tc.fab), p, tc.m)
+				got := s.Profit(k, e, ConfiguredMask(e, tc.fab), PortsOf(tc.fab), p, tc.m)
 				if got != want {
 					t.Errorf("round %d %s/%s: reused Scratch.Profit = %v, fresh = %v", round, tc.name, e.ID, got, want)
 				}
@@ -114,9 +114,9 @@ func TestScratchProfitNoAllocs(t *testing.T) {
 	e := k.ISEs[0]
 	p := Params{E: 500, TF: 100, TB: 60}
 	var s Scratch
-	s.Profit(k, e, nil, p, Multigrained) // warm the buffers
+	s.Profit(k, e, 0, nil, p, Multigrained) // warm the buffers
 	allocs := testing.AllocsPerRun(100, func() {
-		s.Profit(k, e, nil, p, Multigrained)
+		s.Profit(k, e, 0, nil, p, Multigrained)
 	})
 	if allocs != 0 {
 		t.Errorf("Scratch.Profit allocates %v per run, want 0", allocs)

@@ -120,6 +120,8 @@ type Controller struct {
 	// paths holds every data path that is configured or in flight, one
 	// slot per data path (see the package comment).
 	paths []slot
+	// commitDone backs CommitResult.Done of CommitSelectionSafe.
+	commitDone []arch.Cycles
 	// fgPortEnd / cgPortEnd are the times the configuration ports become
 	// free again.
 	fgPortEnd arch.Cycles
@@ -649,14 +651,14 @@ func configBackoff(dur arch.Cycles, attempt int) arch.Cycles {
 // in the order the ISEs were selected (priority order). It returns the
 // per-ISE completion times.
 func (c *Controller) CommitSelection(selected []*ise.ISE, now arch.Cycles) ([]arch.Cycles, error) {
-	done, _, err := c.commit(selected, now, false)
+	done, _, err := c.commit(make([]arch.Cycles, len(selected)), selected, now, false)
 	return done, err
 }
 
 // CommitResult reports a fault-tolerant commit: Done holds the per-ISE
-// completion times (zero for skipped entries); Skipped holds the indices
-// of ISEs whose data paths could not be configured on the surviving
-// fabric. Already-configured prefixes of skipped ISEs stay on the fabric,
+// completion times (zero for skipped entries), in memory the controller
+// reuses on its next CommitSelectionSafe; Skipped holds the indices of
+// ISEs whose data paths could not be configured on the surviving fabric. Already-configured prefixes of skipped ISEs stay on the fabric,
 // so the ECU can still dispatch them as intermediate ISEs.
 type CommitResult struct {
 	Done    []arch.Cycles
@@ -669,11 +671,18 @@ type CommitResult struct {
 // the commit, and the remaining ISEs are still installed. With a healthy
 // fabric it behaves exactly like CommitSelection.
 func (c *Controller) CommitSelectionSafe(selected []*ise.ISE, now arch.Cycles) CommitResult {
-	done, skipped, _ := c.commit(selected, now, true)
+	if c.commitDone == nil || cap(c.commitDone) < len(selected) {
+		c.commitDone = make([]arch.Cycles, len(selected))
+	}
+	c.commitDone = c.commitDone[:len(selected)]
+	clear(c.commitDone)
+	done, skipped, _ := c.commit(c.commitDone, selected, now, true)
 	return CommitResult{Done: done, Skipped: skipped}
 }
 
-func (c *Controller) commit(selected []*ise.ISE, now arch.Cycles, tolerate bool) ([]arch.Cycles, []int, error) {
+// commit installs the selection, writing the per-ISE completion times into
+// done (len(selected) zeroed entries).
+func (c *Controller) commit(done []arch.Cycles, selected []*ise.ISE, now arch.Cycles, tolerate bool) ([]arch.Cycles, []int, error) {
 	c.Advance(now)
 	for i := range c.paths {
 		c.paths[i].pinned = false
@@ -691,7 +700,6 @@ func (c *Controller) commit(selected []*ise.ISE, now arch.Cycles, tolerate bool)
 			}
 		}
 	}
-	done := make([]arch.Cycles, len(selected))
 	var skipped []int
 	for i, e := range selected {
 		var last arch.Cycles = now

@@ -22,9 +22,9 @@ func referenceGreedy(q Request) (Result, error) {
 		res Result
 		ps  profit.Scratch
 	)
-	st := new(state)
+	st := new(refState)
 	st.reset(q.Fabric)
-	cands := gatherCandidates(q)
+	cands := refGatherCandidates(q)
 
 	for len(cands) > 0 {
 		res.Rounds++
@@ -58,7 +58,7 @@ func referenceGreedy(q Request) (Result, error) {
 			res.Selected = append(res.Selected, Choice{
 				Kernel: picked.kernel.ID,
 				ISE:    picked.e,
-				Profit: ps.Profit(picked.kernel, picked.e, st, picked.params, q.Model),
+				Profit: refProfit(&ps, picked.kernel, picked.e, st, picked.params, q.Model),
 			})
 			cands = dropKernel(cands, picked.kernel.ID)
 			continue
@@ -68,7 +68,7 @@ func referenceGreedy(q Request) (Result, error) {
 		best := -1
 		bestProfit := 0.0
 		for i, c := range cands {
-			p := ps.Profit(c.kernel, c.e, st, c.params, q.Model)
+			p := refProfit(&ps, c.kernel, c.e, st, c.params, q.Model)
 			res.Evaluations++
 			if firstRound {
 				res.FirstRoundEvaluations++
@@ -95,7 +95,7 @@ func referenceGreedy(q Request) (Result, error) {
 	return res, nil
 }
 
-func dropKernel(cands []candidate, id ise.KernelID) []candidate {
+func dropKernel(cands []refCand, id ise.KernelID) []refCand {
 	next := cands[:0]
 	for _, c := range cands {
 		if c.kernel.ID != id {

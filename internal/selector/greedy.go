@@ -28,13 +28,10 @@ type greedyScratch struct {
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
-func (gs *greedyScratch) release() {
-	// Drop the caller's fabric view so the pool does not pin it; kernels
-	// and ISEs referenced by leftover gcands belong to long-lived
-	// applications and are cheap to retain.
-	gs.st.base = nil
-	greedyPool.Put(gs)
-}
+// release returns the scratch to the pool. Kernels and ISEs referenced by
+// leftover candidates belong to long-lived applications and are cheap to
+// retain.
+func (gs *greedyScratch) release() { greedyPool.Put(gs) }
 
 // Greedy runs the mRTS ISE selection algorithm of paper Fig. 6:
 //
@@ -55,16 +52,23 @@ func (gs *greedyScratch) release() {
 // evaluations for N kernels with M ISEs each — Result.Evaluations models
 // that full cost, while Result.SavedEvaluations reports how many of them
 // the per-candidate profit memo answered without recomputation.
-func Greedy(q Request) (Result, error) {
+func Greedy(q Request) (Result, error) { return GreedyInto(nil, q) }
+
+// GreedyInto is Greedy building Result.Selected in sel's storage
+// (overwriting it from index 0), so a caller that reuses one buffer across
+// selections allocates nothing once it has grown. The Result is valid until
+// the caller reuses sel.
+func GreedyInto(sel []Choice, q Request) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
-	var res Result
+	res := Result{Selected: sel[:0]}
 	gs := greedyPool.Get().(*greedyScratch)
 	defer gs.release()
+	t := tableOf(q.Block)
 	st := &gs.st
-	st.reset(q.Fabric)
-	gs.cands = appendCandidates(gs.cands[:0], q)
+	st.reset(q.Fabric, t)
+	gs.cands = appendCandidates(gs.cands[:0], q, t)
 	cands := gs.cands
 
 	for len(cands) > 0 {
@@ -74,7 +78,7 @@ func Greedy(q Request) (Result, error) {
 		// profit inputs of the surviving candidates, so memos stay valid.
 		fitting := cands[:0]
 		for _, c := range cands {
-			if st.fits(c.e) {
+			if st.fits(&c.candidate) {
 				fitting = append(fitting, c)
 			}
 		}
@@ -90,8 +94,8 @@ func Greedy(q Request) (Result, error) {
 		if ci := coveredIndex(cands, st); ci >= 0 {
 			picked := cands[ci].candidate
 			fg0, cg0 := st.pendingFG, st.pendingCG
-			st.claim(picked.e)
-			p := gs.prof.Profit(picked.kernel, picked.e, st, picked.params, q.Model)
+			st.claim(&picked)
+			p := st.profit(&gs.prof, &picked, q.Model)
 			res.CoveredPicks++
 			res.Selected = append(res.Selected, Choice{
 				Kernel: picked.kernel.ID,
@@ -99,7 +103,7 @@ func Greedy(q Request) (Result, error) {
 				Profit: p,
 			})
 			cands = removeKernel(cands, picked.kernel.ID)
-			invalidateStale(cands, st, picked.e, q.Model,
+			invalidateStale(cands, st, &picked, q.Model,
 				st.pendingFG != fg0, st.pendingCG != cg0)
 			continue
 		}
@@ -113,7 +117,7 @@ func Greedy(q Request) (Result, error) {
 		for i := range cands {
 			c := &cands[i]
 			if !c.valid {
-				c.profit = gs.prof.Profit(c.kernel, c.e, st, c.params, q.Model)
+				c.profit = st.profit(&gs.prof, &c.candidate, q.Model)
 				c.valid = true
 			} else {
 				res.SavedEvaluations++
@@ -138,44 +142,26 @@ func Greedy(q Request) (Result, error) {
 		// re-mark only the candidates the claim actually affected.
 		chosen := cands[best].candidate
 		fg0, cg0 := st.pendingFG, st.pendingCG
-		st.claim(chosen.e)
+		st.claim(&chosen)
 		res.Selected = append(res.Selected, Choice{
 			Kernel: chosen.kernel.ID,
 			ISE:    chosen.e,
 			Profit: bestProfit,
 		})
 		cands = removeKernel(cands, chosen.kernel.ID)
-		invalidateStale(cands, st, chosen.e, q.Model,
+		invalidateStale(cands, st, &chosen, q.Model,
 			st.pendingFG != fg0, st.pendingCG != cg0)
 	}
 	return res, nil
-}
-
-// appendCandidates is gatherCandidates appending gcands into a reusable
-// buffer, growing it at most once per call.
-func appendCandidates(dst []gcand, q Request) []gcand {
-	if n := numCandidates(q); cap(dst) < n {
-		dst = make([]gcand, 0, n)
-	}
-	for _, t := range q.Triggers {
-		k := q.Block.Kernel(t.Kernel)
-		if k == nil {
-			continue
-		}
-		p := profit.ParamsFromTrigger(t)
-		for _, e := range k.ISEs {
-			dst = append(dst, gcand{candidate: candidate{kernel: k, e: e, params: p}})
-		}
-	}
-	return dst
 }
 
 // coveredIndex finds the covered candidate with the lowest full latency
 // (ties broken by ISE ID); it returns -1 if no candidate is covered.
 func coveredIndex(cands []gcand, st *state) int {
 	best := -1
-	for i, c := range cands {
-		if !st.covered(c.e) {
+	for i := range cands {
+		c := &cands[i]
+		if !st.covered(&c.candidate) {
 			continue
 		}
 		if best < 0 ||
@@ -207,24 +193,24 @@ func removeKernel(cands []gcand, id ise.KernelID) []gcand {
 // backlog grew and the candidate queues unconfigured data paths on that
 // port. PortBlind profits never read backlogs, and FGTuned charges every
 // data path to the fine-grained port.
-func invalidateStale(cands []gcand, st *state, picked *ise.ISE, m profit.Model, fgChanged, cgChanged bool) {
+func invalidateStale(cands []gcand, st *state, picked *candidate, m profit.Model, fgChanged, cgChanged bool) {
 	portAware := m != profit.PortBlind && (fgChanged || cgChanged)
 	for i := range cands {
 		c := &cands[i]
 		if !c.valid {
 			continue
 		}
-		if sharesDataPath(c.e, picked) ||
-			(portAware && portSensitive(c.e, st, m, fgChanged, cgChanged)) {
+		if sharesDataPath(c.paths, picked.paths) ||
+			(portAware && portSensitive(&c.candidate, st, m, fgChanged, cgChanged)) {
 			c.valid = false
 		}
 	}
 }
 
-func sharesDataPath(a, b *ise.ISE) bool {
-	for _, da := range a.DataPaths {
-		for _, db := range b.DataPaths {
-			if da.ID == db.ID {
+func sharesDataPath(a, b []int) bool {
+	for _, na := range a {
+		for _, nb := range b {
+			if na == nb {
 				return true
 			}
 		}
@@ -235,12 +221,12 @@ func sharesDataPath(a, b *ise.ISE) bool {
 // portSensitive reports whether the ISE's profit depends on a changed port
 // backlog: it has at least one not-yet-configured data path whose effective
 // fabric kind reconfigures through that port.
-func portSensitive(e *ise.ISE, st *state, m profit.Model, fgChanged, cgChanged bool) bool {
-	for _, d := range e.DataPaths {
-		if st.IsConfigured(d.ID) {
+func portSensitive(c *candidate, st *state, m profit.Model, fgChanged, cgChanged bool) bool {
+	for i, n := range c.paths {
+		if st.available(n) {
 			continue
 		}
-		kind := d.Kind
+		kind := c.e.DataPaths[i].Kind
 		if m == profit.FGTuned {
 			kind = arch.FG
 		}

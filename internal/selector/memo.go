@@ -2,8 +2,8 @@ package selector
 
 import (
 	"container/list"
+	"encoding/binary"
 	"reflect"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -39,92 +39,77 @@ import (
 // only beyond the bound therefore see byte-identical selections, and the
 // fingerprint may clamp free capacity to min(free, bound).
 func DemandBound(b *ise.FunctionalBlock) (prc, cg int) {
-	if v, ok := demandCache.Load(b); ok {
-		d := v.([2]int)
-		return d[0], d[1]
-	}
-	for _, k := range b.Kernels {
-		maxPRC, maxCG := 0, 0
-		for _, e := range k.ISEs {
-			p, c := 0, 0
-			for _, d := range e.DataPaths {
-				p += d.PRCs
-				c += d.CGs
-			}
-			if p > maxPRC {
-				maxPRC = p
-			}
-			if c > maxCG {
-				maxCG = c
-			}
-		}
-		prc += maxPRC
-		cg += maxCG
-	}
-	demandCache.Store(b, [2]int{prc, cg})
-	return prc, cg
+	t := tableOf(b)
+	return t.demandPRC, t.demandCG
 }
 
-// demandCache memoizes DemandBound per block object. Blocks are immutable
-// once built and live as long as their workload, so the cache never needs
-// invalidation.
-var demandCache sync.Map // map[*ise.FunctionalBlock][2]int
-
-// AppendFingerprint appends a canonical encoding of the request's entire
-// selection-relevant input surface to dst and returns the extended buffer:
-// the block's identity (object identity, not just ID — two workloads may
-// reuse block names), the profit model, the demand-clamped free capacity,
-// both configuration-port backlogs, the triggers in order, and the
-// configured-bit of every candidate data path (the only configured state
-// the greedy selection and the profit function can observe), enumerated in
-// the deterministic candidate order. Requests with equal fingerprints are
-// indistinguishable to Greedy, so a memoized Result replays exactly.
+// AppendFingerprint appends a canonical binary encoding of the request's
+// entire selection-relevant input surface to dst and returns the extended
+// buffer: the block's identity (object identity, not just ID — two
+// workloads may reuse block names), the profit model, the demand-clamped
+// free capacity, both configuration-port backlogs, the triggers in order,
+// and the configured-bit of every candidate data path (the only configured
+// state the greedy selection and the profit function can observe),
+// enumerated in the deterministic candidate order. Numbers are fixed-width
+// little-endian words; a trigger's kernel is its position in the block.
+// Requests with equal fingerprints are indistinguishable to Greedy, so a
+// memoized Result replays exactly.
 func AppendFingerprint(dst []byte, q Request) []byte {
-	dst = strconv.AppendUint(dst, uint64(reflect.ValueOf(q.Block).Pointer()), 16)
-	dst = append(dst, '|')
+	var conf bitset
+	return appendFingerprint(dst, q, &conf)
+}
+
+// appendFingerprint is AppendFingerprint with a reusable bitset for the
+// configured-bit snapshot.
+func appendFingerprint(dst []byte, q Request, conf *bitset) []byte {
+	u64 := binary.LittleEndian.AppendUint64
+	t := tableOf(q.Block)
+	dst = u64(dst, uint64(reflect.ValueOf(q.Block).Pointer()))
+	dst = u64(dst, uint64(len(q.Block.ID)))
 	dst = append(dst, q.Block.ID...)
-	dst = append(dst, '|')
-	dst = strconv.AppendInt(dst, int64(q.Model), 10)
-	dst = append(dst, '|')
-	dPRC, dCG := DemandBound(q.Block)
-	dst = strconv.AppendInt(dst, int64(min(q.Fabric.FreePRC(), dPRC)), 10)
-	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(min(q.Fabric.FreeCG(), dCG)), 10)
-	dst = append(dst, '|')
+	dst = u64(dst, uint64(q.Model))
+	dst = u64(dst, uint64(min(q.Fabric.FreePRC(), t.demandPRC)))
+	dst = u64(dst, uint64(min(q.Fabric.FreeCG(), t.demandCG)))
 	if pv, ok := q.Fabric.(ise.PortView); ok {
-		dst = strconv.AppendInt(dst, int64(pv.PortBacklog(arch.FG)), 10)
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(pv.PortBacklog(arch.CG)), 10)
+		dst = append(dst, 1)
+		dst = u64(dst, uint64(pv.PortBacklog(arch.FG)))
+		dst = u64(dst, uint64(pv.PortBacklog(arch.CG)))
+	} else {
+		dst = append(dst, 0)
 	}
-	for _, t := range q.Triggers {
-		dst = append(dst, '|')
-		dst = append(dst, string(t.Kernel)...)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, t.E, 10)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(t.TF), 10)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(t.TB), 10)
+	dst = u64(dst, uint64(len(q.Triggers)))
+	for _, tr := range q.Triggers {
+		dst = u64(dst, uint64(kernelIndex(q.Block, tr.Kernel)))
+		dst = u64(dst, uint64(tr.E))
+		dst = u64(dst, uint64(tr.TF))
+		dst = u64(dst, uint64(tr.TB))
 	}
 	// Configured-bits of the candidate data paths, in the deterministic
-	// enumeration order of gatherCandidates. The IDs themselves are fully
-	// determined by block identity and trigger order (both encoded above),
-	// so positional bits suffice.
-	dst = append(dst, '|')
-	for _, t := range q.Triggers {
-		k := q.Block.Kernel(t.Kernel)
-		if k == nil {
+	// candidate enumeration order, eight to a byte. The paths themselves
+	// are fully determined by block identity and trigger order (both
+	// encoded above), so positional bits suffice.
+	*conf = t.snapshot(*conf, q.Fabric)
+	var acc byte
+	nbits := 0
+	for _, tr := range q.Triggers {
+		ki := kernelIndex(q.Block, tr.Kernel)
+		if ki < 0 {
 			continue
 		}
-		for _, e := range k.ISEs {
-			for _, d := range e.DataPaths {
-				if q.Fabric.IsConfigured(d.ID) {
-					dst = append(dst, '1')
-				} else {
-					dst = append(dst, '0')
+		for _, ns := range t.paths[ki] {
+			for _, n := range ns {
+				if conf.has(n) {
+					acc |= 1 << (nbits & 7)
+				}
+				if nbits++; nbits&7 == 0 {
+					dst = append(dst, acc)
+					acc = 0
 				}
 			}
 		}
+	}
+	if nbits&7 != 0 {
+		dst = append(dst, acc)
 	}
 	return dst
 }
@@ -147,8 +132,14 @@ type MemoStats struct {
 	Hits, Misses uint64
 }
 
-// fingerprintPool holds the buffers Memo probes build fingerprints in.
-var fingerprintPool = sync.Pool{New: func() any { return new([]byte) }}
+// fingerprintScratch is the buffer a Memo probe builds its fingerprint in,
+// plus the configured-bit snapshot it reads.
+type fingerprintScratch struct {
+	key  []byte
+	conf bitset
+}
+
+var fingerprintPool = sync.Pool{New: func() any { return new(fingerprintScratch) }}
 
 // Memo is a concurrency-safe, bounded LRU memo of Greedy results keyed by
 // request fingerprint. It is the cross-point sharing layer of the batch
@@ -177,7 +168,8 @@ type memoEntry struct {
 }
 
 // NewMemo creates a memo bounded to capacity entries (DefaultMemoSize if
-// capacity <= 0).
+// capacity <= 0). Its index grows with its entries: most memos (one per
+// batch engine) hold far fewer than the bound.
 func NewMemo(capacity int) *Memo {
 	if capacity <= 0 {
 		capacity = DefaultMemoSize
@@ -185,7 +177,7 @@ func NewMemo(capacity int) *Memo {
 	return &Memo{
 		cap:   capacity,
 		order: list.New(),
-		byKey: make(map[string]*list.Element, capacity),
+		byKey: make(map[string]*list.Element),
 	}
 }
 
@@ -207,11 +199,11 @@ func (m *Memo) GreedyWithHit(q Request) (Result, bool, error) {
 	// The fingerprint is built into a pooled buffer and probed through a
 	// string conversion the compiler does not allocate for; only an
 	// insert materialises the key string.
-	bp := fingerprintPool.Get().(*[]byte)
-	key := AppendFingerprint((*bp)[:0], q)
+	fs := fingerprintPool.Get().(*fingerprintScratch)
+	key := appendFingerprint(fs.key[:0], q, &fs.conf)
 	defer func() {
-		*bp = key
-		fingerprintPool.Put(bp)
+		fs.key = key
+		fingerprintPool.Put(fs)
 	}()
 	m.mu.Lock()
 	if el, ok := m.byKey[string(key)]; ok {

@@ -23,10 +23,11 @@ func Optimal(q Request) (Result, error) {
 	sc := optimalPool.Get().(*optimalScratch)
 	defer sc.release()
 	sc.res = Result{}
+	t := tableOf(q.Block)
 	st := &sc.st
-	st.reset(q.Fabric)
+	st.reset(q.Fabric, t)
+	sc.countOwners(q, t)
 
-	dpOwners := countDataPathOwners(q)
 	// Every group's options are a window of one buffer sized for all
 	// candidates, so appending never moves an earlier group's window.
 	if n := numCandidates(q); cap(sc.opts) < n {
@@ -34,24 +35,28 @@ func Optimal(q Request) (Result, error) {
 	}
 	opts := sc.opts[:0]
 	groups := sc.groups[:0]
-	for _, t := range q.Triggers {
-		k := q.Block.Kernel(t.Kernel)
-		if k == nil {
+	for _, tr := range q.Triggers {
+		ki := kernelIndex(q.Block, tr.Kernel)
+		if ki < 0 {
 			continue
 		}
-		p := profit.ParamsFromTrigger(t)
+		k := q.Block.Kernels[ki]
+		p := profit.ParamsFromTrigger(tr)
 		g := group{kernel: k.ID}
 		first := len(opts)
-		for _, e := range k.ISEs {
+		for j, e := range k.ISEs {
 			prc, cg := e.CostPRC(), e.CostCG()
 			if prc > st.freePRC || cg > st.freeCG {
 				continue // can never fit
 			}
+			c := candidate{kernel: k, e: e, paths: t.paths[ki][j], params: p}
 			sc.res.Evaluations++
-			pr := sc.prof.Profit(k, e, q.Fabric, p, q.Model)
+			// Stand-alone profit: nothing is claimed yet, so the state
+			// shows the base fabric.
+			pr := st.profit(&sc.prof, &c, q.Model)
 			shared := false
-			for _, d := range e.DataPaths {
-				if dpOwners[d.ID] > 1 {
+			for _, n := range c.paths {
+				if sc.owners[n] > 1 {
 					shared = true
 					break
 				}
@@ -62,7 +67,7 @@ func Optimal(q Request) (Result, error) {
 			if pr <= 0 && !shared {
 				continue
 			}
-			opts = append(opts, candidate{kernel: k, e: e, params: p})
+			opts = append(opts, c)
 			// Per-option upper bound on the profit in any context. An
 			// unshared option's data paths are never configured by other
 			// kernels' choices, so context can only add port backlog —
@@ -129,14 +134,18 @@ type group struct {
 // optimalScratch is the per-call working memory of Optimal, pooled like
 // Greedy's so a warm call allocates only the Result's Selected copy.
 type optimalScratch struct {
-	model   profit.Model
-	st      state
-	prof    profit.Scratch
-	groups  []group
-	opts    []candidate
-	suffix  []float64
-	current []Choice
-	best    []Choice
+	model profit.Model
+	st    state
+	prof  profit.Scratch
+	// owners[n] counts the triggered kernels whose ISEs use data path n;
+	// lastOwner[n] is the last of them counted (kernel index + 1).
+	owners    []int
+	lastOwner []int
+	groups    []group
+	opts      []candidate
+	suffix    []float64
+	current   []Choice
+	best      []Choice
 	// bestTotal is the incumbent's profit; res accumulates the counters.
 	bestTotal float64
 	res       Result
@@ -144,12 +153,7 @@ type optimalScratch struct {
 
 var optimalPool = sync.Pool{New: func() any { return new(optimalScratch) }}
 
-func (sc *optimalScratch) release() {
-	// Drop the caller's fabric view so the pool does not pin it (see
-	// greedyScratch.release).
-	sc.st.base = nil
-	optimalPool.Put(sc)
-}
+func (sc *optimalScratch) release() { optimalPool.Put(sc) }
 
 // walk explores groups i.. with the incumbent and the current partial
 // choice in os, total being the current choice's profit.
@@ -169,7 +173,7 @@ func (sc *optimalScratch) walk(i int, total float64) {
 	g := &sc.groups[i]
 	for j := range g.opts {
 		o := &g.opts[j]
-		if !st.fits(o.e) {
+		if !st.fits(o) {
 			continue
 		}
 		// Exact profit in the context of already-chosen ISEs:
@@ -177,97 +181,44 @@ func (sc *optimalScratch) walk(i int, total float64) {
 		// reconfigurations queued by earlier choices delay this
 		// ISE on the configuration ports.
 		sc.res.Evaluations++
-		pr := sc.prof.Profit(o.kernel, o.e, st, o.params, sc.model)
+		pr := st.profit(&sc.prof, o, sc.model)
 		if pr <= 0 {
 			continue
 		}
 		// Claim / recurse / restore.
 		savedPRC, savedCG := st.freePRC, st.freeCG
 		savedFG, savedCGPort := st.pendingFG, st.pendingCG
-		savedClaimed := len(st.claimed)
-		st.claim(o.e)
+		mark := len(st.claimLog)
+		st.claim(o)
 		sc.current = append(sc.current, Choice{Kernel: g.kernel, ISE: o.e, Profit: pr})
 		sc.walk(i+1, total+pr)
 		sc.current = sc.current[:len(sc.current)-1]
 		st.freePRC, st.freeCG = savedPRC, savedCG
 		st.pendingFG, st.pendingCG = savedFG, savedCGPort
-		st.claimed = st.claimed[:savedClaimed]
+		st.undo(mark)
 	}
 	// Also consider leaving this kernel unselected (RISC mode).
 	sc.walk(i+1, total)
 }
 
-// dpOwnersCache memoizes countDataPathOwners across Optimal calls: the
-// ownership map depends only on the functional block and the set of
-// triggered kernels, both of which repeat on every trigger of the
-// simulator's inner loop. The cached maps are read-only after insertion,
-// so sharing them across goroutines is safe. The cache is dropped wholesale
-// when it exceeds its bound (blocks are few and long-lived in practice).
-var dpOwnersCache = struct {
-	sync.Mutex
-	m map[dpOwnersKey]map[ise.DataPathID]int
-}{m: make(map[dpOwnersKey]map[ise.DataPathID]int)}
-
-type dpOwnersKey struct {
-	block   *ise.FunctionalBlock
-	kernels string
-}
-
-const dpOwnersCacheCap = 64
-
-// countDataPathOwners maps each data-path ID to the number of distinct
-// kernels whose candidate ISEs reference it, memoized per (block,
-// triggered-kernel sequence).
-func countDataPathOwners(q Request) map[ise.DataPathID]int {
-	// The key's kernel list is built on the stack and looked up through a
-	// string conversion the compiler does not allocate for; only an
-	// insert materialises it.
-	var buf [128]byte
-	kernels := buf[:0]
-	for _, t := range q.Triggers {
-		kernels = append(kernels, t.Kernel...)
-		kernels = append(kernels, '|')
-	}
-
-	dpOwnersCache.Lock()
-	if m, ok := dpOwnersCache.m[dpOwnersKey{block: q.Block, kernels: string(kernels)}]; ok {
-		dpOwnersCache.Unlock()
-		return m
-	}
-	dpOwnersCache.Unlock()
-
-	out := computeDataPathOwners(q)
-
-	dpOwnersCache.Lock()
-	if len(dpOwnersCache.m) >= dpOwnersCacheCap {
-		clear(dpOwnersCache.m)
-	}
-	dpOwnersCache.m[dpOwnersKey{block: q.Block, kernels: string(kernels)}] = out
-	dpOwnersCache.Unlock()
-	return out
-}
-
-func computeDataPathOwners(q Request) map[ise.DataPathID]int {
-	owners := make(map[ise.DataPathID]map[ise.KernelID]bool)
-	for _, t := range q.Triggers {
-		k := q.Block.Kernel(t.Kernel)
-		if k == nil {
+// countOwners counts, per data path of the block, the distinct triggered
+// kernels whose ISEs use it; a data path with more than one owner may be
+// configured for free by another kernel's choice.
+func (sc *optimalScratch) countOwners(q Request, t *blockTable) {
+	sc.owners = append(sc.owners[:0], make([]int, len(t.ids))...)
+	sc.lastOwner = append(sc.lastOwner[:0], make([]int, len(t.ids))...)
+	for _, tr := range q.Triggers {
+		ki := kernelIndex(q.Block, tr.Kernel)
+		if ki < 0 {
 			continue
 		}
-		for _, e := range k.ISEs {
-			for _, d := range e.DataPaths {
-				m := owners[d.ID]
-				if m == nil {
-					m = make(map[ise.KernelID]bool)
-					owners[d.ID] = m
+		for _, ns := range t.paths[ki] {
+			for _, n := range ns {
+				if sc.lastOwner[n] != ki+1 {
+					sc.lastOwner[n] = ki + 1
+					sc.owners[n]++
 				}
-				m[k.ID] = true
 			}
 		}
 	}
-	out := make(map[ise.DataPathID]int, len(owners))
-	for id, m := range owners {
-		out[id] = len(m)
-	}
-	return out
 }

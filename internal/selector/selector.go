@@ -52,15 +52,6 @@ type Result struct {
 	CoveredPicks int
 }
 
-// ISEs returns just the selected ISEs in selection order.
-func (r Result) ISEs() []*ise.ISE {
-	out := make([]*ise.ISE, len(r.Selected))
-	for i, c := range r.Selected {
-		out[i] = c.ISE
-	}
-	return out
-}
-
 // ByKernel returns the selected ISE for the kernel, or nil.
 func (r Result) ByKernel(id ise.KernelID) *ise.ISE {
 	for _, c := range r.Selected {
@@ -105,14 +96,16 @@ func (q Request) Validate() error {
 	return nil
 }
 
-// candidate is one ISE under consideration together with its trigger.
+// candidate is one ISE under consideration together with its trigger and
+// the block-table numbers of its data paths.
 type candidate struct {
 	kernel *ise.Kernel
 	e      *ise.ISE
+	paths  []int
 	params profit.Params
 }
 
-// numCandidates counts the candidates gatherCandidates would produce, so
+// numCandidates counts the candidates appendCandidates would produce, so
 // candidate buffers can be sized in one allocation (or none, when pooled).
 func numCandidates(q Request) int {
 	n := 0
@@ -124,21 +117,24 @@ func numCandidates(q Request) int {
 	return n
 }
 
-// gatherCandidates builds the initial candidate list (Fig. 6 Step 1) in a
+// appendCandidates appends the initial candidate list (Fig. 6 Step 1) in a
 // deterministic order: triggers in given order, ISEs in kernel order.
-func gatherCandidates(q Request) []candidate {
-	out := make([]candidate, 0, numCandidates(q))
-	for _, t := range q.Triggers {
-		k := q.Block.Kernel(t.Kernel)
-		if k == nil {
+func appendCandidates(dst []gcand, q Request, t *blockTable) []gcand {
+	if n := len(dst) + numCandidates(q); cap(dst) < n {
+		dst = append(make([]gcand, 0, n), dst...)
+	}
+	for _, tr := range q.Triggers {
+		ki := kernelIndex(q.Block, tr.Kernel)
+		if ki < 0 {
 			continue
 		}
-		p := profit.ParamsFromTrigger(t)
-		for _, e := range k.ISEs {
-			out = append(out, candidate{kernel: k, e: e, params: p})
+		k := q.Block.Kernels[ki]
+		p := profit.ParamsFromTrigger(tr)
+		for j, e := range k.ISEs {
+			dst = append(dst, gcand{candidate: candidate{kernel: k, e: e, paths: t.paths[ki][j], params: p}})
 		}
 	}
-	return out
+	return dst
 }
 
 // state tracks remaining fabric capacity and the data paths that will be
@@ -152,117 +148,132 @@ func gatherCandidates(q Request) []candidate {
 //   - reconfiguration time: a data path that is already on the fabric (left
 //     over from the previous selection, or claimed by an earlier choice of
 //     this selection) costs no reconfiguration time. The profit function
-//     sees that through the FabricView this state implements.
+//     sees that through the configured mask (mask) and the port backlog
+//     (PortBacklog) this state supplies.
+//
+// Data paths are identified by their block-table numbers.
 type state struct {
-	base    ise.FabricView
 	freePRC int
 	freeCG  int
-	// claimed lists the data paths claimed so far, each once, in claim
-	// order; a selection claims a handful, so a scan beats hashing, and
-	// Optimal's backtracking restores it by truncation.
-	claimed []ise.DataPathID
-	// pendingFG/pendingCG accumulate the reconfiguration time of data
-	// paths claimed by earlier choices of this selection: later
-	// candidates queue behind them on the serial configuration ports.
-	pendingFG arch.Cycles
-	pendingCG arch.Cycles
+	// conf holds the data paths configured on the base fabric, snapshot
+	// when the selection starts; claimed those claimed so far.
+	conf    bitset
+	claimed bitset
+	// claimLog lists the claimed data paths in claim order; Optimal's
+	// backtracking restores claimed by undoing the log to a mark.
+	claimLog []int
+	// baseFG/baseCG are the base fabric's port backlogs; pendingFG and
+	// pendingCG accumulate the reconfiguration time of data paths claimed
+	// by earlier choices of this selection: later candidates queue behind
+	// them on the serial configuration ports.
+	baseFG, baseCG       arch.Cycles
+	pendingFG, pendingCG arch.Cycles
 }
 
-var (
-	_ ise.FabricView = (*state)(nil)
-	_ ise.PortView   = (*state)(nil)
-)
+var _ ise.PortView = (*state)(nil)
 
-// reset re-initialises the state onto a new base view, reusing the claimed
-// list so pooled states allocate nothing on reuse.
-func (s *state) reset(base ise.FabricView) {
-	s.base = base
+// reset re-initialises the state onto a new base view of the block,
+// reusing its buffers so pooled states allocate nothing on reuse.
+func (s *state) reset(base ise.FabricView, t *blockTable) {
 	s.freePRC = base.FreePRC()
 	s.freeCG = base.FreeCG()
-	s.claimed = s.claimed[:0]
+	s.conf = t.snapshot(s.conf, base)
+	s.claimed = s.claimed.reset(len(t.ids))
+	s.claimLog = s.claimLog[:0]
+	s.baseFG, s.baseCG = 0, 0
+	if pv, ok := base.(ise.PortView); ok {
+		s.baseFG, s.baseCG = pv.PortBacklog(arch.FG), pv.PortBacklog(arch.CG)
+	}
 	s.pendingFG = 0
 	s.pendingCG = 0
 }
 
-func (s *state) FreePRC() int { return s.freePRC }
-func (s *state) FreeCG() int  { return s.freeCG }
-
 // PortBacklog implements ise.PortView: the physical port backlog plus the
 // reconfigurations this selection has already queued.
 func (s *state) PortBacklog(kind arch.FabricKind) arch.Cycles {
-	var base arch.Cycles
-	if pv, ok := s.base.(ise.PortView); ok {
-		base = pv.PortBacklog(kind)
-	}
 	if kind == arch.FG {
-		return base + s.pendingFG
+		return s.baseFG + s.pendingFG
 	}
-	return base + s.pendingCG
+	return s.baseCG + s.pendingCG
 }
 
-// IsConfigured is the reconfiguration-time view used by the profit
-// function: physically configured or claimed by an earlier choice.
-func (s *state) IsConfigured(id ise.DataPathID) bool {
-	return s.isClaimed(id) || s.base.IsConfigured(id)
-}
+// available reports whether data path n costs no reconfiguration time:
+// physically configured or claimed by an earlier choice.
+func (s *state) available(n int) bool { return s.conf.has(n) || s.claimed.has(n) }
 
-// isClaimed reports whether an earlier choice of this selection claimed
-// the data path.
-func (s *state) isClaimed(id ise.DataPathID) bool {
-	for _, c := range s.claimed {
-		if c == id {
-			return true
+// mask is the candidate's configured mask for the profit function.
+func (s *state) mask(c *candidate) uint64 {
+	var m uint64
+	for i, n := range c.paths {
+		if s.available(n) {
+			m |= 1 << i
 		}
 	}
-	return false
+	return m
 }
 
-// capacityCost returns the fabric the ISE occupies beyond the data paths
-// already claimed by this selection.
-func (s *state) capacityCost(e *ise.ISE) (prc, cg int) {
-	for _, d := range e.DataPaths {
-		if s.isClaimed(d.ID) {
+// profit evaluates the candidate in the current selection context.
+func (s *state) profit(ps *profit.Scratch, c *candidate, m profit.Model) float64 {
+	return ps.Profit(c.kernel, c.e, s.mask(c), s, c.params, m)
+}
+
+// capacityCost returns the fabric the candidate occupies beyond the data
+// paths already claimed by this selection.
+func (s *state) capacityCost(c *candidate) (prc, cg int) {
+	for i, n := range c.paths {
+		if s.claimed.has(n) {
 			continue
 		}
-		prc += d.PRCs
-		cg += d.CGs
+		prc += c.e.DataPaths[i].PRCs
+		cg += c.e.DataPaths[i].CGs
 	}
 	return prc, cg
 }
 
-// fits reports whether the ISE's capacity cost fits the remaining fabric.
-func (s *state) fits(e *ise.ISE) bool {
-	prc, cg := s.capacityCost(e)
+// fits reports whether the candidate's capacity cost fits the remaining
+// fabric.
+func (s *state) fits(c *candidate) bool {
+	prc, cg := s.capacityCost(c)
 	return prc <= s.freePRC && cg <= s.freeCG
 }
 
-// covered reports whether every data path of the ISE is already claimed by
-// the selected ISEs (Fig. 6 Step 2b).
-func (s *state) covered(e *ise.ISE) bool {
-	prc, cg := s.capacityCost(e)
+// covered reports whether every data path of the candidate is already
+// claimed by the selected ISEs (Fig. 6 Step 2b).
+func (s *state) covered(c *candidate) bool {
+	prc, cg := s.capacityCost(c)
 	return prc == 0 && cg == 0
 }
 
-// claim consumes fabric capacity for the ISE's unclaimed data paths, marks
-// all of its data paths as claimed for later candidates, and queues the
-// reconfiguration time of genuinely new data paths on the ports. It only
-// appends to s.claimed, so truncating the list to its length before the
-// call undoes the marks.
-func (s *state) claim(e *ise.ISE) {
-	prc, cg := s.capacityCost(e)
+// claim consumes fabric capacity for the candidate's unclaimed data paths,
+// marks all of its data paths as claimed for later candidates, and queues
+// the reconfiguration time of genuinely new data paths on the ports. It
+// only appends to the claim log, so undo(mark) with the log's length
+// before the call undoes the marks.
+func (s *state) claim(c *candidate) {
+	prc, cg := s.capacityCost(c)
 	s.freePRC -= prc
 	s.freeCG -= cg
-	for _, d := range e.DataPaths {
-		if s.isClaimed(d.ID) {
+	for i, n := range c.paths {
+		if s.claimed.has(n) {
 			continue
 		}
-		if !s.base.IsConfigured(d.ID) {
+		if d := c.e.DataPaths[i]; !s.conf.has(n) {
 			if d.Kind == arch.FG {
 				s.pendingFG += d.ReconfigCycles()
 			} else {
 				s.pendingCG += d.ReconfigCycles()
 			}
 		}
-		s.claimed = append(s.claimed, d.ID)
+		s.claimed.set(n)
+		s.claimLog = append(s.claimLog, n)
 	}
+}
+
+// undo unclaims the data paths claimed after the claim log held mark
+// entries.
+func (s *state) undo(mark int) {
+	for _, n := range s.claimLog[mark:] {
+		s.claimed.unset(n)
+	}
+	s.claimLog = s.claimLog[:mark]
 }

@@ -304,9 +304,6 @@ func TestOptimalSharesDataPaths(t *testing.T) {
 func TestResultHelpers(t *testing.T) {
 	e := &ise.ISE{ID: "x", Kernel: "k", DataPaths: []ise.DataPath{fgDP("a")}, Latencies: []arch.Cycles{10}}
 	r := Result{Selected: []Choice{{Kernel: "k", ISE: e, Profit: 5}}}
-	if len(r.ISEs()) != 1 || r.ISEs()[0] != e {
-		t.Error("ISEs() wrong")
-	}
 	if r.ByKernel("k") != e || r.ByKernel("z") != nil {
 		t.Error("ByKernel wrong")
 	}
@@ -412,14 +409,14 @@ func bruteForceBest(q Request) float64 {
 	// sort, but profit is order-dependent through the configuration-port
 	// backlog, so any key mismatch makes the two enumerations walk
 	// different orders and compare incomparable totals.
-	dpOwners := computeDataPathOwners(q)
+	dpOwners := refComputeDataPathOwners(q)
 	bound := func(kn kern) float64 {
 		best := 0.0
 		for _, e := range kn.exts {
 			if e.CostPRC() > q.Fabric.FreePRC() || e.CostCG() > q.Fabric.FreeCG() {
 				continue
 			}
-			pr := ps.Profit(kn.k, e, q.Fabric, kn.p, q.Model)
+			pr := refProfit(&ps, kn.k, e, q.Fabric, kn.p, q.Model)
 			shared := false
 			for _, d := range e.DataPaths {
 				if dpOwners[d.ID] > 1 {
@@ -442,8 +439,8 @@ func bruteForceBest(q Request) float64 {
 	}
 	sort.SliceStable(ks, func(i, j int) bool { return bound(ks[i]) > bound(ks[j]) })
 	best := 0.0
-	var walk func(i int, st *state, total float64)
-	walk = func(i int, st *state, total float64) {
+	var walk func(i int, st *refState, total float64)
+	walk = func(i int, st *refState, total float64) {
 		if i == len(ks) {
 			if total > best {
 				best = total
@@ -455,7 +452,7 @@ func bruteForceBest(q Request) float64 {
 			if !st.fits(e) {
 				continue
 			}
-			pr := ps.Profit(ks[i].k, e, st, ks[i].p, q.Model)
+			pr := refProfit(&ps, ks[i].k, e, st, ks[i].p, q.Model)
 			if pr <= 0 {
 				continue
 			}
@@ -469,7 +466,7 @@ func bruteForceBest(q Request) float64 {
 			st.claimed = st.claimed[:savedClaimed]
 		}
 	}
-	st := new(state)
+	st := new(refState)
 	st.reset(q.Fabric)
 	walk(0, st, 0)
 	return best
