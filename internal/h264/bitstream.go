@@ -1,6 +1,9 @@
 package h264
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bitstream serialisation. The encoder emits an actual bit-exact stream —
 // macroblock headers, motion vectors and quantised coefficients — through
@@ -17,34 +20,49 @@ type BitWriter struct {
 
 // WriteBit appends one bit.
 func (w *BitWriter) WriteBit(b int) {
-	byteIdx := w.bits >> 3
-	if byteIdx == len(w.buf) {
-		w.buf = append(w.buf, 0)
-	}
+	var v uint32
 	if b != 0 {
-		w.buf[byteIdx] |= 1 << (7 - uint(w.bits&7))
+		v = 1
 	}
-	w.bits++
+	w.WriteBits(v, 1)
 }
 
-// WriteBits appends the low n bits of v, most significant first (n <= 32).
+// WriteBits appends the low n bits of v, most significant first (n <= 32),
+// ORing them into the buffer up to a byte at a time.
 func (w *BitWriter) WriteBits(v uint32, n int) {
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(int(v >> uint(i) & 1))
+	if n <= 0 {
+		return
+	}
+	for end := (w.bits + n + 7) >> 3; len(w.buf) < end; {
+		w.buf = append(w.buf, 0)
+	}
+	x := uint64(v) & (1<<uint(n) - 1)
+	for n > 0 {
+		free := 8 - w.bits&7 // bits left in the current byte
+		i := w.bits >> 3
+		if n < free {
+			w.buf[i] |= byte(x << uint(free-n))
+			w.bits += n
+			return
+		}
+		n -= free
+		w.buf[i] |= byte(x >> uint(n))
+		x &= 1<<uint(n) - 1
+		w.bits += free
 	}
 }
 
 // WriteUE appends v with the unsigned Exp-Golomb code: (leading zeros for
-// the bit length of v+1) followed by v+1.
+// the bit length of v+1) followed by v+1. At v = MaxUint32, v+1 wraps to 0
+// and the code is a single 0 bit.
 func (w *BitWriter) WriteUE(v uint32) {
 	code := v + 1
-	n := 0
-	for t := code; t > 1; t >>= 1 {
-		n++
+	n := max(bits.Len32(code)-1, 0)
+	if n < 16 {
+		w.WriteBits(code, 2*n+1)
+		return
 	}
-	for i := 0; i < n; i++ {
-		w.WriteBit(0)
-	}
+	w.WriteBits(0, n)
 	w.WriteBits(code, n+1)
 }
 

@@ -49,41 +49,63 @@ func QuantDC2(b *Block2, qp int) int {
 	return nz
 }
 
-// chromaPlane abstracts Cb vs Cr access on a frame.
+// chromaPlane is one chroma plane of a frame (Cb or Cr), read and written
+// by row slices; its stride is its width w.
 type chromaPlane struct {
-	at  func(x, y int) uint8
-	set func(x, y int, v uint8)
+	pix  []uint8
+	w, h int
 }
 
 func planesOf(f *video.Frame) [2]chromaPlane {
-	return [2]chromaPlane{
-		{at: f.CbAt, set: f.CbSet},
-		{at: f.CrAt, set: f.CrSet},
-	}
+	cw, ch := f.CW(), f.CH()
+	return [2]chromaPlane{{f.Cb, cw, ch}, {f.Cr, cw, ch}}
 }
 
-// PredictChromaDC computes the DC prediction of the 8x8 chroma block whose
-// top-left chroma coordinate is (cx, cy), from the reconstructed
-// neighbours (top row and left column), mirroring intra chroma DC mode.
-func PredictChromaDC(at func(x, y int) uint8, cx, cy int) int32 {
+// row returns the n samples of row y starting at x, which must lie
+// inside the plane.
+func (p chromaPlane) row(x, y, n int) []uint8 { return p.pix[y*p.w+x:][:n] }
+
+// predictDC computes the DC prediction of the 8x8 block whose top-left
+// chroma coordinate is (cx, cy), from the reconstructed neighbours (top
+// row and left column), mirroring intra chroma DC mode. The block must lie
+// inside the plane; a neighbour row or column outside it is clamped to the
+// plane's edge, as video.Frame.CbAt reads it.
+func (p chromaPlane) predictDC(cx, cy int) int32 {
+	top := p.row(cx, max(cy-1, 0), 8)
+	lx := max(cx-1, 0)
 	var sum int32
-	for i := 0; i < 8; i++ {
-		sum += int32(at(cx+i, cy-1))
-		sum += int32(at(cx-1, cy+i))
+	for i, v := range top {
+		sum += int32(v) + int32(p.pix[(cy+i)*p.w+lx])
 	}
 	return (sum + 8) >> 4
 }
 
-// MotionCompensateChroma fills dst (64 samples, row-major 8x8) with the
-// chroma prediction of the macroblock at luma position (mbx, mby)
-// displaced by the half-pel luma vector mv (quartered and rounded to the
-// chroma integer grid).
-func MotionCompensateChroma(at func(x, y int) uint8, mbx, mby int, mv MV, dst []uint8) {
+// compensate fills dst (64 samples, row-major 8x8) with the chroma
+// prediction of the macroblock at luma position (mbx, mby) displaced by
+// the half-pel luma vector mv (quartered and rounded to the chroma integer
+// grid). A block inside the plane is copied by rows; one that leaves it
+// reads each sample clamped to the plane, so any vector works.
+func (p chromaPlane) compensate(mbx, mby int, mv MV, dst []uint8) {
 	cx, cy := mbx/2+mv.X/4, mby/2+mv.Y/4
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			dst[y*8+x] = at(cx+x, cy+y)
+	if cx >= 0 && cy >= 0 && cx+8 <= p.w && cy+8 <= p.h {
+		for y := 0; y < 8; y++ {
+			copy(dst[y*8:y*8+8], p.row(cx, cy+y, 8))
 		}
+		return
+	}
+	for y := 0; y < 8; y++ {
+		sy := min(max(cy+y, 0), p.h-1)
+		for x := 0; x < 8; x++ {
+			dst[y*8+x] = p.pix[sy*p.w+min(max(cx+x, 0), p.w-1)]
+		}
+	}
+}
+
+// put8 writes the 8x8 block src (row-major) at chroma coordinate (cx, cy),
+// which must lie inside the plane.
+func (p chromaPlane) put8(cx, cy int, src []uint8) {
+	for y := 0; y < 8; y++ {
+		copy(p.row(cx, cy+y, 8), src[y*8:y*8+8])
 	}
 }
 
@@ -93,20 +115,24 @@ func MotionCompensateChroma(at func(x, y int) uint8, mbx, mby int, mv MV, dst []
 func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool, mv MV) {
 	curP := planesOf(cur)
 	recP := planesOf(rec)
+	var refP [2]chromaPlane
+	if !intra {
+		refP = planesOf(e.ref)
+	}
 	cx, cy := mbx/2, mby/2
 
 	for p := 0; p < 2; p++ {
 		// Prediction.
 		var pred [64]int32
 		if intra {
-			dc := PredictChromaDC(recP[p].at, cx, cy)
+			dc := recP[p].predictDC(cx, cy)
 			e.counts[kIPred]++
 			for i := range pred {
 				pred[i] = dc
 			}
 		} else {
 			var buf [64]uint8
-			MotionCompensateChroma(planesOf(e.ref)[p].at, mbx, mby, mv, buf[:])
+			refP[p].compensate(mbx, mby, mv, buf[:])
 			e.counts[kMC]++
 			for i, v := range buf {
 				pred[i] = int32(v)
@@ -121,8 +147,8 @@ func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool
 			ox, oy := (q&1)*4, (q>>1)*4
 			var resid Block4
 			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					resid[y*4+x] = int32(curP[p].at(cx+ox+x, cy+oy+y)) - pred[(oy+y)*8+ox+x]
+				for x, v := range curP[p].row(cx+ox, cy+oy+y, 4) {
+					resid[y*4+x] = int32(v) - pred[(oy+y)*8+ox+x]
 				}
 			}
 			DCT4(&resid)
@@ -154,12 +180,13 @@ func (e *Encoder) encodeChromaMB(cur, rec *video.Frame, mbx, mby int, intra bool
 		for q := 0; q < 4; q++ {
 			ox, oy := (q&1)*4, (q>>1)*4
 			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
+				row := recP[p].row(cx+ox, cy+oy+y, 4)
+				for x := range row {
 					v := pred[(oy+y)*8+ox+x]
 					if coded[q] {
 						v += blocks[q][y*4+x]
 					}
-					recP[p].set(cx+ox+x, cy+oy+y, clipPixel(v))
+					row[x] = clipPixel(v)
 				}
 			}
 		}
@@ -172,76 +199,27 @@ func (e *Encoder) copyChromaMB(rec *video.Frame, mbx, mby int, mv MV) {
 	refP := planesOf(e.ref)
 	recP := planesOf(rec)
 	var buf [64]uint8
-	cx, cy := mbx/2, mby/2
 	for p := 0; p < 2; p++ {
-		MotionCompensateChroma(refP[p].at, mbx, mby, mv, buf[:])
+		refP[p].compensate(mbx, mby, mv, buf[:])
 		e.counts[kMC]++
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				recP[p].set(cx+x, cy+y, buf[y*8+x])
-			}
-		}
+		recP[p].put8(mbx/2, mby/2, buf[:])
 	}
 }
 
 // FilterChromaEdge applies the deblocking filter to one 2-sample chroma
 // edge segment on both planes. (x, y) is the chroma coordinate of the
 // first sample on the q side. Chroma filtering reuses the luma boundary
-// strength, as in the standard. It reports whether any sample changed.
+// strength, as in the standard. It reports whether any sample changed. A
+// segment whose taps would leave the plane is not filtered.
 func FilterChromaEdge(rec *video.Frame, x, y int, vertical bool, bs int, qp int) bool {
-	if bs == BSNone {
+	cw, ch := rec.CW(), rec.CH()
+	if bs == BSNone || !edgeInside(x, y, 2, vertical, cw, ch) {
 		return false
 	}
-	alpha := alphaOf(qp)
-	beta := betaOf(qp)
-	if alpha == 0 {
-		return false
-	}
-	tc0 := int32(bs)
-	planes := planesOf(rec)
-	changed := false
-	for p := 0; p < 2; p++ {
-		for i := 0; i < 2; i++ {
-			var p1, p0, q0, q1 int32
-			var setP0, setQ0 func(uint8)
-			if vertical {
-				yy := y + i
-				p1 = int32(planes[p].at(x-2, yy))
-				p0 = int32(planes[p].at(x-1, yy))
-				q0 = int32(planes[p].at(x, yy))
-				q1 = int32(planes[p].at(x+1, yy))
-				pp, px := planes[p], x
-				setP0 = func(v uint8) { pp.set(px-1, yy, v) }
-				setQ0 = func(v uint8) { pp.set(px, yy, v) }
-			} else {
-				xx := x + i
-				p1 = int32(planes[p].at(xx, y-2))
-				p0 = int32(planes[p].at(xx, y-1))
-				q0 = int32(planes[p].at(xx, y))
-				q1 = int32(planes[p].at(xx, y+1))
-				pp, py := planes[p], y
-				setP0 = func(v uint8) { pp.set(xx, py-1, v) }
-				setQ0 = func(v uint8) { pp.set(xx, py, v) }
-			}
-			d0 := abs32(q0 - p0)
-			if d0 >= alpha || abs32(p1-p0) >= beta || abs32(q1-q0) >= beta {
-				continue
-			}
-			delta := clip3(((q0-p0)<<2+(p1-q1)+4)>>3, -tc0, tc0)
-			if delta == 0 {
-				continue
-			}
-			setP0(clipPixel(p0 + delta))
-			setQ0(clipPixel(q0 - delta))
-			changed = true
-		}
-	}
-	return changed
-}
-
-func abs32(v int32) int32 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	alpha, beta := alphaOf(qp), betaOf(qp)
+	across, along := edgeSteps(vertical, cw)
+	j := y*cw + x
+	cb := filterSegment(rec.Cb, j, across, along, 2, alpha, beta, int32(bs))
+	cr := filterSegment(rec.Cr, j, across, along, 2, alpha, beta, int32(bs))
+	return cb || cr
 }

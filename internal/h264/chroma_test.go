@@ -53,13 +53,27 @@ func TestPredictChromaDC(t *testing.T) {
 		f.CbSet(8+i, 7, 60)
 		f.CbSet(7, 8+i, 180)
 	}
-	got := PredictChromaDC(f.CbAt, 8, 8)
+	got := planesOf(f)[0].predictDC(8, 8)
 	want := int32((8*60 + 8*180 + 8) >> 4)
 	if got != want {
 		t.Errorf("chroma DC prediction = %d, want %d", got, want)
 	}
+	// On the plane's top and left edges the missing neighbours are read
+	// clamped, as the frame's own accessor reads them.
+	for _, c := range [][2]int{{0, 0}, {8, 0}, {0, 8}} {
+		var sum int32
+		for i := 0; i < 8; i++ {
+			sum += int32(f.CbAt(c[0]+i, c[1]-1)) + int32(f.CbAt(c[0]-1, c[1]+i))
+		}
+		if got, want := planesOf(f)[0].predictDC(c[0], c[1]), (sum+8)>>4; got != want {
+			t.Errorf("chroma DC prediction at %v = %d, want %d", c, got, want)
+		}
+	}
 }
 
+// TestMotionCompensateChroma checks the chroma prediction against the
+// frame's clamped accessor, for a block inside the plane and for vectors
+// that carry it past each edge.
 func TestMotionCompensateChroma(t *testing.T) {
 	f := video.NewFrame(64, 64)
 	for y := 0; y < f.CH(); y++ {
@@ -67,14 +81,25 @@ func TestMotionCompensateChroma(t *testing.T) {
 			f.CbSet(x, y, uint8((x*5+y*11)%251))
 		}
 	}
-	var buf [64]uint8
-	mv := MV{12, -8} // half-pel luma vector -> chroma displacement (3, -2)
-	MotionCompensateChroma(f.CbAt, 16, 16, mv, buf[:])
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			want := f.CbAt(8+3+x, 8-2+y)
-			if buf[y*8+x] != want {
-				t.Fatalf("sample (%d,%d) = %d, want %d", x, y, buf[y*8+x], want)
+	cases := []struct {
+		mbx, mby int
+		mv       MV
+	}{
+		{16, 16, MV{12, -8}}, // chroma displacement (3, -2)
+		{0, 0, MV{-13, -9}},
+		{48, 48, MV{13, 9}},
+		{0, 48, MV{-40, 40}},
+		{48, 0, MV{200, -200}},
+	}
+	for _, c := range cases {
+		var buf [64]uint8
+		planesOf(f)[0].compensate(c.mbx, c.mby, c.mv, buf[:])
+		cx, cy := c.mbx/2+c.mv.X/4, c.mby/2+c.mv.Y/4
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				if want := f.CbAt(cx+x, cy+y); buf[y*8+x] != want {
+					t.Fatalf("MB (%d,%d) mv %v: sample (%d,%d) = %d, want %d", c.mbx, c.mby, c.mv, x, y, buf[y*8+x], want)
+				}
 			}
 		}
 	}

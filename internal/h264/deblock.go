@@ -79,62 +79,63 @@ func BoundaryStrength(p, q BlockInfo) int {
 // FilterEdge applies the deblocking filter to one 4-sample edge segment.
 // vertical selects a vertical edge (samples left/right) versus horizontal
 // (samples above/below). (x, y) is the first sample of the segment on the
-// q side. It returns whether any sample was modified.
+// q side. It returns whether any sample was modified. A segment whose taps
+// would leave the frame (an edge on the frame's border) is not filtered.
 func FilterEdge(rec *video.Frame, x, y int, vertical bool, bs int, qp int) bool {
-	if bs == BSNone {
+	if bs == BSNone || !edgeInside(x, y, 4, vertical, rec.W, rec.H) {
 		return false
 	}
-	alpha := alphaOf(qp)
-	beta := betaOf(qp)
-	if alpha == 0 {
-		return false
+	across, along := edgeSteps(vertical, rec.W)
+	return filterSegment(rec.Y, y*rec.W+x, across, along, 4, alphaOf(qp), betaOf(qp), int32(bs))
+}
+
+// edgeInside reports whether an n-sample edge segment whose first q-side
+// sample is (x, y) has all its taps (p1, p0, q0, q1) inside a w×h plane.
+func edgeInside(x, y, n int, vertical bool, w, h int) bool {
+	if vertical {
+		return x >= 2 && x+1 < w && y >= 0 && y+n <= h
 	}
-	tc0 := int32(bs) // simplified clipping table: tc grows with bs
+	return y >= 2 && y+1 < h && x >= 0 && x+n <= w
+}
+
+// edgeSteps returns the index steps across and along an edge in a plane
+// of stride s.
+func edgeSteps(vertical bool, s int) (across, along int) {
+	if vertical {
+		return 1, s
+	}
+	return s, 1
+}
+
+// filterSegment runs the edge filter over n samples of pix: the q0 sample
+// of the first is pix[j], the p side lies at j-across, j-2*across and the
+// segment runs along. tc0 is the clipping bound; alpha and beta are the
+// gradient thresholds (alpha 0 filters nothing). It reports whether any
+// sample changed.
+func filterSegment(pix []uint8, j, across, along, n int, alpha, beta, tc0 int32) bool {
 	changed := false
-	for i := 0; i < 4; i++ {
-		var p1, p0, q0, q1 int32
-		var setP0, setQ0 func(uint8)
-		if vertical {
-			yy := y + i
-			p1 = int32(rec.At(x-2, yy))
-			p0 = int32(rec.At(x-1, yy))
-			q0 = int32(rec.At(x, yy))
-			q1 = int32(rec.At(x+1, yy))
-			setP0 = func(v uint8) { rec.Set(x-1, yy, v) }
-			setQ0 = func(v uint8) { rec.Set(x, yy, v) }
-		} else {
-			xx := x + i
-			p1 = int32(rec.At(xx, y-2))
-			p0 = int32(rec.At(xx, y-1))
-			q0 = int32(rec.At(xx, y))
-			q1 = int32(rec.At(xx, y+1))
-			setP0 = func(v uint8) { rec.Set(xx, y-1, v) }
-			setQ0 = func(v uint8) { rec.Set(xx, y, v) }
-		}
-		d0 := q0 - p0
-		if d0 < 0 {
-			d0 = -d0
-		}
-		d1 := p1 - p0
-		if d1 < 0 {
-			d1 = -d1
-		}
-		d2 := q1 - q0
-		if d2 < 0 {
-			d2 = -d2
-		}
-		if d0 >= alpha || d1 >= beta || d2 >= beta {
+	for i := 0; i < n; i, j = i+1, j+along {
+		p1, p0 := int32(pix[j-2*across]), int32(pix[j-across])
+		q0, q1 := int32(pix[j]), int32(pix[j+across])
+		if abs32(q0-p0) >= alpha || abs32(p1-p0) >= beta || abs32(q1-q0) >= beta {
 			continue
 		}
 		delta := clip3(((q0-p0)<<2+(p1-q1)+4)>>3, -tc0, tc0)
 		if delta == 0 {
 			continue
 		}
-		setP0(clipPixel(p0 + delta))
-		setQ0(clipPixel(q0 - delta))
+		pix[j-across] = clipPixel(p0 + delta)
+		pix[j] = clipPixel(q0 - delta)
 		changed = true
 	}
 	return changed
+}
+
+func abs32(v int32) int32 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 func clip3(v, lo, hi int32) int32 {

@@ -2,6 +2,7 @@ package h264
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +111,28 @@ func TestFilterEdgeLowQPDisabled(t *testing.T) {
 	f := edgeFrame(100, 104)
 	if FilterEdge(f, 8, 0, true, BSCoded, 10) {
 		t.Error("filtering below index 16 should be disabled")
+	}
+}
+
+// TestFilterEdgeOnFrameBorderIsNoop checks that a segment whose taps
+// would leave the frame is left alone by both edge filters.
+func TestFilterEdgeOnFrameBorderIsNoop(t *testing.T) {
+	f := edgeFrame(100, 104)
+	c := chromaEdgeFrame(100, 104)
+	want, wantC := f.Clone(), c.Clone()
+	for _, e := range []struct {
+		x, y     int
+		vertical bool
+	}{{0, 0, true}, {1, 4, true}, {f.W - 1, 0, true}, {8, f.H - 2, true}, {0, 0, false}, {4, 1, false}, {0, f.H - 1, false}, {f.W - 2, 4, false}} {
+		if FilterEdge(f, e.x, e.y, e.vertical, BSIntra, 30) {
+			t.Errorf("luma edge %+v on the border filtered", e)
+		}
+		if FilterChromaEdge(c, e.x/2, e.y/2, e.vertical, BSIntra, 30) {
+			t.Errorf("chroma edge %+v on the border filtered", e)
+		}
+	}
+	if !reflect.DeepEqual(f, want) || !reflect.DeepEqual(c, wantC) {
+		t.Error("a border edge changed the frame")
 	}
 }
 

@@ -188,13 +188,13 @@ func (d *Decoder) decodeChroma(r *BitReader, rec *video.Frame, mbx, mby int, int
 	for p := 0; p < 2; p++ {
 		var pred [64]int32
 		if intra {
-			dc := PredictChromaDC(recP[p].at, cx, cy)
+			dc := recP[p].predictDC(cx, cy)
 			for i := range pred {
 				pred[i] = dc
 			}
 		} else {
 			var buf [64]uint8
-			MotionCompensateChroma(refP[p].at, mbx, mby, mv, buf[:])
+			refP[p].compensate(mbx, mby, mv, buf[:])
 			for i, v := range buf {
 				pred[i] = int32(v)
 			}
@@ -207,12 +207,13 @@ func (d *Decoder) decodeChroma(r *BitReader, rec *video.Frame, mbx, mby int, int
 			coded := reconstructBlockMode(&levels, qp)
 			ox, oy := (q&1)*4, (q>>1)*4
 			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
+				row := recP[p].row(cx+ox, cy+oy+y, 4)
+				for x := range row {
 					v := pred[(oy+y)*8+ox+x]
 					if coded {
 						v += levels[y*4+x]
 					}
-					recP[p].set(cx+ox+x, cy+oy+y, clipPixel(v))
+					row[x] = clipPixel(v)
 				}
 			}
 		}
@@ -258,12 +259,9 @@ func reconstructBlockMode(levels *Block4, qp int) bool {
 func (d *Decoder) copyChromaSkip(rec *video.Frame, mbx, mby int) {
 	refP := planesOf(d.ref)
 	recP := planesOf(rec)
-	cx, cy := mbx/2, mby/2
+	var buf [64]uint8
 	for p := 0; p < 2; p++ {
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				recP[p].set(cx+x, cy+y, refP[p].at(cx+x, cy+y))
-			}
-		}
+		refP[p].compensate(mbx, mby, MV{}, buf[:])
+		recP[p].put8(mbx/2, mby/2, buf[:])
 	}
 }

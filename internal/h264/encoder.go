@@ -168,10 +168,12 @@ type Encoder struct {
 	mbW     int
 	mbH     int
 	ref     *video.Frame // previous reconstructed frame
-	plane   refPlane     // ref, edge-extended for motion search and compensation
+	plane   refPlane     // ref, edge-extended and half-pel filtered, once planeOK
+	planeOK bool         // plane holds ref; refilled only by a frame that searches
 	frameNo int
 	bw      BitWriter    // per-frame bitstream
 	counts  kernelCounts // per-frame kernel invocations
+	info    []BlockInfo  // per-4x4-block coding decisions for the deblocking filter
 }
 
 // NewEncoder creates an encoder for w x h video. Dimensions must be
@@ -181,7 +183,7 @@ func NewEncoder(w, h int, cfg Config) (*Encoder, error) {
 		return nil, fmt.Errorf("h264: frame size %dx%d is not a multiple of 16", w, h)
 	}
 	cfg.effective()
-	return &Encoder{cfg: cfg, w: w, h: h, mbW: w / 16, mbH: h / 16}, nil
+	return &Encoder{cfg: cfg, w: w, h: h, mbW: w / 16, mbH: h / 16, info: make([]BlockInfo, (w/4)*(h/4))}, nil
 }
 
 // FrameNo returns the index the next EncodeFrame call will encode.
@@ -197,16 +199,24 @@ func (e *Encoder) EncodeFrame(cur *video.Frame) (*FrameStats, error) {
 	if cur.W != e.w || cur.H != e.h {
 		return nil, fmt.Errorf("h264: frame size %dx%d does not match encoder %dx%d", cur.W, cur.H, e.w, e.h)
 	}
+	if !cur.HasChroma() {
+		cur = withChroma(cur)
+	}
 	st := &FrameStats{Frame: e.frameNo}
 	e.counts = kernelCounts{}
 	rec := video.NewFrame(e.w, e.h)
 	forceIntra := e.ref == nil ||
 		(e.cfg.ForceIntraEvery > 0 && e.frameNo%e.cfg.ForceIntraEvery == 0)
+	if !forceIntra && !e.planeOK {
+		e.plane.fill(e.ref, searchMargin(e.cfg.SearchRange))
+		e.planeOK = true
+	}
 	e.bw.Reset()
 	e.writeFrameHeader(forceIntra)
 
-	// Per-4x4-block coding info for the deblocking filter.
-	info := make([]BlockInfo, (e.w/4)*(e.h/4))
+	// Per-4x4-block coding info for the deblocking filter; every
+	// macroblock path sets all sixteen of its entries.
+	info := e.info
 	infoAt := func(bx, by int) *BlockInfo { return &info[(by/4)*(e.w/4)+(bx/4)] }
 
 	for my := 0; my < e.mbH; my++ {
@@ -224,7 +234,7 @@ func (e *Encoder) EncodeFrame(cur *video.Frame) (*FrameStats, error) {
 	st.Bits = int64(e.bw.Bits())
 	st.Stream = append([]byte(nil), e.bw.Bytes()...)
 	e.ref = rec
-	e.plane.fill(rec, searchMargin(e.cfg.SearchRange))
+	e.planeOK = false // filled when the next frame searches it
 	e.frameNo++
 	return st, nil
 }
@@ -298,8 +308,8 @@ func (e *Encoder) encodeIntraMB(cur, rec *video.Frame, mbx, mby int, infoAt func
 
 			var resid Block4
 			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					resid[y*4+x] = int32(cur.At(bx+x, by+y)) - pred[y*4+x]
+				for x, v := range row4(cur, bx, by+y) {
+					resid[y*4+x] = int32(v) - pred[y*4+x]
 				}
 			}
 			DCT4(&resid)
@@ -321,8 +331,9 @@ func (e *Encoder) encodeIntraMB(cur, rec *video.Frame, mbx, mby int, infoAt func
 				resid = Block4{}
 			}
 			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					rec.Set(bx+x, by+y, clipPixel(pred[y*4+x]+resid[y*4+x]))
+				row := row4(rec, bx, by+y)
+				for x := range row {
+					row[x] = clipPixel(pred[y*4+x] + resid[y*4+x])
 				}
 			}
 			*infoAt(bx, by) = BlockInfo{Intra: true, Coded: coded}
@@ -339,24 +350,22 @@ func (e *Encoder) encodeIntraMB(cur, rec *video.Frame, mbx, mby int, infoAt func
 }
 
 func (e *Encoder) encodeInterMB(cur, rec *video.Frame, mbx, mby int, mv MV, infoAt func(int, int) *BlockInfo) {
-	var pred [256]int32
+	var pred [256]uint8
 	var buf [64]uint8
 	for q := 0; q < 4; q++ {
 		e.plane.compensate(mbx, mby, q, mv, buf[:])
 		e.counts[kMC]++
 		ox, oy := (q&1)*8, (q>>1)*8
 		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				pred[(oy+y)*16+ox+x] = int32(buf[y*8+x])
-			}
+			copy(pred[(oy+y)*16+ox:][:8], buf[y*8:y*8+8])
 		}
 	}
 	for by := 0; by < 16; by += 4 {
 		for bx := 0; bx < 16; bx += 4 {
 			var resid Block4
 			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					resid[y*4+x] = int32(cur.At(mbx+bx+x, mby+by+y)) - pred[(by+y)*16+bx+x]
+				for x, v := range row4(cur, mbx+bx, mby+by+y) {
+					resid[y*4+x] = int32(v) - int32(pred[(by+y)*16+bx+x])
 				}
 			}
 			DCT4(&resid)
@@ -376,8 +385,9 @@ func (e *Encoder) encodeInterMB(cur, rec *video.Frame, mbx, mby int, mv MV, info
 				resid = Block4{}
 			}
 			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					rec.Set(mbx+bx+x, mby+by+y, clipPixel(pred[(by+y)*16+bx+x]+resid[y*4+x]))
+				row := row4(rec, mbx+bx, mby+by+y)
+				for x := range row {
+					row[x] = clipPixel(int32(pred[(by+y)*16+bx+x]) + resid[y*4+x])
 				}
 			}
 			*infoAt(mbx+bx, mby+by) = BlockInfo{Coded: coded, MV: mv}
@@ -387,77 +397,84 @@ func (e *Encoder) encodeInterMB(cur, rec *video.Frame, mbx, mby int, mv MV, info
 
 // runDeblock applies the in-loop deblocking filter; it is shared by the
 // encoder and the decoder (which passes nil counts) so both sides filter
-// identically — a requirement for bit-exact reconstruction.
+// identically — a requirement for bit-exact reconstruction. Every luma
+// edge is filtered in place; chroma edges sit on every second luma 4x4
+// boundary and reuse its boundary strength (no extra bs kernel
+// invocations). Luma and chroma touch different planes, so filtering a
+// chroma edge together with its luma edge leaves every plane as filtering
+// all luma edges first would.
 func runDeblock(rec *video.Frame, info []BlockInfo, w, h, qp int, counts *kernelCounts) {
-	w4 := w / 4
-	at := func(bx, by int) BlockInfo { return info[by*w4+bx] }
-	count := func(k kernel) {
-		if counts != nil {
-			counts[k]++
+	w4, h4 := w/4, h/4
+	var nbs, nfilt int64
+	filter := func(p, q BlockInfo, vertical bool, x, y int, chroma bool) {
+		bs := BoundaryStrength(p, q)
+		nbs++
+		if bs == BSNone {
+			return
+		}
+		FilterEdge(rec, x, y, vertical, bs, qp)
+		nfilt++
+		if chroma {
+			FilterChromaEdge(rec, x/2, y/2, vertical, bs, qp)
+			nfilt++
 		}
 	}
-	// Vertical edges (filter left edge of every 4x4 block except column 0).
-	for by := 0; by < h/4; by++ {
+	// Vertical edges: the left edge of every 4x4 block except column 0.
+	for by := 0; by < h4; by++ {
 		for bx := 1; bx < w4; bx++ {
-			bs := BoundaryStrength(at(bx-1, by), at(bx, by))
-			count(kBS)
-			if bs != BSNone {
-				FilterEdge(rec, bx*4, by*4, true, bs, qp)
-				count(kFilt)
-			}
+			filter(info[by*w4+bx-1], info[by*w4+bx], true, bx*4, by*4, bx&1 == 0)
 		}
 	}
-	// Horizontal edges.
-	for by := 1; by < h/4; by++ {
+	// Horizontal edges: the top edge of every 4x4 block except row 0.
+	for by := 1; by < h4; by++ {
 		for bx := 0; bx < w4; bx++ {
-			bs := BoundaryStrength(at(bx, by-1), at(bx, by))
-			count(kBS)
-			if bs != BSNone {
-				FilterEdge(rec, bx*4, by*4, false, bs, qp)
-				count(kFilt)
-			}
+			filter(info[(by-1)*w4+bx], info[by*w4+bx], false, bx*4, by*4, by&1 == 0)
 		}
 	}
-	// Chroma edges sit on every second luma 4x4 boundary and reuse the
-	// luma boundary strength (no extra bs kernel invocations).
-	for by := 0; by < h/4; by++ {
-		for bx := 2; bx < w4; bx += 2 {
-			bs := BoundaryStrength(at(bx-1, by), at(bx, by))
-			if bs != BSNone {
-				FilterChromaEdge(rec, bx*2, by*2, true, bs, qp)
-				count(kFilt)
-			}
-		}
-	}
-	for by := 2; by < h/4; by += 2 {
-		for bx := 0; bx < w4; bx++ {
-			bs := BoundaryStrength(at(bx, by-1), at(bx, by))
-			if bs != BSNone {
-				FilterChromaEdge(rec, bx*2, by*2, false, bs, qp)
-				count(kFilt)
-			}
-		}
+	if counts != nil {
+		counts[kBS] += nbs
+		counts[kFilt] += nfilt
 	}
 }
+
+// withChroma returns f with a neutral (128) plane in place of each
+// missing chroma plane, which is how video.Frame's accessors read one.
+func withChroma(f *video.Frame) *video.Frame {
+	c := video.NewFrame(f.W, f.H)
+	c.Y = f.Y
+	if len(f.Cb) > 0 {
+		c.Cb = f.Cb
+	}
+	if len(f.Cr) > 0 {
+		c.Cr = f.Cr
+	}
+	return c
+}
+
+// row4 returns the 4 luma samples of f from (x, y) on, which must lie
+// inside the frame.
+func row4(f *video.Frame, x, y int) []uint8 { return f.Y[y*f.W+x:][:4] }
 
 func writeQuadrant(rec *video.Frame, mbx, mby, q int, buf []uint8) {
-	ox, oy := (q&1)*8, (q>>1)*8
+	o := (mby+(q>>1)*8)*rec.W + mbx + (q&1)*8
 	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			rec.Set(mbx+ox+x, mby+oy+y, buf[y*8+x])
-		}
+		copy(rec.Y[o+y*rec.W:][:8], buf[y*8:y*8+8])
 	}
 }
 
+// psnr sums the squared errors in integers; every partial sum of a frame
+// below 2^37 samples is exact in a float64 too, so the result is the one
+// a float64 sum gives.
 func psnr(a, b *video.Frame) float64 {
-	var sse float64
-	for i := range a.Y {
-		d := float64(a.Y[i]) - float64(b.Y[i])
+	var sse int64
+	bY := b.Y[:len(a.Y)]
+	for i, v := range a.Y {
+		d := int64(v) - int64(bY[i])
 		sse += d * d
 	}
 	if sse == 0 {
 		return 99
 	}
-	mse := sse / float64(len(a.Y))
+	mse := float64(sse) / float64(len(a.Y))
 	return 10 * math.Log10(255*255/mse)
 }

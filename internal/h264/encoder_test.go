@@ -182,6 +182,56 @@ func TestForceIntraEvery(t *testing.T) {
 	}
 }
 
+// TestReferenceFilledOnlyForSearch checks the lazy reference refill: an
+// encoder whose every frame is intra never filters a reference plane, and
+// one that motion-searches fills the plane once per searching frame.
+func TestReferenceFilledOnlyForSearch(t *testing.T) {
+	seq := testSequence(3)
+	intra, _ := NewEncoder(64, 48, Config{ForceIntraEvery: 1})
+	inter, _ := NewEncoder(64, 48, Config{})
+	for i, f := range seq {
+		if _, err := intra.EncodeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inter.EncodeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		if intra.plane.pix[0] != nil {
+			t.Fatalf("frame %d: an all-intra encoder filled a reference plane", i)
+		}
+		if got, want := inter.plane.pix[0] != nil, i > 0; got != want {
+			t.Fatalf("frame %d: reference plane filled = %v, want %v", i, got, want)
+		}
+		if inter.planeOK {
+			t.Fatalf("frame %d: the plane of the frame just coded is marked filled", i)
+		}
+	}
+}
+
+// TestEncodeFrameWithoutChroma checks that a frame lacking chroma planes
+// encodes as one with neutral chroma, which is how video.Frame reads a
+// missing plane.
+func TestEncodeFrameWithoutChroma(t *testing.T) {
+	seq := testSequence(3)
+	bare, _ := NewEncoder(64, 48, Config{})
+	neutral, _ := NewEncoder(64, 48, Config{})
+	for i, f := range seq {
+		n := video.NewFrame(f.W, f.H)
+		copy(n.Y, f.Y)
+		got, err := bare.EncodeFrame(&video.Frame{W: f.W, H: f.H, Y: f.Y})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := neutral.EncodeFrame(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: stats without chroma %+v, with neutral chroma %+v", i, got, want)
+		}
+	}
+}
+
 func TestFunctionalBlocksCoverAllKernels(t *testing.T) {
 	all := map[string]bool{}
 	for _, fb := range FunctionalBlocks {

@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"encoding/binary"
 	"math"
 
 	"mrts/internal/video"
@@ -14,13 +15,18 @@ type MV struct{ X, Y int }
 func (v MV) IsInteger() bool { return v.X&1 == 0 && v.Y&1 == 0 }
 
 // refPlane is a reference luma plane edge-extended by margin replicated
-// samples on every side: for x, y in [-margin, W+margin) ×
-// [-margin, H+margin), pix[off(x, y)] equals video.Frame.At(x, y), the
-// clamped read H.264 edge extension prescribes. Motion search and
-// compensation read it by direct row slicing instead of clamping every
-// sample.
+// samples on every side, with its three half-pel planes filtered once:
+// pix[f] holds the samples of half-pel phase f = fx + 2*fy (integer,
+// horizontal, vertical, centre), all with the same stride. For the
+// integer plane and x, y in [-margin, W+margin) × [-margin, H+margin),
+// pix[0][off(x, y)] equals video.Frame.At(x, y), the clamped read H.264
+// edge extension prescribes. For the half-pel planes and x, y in
+// [2-margin, W+margin-3) × [2-margin, H+margin-3), pix[f][off(x, y)]
+// equals LumaHalfPel(ref, 2x+fx, 2y+fy). Motion search and compensation
+// read all four by direct row slicing; x264 keeps its reference frames
+// the same way (x264_frame_filter).
 type refPlane struct {
-	pix    []uint8
+	pix    [4][]uint8
 	stride int
 	margin int
 }
@@ -31,86 +37,65 @@ type refPlane struct {
 // the 6-tap filter reads 2 samples left and 3 right of that.
 func searchMargin(r int) int { return max(r, 0) + 4 }
 
-// fill rebuilds the plane from f's luma with the given margin, reusing the
-// plane's buffer.
+// fill rebuilds the four planes from f's luma with the given margin,
+// reusing the planes' buffers. The half-pel planes are filled where their
+// six taps lie inside the integer plane; the centre plane runs the
+// vertical filter over the clipped horizontal plane, the two-stage order
+// LumaHalfPel uses.
 func (p *refPlane) fill(f *video.Frame, margin int) {
 	p.margin = margin
-	p.stride = f.W + 2*margin
-	n := p.stride * (f.H + 2*margin)
-	if cap(p.pix) < n {
-		p.pix = make([]uint8, n)
+	s := f.W + 2*margin
+	rows := f.H + 2*margin
+	p.stride = s
+	n := s * rows
+	for i := range p.pix {
+		if cap(p.pix[i]) < n {
+			p.pix[i] = make([]uint8, n)
+		}
+		p.pix[i] = p.pix[i][:n]
 	}
-	p.pix = p.pix[:n]
+	full, hp, vp, cp := p.pix[0], p.pix[1], p.pix[2], p.pix[3]
 	for y := -margin; y < f.H+margin; y++ {
 		sy := min(max(y, 0), f.H-1)
 		src := f.Y[sy*f.W : (sy+1)*f.W]
-		row := p.pix[(y+margin)*p.stride : (y+margin+1)*p.stride]
+		row := full[(y+margin)*s : (y+margin+1)*s]
 		copy(row[margin:], src)
 		left, right := src[0], src[f.W-1]
 		for i := 0; i < margin; i++ {
 			row[i] = left
 			row[margin+f.W+i] = right
 		}
+		hTaps(hp[(y+margin)*s+2:(y+margin+1)*s-3], row)
+	}
+	for r := 2; r < rows-3; r++ {
+		vTaps(vp[r*s:(r+1)*s], full, r*s, s)
+		vTaps(cp[r*s+2:(r+1)*s-3], hp, r*s+2, s)
 	}
 }
 
-// off returns the index of sample (x, y) in pix.
+// off returns the index of sample (x, y) in each of pix's planes.
 func (p *refPlane) off(x, y int) int { return (y+p.margin)*p.stride + x + p.margin }
-
-// predict fills dst (w×h, row-major) with the block at (x0, y0) displaced
-// by the half-pel vector mv, sample for sample what LumaHalfPel returns.
-// Integer vectors copy rows; a horizontal or vertical half position runs
-// one 6-tap pass; the centre position runs the horizontal pass over the
-// h+5 rows the vertical taps need, then the vertical pass over those
-// (clipped) intermediate values — the two-stage order LumaHalfPel uses.
-func (p *refPlane) predict(dst []uint8, x0, y0 int, mv MV, w, h int) {
-	o := p.off(x0+(mv.X>>1), y0+(mv.Y>>1))
-	s := p.stride
-	switch {
-	case mv.X&1 == 0 && mv.Y&1 == 0:
-		for y := 0; y < h; y++ {
-			copy(dst[y*w:(y+1)*w], p.pix[o+y*s:])
-		}
-	case mv.Y&1 == 0:
-		for y := 0; y < h; y++ {
-			hTaps(dst[y*w:(y+1)*w], p.pix[o+y*s-2:])
-		}
-	case mv.X&1 == 0:
-		for y := 0; y < h; y++ {
-			d := dst[y*w : (y+1)*w]
-			for x := range d {
-				d[x] = vTap(p.pix, o+y*s+x, s)
-			}
-		}
-	default:
-		var rows [21 * 16]uint8 // (h+5)×w horizontal taps, h, w ≤ 16
-		for r := 0; r < h+5; r++ {
-			hTaps(rows[r*w:(r+1)*w], p.pix[o+(r-2)*s-2:])
-		}
-		for y := 0; y < h; y++ {
-			d := dst[y*w : (y+1)*w]
-			for x := range d {
-				d[x] = vTap(rows[:(h+5)*w], (y+2)*w+x, w)
-			}
-		}
-	}
-}
 
 // hTaps sets d[x] to the horizontal 6-tap half position between src[x+2]
 // and src[x+3].
 func hTaps(d, src []uint8) {
-	src = src[:len(d)+5]
+	n := len(d)
+	s0, s1, s2 := src[0:n], src[1:n+1], src[2:n+2]
+	s3, s4, s5 := src[3:n+3], src[4:n+4], src[5:n+5]
 	for x := range d {
-		t := src[x : x+6 : x+6]
-		d[x] = uint8(sixTap(int32(t[0]), int32(t[1]), int32(t[2]), int32(t[3]), int32(t[4]), int32(t[5])))
+		d[x] = uint8(sixTap(int32(s0[x]), int32(s1[x]), int32(s2[x]), int32(s3[x]), int32(s4[x]), int32(s5[x])))
 	}
 }
 
-// vTap returns the vertical 6-tap half position between pix[i] and
-// pix[i+s] in a plane of stride s.
-func vTap(pix []uint8, i, s int) uint8 {
-	return uint8(sixTap(int32(pix[i-2*s]), int32(pix[i-s]), int32(pix[i]),
-		int32(pix[i+s]), int32(pix[i+2*s]), int32(pix[i+3*s])))
+// vTaps sets d[x] to the vertical 6-tap half position between src[i+x]
+// and src[i+x+s] in a plane of stride s.
+func vTaps(d, src []uint8, i, s int) {
+	n := len(d)
+	r0, r1, r2 := src[i-2*s:][:n], src[i-s:][:n], src[i:][:n]
+	r3, r4, r5 := src[i+s:][:n], src[i+2*s:][:n], src[i+3*s:][:n]
+	for x := range d {
+		d[x] = uint8(sixTap(int32(r0[x]), int32(r1[x]), int32(r2[x]), int32(r3[x]), int32(r4[x]), int32(r5[x])))
+	}
 }
 
 // sad returns the sum of absolute differences between the 16x16 block blk
@@ -119,25 +104,17 @@ func vTap(pix []uint8, i, s int) uint8 {
 // whose running total exceeds limit and returns that partial total, which
 // is then also above limit.
 func (p *refPlane) sad(blk *[256]uint8, x, y int, limit int32) int32 {
-	o := p.off(x, y)
-	var s int32
-	for r := 0; r < 16; r++ {
-		s += rowSAD(blk[r*16:r*16+16], p.pix[o+r*p.stride:])
-		if s > limit {
-			break
-		}
-	}
-	return s
+	return p.sadHalf(blk, x, y, MV{}, limit)
 }
 
 // sadHalf is sad for the block at (x, y) displaced by the half-pel vector
-// mv, interpolated first.
+// mv, read from the half-pel plane of mv's phase.
 func (p *refPlane) sadHalf(blk *[256]uint8, x, y int, mv MV, limit int32) int32 {
-	var pred [256]uint8
-	p.predict(pred[:], x, y, mv, 16, 16)
+	pix := p.pix[mv.X&1+2*(mv.Y&1)]
+	o := p.off(x+(mv.X>>1), y+(mv.Y>>1))
 	var s int32
 	for r := 0; r < 16; r++ {
-		s += rowSAD(blk[r*16:r*16+16], pred[r*16:])
+		s += rowSAD(blk[r*16:r*16+16], pix[o+r*p.stride:])
 		if s > limit {
 			break
 		}
@@ -145,18 +122,34 @@ func (p *refPlane) sadHalf(blk *[256]uint8, x, y int, mv MV, limit int32) int32 
 	return s
 }
 
-// rowSAD returns the SAD of one 16-sample row.
+// SWAR constants for rowSAD: the low byte of every 16-bit lane, the lane
+// bias 256 and a 1 in every lane.
+const (
+	laneLo   = 0x00ff00ff00ff00ff
+	laneBias = 0x0100010001000100
+	laneOne  = 0x0001000100010001
+)
+
+// rowSAD returns the SAD of one 16-sample row, 8 samples per uint64: the
+// even and odd bytes of each word are split into four 16-bit lanes,
+// differenced and summed lane-wise, and one multiply adds the lanes.
 func rowSAD(a, b []uint8) int32 {
 	a, b = a[:16:16], b[:16:16]
-	var s int32
-	for i := range a {
-		d := int32(a[i]) - int32(b[i])
-		if d < 0 {
-			d = -d
-		}
-		s += d
-	}
-	return s
+	a0, a1 := binary.LittleEndian.Uint64(a[:8]), binary.LittleEndian.Uint64(a[8:16])
+	b0, b1 := binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:16])
+	s := laneAbsDiff(a0&laneLo, b0&laneLo) + laneAbsDiff(a0>>8&laneLo, b0>>8&laneLo) +
+		laneAbsDiff(a1&laneLo, b1&laneLo) + laneAbsDiff(a1>>8&laneLo, b1>>8&laneLo)
+	return int32(s * laneOne >> 48)
+}
+
+// laneAbsDiff returns |x - y| in each 16-bit lane of two words holding
+// one byte per lane. Every lane of x is biased by 256 first, so v = 256 +
+// x - y lies in [1, 511] and no borrow crosses a lane; bit 8 of v is
+// clear exactly where x < y, and there |x - y| = 256 - v = (v ^ 0xff) + 1.
+func laneAbsDiff(x, y uint64) uint64 {
+	v := (x | laneBias) - y
+	neg := (v >> 8 & laneOne) ^ laneOne
+	return (v&laneLo ^ neg*0xff) + neg
 }
 
 // MotionResult is the outcome of the search for one macroblock.
@@ -175,12 +168,12 @@ type MotionResult struct {
 // MotionSearch finds the best motion vector for the macroblock at
 // (mbx, mby), which must lie inside cur, with a three-stage search: a
 // coarse search on a stride-2 integer grid inside ±searchRange, a ±1
-// integer-pel refinement, and a ±1 half-pel refinement with on-the-fly
-// 6-tap interpolation. A zero-MV early-skip check makes the kernel count
+// integer-pel refinement, and a ±1 half-pel refinement on the 6-tap
+// interpolated half-pel planes. A zero-MV early-skip check makes the kernel count
 // content-dependent: static areas cost one SAD, moving areas the full
 // search. The result vector is in half-pel units. MotionSearch
-// edge-extends ref for this one call; the encoder keeps one extended
-// reference per frame instead.
+// edge-extends and filters ref for this one call; the encoder keeps one
+// filtered reference per frame instead.
 func MotionSearch(cur, ref *video.Frame, mbx, mby, searchRange int, skipThreshold int32) MotionResult {
 	var p refPlane
 	p.fill(ref, searchMargin(searchRange))
@@ -301,7 +294,12 @@ func MotionCompensate(ref *video.Frame, mbx, mby int, q int, mv MV, dst []uint8)
 }
 
 // compensate is MotionCompensate on the edge-extended reference, for
-// vectors a search within p's margin can return.
+// vectors a search within p's margin can return: a copy of 8 rows from
+// the plane of mv's phase.
 func (p *refPlane) compensate(mbx, mby, q int, mv MV, dst []uint8) {
-	p.predict(dst[:64], mbx+(q&1)*8, mby+(q>>1)*8, mv, 8, 8)
+	pix := p.pix[mv.X&1+2*(mv.Y&1)]
+	o := p.off(mbx+(q&1)*8+(mv.X>>1), mby+(q>>1)*8+(mv.Y>>1))
+	for y := 0; y < 8; y++ {
+		copy(dst[y*8:y*8+8], pix[o+y*p.stride:])
+	}
 }

@@ -238,8 +238,9 @@ func TestCacheHitOnRepeatMissOnNewSeed(t *testing.T) {
 	}
 }
 
-// slowSweepSpec is a sweep job with enough points that it is still
-// running when the test cancels it.
+// slowSweepSpec is a sweep job with enough points, on a long enough
+// workload, that it is still running when the test cancels it: the job's
+// run time is the window a loaded host must schedule the test within.
 func slowSweepSpec() api.JobSpec {
 	var points []api.Point
 	for i := 0; i < 200; i++ {
@@ -247,7 +248,7 @@ func slowSweepSpec() api.JobSpec {
 		// can be served from the report memo — the job must simulate.
 		points = append(points, api.Point{PRC: 1 + i%20, CG: 1 + i/20, Policy: "mrts"})
 	}
-	return api.JobSpec{Type: api.JobSweep, Workload: api.WorkloadSpec{Frames: 2, Seed: 99}, Points: points}
+	return api.JobSpec{Type: api.JobSweep, Workload: api.WorkloadSpec{Frames: 8, Seed: 99}, Points: points}
 }
 
 func TestCancelRunningJobFreesWorkerSlot(t *testing.T) {

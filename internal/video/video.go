@@ -144,6 +144,7 @@ type Generator struct {
 	bgBase  uint8
 	bgSlope int
 	texAmp  int
+	bg      []uint8 // the scene's background luma, rendered once per scene
 	frame   int
 	cuts    map[int]bool
 }
@@ -169,6 +170,7 @@ func (g *Generator) newScene() {
 	g.bgBase = uint8(40 + g.rng.Intn(120))
 	g.bgSlope = 1 + g.rng.Intn(3)
 	g.texAmp = g.rng.Intn(10)
+	g.renderBackground()
 	speed := g.opts.Speed * (0.5 + float64(g.rng.Intn(300))/100)
 	count := 1 + g.rng.Intn(2*g.opts.Objects)
 	g.objects = g.objects[:0]
@@ -189,26 +191,31 @@ func (g *Generator) newScene() {
 	}
 }
 
+// renderBackground renders the scene's background luma into g.bg: a
+// diagonal gradient plus per-scene texture.
+func (g *Generator) renderBackground() {
+	if len(g.bg) != g.w*g.h {
+		g.bg = make([]uint8, g.w*g.h)
+	}
+	for y := 0; y < g.h; y++ {
+		row := g.bg[y*g.w : (y+1)*g.w]
+		for x := range row {
+			v := int(g.bgBase) + (x+y)*g.bgSlope/4
+			if g.texAmp > 0 {
+				v += ((x*7 + y*13) & 15) * g.texAmp / 15
+			}
+			row[x] = uint8(min(v, 235))
+		}
+	}
+}
+
 // Next renders the next frame.
 func (g *Generator) Next() *Frame {
 	if g.cuts[g.frame] {
 		g.newScene()
 	}
 	f := NewFrame(g.w, g.h)
-	// Background: diagonal gradient plus per-scene texture.
-	for y := 0; y < g.h; y++ {
-		row := y * g.w
-		for x := 0; x < g.w; x++ {
-			v := int(g.bgBase) + (x+y)*g.bgSlope/4
-			if g.texAmp > 0 {
-				v += ((x*7 + y*13) & 15) * g.texAmp / 15
-			}
-			if v > 235 {
-				v = 235
-			}
-			f.Y[row+x] = uint8(v)
-		}
-	}
+	copy(f.Y, g.bg)
 	// Objects (luma and chroma; chroma planes are half resolution).
 	for i := range g.objects {
 		o := &g.objects[i]

@@ -61,6 +61,29 @@ func TestBuildGolden(t *testing.T) {
 				Encoder: h264.Config{QP: 30, SearchRange: 3},
 			})
 		}, "9b112afa79d54d146bf1459951722ab3920aa0400d1c2e6603e3658e3686bb37"},
+		{"cif-qp30", func() *Result {
+			return MustBuild(Options{
+				Width:   352,
+				Height:  288,
+				Frames:  4,
+				Video:   video.Options{SceneCuts: []int{2}},
+				Encoder: h264.Config{QP: 30},
+			})
+		}, "10ba9acba34f5e2e5bc3616b511d7c11cd3f161042852918ba2a1ae18d7f9a9e"},
+		{"sr0", func() *Result {
+			return MustBuild(Options{
+				Frames:  6,
+				Video:   video.Options{SceneCuts: []int{3}},
+				Encoder: h264.Config{SearchRange: -1},
+			})
+		}, "ae2d678e615aacf517074fe325e36bf56132150d6d4f3f077b77d7bea9b5dbe7"},
+		{"intra4", func() *Result {
+			return MustBuild(Options{
+				Frames:  9,
+				Video:   video.Options{SceneCuts: []int{6}},
+				Encoder: h264.Config{ForceIntraEvery: 4},
+			})
+		}, "eff893e57a020896399877aa67328790a527bc0f3f65f22197e5e9e60ad0da02"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
