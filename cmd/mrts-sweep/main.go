@@ -1,12 +1,17 @@
-// Command mrts-sweep regenerates the fabric-combination sweeps of the
-// paper's evaluation: Fig. 8 (state-of-the-art comparison), Fig. 9
-// (heuristic vs. optimal selection) and Fig. 10 (speedup over RISC mode),
-// plus the Section 5.4 overhead analysis.
+// Command mrts-sweep regenerates the paper's artifacts through the one
+// figure driver (exp.RenderFig): the motivational case study (Figs. 1 and
+// 2), the fabric-combination sweeps of the evaluation — Fig. 8
+// (state-of-the-art comparison), Fig. 9 (heuristic vs. optimal selection)
+// and Fig. 10 (speedup over RISC mode) — the Section 5.4 overhead
+// analysis, the extension sweeps and the hardware-model calibration table.
 //
 // Usage:
 //
 //	mrts-sweep -fig 8            # one figure
-//	mrts-sweep -fig all          # everything
+//	mrts-sweep -fig all          # Figs. 8-10, overhead and sharing
+//	mrts-sweep -fig 1 -chart     # Fig. 1's pif curves as an ASCII chart
+//	mrts-sweep -fig 2            # Fig. 2 on the 16-frame workload
+//	mrts-sweep -fig calibration  # hardware models vs. ISE library
 //	mrts-sweep -fig 10 -frames 16 -maxprc 3 -maxcg 3
 //	mrts-sweep -fig faults       # graceful-degradation sweep
 //	mrts-sweep -fig tenants -tenants 4 -mix skewed  # hypervisor sweep (default K <= 8, uniform)
@@ -55,10 +60,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fig != "all" && !exp.ValidFig(*fig) {
-		fatal(fmt.Errorf("unknown figure %q (valid: %s, all)", *fig, strings.Join(exp.FigNames, ", ")))
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -84,7 +85,10 @@ func main() {
 		}()
 	}
 
-	in := exp.FigInput{
+	// The batch engine deduplicates repeated points and shares selection
+	// work across sweep points. It and the workload it runs on are built
+	// only if the figure evaluates a point or reads the workload.
+	in, engine := batch.LazyInput(exp.FigInput{
 		Base: workload.Options{
 			Frames: *frames,
 			Seed:   *seed,
@@ -97,32 +101,22 @@ func main() {
 		Mix:       *mix,
 		Chart:     *chart,
 		Workloads: exp.DirectWorkloads(),
-	}
-	w, err := workload.Build(in.Base)
-	if err != nil {
-		fatal(err)
-	}
+	})
 
 	ctx := context.Background()
 	if *workers != 0 {
 		ctx = exp.WithWorkers(ctx, *workers)
 	}
 
-	// The batch engine deduplicates repeated points and shares selection
-	// work across sweep points; tracing needs every point to really run,
-	// so traced points bypass it.
-	eng := batch.New(w, 0)
-	in.Eval = eng.PointEvaluator()
-	in.Workload = func(context.Context) (*workload.Result, *selector.Memo, error) {
-		return w, eng.Memo(), nil
-	}
+	// Tracing needs every point to really run, so traced points bypass
+	// the batch engine.
 	var traces *traceRuns
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		if traces, err = newTraceRuns(w, f); err != nil {
+		if traces, err = newTraceRuns(in.Workload, f); err != nil {
 			fatal(err)
 		}
 		in.Eval = traces.eval
@@ -147,22 +141,25 @@ func main() {
 			elapsed.Seconds(), poolSize)
 		return
 	}
-	st := eng.Stats()
+	var st batch.Stats
+	if eng := engine(); eng != nil {
+		st = eng.Stats()
+	}
 	fmt.Fprintf(os.Stderr,
 		"mrts-sweep: %d points in %.2fs (%.1f points/sec, %d workers); %d point replays, %d/%d selections seeded\n",
 		st.Points, elapsed.Seconds(), float64(st.Points)/elapsed.Seconds(), poolSize,
 		st.PointHits, st.SeedHits, st.SeedHits+st.SeedMisses)
 }
 
-// traceRuns records the decision trace of every point evaluated on w,
-// each run labelled by exp.Point.Label. Points run concurrently (ParMap),
+// traceRuns records the decision trace of every point evaluated on the
+// base workload, each run labelled by exp.Point.Label. Points run concurrently (ParMap),
 // so each gets its own in-memory recorder, and whole traces are appended
 // to an unlinked spill file under the mutex as they complete. flush then
 // copies the runs to the trace file in a fixed order, so the file does
 // not depend on the worker count or on completion order, and memory
 // holds no more than the runs in flight.
 type traceRuns struct {
-	w          *workload.Result
+	workload   func(context.Context) (*workload.Result, *selector.Memo, error)
 	out, spill *os.File
 
 	mu   sync.Mutex
@@ -178,7 +175,7 @@ type traceRun struct {
 }
 
 // newTraceRuns records into a spill file next to out.
-func newTraceRuns(w *workload.Result, out *os.File) (*traceRuns, error) {
+func newTraceRuns(wl func(context.Context) (*workload.Result, *selector.Memo, error), out *os.File) (*traceRuns, error) {
 	spill, err := os.CreateTemp(filepath.Dir(out.Name()), ".mrts-sweep-trace-*")
 	if err != nil {
 		// out may be a device or a pipe, whose directory takes no files.
@@ -189,13 +186,17 @@ func newTraceRuns(w *workload.Result, out *os.File) (*traceRuns, error) {
 	// The open descriptor keeps the data readable; no exit path leaves
 	// the spill file behind.
 	_ = os.Remove(spill.Name())
-	return &traceRuns{w: w, out: out, spill: spill}, nil
+	return &traceRuns{workload: wl, out: out, spill: spill}, nil
 }
 
 func (t *traceRuns) eval(ctx context.Context, pt exp.Point) (*sim.Report, error) {
+	w, _, err := t.workload(ctx)
+	if err != nil {
+		return nil, err
+	}
 	rec := obs.New()
 	rec.SetRun(pt.Label())
-	rep, err := exp.RunPointObserved(ctx, t.w, pt, rec)
+	rep, err := exp.RunPointObserved(ctx, w, pt, rec)
 	if err != nil {
 		return nil, err
 	}

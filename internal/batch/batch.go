@@ -95,6 +95,39 @@ func New(w *workload.Result, memoSize int) *Engine {
 	}
 }
 
+// LazyInput returns in with Eval and Workload served by one engine on
+// in.Base's workload, which the first call of either builds: a figure that
+// needs neither (Fig. 1, calibration, phase) builds nothing. engine
+// returns that engine, or nil while nothing has built it.
+func LazyInput(in exp.FigInput) (out exp.FigInput, engine func() *Engine) {
+	var built atomic.Pointer[Engine]
+	get := sync.OnceValues(func() (*Engine, error) {
+		w, err := workload.Build(in.Base)
+		if err != nil {
+			return nil, err
+		}
+		e := New(w, 0)
+		built.Store(e)
+		return e, nil
+	})
+	in.Eval = func(ctx context.Context, pt exp.Point) (*sim.Report, error) {
+		e, err := get()
+		if err != nil {
+			return nil, err
+		}
+		rep, _, err := e.Eval(ctx, pt)
+		return rep, err
+	}
+	in.Workload = func(context.Context) (*workload.Result, *selector.Memo, error) {
+		e, err := get()
+		if err != nil {
+			return nil, nil, err
+		}
+		return e.w, e.memo, nil
+	}
+	return in, built.Load
+}
+
 // Workload returns the workload the engine evaluates on.
 func (e *Engine) Workload() *workload.Result { return e.w }
 

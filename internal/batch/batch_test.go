@@ -397,3 +397,38 @@ func TestSharedOverheadReuseFig8(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyInputBuildsOnDemand pins that the figures reading neither the
+// base workload nor a point evaluation (Fig. 1, calibration, phase) never
+// build the workload behind LazyInput, and that the first one that does
+// builds the one engine both inputs share.
+func TestLazyInputBuildsOnDemand(t *testing.T) {
+	in, engine := LazyInput(exp.FigInput{
+		Base:   workload.Options{Frames: 2, Seed: 1, Video: video.Options{SceneCuts: []int{0, 1}}},
+		MaxPRC: 1, MaxCG: 1,
+		Workloads: exp.DirectWorkloads(),
+	})
+	ctx := context.Background()
+	for _, name := range []string{"1", "calibration", "phase"} {
+		if err := exp.RenderFig(ctx, new(bytes.Buffer), name, in); err != nil {
+			t.Fatalf("fig %s: %v", name, err)
+		}
+		if engine() != nil {
+			t.Fatalf("fig %s built the base workload", name)
+		}
+	}
+	if err := exp.RenderFig(ctx, new(bytes.Buffer), "8", in); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine()
+	if eng == nil {
+		t.Fatal("fig 8 left no engine")
+	}
+	w, memo, err := in.Workload(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != eng.Workload() || memo != eng.Memo() || eng.Stats().Points == 0 {
+		t.Errorf("Eval and Workload do not share one engine: %+v", eng.Stats())
+	}
+}

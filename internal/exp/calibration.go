@@ -6,19 +6,12 @@ import (
 
 	"mrts/internal/arch"
 	"mrts/internal/cgedpe"
+	"mrts/internal/fgfabric"
 	"mrts/internal/h264"
 	"mrts/internal/ise"
 	"mrts/internal/iselib"
 	"mrts/internal/leon"
 )
-
-// SADCheck is the calibration table's cross-model check: the SAD value
-// both hardware models computed on the same block, and the cycles each
-// took.
-type SADCheck struct {
-	Value                int32
-	LEONCycles, CGCycles int64
-}
 
 // cycles drops a measurement's computed value.
 func cycles[T any](_ T, cy int64, err error) (int64, error) { return cy, err }
@@ -27,12 +20,14 @@ func cycles[T any](_ T, cy int64, err error) (int64, error) { return cy, err }
 // models — the LEON-class RISC core (internal/leon) and a CG-EDPE of the
 // coarse-grained fabric (internal/cgedpe) — and writes the measured cycle
 // counts next to the ISE library's latency constants, one row per kernel
-// and target. This is the calibration evidence behind the latencies the
-// runtime system selects on. It fails if the models disagree on the SAD.
-func Calibration(w io.Writer) (SADCheck, error) {
+// and target, followed by the SAD speedup both models measured and the
+// fine-grained fabric's bitstream streaming time. This is the calibration
+// evidence behind the latencies the runtime system selects on. It fails if
+// the models disagree on the SAD.
+func Calibration(w io.Writer) error {
 	app, err := iselib.NewApplication()
 	if err != nil {
-		return SADCheck{}, err
+		return err
 	}
 	risc := func(k string) arch.Cycles { return app.Kernel(ise.KernelID(k)).RISCLatency }
 	cg := func(k string) arch.Cycles { return app.Kernel(ise.KernelID(k)).ISEByID(k + ".cg1").FullLatency() }
@@ -54,16 +49,16 @@ func Calibration(w io.Writer) (SADCheck, error) {
 		{99, 100, 103, 104}, {101, 100, 105, 106},
 	}
 
-	var sad SADCheck
-	var cgSAD int32
+	var leonSAD, cgSAD int32
+	var leonSADCycles, cgSADCycles int64
 	rows := []struct {
 		name    string
 		measure func() (int64, error)
 		library arch.Cycles
 	}{
 		{"sad @ LEON", func() (cy int64, err error) {
-			sad.Value, cy, err = leon.MeasureSAD(cur, ref)
-			sad.LEONCycles = cy
+			leonSAD, cy, err = leon.MeasureSAD(cur, ref)
+			leonSADCycles = cy
 			return cy, err
 		}, risc(h264.KernelSAD)},
 		{"quant @ LEON", func() (int64, error) { return cycles(leon.MeasureQuant(coeffs, 13107, 43690, 17)) }, risc(h264.KernelQuant)},
@@ -72,7 +67,7 @@ func Calibration(w io.Writer) (SADCheck, error) {
 		{"filt @ LEON", func() (int64, error) { return cycles(leon.MeasureFilt(filt, 20, 6, 2)) }, risc(h264.KernelFilt)},
 		{"sad @ CG-EDPE", func() (cy int64, err error) {
 			cgSAD, cy, err = cgedpe.MeasureSAD(cur, ref)
-			sad.CGCycles = cy
+			cgSADCycles = cy
 			return cy, err
 		}, cg(h264.KernelSAD)},
 		{"dct @ CG-EDPE", func() (int64, error) { return cycles(cgedpe.MeasureDCT(blk)) }, cg(h264.KernelDCT)},
@@ -80,16 +75,23 @@ func Calibration(w io.Writer) (SADCheck, error) {
 		{"satd @ CG-EDPE", func() (int64, error) { return cycles(cgedpe.MeasureSATD(resid)) }, cg(h264.KernelSATD)},
 	}
 
+	fmt.Fprintln(w, "Micro-kernel calibration: functional hardware models vs. ISE library")
 	fmt.Fprintf(w, "%-22s %14s %14s %8s\n", "kernel / target", "measured (cy)", "library (cy)", "ratio")
 	for _, r := range rows {
 		measured, err := r.measure()
 		if err != nil {
-			return sad, fmt.Errorf("%s: %w", r.name, err)
+			return fmt.Errorf("%s: %w", r.name, err)
 		}
 		fmt.Fprintf(w, "%-22s %14d %14d %8.2f\n", r.name, measured, r.library, float64(r.library)/float64(measured))
 	}
-	if sad.Value != cgSAD {
-		return sad, fmt.Errorf("models disagree on SAD: %d vs %d", sad.Value, cgSAD)
+	if leonSAD != cgSAD {
+		return fmt.Errorf("models disagree on SAD: %d vs %d", leonSAD, cgSAD)
 	}
-	return sad, nil
+	fmt.Fprintf(w, "\nmeasured SAD speedup on the CG fabric: %.1fx (both models agree on the value %d)\n",
+		float64(leonSADCycles)/float64(cgSADCycles), leonSAD)
+	fmt.Fprintf(w, "\nFG configuration path: a %d-byte partial bitstream at %d KB/s streams in %.2f ms (constant: %.2f ms)\n",
+		fgfabric.BytesPerDataPath, arch.FGReconfigBandwidthKBps,
+		fgfabric.StreamCycles(fgfabric.BytesPerDataPath).Millis(),
+		arch.FGReconfigCycles.Millis())
+	return nil
 }

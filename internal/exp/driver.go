@@ -41,7 +41,8 @@ type FigInput struct {
 	FaultSeed     uint64
 	Tenants       int
 	Mix           string
-	// Chart renders Figs. 8 and 10 as ASCII charts instead of tables.
+	// Chart renders Figs. 1, 2, 8 and 10 as ASCII charts instead of
+	// tables.
 	Chart bool
 
 	// Eval evaluates every point of the figures that run on Base; the
@@ -50,8 +51,8 @@ type FigInput struct {
 	Eval PointEvaluator
 	// Workload returns Base built, plus the selection memo (nil for none)
 	// the harnesses that build their own policies run under. Only the
-	// figures that need the built workload call it, so a phase run never
-	// builds it.
+	// figures that need the built workload call it, so a Fig. 1, phase or
+	// calibration run never builds it.
 	Workload func(ctx context.Context) (*workload.Result, *selector.Memo, error)
 	// Workloads builds the tenant sweep's and the phase sweep's workloads.
 	Workloads WorkloadProvider
@@ -76,6 +77,8 @@ func result[T renderer](r T, err error) (renderer, error) { return r, err }
 // and renders it to out. It is the one mapping from figure names to
 // harness entry points, and it owns their defaults:
 //
+//   - 1 samples 200..6000 executions in steps of 200, 2 runs on Base
+//     built, and calibration takes no input;
 //   - zero MaxPRC/MaxCG mean DefaultMaxPRC/DefaultMaxCG;
 //   - 8, 9, mix and shared sweep the full bounds, 10 caps the PRCs at 3,
 //     overhead runs on 2/2 and phase on the bounds capped at 2/2;
@@ -101,6 +104,15 @@ func RenderFig(ctx context.Context, out io.Writer, name string, in FigInput) err
 	var r renderer
 	var err error
 	switch name {
+	case "1":
+		r = Fig1(6000, 200)
+	case "2":
+		var w *workload.Result
+		if w, _, err = in.Workload(ctx); err == nil {
+			r = Fig2(w)
+		}
+	case "calibration":
+		return Calibration(out)
 	case "8":
 		r, err = result(Fig8(ctx, eval, maxPRC, maxCG))
 	case "9":

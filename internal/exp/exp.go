@@ -91,8 +91,8 @@ func NewPolicy(p Policy, cfg arch.Config, app *ise.Application, tr *trace.Trace)
 
 // FigNames are the figure/sweep names the CLIs and the service accept, in
 // presentation order. It is the single figure-name table shared by
-// mrts-sweep, mrts-submit and the service API.
-var FigNames = []string{"8", "9", "10", "overhead", "shared", "mix", "faults", "tenants", "phase"}
+// mrts-sweep, mrts-report, mrts-submit and the service API.
+var FigNames = []string{"1", "2", "8", "9", "10", "overhead", "shared", "mix", "faults", "tenants", "phase", "calibration"}
 
 // ValidFig reports whether name is a known figure name.
 func ValidFig(name string) bool {

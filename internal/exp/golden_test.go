@@ -18,7 +18,8 @@ import (
 // goldenInput is the small input every figure's bytes are pinned at: the
 // two-frame workload mrts-sweep builds for -frames 2 at seed 1, bounds 2/1
 // and two tenants. Phase sweeps its own phased workloads at that seed, on
-// the bounds capped at 2/2. So each golden is also
+// the bounds capped at 2/2; Fig. 1 and calibration take no input. So each
+// golden is also
 //
 //	mrts-sweep -fig NAME -frames 2 -maxprc 2 -maxcg 1 -tenants 2 | sha256sum
 var goldenInput = FigInput{
@@ -78,14 +79,11 @@ func readGoldens(t *testing.T, path string) map[string]string {
 	return out
 }
 
-// TestCaseStudyGoldens pins the bytes of the motivational case study and
-// the calibration table, which render outside FigNames: Fig. 1 at
-// mrts-case's default range, Fig. 2 on mrts-case's default workload (16
-// frames, seed 1, scene cuts at frames 5 and 10) and the calibration table
-// mrts-isa prints. So the first two goldens are also
+// TestCaseStudyGoldens pins Fig. 2 at mrts-sweep's default input as well:
+// 16 frames, seed 1, scene cuts at frames 5 and 10, the workload the paper's
+// 16-frame excerpt is drawn from. So its golden is also
 //
-//	mrts-case -fig 1 | sha256sum
-//	mrts-case -fig 2 | sha256sum
+//	mrts-sweep -fig 2 | sha256sum
 func TestCaseStudyGoldens(t *testing.T) {
 	want := readGoldens(t, "testdata/case.sha256")
 	w, err := workload.Build(workload.Options{
@@ -95,25 +93,16 @@ func TestCaseStudyGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := map[string]func(*bytes.Buffer) error{
-		"1": func(b *bytes.Buffer) error { Fig1(6000, 200).Render(b); return nil },
-		"2": func(b *bytes.Buffer) error { Fig2(w).Render(b); return nil },
-		"calibration": func(b *bytes.Buffer) error {
-			_, err := Calibration(b)
-			return err
-		},
+	in := FigInput{Workload: func(context.Context) (*workload.Result, *selector.Memo, error) { return w, nil, nil }}
+	var buf bytes.Buffer
+	if err := RenderFig(context.Background(), &buf, "2", in); err != nil {
+		t.Fatal(err)
 	}
-	for name, fn := range render {
-		var buf bytes.Buffer
-		if err := fn(&buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != want[name] {
-			t.Errorf("%s: sha256 %s, golden %q\n%s", name, got, want[name], buf.Bytes())
-		}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want["2"] {
+		t.Errorf("fig 2: sha256 %s, golden %q\n%s", got, want["2"], buf.Bytes())
 	}
-	if len(want) != len(render) {
-		t.Errorf("%d goldens for %d renderings", len(want), len(render))
+	if len(want) != 1 {
+		t.Errorf("%d goldens for 1 rendering", len(want))
 	}
 }

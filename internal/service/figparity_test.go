@@ -44,14 +44,19 @@ func directFig(t *testing.T, spec api.JobSpec) string {
 // offline driver at non-default inputs: bounds below the defaults and a
 // tenant count. The phase sweep runs once, on a one-PRC fabric (each run
 // takes ~40 s under -race), and first, on a cold cache: it must build
-// exactly its phased workloads, never the job's own H.264 workload.
+// exactly its phased workloads, never the job's own H.264 workload. Figs.
+// 1 and calibration read no workload, so the two run next and must build
+// nothing either.
 func TestFigJobsMatchDriver(t *testing.T) {
 	s, c := newTestServer(t, Options{Workers: 2})
 	ctx := context.Background()
 
 	specs := []api.JobSpec{{Type: api.JobFig, Fig: "phase", Workload: testWorkload, MaxPRC: 1, MaxCG: 1}}
+	for _, name := range []string{"1", "calibration"} {
+		specs = append(specs, api.JobSpec{Type: api.JobFig, Fig: name, Workload: testWorkload})
+	}
 	for _, name := range exp.FigNames {
-		if name == "phase" {
+		if name == "phase" || name == "1" || name == "calibration" {
 			continue
 		}
 		spec := api.JobSpec{Type: api.JobFig, Fig: name, Workload: testWorkload, MaxPRC: 2, MaxCG: 1}
@@ -59,6 +64,9 @@ func TestFigJobsMatchDriver(t *testing.T) {
 			spec.Tenants = 2
 		}
 		specs = append(specs, spec)
+	}
+	if len(specs) != len(exp.FigNames) {
+		t.Fatalf("%d jobs for %d figures", len(specs), len(exp.FigNames))
 	}
 
 	for i, spec := range specs {
@@ -69,9 +77,9 @@ func TestFigJobsMatchDriver(t *testing.T) {
 		if st.State != api.StateDone {
 			t.Fatalf("fig %s (%d/%d): %s (%s)", spec.Fig, spec.MaxPRC, spec.MaxCG, st.State, st.Error)
 		}
-		if i == 0 {
+		if i < 3 {
 			if got := s.metrics.Counter("mrts_workload_cache_misses_total").Value(); got != 5 {
-				t.Errorf("phase job built %d workloads, want its 5 phased ones", got)
+				t.Errorf("after fig %s the cache built %d workloads, want phase's 5", spec.Fig, got)
 			}
 		}
 		if want := directFig(t, spec); st.Result.Text != want {

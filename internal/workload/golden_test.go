@@ -50,7 +50,11 @@ func TestBuildGolden(t *testing.T) {
 		{"figs-seed6", figs(6), "3672034b9fdfded99f48a4538b024d28d636eb81b4a2309eb709a7e76ee3e2f2"},
 		{"figs-seed7", figs(7), "2229d1d66210cb2fb5243dc5ea336f29015eccdbdb9195243ba338f64eef086f"},
 		{"figs-seed8", figs(8), "241b132ac25f7aaf948ecf10c1bd020abe820870297adaacd8d9703e0d85b6ae"},
-		{"default", Default, "00c263c8132dc17daa6e9f4b45be316e5f372f77cd187ed38679c2ab0b1b76b1"},
+		// Seed 0 with cuts at frames 5 and 11: a 16-frame input beside
+		// the CLIs' cuts at 5 and 10.
+		{"default", func() *Result {
+			return MustBuild(Options{Frames: 16, Video: video.Options{SceneCuts: []int{5, 11}}})
+		}, "00c263c8132dc17daa6e9f4b45be316e5f372f77cd187ed38679c2ab0b1b76b1"},
 		{"small", Small, "1731c65e6810d752719a798415ad76f76031110ea9274ac0cf64d4f22b81ebc5"},
 		{"48x32-qp30-sr3", func() *Result {
 			return MustBuild(Options{

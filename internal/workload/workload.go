@@ -236,16 +236,6 @@ func MustBuild(opts Options) *Result {
 	return r
 }
 
-// Default builds the standard experiment workload: 16 QCIF frames with
-// scene cuts at frames 5 and 11, matching the 16-frame excerpt of Fig. 2
-// (different scenes exercise different workload regimes).
-func Default() *Result {
-	return MustBuild(Options{
-		Frames: 16,
-		Video:  video.Options{SceneCuts: []int{5, 11}},
-	})
-}
-
 // Small builds a reduced QCIF workload for fast unit tests.
 func Small() *Result {
 	return MustBuild(Options{
