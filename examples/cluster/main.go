@@ -1,4 +1,4 @@
-// Cluster: run three mrts-cluster nodes as one logical service, watch
+// Cluster: run three mrts-serve cluster nodes as one logical service, watch
 // submissions route to owners by spec fingerprint, SIGKILL one node
 // mid-flight, and verify that its follower adopts and re-runs every
 // unfinished job to byte-identical results — zero jobs lost.
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -39,9 +38,9 @@ func run() error {
 	defer os.RemoveAll(tmp)
 
 	// 1. Build the real node binary so SIGKILL hits the node itself.
-	bin := filepath.Join(tmp, "mrts-cluster")
-	fmt.Println("building cmd/mrts-cluster ...")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/mrts-cluster")
+	bin := filepath.Join(tmp, "mrts-serve")
+	fmt.Println("building cmd/mrts-serve ...")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/mrts-serve")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
 		return fmt.Errorf("build: %w", err)
@@ -69,7 +68,7 @@ func run() error {
 	for i, id := range ids {
 		cmd := exec.Command(bin,
 			"-id", id, "-addr", addrs[i], "-members", members,
-			"-dir", filepath.Join(tmp, id), "-workers", "2",
+			"-journal", filepath.Join(tmp, id), "-workers", "2",
 			"-probe", "100ms", "-deadafter", "2", "-steal", "50ms")
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -84,7 +83,10 @@ func run() error {
 	}
 	cc := client.NewCluster(urls)
 	cc.Retry = client.RetryPolicy{MaxAttempts: 60, BaseDelay: 50 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
-	ctx := context.Background()
+	// One bound on the whole demo: a job the survivors never adopt fails
+	// the wait instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	if err := waitHealthy(ctx, cc); err != nil {
 		return err
 	}
@@ -119,9 +121,10 @@ func run() error {
 	_, _ = procs[victim].Process.Wait()
 	delete(procs, victim)
 
-	// 5. Every job still completes, served by the survivors.
+	// 5. Every job still completes, served by the survivors. Until they
+	// adopt the dead node's jobs, lookups answer 503 and Wait retries.
 	for i, id := range ids2 {
-		st, err := waitAdopted(ctx, cc, id)
+		st, err := cc.Wait(ctx, id, 25*time.Millisecond)
 		if err != nil {
 			return fmt.Errorf("job %s lost after node kill: %w", id, err)
 		}
@@ -152,22 +155,6 @@ func run() error {
 	}
 	fmt.Println("done: zero jobs lost across one node kill")
 	return nil
-}
-
-// waitAdopted waits for a job that may have lived on the killed node.
-// Until the survivors' probes declare it dead and its follower adopts
-// its jobs from the replica stream, no live member holds such a job and
-// lookups answer 404; those are ridden through for a bounded window.
-func waitAdopted(ctx context.Context, cc *client.Client, id string) (*api.JobStatus, error) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := cc.Wait(ctx, id, 25*time.Millisecond)
-		var se *client.StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusNotFound || time.Now().After(deadline) {
-			return st, err
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
 }
 
 func freeAddr() (string, error) {

@@ -44,16 +44,12 @@ func clusterNode() {
 	dir := os.Getenv("MRTS_NODE_DIR")
 	addr := os.Getenv("MRTS_NODE_ADDR")
 	memberEnv := os.Getenv("MRTS_NODE_MEMBERS") // "id=url,id=url,..."
-	if id == "" || dir == "" || addr == "" || memberEnv == "" {
+	if id == "" || dir == "" || addr == "" {
 		fail(fmt.Errorf("MRTS_NODE_{ID,DIR,ADDR,MEMBERS} all required"))
 	}
-	var members []Member
-	for _, part := range strings.Split(memberEnv, ",") {
-		mid, murl, ok := strings.Cut(part, "=")
-		if !ok {
-			fail(fmt.Errorf("bad member %q", part))
-		}
-		members = append(members, Member{ID: mid, Addr: murl})
+	members, err := ParseMembers(memberEnv)
+	if err != nil {
+		fail(err)
 	}
 	// The listener comes first: peers probe this address from the moment
 	// they start, and an unbound port would count against us.
@@ -61,7 +57,7 @@ func clusterNode() {
 	if err != nil {
 		fail(err)
 	}
-	j, err := journal.Open(filepath.Join(dir, "journal"))
+	j, err := journal.Open(dir)
 	if err != nil {
 		fail(err)
 	}
@@ -207,24 +203,18 @@ func TestClusterChaosNodeKillLosesNothing(t *testing.T) {
 	_, _ = procs[victim].Process.Wait()
 	delete(procs, victim)
 
-	// Zero lost jobs: every acknowledged job completes on the survivors —
-	// 404s are tolerated only inside the adoption window.
-	deadline := time.Now().Add(2 * time.Minute)
+	// Zero lost jobs: every acknowledged job completes on the survivors.
+	// Inside the adoption window lookups answer 503, which Wait rides
+	// through; a 404 ends it.
+	wctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+	defer cancel()
 	for i, id := range jobs {
-		var st *api.JobStatus
-		for {
-			var err error
-			st, err = cc.Job(ctx, id)
-			if err == nil && st.State == api.StateDone {
-				break
-			}
-			if err == nil && st.State.Terminal() {
-				t.Fatalf("job %s (spec %d) finished %s: %s", id, i, st.State, st.Error)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s (spec %d) lost after node kill (last: st=%v err=%v)", id, i, st, err)
-			}
-			time.Sleep(25 * time.Millisecond)
+		st, err := cc.Wait(wctx, id, 25*time.Millisecond)
+		if err != nil {
+			t.Fatalf("job %s (spec %d) lost after node kill: %v", id, i, err)
+		}
+		if st.State != api.StateDone {
+			t.Fatalf("job %s (spec %d) finished %s: %s", id, i, st.State, st.Error)
 		}
 		if got := payload(t, st); got != want[i] {
 			t.Errorf("job %s (spec %d) diverged from uninterrupted run:\n got: %q\nwant: %q",

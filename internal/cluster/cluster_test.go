@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -223,7 +224,7 @@ func (tc *testCluster) localHas(id, jobID string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// waitDone polls one member until the job reaches done, tolerating 404s
+// waitDone polls one member until the job reaches done, tolerating 503s
 // (adoption windows) and transient errors until the deadline.
 func (tc *testCluster) waitDone(url, id string, timeout time.Duration) *api.JobStatus {
 	tc.t.Helper()
@@ -510,10 +511,17 @@ func TestIdleNodeStealsQueuedWork(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := tc.srvs["b"].Metrics().Counter("mrts_cluster_steals_total").Value(); got < 3 {
+	// The thief counts a steal, and the victim its ack, only after the
+	// ack round trip, which can end after the stolen job is already done.
+	stolen := tc.srvs["b"].Metrics().Counter("mrts_cluster_steals_total")
+	acked := tc.srvs["a"].Metrics().Counter("mrts_cluster_steals_acked_total")
+	for (stolen.Value() < 3 || acked.Value() < 3) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := stolen.Value(); got < 3 {
 		t.Errorf("b stole %d jobs, want >= 3", got)
 	}
-	if got := tc.srvs["a"].Metrics().Counter("mrts_cluster_steals_acked_total").Value(); got < 3 {
+	if got := acked.Value(); got < 3 {
 		t.Errorf("a acked %d steals, want >= 3", got)
 	}
 	if got := tc.srvs["a"].Metrics().Counter("mrts_cluster_steals_expired_total").Value(); got != 0 {
@@ -586,5 +594,134 @@ func TestFollowerAdoptsDeadOwnersJobs(t *testing.T) {
 	}
 	if got := tc.srvs["b"].Metrics().Gauge("mrts_cluster_alive_members").Value(); got != 2 {
 		t.Errorf("b sees %d alive members after the kill, want 2", got)
+	}
+}
+
+// TestAcknowledgedJobNeverAnswers404 pins the adoption window: while a
+// dead owner's queued jobs live only in its follower's replica stream,
+// every survivor answers 503 with Retry-After for them — never 404 —
+// until the follower adopts them; an ID nobody holds still gets 404.
+func TestAcknowledgedJobNeverAnswers404(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	blockingExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+		select {
+		case <-release:
+			return fakeExec(ctx, spec)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	tc := startCluster(t, []string{"a", "b", "c"},
+		func(id string) service.Options {
+			if id == "a" {
+				return service.Options{Workers: 1, ExecOverride: blockingExec}
+			}
+			return service.Options{Workers: 2, ExecOverride: fakeExec}
+		},
+		func(id string, c *Config) {
+			// A long grace holds the window open for many polls.
+			c.SuspectGrace = 500 * time.Millisecond
+		})
+
+	// Three jobs owned by a: one runs (blocked), two sit in a's queue.
+	c := client.New(tc.urls["a"])
+	var jobs []string
+	for i := 0; i < 3; i++ {
+		id, err := c.Submit(context.Background(), specOwnedBy(t, tc.nodes["a"], "a", uint64(1+1000*i)))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs = append(jobs, id)
+	}
+
+	status := func(url, id string) (int, string) {
+		resp, err := http.Get(url + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
+	}
+
+	tc.kill("a")
+	unavailable := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for adopted := false; !adopted; {
+		if time.Now().After(deadline) {
+			t.Fatal("b never adopted a's jobs")
+		}
+		adopted = true
+		for _, id := range jobs {
+			if tc.localHas("b", id) {
+				continue
+			}
+			adopted = false
+			for _, m := range []string{"b", "c"} {
+				switch code, retry := status(tc.urls[m], id); code {
+				case http.StatusServiceUnavailable:
+					unavailable++
+					if retry == "" {
+						t.Fatalf("%s answered 503 for job %s without Retry-After", m, id)
+					}
+				case http.StatusOK:
+					// adopted between the localHas check and the lookup
+				default:
+					t.Fatalf("%s answered HTTP %d for acknowledged job %s inside the adoption window", m, code, id)
+				}
+			}
+		}
+		for _, m := range []string{"b", "c"} {
+			if code, _ := status(tc.urls[m], "never-submitted"); code != http.StatusNotFound {
+				t.Fatalf("%s answered HTTP %d for a never-submitted job, want 404", m, code)
+			}
+		}
+	}
+	if unavailable == 0 {
+		t.Fatal("no lookup landed inside the adoption window")
+	}
+	for _, id := range jobs {
+		tc.waitDone(tc.urls["c"], id, 10*time.Second)
+	}
+}
+
+func TestParseMembers(t *testing.T) {
+	for _, tt := range []struct {
+		name, in string
+		want     []Member
+		bad      bool
+	}{
+		{name: "good", in: "a=http://h:1, b=http://h:2",
+			want: []Member{{ID: "a", Addr: "http://h:1"}, {ID: "b", Addr: "http://h:2"}}},
+		{name: "trailing slash", in: "a=http://h:1//,", want: []Member{{ID: "a", Addr: "http://h:1"}}},
+		{name: "missing =", in: "a=http://h:1,b", bad: true},
+		{name: "empty id", in: "=http://h:1", bad: true},
+		{name: "empty url", in: "a=", bad: true},
+		{name: "empty list", in: " , ", bad: true},
+	} {
+		got, err := ParseMembers(tt.in)
+		if (err != nil) != tt.bad {
+			t.Errorf("%s: ParseMembers(%q) error = %v, want error %v", tt.name, tt.in, err, tt.bad)
+			continue
+		}
+		if !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%s: ParseMembers(%q) = %v, want %v", tt.name, tt.in, got, tt.want)
+		}
+	}
+
+	// What parses but cannot form a cluster is Config's to reject.
+	for _, tt := range []struct{ name, self, in string }{
+		{"duplicate id", "a", "a=http://h:1,a=http://h:2"},
+		{"self not a member", "c", "a=http://h:1,b=http://h:2"},
+	} {
+		members, err := ParseMembers(tt.in)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		cfg := Config{Self: tt.self, Members: members}
+		if cfg.defaults() == nil {
+			t.Errorf("%s: Config accepted -id %s with members %q", tt.name, tt.self, tt.in)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 
 	"mrts/internal/service"
@@ -108,6 +110,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /cluster/v1/jobs", n.srv.HandleList)
 	mux.HandleFunc("GET /cluster/v1/jobs/{id}", n.srv.HandleGet)
 	mux.HandleFunc("POST /cluster/v1/jobs/{id}/cancel", n.srv.HandleCancel)
+	mux.HandleFunc("GET /cluster/v1/pending/{id}", n.handlePending)
 
 	// /metrics reads through the node so the fault engine's counters are
 	// synced into the registry right before the page renders.
@@ -157,6 +160,11 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // endpoint (which cannot recurse back here) holds it. So a client can
 // reach a job through any member — including after the original owner
 // died and a follower adopted the job.
+//
+// A miss is 404 only if no member is about to hold the job: while its
+// holder is down and not yet adopted from, the job lives only in a
+// follower's replica stream, and the answer is 503 with Retry-After —
+// an acknowledged job never reads as unknown.
 func (n *Node) routeJob(local http.HandlerFunc, method, suffix string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -166,7 +174,14 @@ func (n *Node) routeJob(local http.HandlerFunc, method, suffix string) http.Hand
 			return
 		}
 		found := false
-		n.fanOut(r, method, "/cluster/v1/jobs/"+id+suffix, func(peer string, body []byte) bool {
+		up := []string{n.cfg.Self}
+		n.fanOut(r, method, "/cluster/v1/jobs/"+id+suffix, func(peer string, code int, body []byte) bool {
+			if code != http.StatusOK {
+				if code < 500 {
+					up = append(up, peer) // a definitive "not here"
+				}
+				return true
+			}
 			n.proxiedLookups.Inc()
 			w.Header().Set(NodeHeader, peer)
 			w.Header().Set("Content-Type", "application/json")
@@ -174,10 +189,56 @@ func (n *Node) routeJob(local http.HandlerFunc, method, suffix string) http.Hand
 			found = true
 			return false
 		})
-		if !found {
+		switch {
+		case found:
+		case n.adoptionPending(r, id, up):
+			w.Header().Set("Retry-After", "1")
+			service.WriteError(w, http.StatusServiceUnavailable, "job %q awaits adoption from an unreachable member", id)
+		default:
 			service.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		}
 	}
+}
+
+// adoptionPending reports whether this node or an alive peer holds id
+// pending adoption (holdsPending) from an origin outside up — the
+// members that just answered for themselves.
+func (n *Node) adoptionPending(r *http.Request, id string, up []string) bool {
+	if n.holdsPending(id, up) {
+		return true
+	}
+	pending := false
+	q := url.Values{"up": up}
+	n.fanOut(r, http.MethodGet, "/cluster/v1/pending/"+id+"?"+q.Encode(), func(_ string, code int, _ []byte) bool {
+		pending = code == http.StatusNoContent
+		return !pending
+	})
+	return pending
+}
+
+// holdsPending reports whether id sits in one of this node's unadopted
+// replica streams whose origin is not in up, or is already in the local
+// table: adopted since the caller's lookup missed. The streams are read
+// first, and a stream is marked adopted only after its jobs are in the
+// table, so an adoption racing this check cannot slip between the two.
+func (n *Node) holdsPending(id string, up []string) bool {
+	for _, origin := range n.reps.pending(id) {
+		if !slices.Contains(up, origin) {
+			return true
+		}
+	}
+	_, ok := n.srv.Job(id)
+	return ok
+}
+
+// handlePending is the strictly-local half of adoptionPending: 204 when
+// this node holds the job pending adoption, 404 otherwise.
+func (n *Node) handlePending(w http.ResponseWriter, r *http.Request) {
+	if !n.holdsPending(r.PathValue("id"), r.URL.Query()["up"]) {
+		w.WriteHeader(http.StatusNotFound)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleList merges the job tables of every alive member, deduped by
@@ -196,9 +257,9 @@ func (n *Node) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	add(n.srv.Jobs())
-	n.fanOut(r, http.MethodGet, "/cluster/v1/jobs", func(_ string, body []byte) bool {
+	n.fanOut(r, http.MethodGet, "/cluster/v1/jobs", func(_ string, code int, body []byte) bool {
 		var peerJobs []api.JobStatus
-		if json.Unmarshal(body, &peerJobs) == nil {
+		if code == http.StatusOK && json.Unmarshal(body, &peerJobs) == nil {
 			add(peerJobs)
 		}
 		return true
@@ -301,10 +362,9 @@ func (n *Node) alivePeers() map[string]string {
 }
 
 // fanOut sends an empty-bodied method request for path to every alive
-// peer in turn and hands each 200 answer's body to each, stopping early
-// once each returns false. Unreachable peers and non-200 answers are
-// skipped.
-func (n *Node) fanOut(r *http.Request, method, path string, each func(peer string, body []byte) bool) {
+// peer in turn and hands each answer's status and body to each, stopping
+// early once each returns false. Unreachable peers are skipped.
+func (n *Node) fanOut(r *http.Request, method, path string, each func(peer string, code int, body []byte) bool) {
 	for id, addr := range n.alivePeers() {
 		req, err := http.NewRequestWithContext(r.Context(), method, addr+path, nil)
 		if err != nil {
@@ -316,7 +376,7 @@ func (n *Node) fanOut(r *http.Request, method, path string, each func(peer strin
 		}
 		b, rerr := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK && rerr == nil && !each(id, b) {
+		if rerr == nil && !each(id, resp.StatusCode, b) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
@@ -16,6 +17,28 @@ type Member struct {
 	ID string `json:"id"`
 	// Addr is the node's HTTP base URL, e.g. "http://127.0.0.1:8341".
 	Addr string `json:"addr"`
+}
+
+// ParseMembers parses a static member list, "id=url,id=url,...", trimming
+// trailing slashes off each URL. Duplicate IDs and a Self missing from
+// the list are Config's to reject (New).
+func ParseMembers(s string) ([]Member, error) {
+	var out []Member
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		id, url, ok := strings.Cut(part, "=")
+		if !ok || id == "" || url == "" {
+			return nil, fmt.Errorf("cluster: bad member %q (want id=url)", part)
+		}
+		out = append(out, Member{ID: id, Addr: strings.TrimRight(url, "/")})
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("cluster: empty member list (want id=url,id=url,...)")
+	}
+	return out, nil
 }
 
 // Peer liveness states. Peers move alive -> suspect after DeadAfter

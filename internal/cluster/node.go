@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mrts/internal/netfault"
-	"mrts/internal/obs"
 	"mrts/internal/service"
 	"mrts/internal/service/api"
 	"mrts/internal/service/journal"
@@ -63,9 +62,6 @@ type Config struct {
 	// mrts_netfault_* metrics. Nil — the default — leaves the HTTP path
 	// byte-identical to an unfaulted build.
 	NetFault *netfault.Network
-	// Obs, when set, records cluster liveness transitions and fencing
-	// rejections as decision-trace events (source "net"). Nil disables.
-	Obs *obs.Recorder
 }
 
 func (c *Config) defaults() error {
@@ -300,20 +296,6 @@ func (n *Node) nextFence(jobID, thief string) uint64 {
 	return f
 }
 
-// recordObs emits one cluster liveness/fencing trace event when a
-// recorder is configured.
-func (n *Node) recordObs(kind, detail string) {
-	if n.cfg.Obs == nil {
-		return
-	}
-	n.cfg.Obs.Record(obs.Event{
-		Source: obs.SourceNet,
-		Kind:   kind,
-		Node:   n.cfg.Self,
-		Detail: detail,
-	})
-}
-
 // onPeerSuspect marks a peer quiet-but-not-yet-dead: routing and
 // follower selection already avoid it (Membership.Alive is false), but
 // adoption waits for the suspect grace to expire. A transient partition
@@ -322,7 +304,6 @@ func (n *Node) onPeerSuspect(id string) {
 	n.peerSuspects.Inc()
 	n.suspectMembers.Set(int64(n.mem.SuspectCount()))
 	n.aliveMembers.Set(int64(n.mem.AliveCount()))
-	n.recordObs(obs.KindSuspect, id)
 }
 
 // onPeerDeath adopts whatever the dead peer replicated to this node:
@@ -344,6 +325,10 @@ func (n *Node) onPeerDeath(id string) {
 		// Queue-full adoptions retry on the next death signal or the
 		// next probe cycle; count the failure so it is visible.
 		n.replicateFails.Inc()
+	} else {
+		// Only now, with every adopted job in the local table, does the
+		// stream stop answering pending lookups (routeJob).
+		n.reps.setAdopted(id, true)
 	}
 	// The adopted unfinished jobs are now this node's responsibility:
 	// replicate their submit records onward so a second death does not
@@ -369,7 +354,7 @@ func (n *Node) onPeerRejoin(id string) {
 	n.peerRejoins.Inc()
 	n.suspectMembers.Set(int64(n.mem.SuspectCount()))
 	n.aliveMembers.Set(int64(n.mem.AliveCount()))
-	n.recordObs(obs.KindRejoin, id)
+	n.reps.setAdopted(id, false)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()

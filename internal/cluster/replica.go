@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"mrts/internal/service"
 	"mrts/internal/service/journal"
 )
 
@@ -34,6 +35,9 @@ type peerReplica struct {
 	j     *journal.Journal // nil when memory-only
 	seq   uint64           // last applied batch sequence (0 until a reset batch arrives)
 	chain uint32           // CRC chain over applied records
+	// adopted is set once the origin's death has folded the stream into
+	// this node's job table, and cleared when the origin rejoins.
+	adopted bool
 }
 
 // replicaPrefix names the per-peer journal directories inside dir.
@@ -167,6 +171,29 @@ func (rs *replicaSet) snapshot(peer string) []journal.Record {
 		return nil
 	}
 	return append([]journal.Record(nil), pr.recs...)
+}
+
+// setAdopted marks whether peer's stream has been adopted.
+func (rs *replicaSet) setAdopted(peer string, adopted bool) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if pr, ok := rs.peers[peer]; ok {
+		pr.adopted = adopted
+	}
+}
+
+// pending returns the origins of the streams not yet adopted that hold
+// id as a job their adoption would install.
+func (rs *replicaSet) pending(id string) []string {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	var out []string
+	for peer, pr := range rs.peers {
+		if !pr.adopted && service.Adoptable(pr.recs, id) {
+			out = append(out, peer)
+		}
+	}
+	return out
 }
 
 // close flushes and closes every on-disk replica journal.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"time"
 
-	"mrts/internal/obs"
 	"mrts/internal/service"
 	"mrts/internal/service/api"
 	"mrts/internal/service/journal"
@@ -102,7 +101,7 @@ func (n *Node) thiefHolds(thief, id string) bool {
 
 // ackSteal settles a granted handoff: the thief holds the job durably,
 // so this node forgets it. The fence must match the outstanding grant —
-// a stale ack carrying an earlier token is rejected (counted, traced)
+// a stale ack carrying an earlier token is rejected (counted)
 // without touching the job. Returns false for unknown, expired or
 // fence-rejected grants.
 func (n *Node) ackSteal(id string, fence uint64) bool {
@@ -111,7 +110,6 @@ func (n *Node) ackSteal(id string, fence uint64) bool {
 	if ok && g.fence != fence {
 		n.mu.Unlock()
 		n.fenceRejections.Inc()
-		n.recordObs(obs.KindFenceReject, id)
 		return false
 	}
 	delete(n.pendingSteals, id)

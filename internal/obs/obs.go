@@ -36,7 +36,6 @@ const (
 	SourceSim      = "sim"      // run markers and fault deliveries
 	SourceCore     = "core"     // invalidations and skips of committed selections
 	SourceVFabric  = "vfabric"  // hypervisor repartitions and tenant scheduling
-	SourceNet      = "net"      // injected network faults and cluster liveness transitions
 )
 
 // Event kinds. Not every kind carries every field; zero-valued fields are
@@ -59,12 +58,6 @@ const (
 
 	KindMigrate     = "migrate"     // configured data path re-streamed into a new container
 	KindRepartition = "repartition" // a tenant's vFabric windows changed at an epoch boundary
-
-	KindPartition   = "partition"    // a network partition opened (netfault)
-	KindPartHeal    = "part-heal"    // a network partition healed
-	KindSuspect     = "suspect"      // a peer entered the suspect state (flap damping)
-	KindRejoin      = "rejoin"       // a dead peer rejoined; resync may follow
-	KindFenceReject = "fence-reject" // a stale steal ack was rejected by its fencing token
 )
 
 // Event is one structured decision-trace record. Cycle is always the

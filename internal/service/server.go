@@ -61,9 +61,6 @@ type Options struct {
 	// JobTimeout is the default per-job execution deadline; a job spec
 	// may override it with TimeoutSec (default 10 minutes).
 	JobTimeout time.Duration
-	// KeepJobs bounds how many terminal jobs are retained for polling
-	// before the oldest are forgotten (default 1024).
-	KeepJobs int
 	// Journal, when non-nil, makes the job table durable: the server
 	// replays the journal's recovered records at startup and appends
 	// every later transition. The server takes ownership and closes the
@@ -101,9 +98,6 @@ func (o *Options) defaults() {
 	}
 	if o.JobTimeout <= 0 {
 		o.JobTimeout = 10 * time.Minute
-	}
-	if o.KeepJobs <= 0 {
-		o.KeepJobs = 1024
 	}
 }
 
@@ -324,6 +318,21 @@ type foldedJob struct {
 	complete  *journal.Record
 }
 
+// adoptable reports whether Adopt installs the job: not voided, and not
+// cancelled before the peer died short of a terminal record — such a job
+// has nothing to run and nothing to serve.
+func (f *foldedJob) adoptable() bool {
+	return !f.rejected && (f.complete != nil && f.complete.State.Terminal() || !f.cancelled)
+}
+
+// Adoptable reports whether recs fold job id into one Adopt installs,
+// unless the server already knows it.
+func Adoptable(recs []journal.Record, id string) bool {
+	byID, _ := foldRecords(recs)
+	f, ok := byID[id]
+	return ok && f.adoptable()
+}
+
 // foldRecords collapses a journal record stream into one foldedJob per
 // job ID, in first-submit order. Rejects and forgets void the submit:
 // replay drops the job entirely (it was never admitted, or another node
@@ -420,10 +429,6 @@ func (s *Server) Router() *Router { return s.router }
 // draining, shutting down, or once the journal has hit a sticky write
 // error and can no longer persist submissions) — the /readyz signal.
 func (s *Server) Ready() bool { return !s.router.Draining() && s.JournalErr() == nil }
-
-// NodeID returns the cluster member label of this server ("" outside
-// cluster mode).
-func (s *Server) NodeID() string { return s.opts.Node }
 
 // RecoveredJobs reports how many unfinished jobs the journal replay
 // re-enqueued at startup.
@@ -626,7 +631,7 @@ func (s *Server) Adopt(recs []journal.Record) (requeued, completed int, err erro
 	var full int
 	for _, id := range order {
 		f := byID[id]
-		if f.rejected {
+		if !f.adoptable() {
 			continue
 		}
 		s.mu.Lock()
@@ -668,9 +673,6 @@ func (s *Server) Adopt(recs []journal.Record) (requeued, completed int, err erro
 			s.appendJournal(journal.Record{
 				Kind: journal.KindComplete, ID: id, State: job.State, Error: job.Err, Result: job.Result,
 			}, false)
-		case f.cancelled:
-			// Cancelled before the peer died: nothing to run, nothing to
-			// serve — drop it.
 		default:
 			_, deduped, serr := s.router.SubmitIdem(id, f.submit.IdemKey, *f.submit.Spec)
 			switch {
@@ -756,10 +758,14 @@ func (s *Server) ExportRecords() []journal.Record {
 // assign the ID it replicates before the job exists anywhere.
 func NewJobID() string { return newJobID() }
 
+// keepJobs bounds how many terminal jobs are retained for polling before
+// the oldest are forgotten.
+const keepJobs = 1024
+
 // retireOldLocked drops the oldest terminal jobs beyond the retention
 // bound so the job table cannot grow without limit.
 func (s *Server) retireOldLocked() {
-	for len(s.order) > s.opts.KeepJobs {
+	for len(s.order) > keepJobs {
 		dropped := false
 		for i, id := range s.order {
 			if j, ok := s.jobs[id]; ok && j.State.Terminal() {
