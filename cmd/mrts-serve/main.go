@@ -67,7 +67,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8341", "listen address")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 256, "maximum queued jobs")
+		queue      = flag.Int("queue", 256, "queued jobs a new submission may find before it is refused (recovered and adopted jobs never are)")
 		wcacheSize = flag.Int("wcache", 16, "workload cache capacity (built traces)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "default per-job execution timeout")
 		journalDir = flag.String("journal", "", "directory for the write-ahead job journal (and, in cluster mode, peer replica streams); empty disables durability")

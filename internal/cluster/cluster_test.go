@@ -592,8 +592,67 @@ func TestFollowerAdoptsDeadOwnersJobs(t *testing.T) {
 	if got := tc.srvs["b"].Metrics().Counter("mrts_cluster_peer_deaths_total").Value(); got == 0 {
 		t.Error("b never recorded a's death")
 	}
-	if got := tc.srvs["b"].Metrics().Gauge("mrts_cluster_alive_members").Value(); got != 2 {
+	if got := scrape(tc.srvs["b"].Metrics(), "mrts_cluster_alive_members"); got != 2 {
 		t.Errorf("b sees %d alive members after the kill, want 2", got)
+	}
+}
+
+// A follower whose queue bound is smaller than a dead owner's backlog
+// still adopts all of it: adoption recovers acknowledged work, which the
+// bound on fresh submissions never refuses, so every job reaches done.
+func TestSmallQueueFollowerAdoptsLargerBacklog(t *testing.T) {
+	gated := func(gate chan struct{}) func(context.Context, api.JobSpec) (*api.JobResult, error) {
+		return func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+			select {
+			case <-gate:
+				return fakeExec(ctx, spec)
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+	}
+	ownerGate, followerGate := make(chan struct{}), make(chan struct{})
+	defer close(ownerGate)
+	tc := startCluster(t, []string{"a", "b"},
+		func(id string) service.Options {
+			if id == "a" {
+				// The doomed owner never finishes anything.
+				return service.Options{Workers: 1, ExecOverride: gated(ownerGate)}
+			}
+			// The follower's one worker is held until adoption is over,
+			// so its queue must take the backlog beyond its bound.
+			return service.Options{Workers: 1, QueueDepth: 1, ExecOverride: gated(followerGate)}
+		}, nil)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c := client.NewCluster([]string{tc.urls["a"], tc.urls["b"]})
+	var jobs []string
+	for i := 0; i < 5; i++ {
+		id, err := c.Submit(ctx, specOwnedBy(t, tc.nodes["a"], "a", uint64(1+1000*i)))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs = append(jobs, id)
+	}
+
+	tc.kill("a")
+	b := tc.srvs["b"].Metrics()
+	for scrape(b, "mrts_cluster_adopted_jobs_total") < int64(len(jobs)) {
+		if ctx.Err() != nil {
+			t.Fatalf("b adopted %d of a's %d jobs", scrape(b, "mrts_cluster_adopted_jobs_total"), len(jobs))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	close(followerGate)
+	for _, id := range jobs {
+		st, err := c.Wait(ctx, id, 10*time.Millisecond)
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
+		if st.State != api.StateDone {
+			t.Fatalf("job %s finished %s: %s", id, st.State, st.Error)
+		}
 	}
 }
 

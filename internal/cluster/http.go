@@ -112,13 +112,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /cluster/v1/jobs/{id}/cancel", n.srv.HandleCancel)
 	mux.HandleFunc("GET /cluster/v1/pending/{id}", n.handlePending)
 
-	// /metrics reads through the node so the fault engine's counters are
-	// synced into the registry right before the page renders.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		n.syncNetfaultStats()
-		base.ServeHTTP(w, r)
-	})
-
 	mux.Handle("/", base)
 	return mux
 }

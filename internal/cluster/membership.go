@@ -59,8 +59,9 @@ const (
 // fixed interval, each probe with its own deadline so one hung peer can
 // never stall its probe loop. Transition callbacks fire exactly once per
 // transition: onSuspect (alive->suspect), onDeath (suspect->dead),
-// onAlive (suspect->alive: a damped flap), onRejoin (dead->alive: the
-// peer returned after its jobs may already have been adopted). Peers
+// onRejoin (dead->alive: the peer returned after its jobs may already
+// have been adopted). A suspect peer that answers again before its grace
+// runs out (a damped flap) goes back to alive silently. Peers
 // start alive — optimism costs one failed request, pessimism would
 // reject work during a clean rolling start.
 type Membership struct {
@@ -71,10 +72,8 @@ type Membership struct {
 	deadAfter    int
 	suspectGrace time.Duration
 	client       *http.Client
-	onDeath      func(id string)
-	onAlive      func(id string)
-	onSuspect    func(id string)
-	onRejoin     func(id string)
+	// Transition callbacks, nil or set before Start.
+	onDeath, onSuspect, onRejoin func(id string)
 
 	mu    sync.Mutex
 	state map[string]*peerState
@@ -90,9 +89,9 @@ type peerState struct {
 	suspectAt time.Time
 }
 
-// newMembership wires the prober; Start launches it. Nil callbacks are
-// allowed.
-func newMembership(self string, peers []Member, interval, probeTimeout time.Duration, deadAfter int, suspectGrace time.Duration, client *http.Client, onDeath, onAlive, onSuspect, onRejoin func(string)) *Membership {
+// newMembership wires the prober; set the callbacks, then Start launches
+// it.
+func newMembership(self string, peers []Member, interval, probeTimeout time.Duration, deadAfter int, suspectGrace time.Duration, client *http.Client) *Membership {
 	m := &Membership{
 		self:         self,
 		peers:        peers,
@@ -101,10 +100,6 @@ func newMembership(self string, peers []Member, interval, probeTimeout time.Dura
 		deadAfter:    deadAfter,
 		suspectGrace: suspectGrace,
 		client:       client,
-		onDeath:      onDeath,
-		onAlive:      onAlive,
-		onSuspect:    onSuspect,
-		onRejoin:     onRejoin,
 		state:        make(map[string]*peerState, len(peers)),
 		stop:         make(chan struct{}),
 	}
@@ -172,7 +167,6 @@ func (m *Membership) record(id string, err error) {
 		switch st.status {
 		case peerSuspect:
 			st.status = peerAlive
-			fire = m.onAlive
 		case peerDead:
 			st.status = peerAlive
 			fire = m.onRejoin

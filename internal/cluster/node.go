@@ -147,9 +147,6 @@ type Node struct {
 	pushMu sync.Mutex
 	pushes map[string]*pushState
 
-	nfMu   sync.Mutex
-	nfLast netfault.Stats
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -160,16 +157,10 @@ type Node struct {
 	stealsOut, stealsGranted      *service.Counter
 	stealsAcked, stealsExpired    *service.Counter
 	peerDeaths, adoptedJobs       *service.Counter
-	aliveMembers                  *service.Gauge
 
 	fenceRejections, lateSettles  *service.Counter
 	replicaResyncs, rejoinResyncs *service.Counter
 	peerSuspects, peerRejoins     *service.Counter
-	suspectMembers                *service.Gauge
-
-	nfRequests, nfBlocked       *service.Counter
-	nfDroppedReq, nfDroppedResp *service.Counter
-	nfDuplicated, nfDelayed     *service.Counter
 }
 
 // New wires a node around srv. The node registers its metrics in the
@@ -183,12 +174,51 @@ func New(cfg Config, srv *service.Server) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	addrs := make(map[string]string, len(cfg.Members))
+	ids := make([]string, 0, len(cfg.Members))
+	var peers []Member
+	for _, member := range cfg.Members {
+		ids = append(ids, member.ID)
+		addrs[member.ID] = member.Addr
+		if member.ID != cfg.Self {
+			peers = append(peers, member)
+		}
+	}
+	sort.Strings(ids)
+	nf := cfg.NetFault
+	if nf != nil {
+		// Route every peer-bound request of this node through the fault
+		// engine. The shared client is copied so other nodes in the same
+		// process (tests) can wrap their own identity.
+		for id, addr := range addrs {
+			if u, err := url.Parse(addr); err == nil && u.Host != "" {
+				nf.Register(id, u.Host)
+			}
+		}
+		c := *cfg.HTTPClient
+		c.Transport = nf.Transport(cfg.Self, c.Transport)
+		cfg.HTTPClient = &c
+	}
+	mem := newMembership(cfg.Self, peers, cfg.ProbeInterval, cfg.ProbeTimeout,
+		cfg.DeadAfter, cfg.SuspectGrace, cfg.HTTPClient)
+	// The member counts and the fault engine's counters (zero without
+	// one) are read when /metrics renders.
+	nfStats := func() netfault.Stats {
+		if nf == nil {
+			return netfault.Stats{}
+		}
+		return nf.Stats()
+	}
+
 	m := srv.Metrics()
 	n := &Node{
 		cfg:           cfg,
 		srv:           srv,
+		ring:          NewRing(ids),
+		mem:           mem,
 		reps:          reps,
-		addrs:         make(map[string]string, len(cfg.Members)),
+		addrs:         addrs,
+		sortedID:      ids,
 		pendingSteals: make(map[string]*stealGrant),
 		pushes:        make(map[string]*pushState),
 		fence:         srv.MaxFence(),
@@ -205,55 +235,26 @@ func New(cfg Config, srv *service.Server) (*Node, error) {
 		stealsExpired:  m.Counter("mrts_cluster_steals_expired_total"),
 		peerDeaths:     m.Counter("mrts_cluster_peer_deaths_total"),
 		adoptedJobs:    m.Counter("mrts_cluster_adopted_jobs_total"),
-		aliveMembers:   m.Gauge("mrts_cluster_alive_members"),
-
-		fenceRejections: m.Counter("mrts_cluster_fence_rejections_total"),
-		lateSettles:     m.Counter("mrts_cluster_steal_late_settles_total"),
-		replicaResyncs:  m.Counter("mrts_cluster_replica_resyncs_total"),
-		rejoinResyncs:   m.Counter("mrts_cluster_rejoin_resyncs_total"),
-		peerSuspects:    m.Counter("mrts_cluster_peer_suspects_total"),
-		peerRejoins:     m.Counter("mrts_cluster_peer_rejoins_total"),
-		suspectMembers:  m.Gauge("mrts_cluster_suspect_members"),
-
-		nfRequests:    m.Counter("mrts_netfault_requests_total"),
-		nfBlocked:     m.Counter("mrts_netfault_blocked_total"),
-		nfDroppedReq:  m.Counter("mrts_netfault_dropped_requests_total"),
-		nfDroppedResp: m.Counter("mrts_netfault_dropped_responses_total"),
-		nfDuplicated:  m.Counter("mrts_netfault_duplicated_total"),
-		nfDelayed:     m.Counter("mrts_netfault_delayed_total"),
 	}
-	ids := make([]string, 0, len(cfg.Members))
-	var peers []Member
-	for _, mem := range cfg.Members {
-		ids = append(ids, mem.ID)
-		n.addrs[mem.ID] = mem.Addr
-		if mem.ID != cfg.Self {
-			peers = append(peers, mem)
-		}
-	}
-	sort.Strings(ids)
-	n.sortedID = ids
-	n.ring = NewRing(ids)
+	// Registration order is /metrics page order, so the func-backed
+	// metrics register here, each in its place among the counters.
+	m.GaugeFunc("mrts_cluster_alive_members", func() int64 { return int64(mem.AliveCount()) })
+	n.fenceRejections = m.Counter("mrts_cluster_fence_rejections_total")
+	n.lateSettles = m.Counter("mrts_cluster_steal_late_settles_total")
+	n.replicaResyncs = m.Counter("mrts_cluster_replica_resyncs_total")
+	n.rejoinResyncs = m.Counter("mrts_cluster_rejoin_resyncs_total")
+	n.peerSuspects = m.Counter("mrts_cluster_peer_suspects_total")
+	n.peerRejoins = m.Counter("mrts_cluster_peer_rejoins_total")
+	m.GaugeFunc("mrts_cluster_suspect_members", func() int64 { return int64(mem.SuspectCount()) })
+	m.CounterFunc("mrts_netfault_requests_total", func() int64 { return nfStats().Requests })
+	m.CounterFunc("mrts_netfault_blocked_total", func() int64 { return nfStats().Blocked })
+	m.CounterFunc("mrts_netfault_dropped_requests_total", func() int64 { return nfStats().DroppedRequests })
+	m.CounterFunc("mrts_netfault_dropped_responses_total", func() int64 { return nfStats().DroppedResponses })
+	m.CounterFunc("mrts_netfault_duplicated_total", func() int64 { return nfStats().Duplicated })
+	m.CounterFunc("mrts_netfault_delayed_total", func() int64 { return nfStats().Delayed })
 
-	if nf := cfg.NetFault; nf != nil {
-		// Route every peer-bound request of this node through the fault
-		// engine. The shared client is copied so other nodes in the same
-		// process (tests) can wrap their own identity.
-		for id, addr := range n.addrs {
-			if u, err := url.Parse(addr); err == nil && u.Host != "" {
-				nf.Register(id, u.Host)
-			}
-		}
-		c := *n.cfg.HTTPClient
-		c.Transport = nf.Transport(cfg.Self, c.Transport)
-		n.cfg.HTTPClient = &c
-	}
-
-	n.mem = newMembership(cfg.Self, peers, n.cfg.ProbeInterval, n.cfg.ProbeTimeout,
-		n.cfg.DeadAfter, n.cfg.SuspectGrace, n.cfg.HTTPClient,
-		n.onPeerDeath, n.onPeerAlive, n.onPeerSuspect, n.onPeerRejoin)
-	n.aliveMembers.Set(int64(len(ids)))
-	n.mem.Start()
+	mem.onDeath, mem.onSuspect, mem.onRejoin = n.onPeerDeath, n.onPeerSuspect, n.onPeerRejoin
+	mem.Start()
 	if n.cfg.StealInterval > 0 && len(peers) > 0 {
 		n.wg.Add(1)
 		go n.stealLoop()
@@ -302,8 +303,6 @@ func (n *Node) nextFence(jobID, thief string) uint64 {
 // heals inside the grace without any duplicate executions.
 func (n *Node) onPeerSuspect(id string) {
 	n.peerSuspects.Inc()
-	n.suspectMembers.Set(int64(n.mem.SuspectCount()))
-	n.aliveMembers.Set(int64(n.mem.AliveCount()))
 }
 
 // onPeerDeath adopts whatever the dead peer replicated to this node:
@@ -313,36 +312,21 @@ func (n *Node) onPeerSuspect(id string) {
 // harmless (deterministic jobs, at-least-once).
 func (n *Node) onPeerDeath(id string) {
 	n.peerDeaths.Inc()
-	n.suspectMembers.Set(int64(n.mem.SuspectCount()))
-	n.aliveMembers.Set(int64(n.mem.AliveCount()))
 	recs := n.reps.snapshot(id)
 	if len(recs) == 0 {
 		return
 	}
-	requeued, completed, err := n.srv.Adopt(recs)
+	requeued, completed := n.srv.Adopt(recs)
 	n.adoptedJobs.Add(int64(requeued + completed))
-	if err != nil {
-		// Queue-full adoptions retry on the next death signal or the
-		// next probe cycle; count the failure so it is visible.
-		n.replicateFails.Inc()
-	} else {
-		// Only now, with every adopted job in the local table, does the
-		// stream stop answering pending lookups (routeJob).
-		n.reps.setAdopted(id, true)
-	}
+	// Only now, with every adopted job in the local table, does the
+	// stream stop answering pending lookups (routeJob).
+	n.reps.setAdopted(id, true)
 	// The adopted unfinished jobs are now this node's responsibility:
 	// replicate their submit records onward so a second death does not
 	// lose them either.
 	if f := n.follower(); f != "" && requeued > 0 {
 		n.pushRecords(f, recs)
 	}
-}
-
-// onPeerAlive is the damped flap: a suspect peer answered before the
-// grace expired, so nothing was adopted and nothing needs resync.
-func (n *Node) onPeerAlive(id string) {
-	n.suspectMembers.Set(int64(n.mem.SuspectCount()))
-	n.aliveMembers.Set(int64(n.mem.AliveCount()))
 }
 
 // onPeerRejoin runs when a peer declared dead comes back: by now this
@@ -352,8 +336,6 @@ func (n *Node) onPeerAlive(id string) {
 // with the already-computed (byte-identical) results instead.
 func (n *Node) onPeerRejoin(id string) {
 	n.peerRejoins.Inc()
-	n.suspectMembers.Set(int64(n.mem.SuspectCount()))
-	n.aliveMembers.Set(int64(n.mem.AliveCount()))
 	n.reps.setAdopted(id, false)
 	n.wg.Add(1)
 	go func() {
@@ -552,27 +534,6 @@ func (n *Node) watchComplete(j *service.Job) {
 			Result: st.Result,
 		}})
 	}
-}
-
-// syncNetfaultStats folds the fault engine's counters into the metrics
-// registry (delta since the last sync), so /metrics always shows current
-// mrts_netfault_* values. No-op without a fault engine.
-func (n *Node) syncNetfaultStats() {
-	nf := n.cfg.NetFault
-	if nf == nil {
-		return
-	}
-	cur := nf.Stats()
-	n.nfMu.Lock()
-	last := n.nfLast
-	n.nfLast = cur
-	n.nfMu.Unlock()
-	n.nfRequests.Add(cur.Requests - last.Requests)
-	n.nfBlocked.Add(cur.Blocked - last.Blocked)
-	n.nfDroppedReq.Add(cur.DroppedRequests - last.DroppedRequests)
-	n.nfDroppedResp.Add(cur.DroppedResponses - last.DroppedResponses)
-	n.nfDuplicated.Add(cur.Duplicated - last.Duplicated)
-	n.nfDelayed.Add(cur.Delayed - last.Delayed)
 }
 
 // Close stops probing, stealing and watchers, requeues any unacked

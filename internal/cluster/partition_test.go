@@ -62,6 +62,14 @@ func netchaosSpecs() []api.JobSpec {
 	}
 }
 
+// scrape renders a registry as /metrics would and reads one plain
+// counter/gauge line off it (-1 when the metric is absent).
+func scrape(m *service.Metrics, name string) int64 {
+	var page strings.Builder
+	m.WriteText(&page)
+	return metricValue(page.String(), name)
+}
+
 // metricValue extracts one plain counter/gauge line from a /metrics page
 // (-1 when the metric is absent).
 func metricValue(page, name string) int64 {

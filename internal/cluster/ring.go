@@ -8,8 +8,8 @@
 // work from hot shards over an internal endpoint.
 //
 // The layer is deliberately thin: placement, replication and stealing
-// live here; admission and execution stay in internal/service (the
-// Router / Server split). Jobs are deterministic, which is what makes
+// live here; admission and execution stay in internal/service's Server.
+// Jobs are deterministic, which is what makes
 // the whole failure model cheap — re-running a lost job anywhere always
 // reproduces the original bytes, so the cluster only ever needs
 // at-least-once delivery, never consensus.

@@ -15,7 +15,7 @@ import (
 //
 //  1. The thief polls a hot victim's /cluster/v1/steal, naming itself.
 //     The victim removes one queued job from its pool
-//     (service.TakeQueued — the job stays in its table, slot reserved),
+//     (service.TakeQueued — the job stays in its table),
 //     journals a grant record carrying a fresh monotonic fencing token,
 //     and grants the job with that token and an ack deadline.
 //  2. The thief replicates the submit record to its own follower,
@@ -133,8 +133,8 @@ func (n *Node) stealLoop() {
 		case <-n.stop:
 			return
 		case <-t.C:
-			if n.srv.QueueLen() > 0 || n.srv.Router().Draining() {
-				continue // not idle; nothing to gain
+			if n.srv.QueueLen() > 0 || !n.srv.Ready() {
+				continue // busy, draining, or unable to journal a stolen job
 			}
 			victim := n.hottestPeer()
 			if victim == "" {

@@ -96,7 +96,7 @@ func (s *Server) AdmitClient(w http.ResponseWriter, r *http.Request) bool {
 			key = host
 		}
 	}
-	ok, wait := s.router.Admit(key, time.Now())
+	ok, wait := s.limiter.allow(key, time.Now())
 	if ok {
 		return true
 	}
@@ -185,7 +185,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.AdmitClient(w, r) {
 		return
 	}
-	if s.router.Draining() {
+	if s.draining.Load() {
 		w.Header().Set("Retry-After", "5")
 		WriteError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
 		return

@@ -134,8 +134,8 @@ func TestIdemTableLRUEviction(t *testing.T) {
 	submit("lru-3")           // table full: evicts lru-1 (LRU after the touch order 0,2,1,3... )
 
 	s.mu.Lock()
-	idem := s.router.idem.snapshot()
-	n := s.router.idem.len()
+	idem := s.idem.snapshot()
+	n := s.idem.len()
 	s.mu.Unlock()
 	if n != 3 {
 		t.Errorf("idem table holds %d mappings, want 3 (cap)", n)
@@ -180,7 +180,7 @@ func TestSubmitIdemQueueFullRollsBack(t *testing.T) {
 		t.Fatal("queue never reported full")
 	}
 	s.mu.Lock()
-	_, lingers := s.router.idem.get(fullKey)
+	_, lingers := s.idem.get(fullKey)
 	s.mu.Unlock()
 	if lingers {
 		t.Errorf("key %s of a rejected submission lingers in the dedupe table", fullKey)
@@ -245,7 +245,7 @@ func TestQueueFullRaceKeepsJobTableConsistent(t *testing.T) {
 		inTable[id] = true
 	}
 	order := append([]string(nil), s.order...)
-	idem := s.router.idem.snapshot()
+	idem := s.idem.snapshot()
 	s.mu.Unlock()
 
 	for id := range returned {

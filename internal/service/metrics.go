@@ -50,6 +50,14 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
+// counterFunc and gaugeFunc are metrics computed when /metrics renders,
+// for values whose state lives elsewhere (the run queue, membership, the
+// fault engine) and would otherwise be mirrored into a Gauge by hand.
+type (
+	counterFunc func() int64
+	gaugeFunc   func() int64
+)
+
 // Histogram accumulates observations into cumulative buckets (upper
 // bounds in seconds, +Inf implied), plus a running sum and count.
 type Histogram struct {
@@ -107,6 +115,18 @@ func (m *Metrics) Gauge(name string) *Gauge {
 	return register(m, name, func() *Gauge { return &Gauge{} })
 }
 
+// CounterFunc registers a counter whose value f computes at render time.
+// f runs outside the registry lock and must be safe for concurrent use.
+func (m *Metrics) CounterFunc(name string, f func() int64) {
+	register(m, name, func() counterFunc { return f })
+}
+
+// GaugeFunc registers a gauge whose value f computes at render time,
+// like CounterFunc.
+func (m *Metrics) GaugeFunc(name string, f func() int64) {
+	register(m, name, func() gaugeFunc { return f })
+}
+
 // Histogram returns (registering if needed) the named histogram with
 // DefBuckets bounds.
 func (m *Metrics) Histogram(name string) *Histogram {
@@ -131,6 +151,10 @@ func (m *Metrics) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, it.Value())
 		case *Gauge:
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, it.Value())
+		case counterFunc:
+			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, it())
+		case gaugeFunc:
+			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, it())
 		case *Histogram:
 			it.mu.Lock()
 			fmt.Fprintf(w, "# TYPE %s histogram\n", name)

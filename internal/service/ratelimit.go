@@ -43,8 +43,11 @@ func newRateLimiter(rate float64, burst int) *rateLimiter {
 
 // allow consumes one token from key's bucket if available. When it is
 // not, it returns how long the client should wait before the next
-// attempt can succeed.
+// attempt can succeed. A nil limiter admits everyone.
 func (l *rateLimiter) allow(key string, now time.Time) (ok bool, retryAfter time.Duration) {
+	if l == nil {
+		return true, 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b, found := l.buckets[key]

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mrts/internal/service/api"
@@ -53,8 +54,10 @@ var ErrDraining = errors.New("service: draining, not admitting new jobs")
 type Options struct {
 	// Workers is the size of the worker pool (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the number of queued-but-not-running jobs;
-	// submissions beyond it are rejected with 503 (default 256).
+	// QueueDepth bounds how many queued-but-not-running jobs a new
+	// submission may find ahead of it; beyond that it is rejected with
+	// 503 (default 256). Jobs recovered from the journal or adopted from
+	// a dead cluster peer are acknowledged work and are never refused.
 	QueueDepth int
 	// WorkloadCacheSize bounds the built-workload LRU (default 16).
 	WorkloadCacheSize int
@@ -144,15 +147,16 @@ var closedChan = func() chan struct{} {
 	return ch
 }()
 
-// Server owns the execution half of the daemon: the worker pool, the job
-// table, the journal and the caches. Admission — draining, rate limiting,
-// idempotency dedupe, queue-slot reservation — lives in the Router.
+// Server is the daemon: admission (draining, the per-client rate limiter,
+// idempotency dedupe, the queue bound), the run queue and its worker
+// pool, the job table, the journal and the caches.
 type Server struct {
 	opts      Options
 	metrics   *Metrics
 	workloads *WorkloadCache
 	journal   *journal.Journal
-	router    *Router
+	limiter   *rateLimiter // nil: no per-client rate limit
+	draining  atomic.Bool
 
 	baseCtx context.Context
 	stop    context.CancelCauseFunc
@@ -167,7 +171,17 @@ type Server struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
 	order []string // submission order, for listing and retention
-	queue chan *Job
+	// queue is the run queue: the queued jobs no worker or steal has
+	// taken yet, oldest first. Cancel and Resolve remove a job from it
+	// at once. A job pushed while a worker idles goes to handoff
+	// instead: promised to that worker, it is neither counted nor
+	// stealable, so a node with a free worker never looks hot. Workers
+	// wait on wake; idle counts them.
+	queue   []*Job
+	handoff []*Job
+	idle    int
+	wake    *sync.Cond
+	idem    *idemTable
 
 	// maxFence is the highest fencing token found in the replayed journal
 	// (see journal.KindGrant); the cluster layer seeds its grant counter
@@ -178,7 +192,7 @@ type Server struct {
 	jobsDeduped, jobsRecovered                         *Counter
 	panics, rateLimited                                *Counter
 	journalRecords, journalErrors                      *Counter
-	queueDepth, running                                *Gauge
+	running                                            *Gauge
 	jobSeconds, queueWaitSeconds, e2eSeconds           *Histogram
 	cacheHits, cacheMisses                             *Counter
 	pointSeconds                                       *Histogram
@@ -201,50 +215,42 @@ func New(opts Options) *Server {
 		stop:      stop,
 		jobs:      make(map[string]*Job),
 
-		jobsSubmitted:    m.Counter("mrts_jobs_submitted_total"),
-		jobsDone:         m.Counter("mrts_jobs_done_total"),
-		jobsFailed:       m.Counter("mrts_jobs_failed_total"),
-		jobsCancelled:    m.Counter("mrts_jobs_cancelled_total"),
-		jobsDeduped:      m.Counter("mrts_jobs_deduped_total"),
-		jobsRecovered:    m.Counter("mrts_jobs_recovered_total"),
-		panics:           m.Counter("mrts_panics_total"),
-		rateLimited:      m.Counter("mrts_rate_limited_total"),
-		journalRecords:   m.Counter("mrts_journal_records_total"),
-		journalErrors:    m.Counter("mrts_journal_errors_total"),
-		queueDepth:       m.Gauge("mrts_queue_depth"),
-		running:          m.Gauge("mrts_jobs_running"),
-		jobSeconds:       m.Histogram("mrts_job_seconds"),
-		queueWaitSeconds: m.Histogram("mrts_job_queue_seconds"),
-		e2eSeconds:       m.Histogram("mrts_job_e2e_seconds"),
-		cacheHits:        m.Counter("mrts_result_cache_hits_total"),
-		cacheMisses:      m.Counter("mrts_result_cache_misses_total"),
-		pointSeconds:     m.Histogram("mrts_point_eval_seconds"),
-		batchPoints:      m.Counter("mrts_batch_points_total"),
-		batchSeedHits:    m.Counter("mrts_batch_seed_hits_total"),
-		batchSeconds:     m.Histogram("mrts_batch_seconds"),
+		jobsSubmitted:  m.Counter("mrts_jobs_submitted_total"),
+		jobsDone:       m.Counter("mrts_jobs_done_total"),
+		jobsFailed:     m.Counter("mrts_jobs_failed_total"),
+		jobsCancelled:  m.Counter("mrts_jobs_cancelled_total"),
+		jobsDeduped:    m.Counter("mrts_jobs_deduped_total"),
+		jobsRecovered:  m.Counter("mrts_jobs_recovered_total"),
+		panics:         m.Counter("mrts_panics_total"),
+		rateLimited:    m.Counter("mrts_rate_limited_total"),
+		journalRecords: m.Counter("mrts_journal_records_total"),
+		journalErrors:  m.Counter("mrts_journal_errors_total"),
 	}
+	// The rest register after the queue gauge, which needs s: registration
+	// order is /metrics page order.
+	m.GaugeFunc("mrts_queue_depth", func() int64 { return int64(s.QueueLen()) })
+	s.running = m.Gauge("mrts_jobs_running")
+	s.jobSeconds = m.Histogram("mrts_job_seconds")
+	s.queueWaitSeconds = m.Histogram("mrts_job_queue_seconds")
+	s.e2eSeconds = m.Histogram("mrts_job_e2e_seconds")
+	s.cacheHits = m.Counter("mrts_result_cache_hits_total")
+	s.cacheMisses = m.Counter("mrts_result_cache_misses_total")
+	s.pointSeconds = m.Histogram("mrts_point_eval_seconds")
+	s.batchPoints = m.Counter("mrts_batch_points_total")
+	s.batchSeedHits = m.Counter("mrts_batch_seed_hits_total")
+	s.batchSeconds = m.Histogram("mrts_batch_seconds")
+	s.idem = newIdemTable(opts.IdemTableSize, m)
+	s.wake = sync.NewCond(&s.mu)
 	s.execOverride = opts.ExecOverride
-	s.router = newRouter(s, opts)
+	if opts.RatePerSec > 0 {
+		s.limiter = newRateLimiter(opts.RatePerSec, opts.RateBurst)
+	}
 
-	// Replay before the queue exists so its capacity can grow to hold
-	// every recovered pending job, whatever QueueDepth says.
-	var pending []*Job
 	if s.journal != nil {
-		pending = s.replayJournal(s.journal.Replayed())
+		s.replayJournal(s.journal.Replayed())
 		m.Counter("mrts_journal_replayed_total").Add(int64(len(s.journal.Replayed())))
 		m.Counter("mrts_journal_replay_skipped_total").Add(int64(s.journal.Stats().ReplaySkipped))
 	}
-	depth := opts.QueueDepth
-	if len(pending) > depth {
-		depth = len(pending)
-	}
-	s.queue = make(chan *Job, depth)
-	s.router.queued.Store(int64(len(pending))) // recovered jobs hold their slots
-	for _, j := range pending {
-		s.queue <- j
-		s.jobsRecovered.Inc()
-	}
-	s.queueDepth.Set(int64(len(s.queue)))
 
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -253,60 +259,71 @@ func New(opts Options) *Server {
 	return s
 }
 
-// replayJournal folds the recovered records into the job table and
-// returns the jobs that must re-run: submitted (possibly started) but
-// never completed. Completed jobs keep their results; a cancel with no
-// completion replays as a cancelled job; a submit voided by a reject is
-// dropped. Re-running is safe because jobs are deterministic — the
-// replayed run produces byte-identical results.
-func (s *Server) replayJournal(recs []journal.Record) (pending []*Job) {
-	byID, order := foldRecords(recs)
-	now := time.Now()
+// replayJournal folds the recovered records into the job table: completed
+// jobs keep their results, a cancel with no completion replays as a
+// cancelled job, a submit voided by a reject or forget is dropped, and
+// every other job re-runs. Re-running is safe because jobs are
+// deterministic — the replayed run produces byte-identical results.
+func (s *Server) replayJournal(recs []journal.Record) {
 	for _, r := range recs {
 		if r.Kind == journal.KindGrant && r.Fence > s.maxFence {
 			s.maxFence = r.Fence
 		}
 	}
+	byID, order := foldRecords(recs)
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, id := range order {
-		f := byID[id]
-		if f.rejected {
-			continue
-		}
-		job := &Job{
-			ID:        id,
-			Spec:      *f.submit.Spec,
-			IdemKey:   f.submit.IdemKey,
-			Created:   parseRecordTime(f.submit.Time, now),
-			Recovered: true,
-			done:      make(chan struct{}),
-			durable:   closedChan, // already journaled: nothing to wait for
-		}
-		switch {
-		case f.complete != nil && f.complete.State.Terminal():
-			job.State = f.complete.State
-			job.Err = f.complete.Error
-			job.Result = f.complete.Result
-			job.Finished = parseRecordTime(f.complete.Time, now)
-			job.cancel = func(error) {}
-			close(job.done)
-		case f.cancelled:
-			job.State = api.StateCancelled
-			job.Err = "cancelled before restart"
-			job.Finished = now
-			job.cancel = func(error) {}
-			close(job.done)
-		default:
-			job.State = api.StateQueued
-			job.ctx, job.cancel = context.WithCancelCause(s.baseCtx)
-			pending = append(pending, job)
-		}
-		s.jobs[id] = job
-		s.order = append(s.order, id)
-		if job.IdemKey != "" {
-			s.router.idem.put(job.IdemKey, id)
+		if f := byID[id]; !f.rejected {
+			if j := s.installLocked(id, f, now, closedChan); !j.State.Terminal() {
+				s.jobsRecovered.Inc()
+			}
 		}
 	}
-	return pending
+}
+
+// installLocked puts one folded job into the table (s.mu held) — the one
+// install path of journal replay and Adopt. A completed job keeps its
+// result, a cancel with no completion installs cancelled, and anything
+// else joins the run queue. Recovered work was acknowledged once, so the
+// QueueDepth bound never refuses it. durable is the pending job's durable
+// channel: closedChan when its submit record is already in this node's
+// journal, else a channel the caller closes once it is.
+func (s *Server) installLocked(id string, f *foldedJob, now time.Time, durable chan struct{}) *Job {
+	job := &Job{
+		ID:        id,
+		Spec:      *f.submit.Spec,
+		IdemKey:   f.submit.IdemKey,
+		Created:   parseRecordTime(f.submit.Time, now),
+		Recovered: true,
+		cancel:    func(error) {},
+		done:      closedChan,
+		durable:   closedChan,
+	}
+	switch {
+	case f.complete != nil && f.complete.State.Terminal():
+		job.State = f.complete.State
+		job.Err = f.complete.Error
+		job.Result = f.complete.Result
+		job.Finished = parseRecordTime(f.complete.Time, now)
+	case f.cancelled:
+		job.State = api.StateCancelled
+		job.Err = "cancelled before restart"
+		job.Finished = now
+	default:
+		job.State = api.StateQueued
+		job.ctx, job.cancel = context.WithCancelCause(s.baseCtx)
+		job.done = make(chan struct{})
+		job.durable = durable
+		s.pushLocked(job)
+	}
+	s.jobs[id] = job
+	s.order = append(s.order, id)
+	if job.IdemKey != "" {
+		s.idem.put(job.IdemKey, id)
+	}
+	return job
 }
 
 // foldedJob is the per-job summary of a record stream: the submit that
@@ -421,14 +438,10 @@ func (s *Server) JournalErr() error {
 // Metrics exposes the registry (for /metrics and tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Router exposes the admission half of the daemon (draining, rate
-// limiting, dedupe, placement-facing submission).
-func (s *Server) Router() *Router { return s.router }
-
 // Ready reports whether the server admits new jobs (false while
 // draining, shutting down, or once the journal has hit a sticky write
 // error and can no longer persist submissions) — the /readyz signal.
-func (s *Server) Ready() bool { return !s.router.Draining() && s.JournalErr() == nil }
+func (s *Server) Ready() bool { return !s.draining.Load() && s.JournalErr() == nil }
 
 // RecoveredJobs reports how many unfinished jobs the journal replay
 // re-enqueued at startup.
@@ -440,7 +453,7 @@ func (s *Server) RecoveredJobs() int { return int(s.jobsRecovered.Value()) }
 // with a journal attached those jobs are journaled as incomplete and
 // re-run after restart, so stopping anyway loses nothing.
 func (s *Server) Drain(ctx context.Context) error {
-	s.router.SetDraining(true)
+	s.draining.Store(true)
 	t := time.NewTicker(10 * time.Millisecond)
 	defer t.Stop()
 	for {
@@ -475,10 +488,14 @@ func (s *Server) activeJobs() int {
 // on the next start the journal replays them as unfinished and re-runs
 // them.
 func (s *Server) Close() {
-	s.router.SetDraining(true)
+	s.draining.Store(true)
 	s.stop(ErrShuttingDown)
+	s.mu.Lock()
+	s.wake.Broadcast() // idle workers see baseCtx done and exit
+	s.mu.Unlock()
 	s.wg.Wait()
 	s.mu.Lock()
+	s.queue, s.handoff = nil, nil
 	for _, id := range s.order {
 		if j := s.jobs[id]; j != nil && !j.State.Terminal() {
 			s.finishLocked(j, api.StateCancelled, "shutting down", nil, false)
@@ -508,7 +525,7 @@ func (s *Server) Submit(spec api.JobSpec) (*Job, error) {
 // With a journal attached, the submit record is fsynced before the job
 // is acknowledged, so an accepted job survives a crash.
 func (s *Server) SubmitIdem(key string, spec api.JobSpec) (job *Job, deduped bool, err error) {
-	return s.router.SubmitIdem("", key, spec)
+	return s.submit("", key, spec)
 }
 
 // SubmitWithID is SubmitIdem with a caller-chosen job ID — the cluster
@@ -516,13 +533,93 @@ func (s *Server) SubmitIdem(key string, spec api.JobSpec) (job *Job, deduped boo
 // submit record to its follower before admitting the job, so the ID that
 // survives a node death is the ID that ran. An id this server already
 // knows returns the existing job (deduped=true). The key is recorded for
-// future client replays but NOT consulted for dedupe here: a stolen or
-// adopted job must be admitted under exactly the given id even when a
-// same-key duplicate already lives in the table, because the settlement
-// that follows (steal ack, adoption) assumes this node now holds that id
-// (see Router.SubmitIdem).
+// future client replays but NOT consulted for dedupe here (see submit).
 func (s *Server) SubmitWithID(id, key string, spec api.JobSpec) (job *Job, deduped bool, err error) {
-	return s.router.SubmitIdem(id, key, spec)
+	return s.submit(id, key, spec)
+}
+
+// submit admits one job: validation, draining, dedupe, the queue bound,
+// then the job enters the table and the run queue together and its
+// submit record is journaled durably. An empty id draws a fresh job ID.
+// An id this server already knows returns the existing job
+// (deduped=true); with an EMPTY id, so does a non-empty key that was
+// already accepted.
+//
+// A caller-chosen id deliberately bypasses the key dedupe: identity is
+// by ID. A stolen job may share its idempotency key with a local
+// duplicate admitted during an ownership flip, but its ID is the one the
+// submitting client holds — diverting the admission onto the duplicate
+// would let the steal ack erase the only copy of that ID cluster-wide. A
+// duplicate run is byte-identical; a lost ID is a 404 forever.
+func (s *Server) submit(id, key string, spec api.JobSpec) (job *Job, deduped bool, err error) {
+	if err := spec.Validate(); err != nil {
+		return nil, false, err
+	}
+	if s.draining.Load() {
+		return nil, false, ErrDraining
+	}
+	callerID := id != ""
+	if !callerID {
+		id = newJobID()
+	}
+	s.mu.Lock()
+	prev, ok := s.jobs[id]
+	if !callerID && key != "" {
+		// Only a server-drawn ID consults the key table (see above). A
+		// key whose job was retired is accepted as a fresh submission.
+		if jid, hit := s.idem.get(key); hit {
+			prev, ok = s.jobs[jid]
+		}
+	}
+	if ok {
+		s.mu.Unlock()
+		s.jobsDeduped.Inc()
+		// The original submission may still be fsyncing its submit
+		// record; a deduped 202 makes the same durability promise, so
+		// wait until the job it points at is safe.
+		<-prev.durable
+		return prev, true, nil
+	}
+	// The bound is decided before the job is published anywhere, so a
+	// rejected job leaves nothing behind to roll back.
+	if len(s.queue) >= s.opts.QueueDepth {
+		s.mu.Unlock()
+		return nil, false, ErrQueueFull
+	}
+	ctx, cancel := context.WithCancelCause(s.baseCtx)
+	job = &Job{
+		ID:      id,
+		Spec:    spec,
+		State:   api.StateQueued,
+		Created: time.Now(),
+		IdemKey: key,
+		ctx:     ctx,
+		cancel:  cancel,
+		done:    make(chan struct{}),
+		durable: make(chan struct{}),
+	}
+	if key != "" {
+		s.idem.put(key, id)
+	}
+	s.jobs[id] = job
+	s.order = append(s.order, id)
+	s.retireOldLocked()
+	s.pushLocked(job)
+	s.mu.Unlock()
+
+	// Durable before the 202: once the client sees it the job must
+	// survive a crash. A worker that pops the job first waits on
+	// job.durable and TakeQueued skips it until then, so no start, grant
+	// or forget record can precede this submit record.
+	s.appendJournal(journal.Record{
+		Kind:    journal.KindSubmit,
+		ID:      id,
+		IdemKey: key,
+		Spec:    &spec,
+	}, true)
+	close(job.durable)
+	s.jobsSubmitted.Inc()
+	return job, false, nil
 }
 
 // LookupIdem returns the live job an idempotency key maps to, if any,
@@ -535,7 +632,7 @@ func (s *Server) LookupIdem(key string) (*Job, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, ok := s.router.idem.get(key)
+	id, ok := s.idem.get(key)
 	if !ok {
 		return nil, false
 	}
@@ -545,48 +642,70 @@ func (s *Server) LookupIdem(key string) (*Job, bool) {
 
 // QueueLen reports how many jobs are queued but not yet picked up — the
 // signal work stealing uses to find hot and idle nodes.
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
 
-// TakeQueued removes one queued-but-unstarted job from the pool for an
-// external executor (cluster work stealing). The job stays in the job
-// table and keeps its reserved queue slot until the caller settles the
-// handoff: Forget(id) once the thief holds the job durably, or Requeue
-// if the handoff failed. Returns false when nothing is queued.
-func (s *Server) TakeQueued() (*Job, bool) {
-	for {
-		select {
-		case job := <-s.queue:
-			s.queueDepth.Set(int64(len(s.queue)))
-			s.mu.Lock()
-			if job.State != api.StateQueued {
-				// Cancelled while queued: drop it like a worker would,
-				// releasing its slot, and try the next one.
-				s.mu.Unlock()
-				s.router.release()
-				continue
-			}
-			job.taken = true
-			s.mu.Unlock()
-			return job, true
-		default:
-			return nil, false
+// pushLocked hands a queued job to an idle worker, or else appends it to
+// the run queue, and wakes one worker.
+func (s *Server) pushLocked(j *Job) {
+	if s.idle > len(s.handoff) {
+		s.handoff = append(s.handoff, j)
+	} else {
+		s.queue = append(s.queue, j)
+	}
+	s.wake.Signal()
+}
+
+// dequeueLocked removes j from the run queue if it is there.
+func (s *Server) dequeueLocked(j *Job) {
+	for i, q := range s.queue {
+		if q == j {
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			return
 		}
 	}
 }
 
-// Requeue returns a job taken by TakeQueued to the queue — the steal
-// handoff failed. The job's slot was never released, so the send cannot
-// block.
+// TakeQueued removes the oldest queued job whose submit record is
+// durable from the run queue, for an external executor (cluster work
+// stealing). The job stays in the job table until the caller settles the
+// handoff: Forget(id) once the thief holds the job durably, or Requeue if
+// the handoff failed. Returns false when no such job is queued. Skipping
+// a job whose submit record is still being fsynced keeps the caller's
+// grant record after it, and keeps a thief from taking a job before its
+// submitter could acknowledge it.
+func (s *Server) TakeQueued() (*Job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, j := range s.queue {
+		select {
+		case <-j.durable:
+		default:
+			continue
+		}
+		s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		j.taken = true
+		return j, true
+	}
+	return nil, false
+}
+
+// Requeue returns a job taken by TakeQueued to the back of the run queue
+// — the steal handoff failed. A job cancelled or resolved meanwhile stays
+// terminal.
 func (s *Server) Requeue(j *Job) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !j.taken {
-		s.mu.Unlock()
 		return
 	}
 	j.taken = false
-	s.mu.Unlock()
-	s.queue <- j
-	s.queueDepth.Set(int64(len(s.queue)))
+	if j.State == api.StateQueued {
+		s.pushLocked(j)
+	}
 }
 
 // Forget removes a job taken by TakeQueued from this server entirely —
@@ -609,88 +728,59 @@ func (s *Server) Forget(id string) bool {
 		}
 	}
 	if j.IdemKey != "" {
-		s.router.idem.remove(j.IdemKey, id)
+		s.idem.remove(j.IdemKey, id)
 	}
+	j.taken = false // settled: a late Requeue is a no-op
 	s.mu.Unlock()
-	s.router.release()
 	j.cancel(nil)
 	s.appendJournal(journal.Record{Kind: journal.KindForget, ID: id}, false)
 	return true
 }
 
 // Adopt folds journal records replicated from a dead cluster peer into
-// this server: completed jobs are inserted terminal so their results keep
-// being served, unfinished jobs are re-submitted under their original IDs
-// and re-run — deterministic jobs make the re-run byte-identical. Jobs
-// this server already knows are skipped. Every adopted job is journaled
-// here, so a later crash of this node re-covers them too. Pending jobs
-// that do not fit the queue are reported in err; the caller retries.
-func (s *Server) Adopt(recs []journal.Record) (requeued, completed int, err error) {
+// this server through the install path journal replay uses: completed
+// jobs keep serving their results here, unfinished jobs re-run under
+// their original IDs — deterministic jobs make the re-run byte-identical.
+// Jobs this server already knows, and jobs the peer voided or cancelled
+// short of a terminal record, are skipped. Adoption recovers
+// acknowledged work, so neither the queue bound nor draining refuses it.
+// Every adopted job is journaled here, so a later crash of this node
+// re-covers it too; a worker starts an adopted job only after its submit
+// record is durable.
+func (s *Server) Adopt(recs []journal.Record) (requeued, completed int) {
 	byID, order := foldRecords(recs)
 	now := time.Now()
-	var full int
+	var pending, done []*Job
+	s.mu.Lock()
 	for _, id := range order {
 		f := byID[id]
-		if !f.adoptable() {
+		if _, known := s.jobs[id]; known || !f.adoptable() {
 			continue
 		}
-		s.mu.Lock()
-		_, known := s.jobs[id]
-		s.mu.Unlock()
-		if known {
-			continue
-		}
-		switch {
-		case f.complete != nil && f.complete.State.Terminal():
-			job := &Job{
-				ID:        id,
-				Spec:      *f.submit.Spec,
-				IdemKey:   f.submit.IdemKey,
-				State:     f.complete.State,
-				Err:       f.complete.Error,
-				Result:    f.complete.Result,
-				Created:   parseRecordTime(f.submit.Time, now),
-				Finished:  parseRecordTime(f.complete.Time, now),
-				Recovered: true,
-				cancel:    func(error) {},
-				done:      closedChan,
-				durable:   closedChan,
-			}
-			s.mu.Lock()
-			if _, ok := s.jobs[id]; !ok {
-				s.jobs[id] = job
-				s.order = append(s.order, id)
-				if job.IdemKey != "" {
-					s.router.idem.put(job.IdemKey, id)
-				}
-				s.retireOldLocked()
-				completed++
-			}
-			s.mu.Unlock()
-			s.appendJournal(journal.Record{
-				Kind: journal.KindSubmit, ID: id, IdemKey: f.submit.IdemKey, Spec: f.submit.Spec,
-			}, false)
-			s.appendJournal(journal.Record{
-				Kind: journal.KindComplete, ID: id, State: job.State, Error: job.Err, Result: job.Result,
-			}, false)
-		default:
-			_, deduped, serr := s.router.SubmitIdem(id, f.submit.IdemKey, *f.submit.Spec)
-			switch {
-			case serr == nil && !deduped:
-				requeued++
-			case errors.Is(serr, ErrQueueFull):
-				full++
-			case serr != nil && !deduped:
-				// Validation failure etc. — the spec ran on the peer, so
-				// this should not happen; surface it.
-				err = errors.Join(err, fmt.Errorf("service: adopt %s: %w", id, serr))
-			}
+		if j := s.installLocked(id, f, now, make(chan struct{})); j.State.Terminal() {
+			done = append(done, j)
+		} else {
+			pending = append(pending, j)
 		}
 	}
-	if full > 0 {
-		err = errors.Join(err, fmt.Errorf("service: adopt: %d jobs did not fit the queue: %w", full, ErrQueueFull))
+	s.retireOldLocked()
+	s.mu.Unlock()
+	// ID, Spec and IdemKey never change after install, nor does anything
+	// of a terminal job, so the records are built without the lock.
+	for _, j := range pending {
+		spec := j.Spec
+		s.appendJournal(journal.Record{Kind: journal.KindSubmit, ID: j.ID, IdemKey: j.IdemKey, Spec: &spec}, true)
+		close(j.durable)
 	}
-	return requeued, completed, err
+	s.jobsSubmitted.Add(int64(len(pending)))
+	for _, j := range done {
+		spec := j.Spec
+		s.appendJournal(journal.Record{Kind: journal.KindSubmit, ID: j.ID, IdemKey: j.IdemKey, Spec: &spec}, false)
+		s.appendJournal(journal.Record{
+			Kind: journal.KindComplete, ID: j.ID, State: j.State, Error: j.Err, Result: j.Result,
+		}, false)
+	}
+	return len(pending), len(done)
 }
 
 // Resolve finishes a still-queued job with a result computed elsewhere —
@@ -710,9 +800,7 @@ func (s *Server) Resolve(id string, state api.JobState, errMsg string, res *api.
 		s.mu.Unlock()
 		return false
 	}
-	// The job stays in the queue channel; the worker that eventually
-	// drains it sees a non-queued state and drops it (releasing the
-	// reserved slot), exactly like a job cancelled while queued.
+	s.dequeueLocked(j)
 	s.finishLocked(j, state, errMsg, res)
 	s.mu.Unlock()
 	j.cancel(nil)
@@ -771,7 +859,7 @@ func (s *Server) retireOldLocked() {
 			if j, ok := s.jobs[id]; ok && j.State.Terminal() {
 				delete(s.jobs, id)
 				if j.IdemKey != "" {
-					s.router.idem.remove(j.IdemKey, id)
+					s.idem.remove(j.IdemKey, id)
 				}
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				dropped = true
@@ -792,10 +880,10 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel moves a queued job straight to cancelled, or cancels the context
-// of a running one (its worker then marks it cancelled and frees the
-// slot). Cancelling a terminal job is a no-op. The second return reports
-// whether the job exists.
+// Cancel moves a queued job straight to cancelled, out of the run queue,
+// or cancels the context of a running one (its worker then marks it
+// cancelled). Cancelling a terminal job is a no-op. The second return
+// reports whether the job exists.
 func (s *Server) Cancel(id string) (*Job, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -806,6 +894,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	running := j.State == api.StateRunning
 	switch j.State {
 	case api.StateQueued:
+		s.dequeueLocked(j)
 		s.finishLocked(j, api.StateCancelled, "cancelled while queued", nil, true)
 	case api.StateRunning:
 		// The worker observes the cancellation at the next point
@@ -869,25 +958,40 @@ func (s *Server) Wait(ctx context.Context, j *Job) error {
 	}
 }
 
-// worker is the pool loop: one goroutine per worker slot.
+// worker is the pool loop: one goroutine per worker slot. It takes a job
+// handed to it before the run queue's oldest, and waits for the job's
+// submit record to be durable before its start record. A job cancelled
+// or resolved while handed over is skipped by runJob.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case job := <-s.queue:
-			s.router.release() // the reserved slot is free again
-			s.queueDepth.Set(int64(len(s.queue)))
-			s.runJob(job)
+		s.mu.Lock()
+		for len(s.handoff) == 0 && len(s.queue) == 0 && s.baseCtx.Err() == nil {
+			s.idle++
+			s.wake.Wait()
+			s.idle--
 		}
+		if s.baseCtx.Err() != nil {
+			s.mu.Unlock()
+			return
+		}
+		next := &s.queue
+		if len(s.handoff) > 0 {
+			next = &s.handoff
+		}
+		job := (*next)[0]
+		(*next)[0] = nil
+		*next = (*next)[1:]
+		s.mu.Unlock()
+		<-job.durable
+		s.runJob(job)
 	}
 }
 
 // runJob executes one job and records its terminal state.
 func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
-	if job.State != api.StateQueued { // cancelled while queued
+	if job.State != api.StateQueued { // cancelled or resolved since the pop
 		s.mu.Unlock()
 		return
 	}

@@ -279,7 +279,7 @@ func TestCancelRunningJobFreesWorkerSlot(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := s.queueDepth.Value(); got != 1 {
+	if got := scrape(s, "mrts_queue_depth"); got != 1 {
 		t.Errorf("queue depth = %d with one job queued, want 1", got)
 	}
 
@@ -305,7 +305,7 @@ func TestCancelRunningJobFreesWorkerSlot(t *testing.T) {
 	if stB.State != api.StateDone {
 		t.Fatalf("job B state = %s (%s), want done after slot freed", stB.State, stB.Error)
 	}
-	if got := s.queueDepth.Value(); got != 0 {
+	if got := scrape(s, "mrts_queue_depth"); got != 0 {
 		t.Errorf("queue depth = %d after drain, want 0", got)
 	}
 	if got := s.metrics.Counter("mrts_jobs_cancelled_total").Value(); got != 1 {
