@@ -643,9 +643,9 @@ func BenchmarkAblationPortBlindProfit(b *testing.B) {
 // BenchmarkSweepWallclock measures the figure pipeline (Fig. 8 + 9 + 10 —
 // the core of `mrts-sweep -fig all`) end to end. "sequential" is the
 // pre-batch behaviour: the direct evaluator on a single worker. "batch" is
-// the batch engine with the default worker pool, point deduplication
-// across figures and the shared selection memo; point-replays counts the
-// simulations the engine never re-ran.
+// the batch engine with the default worker pool and point deduplication
+// across figures; point-replays counts the simulations the engine never
+// re-ran.
 func BenchmarkSweepWallclock(b *testing.B) {
 	w, _ := benchWorkload(b)
 	figs := func(ctx context.Context, eval exp.Evaluator) error {
@@ -676,7 +676,6 @@ func BenchmarkSweepWallclock(b *testing.B) {
 			st = eng.Stats()
 		}
 		b.ReportMetric(float64(st.PointHits), "point-replays")
-		b.ReportMetric(float64(st.SeedHits), "seed-hits")
 	})
 }
 

@@ -36,7 +36,6 @@ import (
 	"mrts/internal/batch"
 	"mrts/internal/exp"
 	"mrts/internal/obs"
-	"mrts/internal/selector"
 	"mrts/internal/sim"
 	"mrts/internal/video"
 	"mrts/internal/workload"
@@ -146,9 +145,8 @@ func main() {
 		st = eng.Stats()
 	}
 	fmt.Fprintf(os.Stderr,
-		"mrts-sweep: %d points in %.2fs (%.1f points/sec, %d workers); %d point replays, %d/%d selections seeded\n",
-		st.Points, elapsed.Seconds(), float64(st.Points)/elapsed.Seconds(), poolSize,
-		st.PointHits, st.SeedHits, st.SeedHits+st.SeedMisses)
+		"mrts-sweep: %d points in %.2fs (%.1f points/sec, %d workers); %d point replays\n",
+		st.Points, elapsed.Seconds(), float64(st.Points)/elapsed.Seconds(), poolSize, st.PointHits)
 }
 
 // traceRuns records the decision trace of every point evaluated on the
@@ -159,7 +157,7 @@ func main() {
 // not depend on the worker count or on completion order, and memory
 // holds no more than the runs in flight.
 type traceRuns struct {
-	workload   func(context.Context) (*workload.Result, *selector.Memo, error)
+	workload   func(context.Context) (*workload.Result, error)
 	out, spill *os.File
 
 	mu   sync.Mutex
@@ -175,7 +173,7 @@ type traceRun struct {
 }
 
 // newTraceRuns records into a spill file next to out.
-func newTraceRuns(wl func(context.Context) (*workload.Result, *selector.Memo, error), out *os.File) (*traceRuns, error) {
+func newTraceRuns(wl func(context.Context) (*workload.Result, error), out *os.File) (*traceRuns, error) {
 	spill, err := os.CreateTemp(filepath.Dir(out.Name()), ".mrts-sweep-trace-*")
 	if err != nil {
 		// out may be a device or a pipe, whose directory takes no files.
@@ -190,7 +188,7 @@ func newTraceRuns(wl func(context.Context) (*workload.Result, *selector.Memo, er
 }
 
 func (t *traceRuns) eval(ctx context.Context, pt exp.Point) (*sim.Report, error) {
-	w, _, err := t.workload(ctx)
+	w, err := t.workload(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,21 +1,15 @@
 // Package batch is the batch sweep-evaluation engine: it wraps the
-// experiment harness's point evaluator (exp.PointEvaluator) with two
-// layers of cross-point reuse that leave every simulated cycle untouched:
+// experiment harness's point evaluator (exp.PointEvaluator) with one layer
+// of cross-point reuse that leaves every simulated cycle untouched, a
+// point-level report memo. It deduplicates identical exp.Point evaluations
+// across figures, concurrent sweeps and service jobs (the "-fig all"
+// pipeline re-evaluates the RISC reference and overlapping combinations
+// many times), with singleflight semantics so racing workers share one
+// simulation.
 //
-//   - a point-level report memo, deduplicating identical exp.Point
-//     evaluations across figures, concurrent sweeps and service jobs (the
-//     "-fig all" pipeline re-evaluates the RISC reference and overlapping
-//     combinations many times), with singleflight semantics so racing
-//     workers share one simulation;
-//   - a workload-wide selection memo (selector.Memo) attached to every
-//     greedy-selector policy the evaluators build, so the ISE selection
-//     computed at one sweep point seeds neighbouring points whose selector
-//     inputs coincide once free capacity is clamped at the block's demand
-//     bound (see selector.DemandBound).
-//
-// Both layers replay exact, fingerprint-keyed results, so batch output is
-// byte-identical to direct evaluation for every policy, with and without
-// faults — pinned by the identity tests in this package.
+// A replayed report is the one an identical point produced, so batch
+// output is byte-identical to direct evaluation for every policy, with and
+// without faults — pinned by the identity tests in this package.
 package batch
 
 import (
@@ -33,18 +27,18 @@ import (
 	"mrts/internal/workload"
 )
 
-// Stats is a snapshot of an Engine's reuse counters.
+// Stats is a snapshot of an Engine's point-memo counters.
 type Stats struct {
 	// Points counts point evaluations requested; PointHits of those were
 	// replayed from the point-level report memo (or joined an identical
 	// in-flight evaluation) instead of simulating.
 	Points    int64
 	PointHits int64
-	// SeedHits / SeedMisses are the shared selection memo's traffic: the
-	// selections answered across policy instances and sweep points
-	// without re-running the greedy algorithm, versus computed for real.
-	SeedHits   uint64
-	SeedMisses uint64
+	// SeedHits and SeedMisses are always zero.
+	//
+	// Deprecated: they exist only because perfbench reads them; ROADMAP
+	// item 2's benchmark change deletes them.
+	SeedHits, SeedMisses uint64
 }
 
 // maxPoints bounds the point-report memo. A sweep never comes near it
@@ -71,8 +65,7 @@ type pointEntry struct {
 // callers and must be treated as read-only — the aggregation code in
 // internal/exp already does.
 type Engine struct {
-	w    *workload.Result
-	memo *selector.Memo
+	w *workload.Result
 
 	mu        sync.Mutex
 	maxPoints int
@@ -83,12 +76,12 @@ type Engine struct {
 	hits     atomic.Int64
 }
 
-// New creates an engine over the workload. memoSize bounds the shared
-// selection memo (selector.DefaultMemoSize if <= 0).
-func New(w *workload.Result, memoSize int) *Engine {
+// New creates an engine over the workload. Its second argument is
+// ignored: it remains only because perfbench passes it, and ROADMAP item
+// 2's benchmark change deletes it.
+func New(w *workload.Result, _ int) *Engine {
 	return &Engine{
 		w:         w,
-		memo:      selector.NewMemo(memoSize),
 		maxPoints: maxPoints,
 		points:    make(map[exp.Point]*pointEntry),
 		lru:       list.New(),
@@ -118,12 +111,12 @@ func LazyInput(in exp.FigInput) (out exp.FigInput, engine func() *Engine) {
 		rep, _, err := e.Eval(ctx, pt)
 		return rep, err
 	}
-	in.Workload = func(context.Context) (*workload.Result, *selector.Memo, error) {
+	in.Workload = func(context.Context) (*workload.Result, error) {
 		e, err := get()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return e.w, e.memo, nil
+		return e.w, nil
 	}
 	return in, built.Load
 }
@@ -131,20 +124,15 @@ func LazyInput(in exp.FigInput) (out exp.FigInput, engine func() *Engine) {
 // Workload returns the workload the engine evaluates on.
 func (e *Engine) Workload() *workload.Result { return e.w }
 
-// Memo returns the engine's shared selection memo, for callers that drive
-// additional harness entry points (e.g. the tenant sweep) under the same
-// cross-point reuse via exp.WithSelectionMemo.
-func (e *Engine) Memo() *selector.Memo { return e.memo }
+// Memo returns nil.
+//
+// Deprecated: it exists only because perfbench names it; ROADMAP item 2's
+// benchmark change deletes it.
+func (e *Engine) Memo() *selector.Memo { return nil }
 
-// Stats returns a snapshot of the engine's reuse counters.
+// Stats returns a snapshot of the engine's point-memo counters.
 func (e *Engine) Stats() Stats {
-	ms := e.memo.Stats()
-	return Stats{
-		Points:     e.requests.Load(),
-		PointHits:  e.hits.Load(),
-		SeedHits:   ms.Hits,
-		SeedMisses: ms.Misses,
-	}
+	return Stats{Points: e.requests.Load(), PointHits: e.hits.Load()}
 }
 
 // Evaluator returns the engine's fault-free point evaluator, the drop-in
@@ -227,7 +215,7 @@ func (e *Engine) run(ctx context.Context, ent *pointEntry) {
 		e.mu.Unlock()
 		close(ent.done)
 	}()
-	ent.rep, ent.err = exp.RunPointObserved(exp.WithSelectionMemo(ctx, e.memo), e.w, ent.key, nil)
+	ent.rep, ent.err = exp.RunPointObserved(ctx, e.w, ent.key, nil)
 }
 
 // remember adds a completed entry to the LRU; e.mu must be held.

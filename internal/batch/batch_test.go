@@ -25,9 +25,7 @@ var batchWorkload = workload.MustBuild(workload.Options{
 })
 
 // batchPolicies is every policy the identity guard covers: the Fig. 8
-// competitors plus the RISC reference and the online-optimal selector
-// (which keeps its exact algorithm — the shared memo only attaches to
-// greedy-default systems).
+// competitors plus the RISC reference and the online-optimal selector.
 var batchPolicies = append([]exp.Policy{exp.PolicyRISC, exp.PolicyOptimal}, exp.Fig8Policies...)
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -40,10 +38,9 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestBatchIdenticalEveryPolicy is the batch engine's determinism guard:
-// for every policy, a report served through the engine (point memo +
-// shared selection memo) must be byte-identical (JSON) to a direct
-// evaluation. The engine may only remove host-side work, never change a
-// simulated cycle.
+// for every policy, a report served through the engine's point memo must
+// be byte-identical (JSON) to a direct evaluation. The engine may only
+// remove host-side work, never change a simulated cycle.
 func TestBatchIdenticalEveryPolicy(t *testing.T) {
 	ctx := context.Background()
 	cfg := arch.Config{NPRC: 2, NCG: 2}
@@ -73,7 +70,7 @@ func TestBatchIdenticalEveryPolicy(t *testing.T) {
 
 // TestBatchIdenticalUnderFaults extends the guard to faulted runs: fault
 // events invalidate selections mid-run, and the re-selections must replay
-// identically whether or not they were seeded from the shared memo.
+// identically.
 func TestBatchIdenticalUnderFaults(t *testing.T) {
 	ctx := context.Background()
 	cfg := arch.Config{NPRC: 2, NCG: 2}
@@ -101,9 +98,7 @@ func TestBatchIdenticalUnderFaults(t *testing.T) {
 }
 
 // TestFaultsSweepSeededIdentical runs the whole degradation sweep through
-// the engine and directly, and requires identical results plus real
-// cross-point reuse: rows share their pre-fault selection prefixes, so the
-// shared memo must score hits.
+// the engine and directly, and requires identical results.
 func TestFaultsSweepSeededIdentical(t *testing.T) {
 	ctx := context.Background()
 	cfg := arch.Config{NPRC: 2, NCG: 2}
@@ -121,39 +116,28 @@ func TestFaultsSweepSeededIdentical(t *testing.T) {
 		t.Errorf("seeded faults sweep differs from direct:\n%s\n%s", a, b)
 	}
 
-	st := eng.Stats()
-	if st.Points == 0 {
+	if eng.Stats().Points == 0 {
 		t.Fatal("engine saw no points")
-	}
-	if st.SeedHits == 0 {
-		t.Error("faults sweep scored no seed hits; rows share pre-fault prefixes and should seed each other")
 	}
 }
 
-// TestTenantsSeededIdentical pins the tenant sweep under the shared memo:
-// results with a memo on the context must be byte-identical to results
-// without one, and the K=1 static/migrating pair (identical runs) must
-// guarantee seed hits.
+// TestTenantsSeededIdentical pins that the tenant sweep reproduces: two
+// runs over the same workloads are byte-identical.
 func TestTenantsSeededIdentical(t *testing.T) {
 	base := workload.Options{Frames: 8, Video: video.Options{SceneCuts: []int{4}}}
 	phys := arch.Config{NPRC: 2, NCG: 2}
 	ctx := context.Background()
 
-	eng := New(batchWorkload, 0)
-	seeded, err := exp.Tenants(exp.WithSelectionMemo(ctx, eng.Memo()),
-		exp.DirectWorkloads(), base, phys, 2, "uniform")
+	first, err := exp.Tenants(ctx, exp.DirectWorkloads(), base, phys, 2, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := exp.Tenants(ctx, exp.DirectWorkloads(), base, phys, 2, "uniform")
+	again, err := exp.Tenants(ctx, exp.DirectWorkloads(), base, phys, 2, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := mustJSON(t, seeded), mustJSON(t, direct); !bytes.Equal(a, b) {
-		t.Errorf("seeded tenant sweep differs from direct:\n%s\n%s", a, b)
-	}
-	if hits := eng.Memo().Stats().Hits; hits == 0 {
-		t.Error("tenant sweep scored no seed hits; the static and migrating halves run identical tenants")
+	if a, b := mustJSON(t, first), mustJSON(t, again); !bytes.Equal(a, b) {
+		t.Errorf("repeated tenant sweep differs:\n%s\n%s", a, b)
 	}
 }
 
@@ -324,9 +308,7 @@ func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
 // bounds: both must equal their direct results, and exactly the points
 // that repeat a Fig. 8 point — the RISC reference, the unreserved mRTS
 // row, every recompiled oracle and the overhead point — must replay. The
-// reserved mRTS reports must also be byte-identical to direct runs, and
-// the overhead point's selection counters come from a run seeded by the
-// shared selection memo.
+// reserved mRTS reports must also be byte-identical to direct runs.
 func TestSharedOverheadReuseFig8(t *testing.T) {
 	ctx := context.Background()
 	bounds := arch.Config{NPRC: 2, NCG: 2}
@@ -373,9 +355,6 @@ func TestSharedOverheadReuseFig8(t *testing.T) {
 	}
 	if got := after.PointHits - before.PointHits; got != wantHits {
 		t.Errorf("point hits = %d, want %d (RISC, unreserved mRTS, %d oracles, overhead)", got, wantHits, levels)
-	}
-	if after.SeedHits == 0 {
-		t.Error("no selection was seeded across the sweeps")
 	}
 
 	for _, row := range shared.Rows {
@@ -424,11 +403,11 @@ func TestLazyInputBuildsOnDemand(t *testing.T) {
 	if eng == nil {
 		t.Fatal("fig 8 left no engine")
 	}
-	w, memo, err := in.Workload(ctx)
+	w, err := in.Workload(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w != eng.Workload() || memo != eng.Memo() || eng.Stats().Points == 0 {
+	if w != eng.Workload() || eng.Stats().Points == 0 {
 		t.Errorf("Eval and Workload do not share one engine: %+v", eng.Stats())
 	}
 }

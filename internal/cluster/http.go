@@ -111,6 +111,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /cluster/v1/jobs/{id}", n.srv.HandleGet)
 	mux.HandleFunc("POST /cluster/v1/jobs/{id}/cancel", n.srv.HandleCancel)
 	mux.HandleFunc("GET /cluster/v1/pending/{id}", n.handlePending)
+	mux.HandleFunc("GET /cluster/v1/holds/{id}", n.handleHolds)
 
 	mux.Handle("/", base)
 	return mux
@@ -312,6 +313,26 @@ func (n *Node) handleStealAck(w http.ResponseWriter, r *http.Request) {
 		// Expired, unknown, or fence-rejected: the grant this ack names
 		// is not outstanding; whatever copy exists here settles itself.
 		service.WriteError(w, http.StatusConflict, "steal of %q expired or fenced off", req.ID)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleHolds is the steal-side lookup a victim's thiefHolds reads: 204
+// when this node holds the job and has not granted it away, 404
+// otherwise. GET /cluster/v1/jobs/{id} keeps answering for a granted
+// copy, so a client lookup never misses a job mid-handoff. The grant is
+// read before the job table, and a settlement withdraws its grant only
+// after its Forget has run, so a settlement racing this lookup cannot
+// make a forgotten job look held.
+func (n *Node) handleHolds(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if n.grantedAway(id) {
+		w.WriteHeader(http.StatusNotFound)
+		return
+	}
+	if _, ok := n.srv.Job(id); !ok {
+		w.WriteHeader(http.StatusNotFound)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -477,6 +478,125 @@ func TestStealFenceRejectsStaleDuplicateAck(t *testing.T) {
 	if tc.localHas("a", g2.ID) {
 		t.Error("acked steal left the job on the victim")
 	}
+}
+
+// holdAcks is a thief's transport that holds its first steal ack until
+// release is closed, signalling held once the ack is on its way.
+type holdAcks struct {
+	base          http.RoundTripper
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (h *holdAcks) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/cluster/v1/steal-ack" {
+		h.once.Do(func() {
+			close(h.held)
+			<-h.release
+		})
+	}
+	return h.base.RoundTrip(req)
+}
+
+// TestStealBackBeforeAckLosesNothing replays the steal-back window: a
+// grants queued job J to b, b admits J and acks, and before a handles
+// that ack a — whose queue is now empty — steals J back from b. A
+// steal-back that dedupes onto a's taken copy and acks b makes b forget
+// J; the late ack then makes a forget it too, leaving J on no node. The
+// ack is held by b's transport, not by timing.
+func TestStealBackBeforeAckLosesNothing(t *testing.T) {
+	release := make(chan struct{})
+	var unpin sync.Once
+	unpinAll := func() { unpin.Do(func() { close(release) }) }
+	defer unpinAll()
+	blockingExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+		select {
+		case <-release:
+			return fakeExec(ctx, spec)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	hold := &holdAcks{base: http.DefaultTransport, held: make(chan struct{}), release: make(chan struct{})}
+	var deliver sync.Once
+	deliverAck := func() { deliver.Do(func() { close(hold.release) }) }
+	defer deliverAck()
+	tc := startCluster(t, []string{"a", "b"},
+		func(string) service.Options { return service.Options{Workers: 1, ExecOverride: blockingExec} },
+		func(id string, c *Config) {
+			if id == "a" {
+				// a's grant to b must stay outstanding until the held
+				// ack lands; b's grant back to a settles on b's timer.
+				c.StealAckTimeout = time.Minute
+				return
+			}
+			c.StealAckTimeout = 100 * time.Millisecond
+			c.HTTPClient = &http.Client{Timeout: 2 * time.Second, Transport: hold}
+		})
+
+	// Each node's only worker is pinned by a job of its own, so a stolen
+	// job waits in the thief's queue. J waits in a's queue.
+	ctx := context.Background()
+	submit := func(node string, seed uint64) string {
+		id, err := client.New(tc.urls[node]).Submit(ctx, specOwnedBy(t, tc.nodes[node], node, seed))
+		if err != nil {
+			t.Fatalf("submit to %s: %v", node, err)
+		}
+		return id
+	}
+	running := func(node, id string) {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if st, _, _ := tc.getJob(tc.urls[node], id); st != nil && st.State == api.StateRunning {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never started on %s", id, node)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	running("a", submit("a", 1))
+	running("b", submit("b", 5001))
+	j := submit("a", 10001)
+
+	// b steals J and admits it; its ack to a is held in flight.
+	stolen := make(chan struct{})
+	go func() {
+		defer close(stolen)
+		tc.nodes["b"].stealOnce("a")
+	}()
+	<-hold.held
+	if !tc.localHas("b", j) {
+		t.Fatalf("b acked the steal of %s without holding it", j)
+	}
+
+	// a steals J back, then b's grant to a settles: acked by the
+	// steal-back, or left to b's timer.
+	tc.nodes["a"].stealOnce("b")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b := tc.nodes["b"]
+		b.mu.Lock()
+		pending := len(b.pendingSteals)
+		b.mu.Unlock()
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("b's grant to a never settled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The held ack lands on a.
+	deliverAck()
+	<-stolen
+	if !tc.localHas("a", j) && !tc.localHas("b", j) {
+		t.Fatalf("job %s is on no node after the steal-back", j)
+	}
+	unpinAll()
+	tc.waitDone(tc.urls["a"], j, 10*time.Second)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"net/http"
 	"time"
 
 	"mrts/internal/service"
-	"mrts/internal/service/api"
 	"mrts/internal/service/journal"
 )
 
@@ -29,13 +29,13 @@ import (
 // If the ack never arrives, the ack timer fires and the victim settles
 // the grant itself: it first asks the thief whether it holds the job
 // durably (the ack was lost in flight, not the handoff) and Forgets it
-// if so; only a thief that never admitted the job gets it requeued
-// locally. The worst case in every failure interleaving is a duplicate
-// execution — byte-identical, because jobs are deterministic — never a
-// lost job. Without fencing there was a genuine loss window: after
-// expiry + requeue + re-grant to a second thief, a duplicated delivery
-// of the FIRST thief's ack could Forget the job while the second thief
-// had not admitted it yet.
+// if so; only a thief that never admitted the job, or has granted it
+// away again, gets it requeued locally. The worst case in every failure
+// interleaving is a duplicate execution — byte-identical, because jobs
+// are deterministic — never a lost job. Without fencing there was a
+// genuine loss window: after expiry + requeue + re-grant to a second
+// thief, a duplicated delivery of the FIRST thief's ack could Forget the
+// job while the second thief had not admitted it yet.
 
 // stealGrant is one victim-side outstanding handoff.
 type stealGrant struct {
@@ -68,13 +68,11 @@ func (n *Node) grantSteal(thief string) (*service.Job, uint64) {
 // thief that admitted the job just lost the ack, and the right
 // settlement is the same Forget the ack would have done. Only an
 // unreachable thief or one that never admitted gets the job requeued
-// (duplicate-run window, documented above).
+// (duplicate-run window, documented above). The grant stays outstanding
+// until the settlement has run (see withdraw).
 func (n *Node) expireSteal(g *stealGrant) {
 	n.mu.Lock()
 	cur, pending := n.pendingSteals[g.job.ID]
-	if pending && cur == g {
-		delete(n.pendingSteals, g.job.ID)
-	}
 	n.mu.Unlock()
 	if !pending || cur != g {
 		return // acked (or superseded) between the timer firing and now
@@ -83,20 +81,51 @@ func (n *Node) expireSteal(g *stealGrant) {
 	if g.thief != "" && n.thiefHolds(g.thief, g.job.ID) {
 		n.lateSettles.Inc()
 		n.srv.Forget(g.job.ID)
-		return
+	} else {
+		n.srv.Requeue(g.job)
 	}
-	n.srv.Requeue(g.job)
+	n.withdraw(g)
 }
 
-// thiefHolds asks the thief's strictly-local job endpoint whether it
-// admitted the job.
+// withdraw removes a settled grant from pendingSteals, reporting whether
+// it was still outstanding. Both settlements (ackSteal, expireSteal) run
+// Forget or Requeue first and withdraw second, so while a job's fate
+// here is undecided its grant is visible to grantedAway.
+func (n *Node) withdraw(g *stealGrant) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.pendingSteals[g.job.ID] != g {
+		return false
+	}
+	delete(n.pendingSteals, g.job.ID)
+	return true
+}
+
+// grantedAway reports whether this node granted id to a thief and has
+// not settled that grant. The copy of such a job here is the taken one,
+// which the settlement may yet Forget, so this node neither admits a
+// steal of the job back (stealOnce) nor tells a victim that it holds the
+// job (handleHolds). See DESIGN.md §11.4.
+func (n *Node) grantedAway(id string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	_, ok := n.pendingSteals[id]
+	return ok
+}
+
+// thiefHolds asks the thief's steal-side lookup (handleHolds) whether it
+// holds the job.
 func (n *Node) thiefHolds(thief, id string) bool {
 	addr, ok := n.addrs[thief]
 	if !ok {
 		return false
 	}
-	var st api.JobStatus
-	return n.getJSON(addr+"/cluster/v1/jobs/"+id, &st) == nil && st.ID == id
+	resp, err := n.cfg.HTTPClient.Get(addr + "/cluster/v1/holds/" + id)
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusNoContent
 }
 
 // ackSteal settles a granted handoff: the thief holds the job durably,
@@ -107,19 +136,20 @@ func (n *Node) thiefHolds(thief, id string) bool {
 func (n *Node) ackSteal(id string, fence uint64) bool {
 	n.mu.Lock()
 	g, ok := n.pendingSteals[id]
-	if ok && g.fence != fence {
-		n.mu.Unlock()
-		n.fenceRejections.Inc()
-		return false
-	}
-	delete(n.pendingSteals, id)
 	n.mu.Unlock()
 	if !ok {
 		return false
 	}
+	if g.fence != fence {
+		n.fenceRejections.Inc()
+		return false
+	}
 	g.timer.Stop()
-	n.stealsAcked.Inc()
-	return n.srv.Forget(id)
+	forgot := n.srv.Forget(id)
+	if n.withdraw(g) {
+		n.stealsAcked.Inc()
+	}
+	return forgot
 }
 
 // stealLoop runs on every node: when the local queue is empty, find the
@@ -172,6 +202,15 @@ func (n *Node) stealOnce(victim string) {
 	err := n.postJSON(addr+"/cluster/v1/steal", stealRequest{Thief: n.cfg.Self}, &grant)
 	if err != nil || grant.ID == "" {
 		return // empty queue (204) or transport failure
+	}
+	if n.grantedAway(grant.ID) {
+		// This node granted the job away and the grant is unsettled: its
+		// copy here is the taken one, and deduping the admission onto it
+		// would ack the victim into forgetting the live copy while the
+		// grant may still Forget this one. Leave the grant to the
+		// victim's timer; handleHolds answers "not held" until it
+		// settles.
+		return
 	}
 	// admitOwned replicates to our follower, then journals the job
 	// durably here under the victim's ID.

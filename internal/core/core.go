@@ -91,17 +91,14 @@ type Stats struct {
 	// OverheadTotal is the full selection cost including the part hidden
 	// behind reconfigurations.
 	OverheadTotal arch.Cycles
-	// CacheHits and CacheMisses are always zero; they remain only because
-	// perfbench reads them.
-	CacheHits, CacheMisses int64
+	// CacheHits, CacheMisses, SharedHits and SharedMisses are always zero.
+	//
+	// Deprecated: they exist only because perfbench reads them; ROADMAP
+	// item 2's benchmark change deletes them.
+	CacheHits, CacheMisses, SharedHits, SharedMisses int64
 	// CoveredPicks counts ISEs selected directly by Fig. 6 Step 2b (fully
 	// covered by previously selected data paths, no profit evaluation).
 	CoveredPicks int64
-	// SharedHits / SharedMisses count selections answered by (resp.
-	// computed through) the cross-point memo a batch sweep attached via
-	// SetSharedMemo.
-	SharedHits   int64
-	SharedMisses int64
 
 	// FaultEvents counts fabric fault notifications delivered to the
 	// runtime system.
@@ -165,14 +162,6 @@ type MRTS struct {
 	choices   []selector.Choice
 	ises      []*ise.ISE
 
-	// sharedMemo, when non-nil, answers selections from a cross-point
-	// memo shared with other policy instances and sweep points over the
-	// same workload (see selector.Memo). Only honoured when the policy
-	// runs the default greedy selector (greedyDefault): the memo replays
-	// greedy Results and must not stand in for a custom or optimal Select.
-	sharedMemo    *selector.Memo
-	greedyDefault bool
-
 	// obsr records MPU, selector, ECU and core decision events when
 	// tracing is on; nil otherwise. The recorder never feeds back into the
 	// simulation, so traced runs are byte-identical to untraced ones.
@@ -213,44 +202,18 @@ func New(cfg arch.Config, opts Options) (*MRTS, error) {
 	if err != nil {
 		return nil, err
 	}
-	greedyDefault := opts.Select == nil
-	if greedyDefault {
-		opts.Select = selector.Greedy
-	}
 	name := opts.Name
 	if name == "" {
 		name = "mRTS"
 	}
 	m := &MRTS{
-		name:          name,
-		ctrl:          ctrl,
-		pred:          mpu.New(opts.MPU...),
-		opts:          opts,
-		greedyDefault: greedyDefault,
+		name: name,
+		ctrl: ctrl,
+		pred: mpu.New(opts.MPU...),
+		opts: opts,
 	}
 	m.exec = ecu.New(ctrl, opts.ECU)
 	return m, nil
-}
-
-// SetSharedMemo attaches (or, with nil, detaches) a cross-point selection
-// memo that answers every selection of the run. The memo's keys
-// fingerprint the selector's entire input surface (selector.Fingerprint),
-// so a hit replays exactly the Result selector.Greedy would compute and
-// the simulated timeline — including the modelled selection overhead — is
-// byte-identical with the memo attached or not. The batch sweep engine
-// (internal/batch) shares one memo across all policy instances and sweep
-// points of a workload, so a selection computed at one resource point
-// seeds its lattice neighbours. The call is a no-op for policies with a
-// custom Select (the memo replays greedy results only; in particular,
-// Optimal's branch-and-bound node count would not be reproduced). It
-// reports whether the memo was attached. The memo survives Reset: its
-// entries key on immutable workload objects, not run state.
-func (m *MRTS) SetSharedMemo(memo *selector.Memo) bool {
-	if !m.greedyDefault {
-		return false
-	}
-	m.sharedMemo = memo
-	return memo != nil
 }
 
 // SetObserver installs (or, with nil, removes) the decision-trace
@@ -359,26 +322,17 @@ func (m *MRTS) selectAndCommit(block *ise.FunctionalBlock, phase string, trigger
 		Model:    m.opts.Model,
 	}
 	var (
-		res    selector.Result
-		shared bool
-		err    error
+		res selector.Result
+		err error
 	)
-	switch {
-	case m.sharedMemo != nil:
-		res, shared, err = m.sharedMemo.GreedyWithHit(req)
-	case m.greedyDefault:
+	if m.opts.Select == nil {
 		res, err = selector.GreedyInto(m.choices, req)
 		m.choices = res.Selected
-	default:
+	} else {
 		res, err = m.opts.Select(req)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("core: selection for block %q: %w", block.ID, err)
-	}
-	if shared {
-		m.stats.SharedHits++
-	} else if m.sharedMemo != nil {
-		m.stats.SharedMisses++
 	}
 	m.stats.CoveredPicks += int64(res.CoveredPicks)
 	if m.obsr != nil {

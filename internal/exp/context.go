@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 
-	"mrts/internal/core"
 	"mrts/internal/selector"
 )
 
@@ -35,42 +34,12 @@ func workersFromContext(ctx context.Context) int {
 	return 0
 }
 
-// memoKey carries a shared selection memo through a context.
-type memoKey struct{}
-
-// WithSelectionMemo returns a context under which every greedy-selector
-// policy built by the figure harnesses (RunPointObserved, the tenant
-// sweep's per-tenant instances) gets memo attached via
-// (*core.MRTS).SetSharedMemo. One memo may serve many workloads, policies
-// and sweep points concurrently: its keys fingerprint the selector's
-// entire input surface including block object identity, so entries never
-// collide across workloads, and a hit replays exactly the Result the
-// selector would compute — simulated timelines stay byte-identical with
-// or without the memo. This is the cross-point reuse layer of the batch
-// sweep engine (internal/batch).
-func WithSelectionMemo(ctx context.Context, memo *selector.Memo) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, memoKey{}, memo)
-}
-
-// attachMemo hands the context's shared selection memo (if any) to the
-// runtime system (if it accepts one). Policies with a custom selection
-// algorithm — the online-optimal yardstick — refuse it themselves.
-func attachMemo(ctx context.Context, rts core.RuntimeSystem) {
-	if ctx == nil {
-		return
-	}
-	memo, ok := ctx.Value(memoKey{}).(*selector.Memo)
-	if !ok || memo == nil {
-		return
-	}
-	if m, ok := rts.(interface {
-		SetSharedMemo(*selector.Memo) bool
-	}); ok {
-		m.SetSharedMemo(memo)
-	}
+// WithSelectionMemo returns ctx unchanged.
+//
+// Deprecated: it exists only because perfbench names it; ROADMAP item 2's
+// benchmark change deletes it.
+func WithSelectionMemo(ctx context.Context, _ *selector.Memo) context.Context {
+	return ctx
 }
 
 // defaultWorkers resolves the effective ParMap worker count for n items:

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"mrts/internal/arch"
-	"mrts/internal/selector"
 	"mrts/internal/workload"
 )
 
@@ -49,11 +48,10 @@ type FigInput struct {
 	// fabric-combination sweeps call it with plain (fault-free,
 	// unreserved) points.
 	Eval PointEvaluator
-	// Workload returns Base built, plus the selection memo (nil for none)
-	// the harnesses that build their own policies run under. Only the
-	// figures that need the built workload call it, so a Fig. 1, phase or
-	// calibration run never builds it.
-	Workload func(ctx context.Context) (*workload.Result, *selector.Memo, error)
+	// Workload returns Base built. Only the figures that need the built
+	// workload call it, so a Fig. 1, phase or calibration run never
+	// builds it.
+	Workload func(ctx context.Context) (*workload.Result, error)
 	// Workloads builds the tenant sweep's and the phase sweep's workloads.
 	Workloads WorkloadProvider
 }
@@ -108,7 +106,7 @@ func RenderFig(ctx context.Context, out io.Writer, name string, in FigInput) err
 		r = Fig1(6000, 200)
 	case "2":
 		var w *workload.Result
-		if w, _, err = in.Workload(ctx); err == nil {
+		if w, err = in.Workload(ctx); err == nil {
 			r = Fig2(w)
 		}
 	case "calibration":
@@ -133,19 +131,14 @@ func RenderFig(ctx context.Context, out io.Writer, name string, in FigInput) err
 		r, err = result(SharedEval(ctx, in.Eval, arch.Config{NPRC: maxPRC, NCG: maxCG}))
 	case "overhead":
 		var w *workload.Result
-		if w, _, err = in.Workload(ctx); err == nil {
+		if w, err = in.Workload(ctx); err == nil {
 			r, err = result(OverheadEval(ctx, in.Eval, w.App, arch.Config{NPRC: 2, NCG: 2}))
 		}
 	case "faults":
 		r, err = result(Faults(ctx, in.Eval, FaultsConfig, cmp.Or(in.FaultSeed, 1)))
 	case "tenants":
-		// Tenant 0 runs Base, so resolving it here builds nothing extra;
-		// it puts Base's selection memo under the tenant systems.
-		var memo *selector.Memo
-		if _, memo, err = in.Workload(ctx); err == nil {
-			r, err = result(Tenants(WithSelectionMemo(ctx, memo), in.Workloads, in.Base, arch.Config{NPRC: maxPRC, NCG: maxCG},
-				cmp.Or(in.Tenants, MaxTenants), cmp.Or(in.Mix, "uniform")))
-		}
+		r, err = result(Tenants(ctx, in.Workloads, in.Base, arch.Config{NPRC: maxPRC, NCG: maxCG},
+			cmp.Or(in.Tenants, MaxTenants), cmp.Or(in.Mix, "uniform")))
 	case "phase":
 		r, err = result(Phase(ctx, in.Workloads, arch.Config{NPRC: min(maxPRC, 2), NCG: min(maxCG, 2)},
 			cmp.Or(in.Base.Seed, 1)))

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"mrts/internal/selector"
 	"mrts/internal/video"
 	"mrts/internal/workload"
 )
@@ -39,7 +38,7 @@ func TestFigGoldens(t *testing.T) {
 	}
 	in := goldenInput
 	in.Eval = DirectPointEvaluator(w)
-	in.Workload = func(context.Context) (*workload.Result, *selector.Memo, error) { return w, nil, nil }
+	in.Workload = func(context.Context) (*workload.Result, error) { return w, nil }
 	in.Workloads = DirectWorkloads()
 	for _, name := range FigNames {
 		var buf bytes.Buffer
@@ -93,7 +92,7 @@ func TestCaseStudyGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := FigInput{Workload: func(context.Context) (*workload.Result, *selector.Memo, error) { return w, nil, nil }}
+	in := FigInput{Workload: func(context.Context) (*workload.Result, error) { return w, nil }}
 	var buf bytes.Buffer
 	if err := RenderFig(context.Background(), &buf, "2", in); err != nil {
 		t.Fatal(err)

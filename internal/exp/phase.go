@@ -136,7 +136,6 @@ func RunPointPredictor(ctx context.Context, w *workload.Result, cfg arch.Config,
 	if err != nil {
 		return nil, err
 	}
-	attachMemo(ctx, rts)
 	return sim.RunOpts(w.App, w.Trace, rts, sim.Options{Observer: rec})
 }
 

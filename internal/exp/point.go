@@ -92,11 +92,8 @@ func RunPointFaults(ctx context.Context, w *workload.Result, cfg arch.Config, p 
 // the CLIs' -trace flags and the service's trace-capturing jobs. A nil
 // recorder degrades to the plain path; either way the report is
 // byte-identical to an unobserved run — the recorder is strictly a tap.
-// The context's selection memo, if any, is attached too: a memo hit
-// replays the identical selection and its claim events, so neither the
-// report nor the trace can tell. The context is checked before the
-// (non-interruptible) simulation starts, so cancelled sweeps stop at
-// point granularity.
+// The context is checked before the (non-interruptible) simulation
+// starts, so cancelled sweeps stop at point granularity.
 func RunPointObserved(ctx context.Context, w *workload.Result, pt Point, rec *obs.Recorder) (*sim.Report, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -107,7 +104,6 @@ func RunPointObserved(ctx context.Context, w *workload.Result, pt Point, rec *ob
 	if err != nil {
 		return nil, err
 	}
-	attachMemo(ctx, rts)
 	opts := sim.Options{ReservePRC: pt.Reserve.NPRC, ReserveCG: pt.Reserve.NCG, Observer: rec}
 	if !pt.Faults.IsZero() {
 		if opts.Faults, err = fault.NewSchedule(pt.Seed, pt.Faults); err != nil {

@@ -152,14 +152,7 @@ func Tenants(ctx context.Context, wp WorkloadProvider, base workload.Options, ph
 				Trace:  w.Trace,
 				Weight: ins[i].weight,
 				Build: func(cfg arch.Config) (core.RuntimeSystem, error) {
-					rts, err := NewPolicy(PolicyMRTS, cfg, w.App, w.Trace)
-					if err == nil {
-						// Tenant instances share the sweep's cross-point
-						// memo too: entries key on block object identity,
-						// so distinct tenant workloads never collide.
-						attachMemo(ctx, rts)
-					}
-					return rts, err
+					return NewPolicy(PolicyMRTS, cfg, w.App, w.Trace)
 				},
 			}
 		}

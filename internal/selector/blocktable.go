@@ -15,8 +15,6 @@ type blockTable struct {
 	// paths[k][j] lists the path numbers of the data paths of
 	// Kernels[k].ISEs[j], in the ISE's order.
 	paths [][][]int
-	// demandPRC and demandCG are the block's DemandBound.
-	demandPRC, demandCG int
 }
 
 // tables caches each block's table. Blocks are immutable once built and
@@ -32,10 +30,8 @@ func tableOf(b *ise.FunctionalBlock) *blockTable {
 	number := map[ise.DataPathID]int{}
 	for ki, k := range b.Kernels {
 		t.paths[ki] = make([][]int, len(k.ISEs))
-		maxPRC, maxCG := 0, 0
 		for j, e := range k.ISEs {
 			ns := make([]int, len(e.DataPaths))
-			p, c := 0, 0
 			for i, d := range e.DataPaths {
 				n, ok := number[d.ID]
 				if !ok {
@@ -44,14 +40,9 @@ func tableOf(b *ise.FunctionalBlock) *blockTable {
 					t.ids = append(t.ids, d.ID)
 				}
 				ns[i] = n
-				p += d.PRCs
-				c += d.CGs
 			}
 			t.paths[ki][j] = ns
-			maxPRC, maxCG = max(maxPRC, p), max(maxCG, c)
 		}
-		t.demandPRC += maxPRC
-		t.demandCG += maxCG
 	}
 	v, _ := tables.LoadOrStore(b, t)
 	return v.(*blockTable)

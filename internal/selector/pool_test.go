@@ -29,20 +29,18 @@ func poolRequests() (a, b Request) {
 	return a, b
 }
 
-// TestPooledScratchReuse runs Optimal and the memoized Greedy on requests
-// A, B, A: the second answer for A must equal the first in every field,
-// Rounds and Evaluations included, so no pooled buffer (Optimal's groups,
-// options, bounds, claimed list and choices; the memo's fingerprint
-// buffer) leaks state from one call into the next.
+// TestPooledScratchReuse runs Optimal and Greedy on requests A, B, A: the
+// second answer for A must equal the first in every field, Rounds and
+// Evaluations included, so no pooled buffer (Optimal's groups, options,
+// bounds, claimed list and choices) leaks state from one call into the
+// next.
 func TestPooledScratchReuse(t *testing.T) {
 	a, b := poolRequests()
-	m := NewMemo(0)
 	for _, tc := range []struct {
 		name string
 		run  func(Request) (Result, error)
 	}{
 		{"Optimal", Optimal},
-		{"Memo.Greedy", m.Greedy},
 		{"Greedy", Greedy},
 	} {
 		first, err := tc.run(a)
@@ -67,16 +65,6 @@ func TestPooledScratchReuse(t *testing.T) {
 			t.Errorf("%s: A after B = %+v, want %+v", tc.name, again, first)
 		}
 	}
-	if st := m.Stats(); st.Hits != 1 || st.Misses != 2 {
-		t.Errorf("memo traffic %+v, want 1 hit (the second A) and 2 misses", st)
-	}
-	greedy, err := Greedy(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memo, _ := m.Greedy(a); !reflect.DeepEqual(memo, greedy) {
-		t.Errorf("memo hit for A = %+v, Greedy = %+v", memo, greedy)
-	}
 }
 
 // TestOptimalSelectedNilWhenEmpty pins that Optimal still returns a nil
@@ -97,21 +85,13 @@ func TestOptimalSelectedNilWhenEmpty(t *testing.T) {
 	}
 }
 
-// TestSelectionAllocs pins the allocation cost of warm selections: a memo
-// hit allocates nothing, and a warm Optimal allocates only the copy of its
-// Selected choices.
+// TestSelectionAllocs pins the allocation cost of a warm Optimal: only the
+// copy of its Selected choices.
 func TestSelectionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
 	}
 	a, _ := poolRequests()
-	m := NewMemo(0)
-	if _, err := m.Greedy(a); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() { m.Greedy(a) }); n != 0 {
-		t.Errorf("memo hit allocates %v per run, want 0", n)
-	}
 	if _, err := Optimal(a); err != nil {
 		t.Fatal(err)
 	}

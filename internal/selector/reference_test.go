@@ -1,9 +1,7 @@
 package selector
 
 import (
-	"reflect"
 	"slices"
-	"strconv"
 	"sync"
 
 	"mrts/internal/arch"
@@ -11,8 +9,8 @@ import (
 	"mrts/internal/profit"
 )
 
-// This file keeps the string-keyed selection state, Optimal and memo
-// fingerprint that preceded block-numbered data paths, unchanged but for
+// This file keeps the string-keyed selection state and Optimal that
+// preceded block-numbered data paths, unchanged but for
 // their names and the profit call, as the reference the block-table
 // oracle (TestBlockTableMatchesReference) and the brute-force and
 // non-incremental greedy checks compare against.
@@ -447,68 +445,4 @@ func refComputeDataPathOwners(q Request) map[ise.DataPathID]int {
 		out[id] = len(m)
 	}
 	return out
-}
-
-// refAppendFingerprint appends a canonical encoding of the request's entire
-// selection-relevant input surface to dst and returns the extended buffer:
-// the block's identity (object identity, not just ID — two workloads may
-// reuse block names), the profit model, the demand-clamped free capacity,
-// both configuration-port backlogs, the triggers in order, and the
-// configured-bit of every refCand data path (the only configured refState
-// the greedy selection and the profit function can observe), enumerated in
-// the deterministic refCand order. Requests with equal fingerprints are
-// indistinguishable to Greedy, so a memoized Result replays exactly.
-func refAppendFingerprint(dst []byte, q Request) []byte {
-	dst = strconv.AppendUint(dst, uint64(reflect.ValueOf(q.Block).Pointer()), 16)
-	dst = append(dst, '|')
-	dst = append(dst, q.Block.ID...)
-	dst = append(dst, '|')
-	dst = strconv.AppendInt(dst, int64(q.Model), 10)
-	dst = append(dst, '|')
-	dPRC, dCG := DemandBound(q.Block)
-	dst = strconv.AppendInt(dst, int64(min(q.Fabric.FreePRC(), dPRC)), 10)
-	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(min(q.Fabric.FreeCG(), dCG)), 10)
-	dst = append(dst, '|')
-	if pv, ok := q.Fabric.(ise.PortView); ok {
-		dst = strconv.AppendInt(dst, int64(pv.PortBacklog(arch.FG)), 10)
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(pv.PortBacklog(arch.CG)), 10)
-	}
-	for _, t := range q.Triggers {
-		dst = append(dst, '|')
-		dst = append(dst, string(t.Kernel)...)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, t.E, 10)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(t.TF), 10)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(t.TB), 10)
-	}
-	// Configured-bits of the refCand data paths, in the deterministic
-	// enumeration order of refGatherCandidates. The IDs themselves are fully
-	// determined by block identity and trigger order (both encoded above),
-	// so positional bits suffice.
-	dst = append(dst, '|')
-	for _, t := range q.Triggers {
-		k := q.Block.Kernel(t.Kernel)
-		if k == nil {
-			continue
-		}
-		for _, e := range k.ISEs {
-			for _, d := range e.DataPaths {
-				if q.Fabric.IsConfigured(d.ID) {
-					dst = append(dst, '1')
-				} else {
-					dst = append(dst, '0')
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// refFingerprint is refAppendFingerprint into a fresh string.
-func refFingerprint(q Request) string {
-	return string(refAppendFingerprint(nil, q))
 }

@@ -11,7 +11,6 @@ import (
 	"mrts/internal/exp"
 	"mrts/internal/fault"
 	"mrts/internal/obs"
-	"mrts/internal/selector"
 	"mrts/internal/service/api"
 	"mrts/internal/sim"
 	"mrts/internal/workload"
@@ -67,7 +66,6 @@ func (j *jobEval) eval(ctx context.Context, pt exp.Point) (*sim.Report, bool, er
 		j.stats.Misses.Add(1)
 		s.cacheMisses.Inc()
 		s.pointSeconds.Observe(time.Since(start).Seconds())
-		ent.flushSeedHits(s.batchSeedHits)
 	}
 	return rep, hit, nil
 }
@@ -81,8 +79,8 @@ func (j *jobEval) pointEval(ctx context.Context, pt exp.Point) (*sim.Report, err
 
 // Evaluator returns the service's job-execution path, restricted to plain
 // points, over the workload's batch.Engine, fetched from the workload
-// cache on the first call. The engine's report memo and selection memo
-// are shared by every job on the workload (see §12.3 of DESIGN.md).
+// cache on the first call. The engine's report memo is shared by every
+// job on the workload (see §12.1 of DESIGN.md).
 func (s *Server) Evaluator(opts workload.Options) (exp.Evaluator, *EvalStats) {
 	j := &jobEval{s: s, opts: opts.Canonical()}
 	return exp.PointEvaluator(j.pointEval).Plain(), &j.stats
@@ -123,9 +121,6 @@ func (s *Server) execute(ctx context.Context, spec api.JobSpec) (*api.JobResult,
 	}
 	if spec.Type == api.JobFig || spec.Type == api.JobSweep {
 		s.batchSeconds.Observe(time.Since(start).Seconds())
-	}
-	if ent := j.ent.Load(); ent != nil {
-		ent.flushSeedHits(s.batchSeedHits)
 	}
 	res.CacheHits = j.stats.Hits.Load()
 	res.CacheMisses = j.stats.Misses.Load()
@@ -203,14 +198,12 @@ func (s *Server) execFig(ctx context.Context, spec api.JobSpec, opts workload.Op
 		Tenants: spec.Tenants,
 		Mix:     spec.Mix,
 		Eval:    j.pointEval,
-		// The job's own workload-cache entry: its engine's selection memo
-		// reaches the harnesses that run outside the evaluator.
-		Workload: func(ctx context.Context) (*workload.Result, *selector.Memo, error) {
+		Workload: func(ctx context.Context) (*workload.Result, error) {
 			ent, err := j.entry(ctx)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			return ent.eng.Workload(), ent.eng.Memo(), nil
+			return ent.eng.Workload(), nil
 		},
 		// The tenant and phase sweeps' workloads come from the
 		// singleflight workload cache, deduped across jobs.

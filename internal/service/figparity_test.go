@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mrts/internal/exp"
-	"mrts/internal/selector"
 	"mrts/internal/service/api"
 	"mrts/internal/workload"
 )
@@ -28,8 +27,8 @@ func directFig(t *testing.T, spec api.JobSpec) string {
 		Tenants: spec.Tenants,
 		Mix:     spec.Mix,
 		Eval:    exp.DirectPointEvaluator(w),
-		Workload: func(context.Context) (*workload.Result, *selector.Memo, error) {
-			return w, nil, nil
+		Workload: func(context.Context) (*workload.Result, error) {
+			return w, nil
 		},
 		Workloads: exp.DirectWorkloads(),
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mrts/internal/selector"
 	"mrts/internal/service/api"
 	"mrts/internal/service/client"
 )
@@ -47,58 +46,6 @@ func TestSparseAndExplicitWorkloadShareMemo(t *testing.T) {
 	spec.Workload = explicit
 	if res := runDone(t, c, spec); res != nil && res.CacheMisses != 0 {
 		t.Errorf("explicit-defaults job missed the sparse job's memo %d times", res.CacheMisses)
-	}
-}
-
-// TestSelectionMemoSharedAcrossJobs: every job on a workload shares its
-// engine's selection memo. Two fabrics that both hold every block's demand
-// bound at once never run short of free capacity, so they see identical
-// selector inputs: the second job's selections are all seed hits on the
-// memo the first job filled — and the
-// seed-hit counter, flushed from many concurrent jobs, counts each memo
-// hit exactly once.
-func TestSelectionMemoSharedAcrossJobs(t *testing.T) {
-	s, c := newTestServer(t, Options{Workers: 4})
-	ctx := context.Background()
-	ent, err := s.workloads.Get(ctx, testWorkload.Options().Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prc, cg int
-	for _, b := range ent.eng.Workload().App.Blocks {
-		p, g := selector.DemandBound(b)
-		prc, cg = prc+p, cg+g
-	}
-	memo := ent.eng.Memo()
-
-	spec := api.JobSpec{Type: api.JobSim, Workload: testWorkload, PRC: prc, CG: cg, Policy: "mrts"}
-	if runDone(t, c, spec) == nil {
-		t.FailNow()
-	}
-	before := memo.Stats()
-	spec.PRC, spec.CG = prc+1, cg+1
-	if runDone(t, c, spec) == nil {
-		t.FailNow()
-	}
-	after := memo.Stats()
-	if after.Misses != before.Misses || after.Hits == before.Hits {
-		t.Errorf("second fabric above the demand bound selected anew: memo %+v -> %+v", before, after)
-	}
-
-	var wg sync.WaitGroup
-	for i := range 6 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := spec
-			sp.PRC, sp.CG = 1+i%3, 1+i/3
-			sp.Policy = []string{"mrts", "rispp"}[i%2]
-			runDone(t, c, sp)
-		}()
-	}
-	wg.Wait()
-	if got, want := s.batchSeedHits.Value(), int64(memo.Stats().Hits); got != want {
-		t.Errorf("mrts_batch_seed_hits_total = %d, want the memo's %d hits", got, want)
 	}
 }
 

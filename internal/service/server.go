@@ -3,7 +3,7 @@
 // executes them on a bounded worker pool with per-job cancellation and
 // timeouts, and amortises repeated work across requests with a
 // singleflight workload cache whose entries are batch engines — one report
-// memo and one selection memo per workload. It is the long-lived
+// memo per workload. It is the long-lived
 // counterpart of the one-shot CLIs: the same experiment pipeline
 // (internal/exp) runs underneath, but sweeps over many (fabric x policy x
 // workload) points share traces and previously simulated points instead of
@@ -196,7 +196,7 @@ type Server struct {
 	jobSeconds, queueWaitSeconds, e2eSeconds           *Histogram
 	cacheHits, cacheMisses                             *Counter
 	pointSeconds                                       *Histogram
-	batchPoints, batchSeedHits                         *Counter
+	batchPoints                                        *Counter
 	batchSeconds                                       *Histogram
 }
 
@@ -237,7 +237,6 @@ func New(opts Options) *Server {
 	s.cacheMisses = m.Counter("mrts_result_cache_misses_total")
 	s.pointSeconds = m.Histogram("mrts_point_eval_seconds")
 	s.batchPoints = m.Counter("mrts_batch_points_total")
-	s.batchSeedHits = m.Counter("mrts_batch_seed_hits_total")
 	s.batchSeconds = m.Histogram("mrts_batch_seconds")
 	s.idem = newIdemTable(opts.IdemTableSize, m)
 	s.wake = sync.NewCond(&s.mu)

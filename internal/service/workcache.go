@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mrts/internal/batch"
@@ -47,7 +46,7 @@ func hashJSON(v any) string {
 // a small LRU because traces are the most expensive artifact the service
 // produces. Each entry is a batch.Engine over the built workload — the
 // service's one report memo: every job on the workload shares its point
-// memo and its selection memo. A *workload.Result is immutable after
+// memo. A *workload.Result is immutable after
 // Build, so sharing one instance across concurrent simulations is safe —
 // the simulator and runtime systems only read it.
 type WorkloadCache struct {
@@ -66,27 +65,6 @@ type workEntry struct {
 	eng  *batch.Engine
 	err  error
 	el   *list.Element // non-nil once the entry is in the LRU list
-
-	// seedReported is the high-water mark of eng's selection-memo hits
-	// already published to mrts_batch_seed_hits_total. Jobs share the
-	// memo, so a flush publishes only the hits accrued since the last.
-	seedReported atomic.Int64
-}
-
-// flushSeedHits publishes the engine's selection-memo hits accrued since
-// the last flush to c. Safe for concurrent use; every hit counts once.
-func (e *workEntry) flushSeedHits(c *Counter) {
-	total := int64(e.eng.Memo().Stats().Hits)
-	for {
-		prev := e.seedReported.Load()
-		if total <= prev {
-			return
-		}
-		if e.seedReported.CompareAndSwap(prev, total) {
-			c.Add(total - prev)
-			return
-		}
-	}
 }
 
 // NewWorkloadCache creates a cache keeping at most capacity built
