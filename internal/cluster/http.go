@@ -38,27 +38,20 @@ type replicateResponse struct {
 }
 
 type stealRequest struct {
-	// Thief names the requesting node, so the victim can confirm an
-	// expiring grant against the thief before requeueing.
+	// Thief names the requesting node, so the victim can ask it whether
+	// it is still running the job when the lease check comes due.
 	Thief string `json:"thief,omitempty"`
 }
 
 type stealResponse struct {
-	ID      string      `json:"id"`
-	IdemKey string      `json:"idem_key,omitempty"`
-	Spec    api.JobSpec `json:"spec"`
-	// Fence is the grant's fencing token; the ack must echo it.
-	Fence uint64 `json:"fence,omitempty"`
+	ID   string      `json:"id"`
+	Spec api.JobSpec `json:"spec"`
 }
 
-type ackRequest struct {
-	ID    string `json:"id"`
-	Fence uint64 `json:"fence,omitempty"`
-}
-
-// resyncRequest carries the terminal states a rejoined node's adopter
-// computed while the node was partitioned away, so the node can settle
-// its still-queued copies instead of double-running them.
+// resyncRequest carries terminal states computed elsewhere for jobs the
+// receiving node still holds queued: a thief's result for a leased job,
+// or the results a rejoined node's adopter computed while the node was
+// partitioned away. The node settles its copies instead of running them.
 type resyncRequest struct {
 	From string      `json:"from"`
 	Jobs []resyncJob `json:"jobs"`
@@ -104,7 +97,6 @@ func (n *Node) Handler() http.Handler {
 
 	mux.HandleFunc("POST /cluster/v1/replicate", n.handleReplicate)
 	mux.HandleFunc("POST /cluster/v1/steal", n.handleSteal)
-	mux.HandleFunc("POST /cluster/v1/steal-ack", n.handleStealAck)
 	mux.HandleFunc("POST /cluster/v1/resync", n.handleResync)
 	mux.HandleFunc("GET /cluster/v1/stats", n.handleStats)
 	mux.HandleFunc("GET /cluster/v1/jobs", n.srv.HandleList)
@@ -141,7 +133,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !n.srv.AdmitClient(w, r) {
 		return
 	}
-	job, deduped, err := n.admitOwned("", r.Header.Get("Idempotency-Key"), spec)
+	job, deduped, err := n.admitOwned(r.Header.Get("Idempotency-Key"), spec)
 	if err == nil {
 		w.Header().Set(NodeHeader, n.cfg.Self)
 	}
@@ -294,53 +286,28 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	var req stealRequest
 	_ = json.NewDecoder(r.Body).Decode(&req) // empty body = anonymous thief
-	job, fence := n.grantSteal(req.Thief)
+	job := n.grantLease(req.Thief)
 	if job == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	st := n.srv.Status(job, false)
-	service.WriteJSON(w, http.StatusOK, stealResponse{ID: job.ID, IdemKey: job.IdemKey, Spec: st.Spec, Fence: fence})
+	service.WriteJSON(w, http.StatusOK, stealResponse{ID: job.ID, Spec: job.Spec})
 }
 
-func (n *Node) handleStealAck(w http.ResponseWriter, r *http.Request) {
-	var req ackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "invalid ack: %v", err)
-		return
-	}
-	if !n.ackSteal(req.ID, req.Fence) {
-		// Expired, unknown, or fence-rejected: the grant this ack names
-		// is not outstanding; whatever copy exists here settles itself.
-		service.WriteError(w, http.StatusConflict, "steal of %q expired or fenced off", req.ID)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleHolds is the steal-side lookup a victim's thiefHolds reads: 204
-// when this node holds the job and has not granted it away, 404
-// otherwise. GET /cluster/v1/jobs/{id} keeps answering for a granted
-// copy, so a client lookup never misses a job mid-handoff. The grant is
-// read before the job table, and a settlement withdraws its grant only
-// after its Forget has run, so a settlement racing this lookup cannot
-// make a forgotten job look held.
+// handleHolds is the lookup a victim's lease check reads: 204 while this
+// node is running the leased job, 404 otherwise.
 func (n *Node) handleHolds(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if n.grantedAway(id) {
-		w.WriteHeader(http.StatusNotFound)
-		return
-	}
-	if _, ok := n.srv.Job(id); !ok {
+	if !n.running(r.PathValue("id")) {
 		w.WriteHeader(http.StatusNotFound)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleResync accepts the terminal states an adopter computed for jobs
-// this (rejoined) node still holds queued, settling each local copy with
-// the replicated result instead of re-running it.
+// handleResync accepts terminal states computed elsewhere for jobs this
+// node still holds queued (see resyncRequest), settling each local copy
+// with the posted result instead of running it. A resolved job that was
+// leased out acks its lease.
 func (n *Node) handleResync(w http.ResponseWriter, r *http.Request) {
 	var req resyncRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -351,6 +318,9 @@ func (n *Node) handleResync(w http.ResponseWriter, r *http.Request) {
 	for _, j := range req.Jobs {
 		if n.srv.Resolve(j.ID, j.State, j.Error, j.Result) {
 			resolved++
+			if n.dropLease(j.ID) != nil {
+				n.stealsAcked.Inc()
+			}
 		}
 	}
 	service.WriteJSON(w, http.StatusOK, resyncResponse{Resolved: resolved})

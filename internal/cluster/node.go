@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -48,10 +49,10 @@ type Config struct {
 	// StealInterval is how often an idle node looks for queued work on
 	// hot peers (default 250ms). Negative disables stealing.
 	StealInterval time.Duration
-	// StealAckTimeout bounds how long a granted steal may stay
-	// unacknowledged before the victim settles it — forgetting the job
-	// if the thief holds it durably, requeueing it otherwise (default
-	// 5s).
+	// StealAckTimeout is the lease check period: how long a job leased
+	// to a thief may go without its result before the victim asks
+	// whether the thief is still running it, requeueing the job if not
+	// (default 5s).
 	StealAckTimeout time.Duration
 	// HTTPClient is used for all peer traffic (default: a client with a
 	// 10s timeout).
@@ -121,7 +122,7 @@ type pushState struct {
 
 // Node is one cluster member: it wraps a service.Server with
 // fingerprint routing, acked journal replication to a follower,
-// death-driven adoption with rejoin resync, and fenced work stealing.
+// death-driven adoption with rejoin resync, and leased work stealing.
 // Create it with New, serve its Handler, and Close it before closing the
 // underlying server.
 type Node struct {
@@ -134,22 +135,20 @@ type Node struct {
 	addrs    map[string]string // member ID -> base URL
 	sortedID []string          // member IDs, sorted (follower order)
 
-	mu            sync.Mutex
-	pendingSteals map[string]*stealGrant
-
-	// fence is the monotonic steal-grant counter, seeded above every
-	// token the journal has ever recorded (service.MaxFence).
-	fenceMu sync.Mutex
-	fence   uint64
+	// leases holds this node's jobs out with thieves, inflight the IDs of
+	// jobs this node is running for their owners.
+	mu       sync.Mutex
+	leases   map[string]*lease
+	inflight map[string]bool
 
 	// pushMu serializes replica pushes per node so the per-follower
 	// sequence numbers and CRC chains cannot interleave.
 	pushMu sync.Mutex
 	pushes map[string]*pushState
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	ctx    context.Context // cancelled by Close
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	redirects, proxiedLookups     *service.Counter
 	replicatedOut, replicateFails *service.Counter
@@ -157,8 +156,6 @@ type Node struct {
 	stealsOut, stealsGranted      *service.Counter
 	stealsAcked, stealsExpired    *service.Counter
 	peerDeaths, adoptedJobs       *service.Counter
-
-	fenceRejections, lateSettles  *service.Counter
 	replicaResyncs, rejoinResyncs *service.Counter
 	peerSuspects, peerRejoins     *service.Counter
 }
@@ -211,18 +208,20 @@ func New(cfg Config, srv *service.Server) (*Node, error) {
 	}
 
 	m := srv.Metrics()
+	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		cfg:           cfg,
-		srv:           srv,
-		ring:          NewRing(ids),
-		mem:           mem,
-		reps:          reps,
-		addrs:         addrs,
-		sortedID:      ids,
-		pendingSteals: make(map[string]*stealGrant),
-		pushes:        make(map[string]*pushState),
-		fence:         srv.MaxFence(),
-		stop:          make(chan struct{}),
+		cfg:      cfg,
+		srv:      srv,
+		ring:     NewRing(ids),
+		mem:      mem,
+		reps:     reps,
+		addrs:    addrs,
+		sortedID: ids,
+		leases:   make(map[string]*lease),
+		inflight: make(map[string]bool),
+		pushes:   make(map[string]*pushState),
+		ctx:      ctx,
+		cancel:   cancel,
 
 		redirects:      m.Counter("mrts_cluster_redirects_total"),
 		proxiedLookups: m.Counter("mrts_cluster_proxied_lookups_total"),
@@ -239,8 +238,6 @@ func New(cfg Config, srv *service.Server) (*Node, error) {
 	// Registration order is /metrics page order, so the func-backed
 	// metrics register here, each in its place among the counters.
 	m.GaugeFunc("mrts_cluster_alive_members", func() int64 { return int64(mem.AliveCount()) })
-	n.fenceRejections = m.Counter("mrts_cluster_fence_rejections_total")
-	n.lateSettles = m.Counter("mrts_cluster_steal_late_settles_total")
 	n.replicaResyncs = m.Counter("mrts_cluster_replica_resyncs_total")
 	n.rejoinResyncs = m.Counter("mrts_cluster_rejoin_resyncs_total")
 	n.peerSuspects = m.Counter("mrts_cluster_peer_suspects_total")
@@ -282,19 +279,6 @@ func (n *Node) follower() string {
 		}
 	}
 	return ""
-}
-
-// nextFence issues the next monotonic fencing token for a steal grant,
-// journaling it durably first: a restarted victim replays every grant
-// record and resumes the counter above it, so a stale ack from before
-// the restart can never match a fresh grant.
-func (n *Node) nextFence(jobID, thief string) uint64 {
-	n.fenceMu.Lock()
-	n.fence++
-	f := n.fence
-	n.fenceMu.Unlock()
-	n.srv.AppendRecord(journal.Record{Kind: journal.KindGrant, ID: jobID, Fence: f, Peer: thief}, true)
-	return f
 }
 
 // onPeerSuspect marks a peer quiet-but-not-yet-dead: routing and
@@ -473,17 +457,14 @@ func (n *Node) pushLocked(peer, addr string, recs []journal.Record) error {
 // admitOwned is the owner-side submission path: replicate the submit
 // record to the follower first, then admit locally under the
 // pre-replicated ID, so a death of this node after the ack is covered
-// by the follower's copy. id is empty for fresh client submissions and
-// set for steal handoffs (the victim already named the job).
-func (n *Node) admitOwned(id, key string, spec api.JobSpec) (*service.Job, bool, error) {
-	if id == "" {
-		// A client replay of an idempotency key must not plant a second
-		// submit record in the follower's replica stream.
-		if j, ok := n.srv.LookupIdem(key); ok {
-			return j, true, nil
-		}
-		id = service.NewJobID()
+// by the follower's copy.
+func (n *Node) admitOwned(key string, spec api.JobSpec) (*service.Job, bool, error) {
+	// A client replay of an idempotency key must not plant a second
+	// submit record in the follower's replica stream.
+	if j, ok := n.srv.LookupIdem(key); ok {
+		return j, true, nil
 	}
+	id := service.NewJobID()
 	follower := n.follower()
 	if follower != "" {
 		// Synchronous: the ack the client is about to receive promises
@@ -519,7 +500,7 @@ func (n *Node) admitOwned(id, key string, spec api.JobSpec) (*service.Job, bool,
 func (n *Node) watchComplete(j *service.Job) {
 	defer n.wg.Done()
 	select {
-	case <-n.stop:
+	case <-n.ctx.Done():
 		return
 	case <-j.Done():
 	}
@@ -536,23 +517,20 @@ func (n *Node) watchComplete(j *service.Job) {
 	}
 }
 
-// Close stops probing, stealing and watchers, requeues any unacked
-// steal grants, and closes the replica journals. The underlying
+// Close stops probing, stealing and watchers, requeues the jobs leased
+// out to thieves, and closes the replica journals. The underlying
 // service.Server is not closed — the caller owns it.
 func (n *Node) Close() {
-	n.stopOnce.Do(func() { close(n.stop) })
+	n.cancel()
 	n.mem.Close()
 	n.wg.Wait()
 	n.mu.Lock()
-	grants := make([]*stealGrant, 0, len(n.pendingSteals))
-	for id, g := range n.pendingSteals {
-		delete(n.pendingSteals, id)
-		grants = append(grants, g)
-	}
+	leases := n.leases
+	n.leases = make(map[string]*lease)
 	n.mu.Unlock()
-	for _, g := range grants {
-		g.timer.Stop()
-		n.srv.Requeue(g.job)
+	for _, l := range leases {
+		l.timer.Stop()
+		n.srv.Requeue(l.job)
 	}
 	n.reps.close()
 }

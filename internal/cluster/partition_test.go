@@ -128,7 +128,7 @@ func dumpClusterState(t *testing.T, tc *testCluster, ids []string) {
 //     byte-identical payloads;
 //   - byte-identical figures: every payload equals the uninterrupted
 //     plain-server reference;
-//   - the netfault and fencing counters are visible on /metrics.
+//   - the netfault and suspect counters are visible on /metrics.
 //
 // The whole schedule is a pure function of MRTS_NETCHAOS_SEED, so a
 // failure reproduces with the seed it logs.
@@ -284,7 +284,7 @@ func TestPartitionChaosLosesNothing(t *testing.T) {
 		}
 	}
 
-	// The fault engine's counters and the fencing counter are wired onto
+	// The fault engine's counters and the suspect counter are wired onto
 	// every node's /metrics page; the schedule above guarantees traffic
 	// and blocked deliveries somewhere in the cluster.
 	var totalReqs, totalBlocked int64
@@ -300,7 +300,7 @@ func TestPartitionChaosLosesNothing(t *testing.T) {
 			"mrts_netfault_requests_total", "mrts_netfault_blocked_total",
 			"mrts_netfault_dropped_requests_total", "mrts_netfault_dropped_responses_total",
 			"mrts_netfault_duplicated_total", "mrts_netfault_delayed_total",
-			"mrts_cluster_fence_rejections_total", "mrts_cluster_peer_suspects_total",
+			"mrts_cluster_peer_suspects_total",
 		} {
 			if metricValue(page, name) < 0 {
 				t.Errorf("node %s /metrics is missing %s", nodeID, name)
@@ -362,41 +362,13 @@ func TestProbeDeadlineBoundsHungPeer(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Steal fencing: a duplicated stale ack cannot settle a newer grant
+// Leased steals: the job never leaves its owner, whatever the wire does
 // ---------------------------------------------------------------------------
 
-// postSteal drives the victim-side steal wire endpoints directly, playing
-// the network (and its duplications) by hand.
-func postSteal(t *testing.T, url string, in any, out any) int {
-	t.Helper()
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, out); err != nil {
-			t.Fatalf("decode %s: %v (%s)", url, err, body)
-		}
-	}
-	return resp.StatusCode
-}
-
-// TestStealFenceRejectsStaleDuplicateAck replays the loss window fencing
-// closes: a steal grant expires unacked and the job is re-granted; then
-// the network delivers a duplicate of the FIRST grant's ack. Without
-// fencing that stale ack would Forget the job while the second handoff
-// is still in flight — with fencing it is rejected, counted, and only
-// the current token settles the grant.
-func TestStealFenceRejectsStaleDuplicateAck(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	blockingExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+// blockUntil returns an executor that answers as fakeExec once release is
+// closed, and fails if the run is cancelled first.
+func blockUntil(release <-chan struct{}) func(context.Context, api.JobSpec) (*api.JobResult, error) {
+	return func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
 		select {
 		case <-release:
 			return fakeExec(ctx, spec)
@@ -404,199 +376,430 @@ func TestStealFenceRejectsStaleDuplicateAck(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	tc := startCluster(t, []string{"a", "b"},
-		func(id string) service.Options {
-			if id == "a" {
-				return service.Options{Workers: 1, ExecOverride: blockingExec}
-			}
-			return service.Options{Workers: 2, ExecOverride: fakeExec}
-		},
-		func(id string, c *Config) {
-			c.StealAckTimeout = 150 * time.Millisecond
-		})
+}
 
-	// Two jobs owned by a: the first pins a's only worker, the second
-	// sits queued — the steal target.
-	c := client.New(tc.urls["a"])
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := c.Submit(ctx, specOwnedBy(t, tc.nodes["a"], "a", uint64(1+1000*i))); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-
-	// First grant, never acked: the timer expires it. The thief b never
-	// admitted the job, so the victim requeues it.
-	var g1 stealResponse
-	if code := postSteal(t, tc.urls["a"]+"/cluster/v1/steal", stealRequest{Thief: "b"}, &g1); code != http.StatusOK {
-		t.Fatalf("first steal: HTTP %d", code)
-	}
-	expired := tc.srvs["a"].Metrics().Counter("mrts_cluster_steals_expired_total")
-	deadline := time.Now().Add(5 * time.Second)
-	for expired.Value() == 0 {
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
 		if time.Now().After(deadline) {
-			t.Fatal("unacked steal grant never expired")
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Second grant of the same job: same ID, strictly newer fence.
-	var g2 stealResponse
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if code := postSteal(t, tc.urls["a"]+"/cluster/v1/steal", stealRequest{Thief: "b"}, &g2); code == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("expired job never became stealable again")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g2.ID != g1.ID {
-		t.Fatalf("re-grant handed out %s, want the requeued %s", g2.ID, g1.ID)
-	}
-	if g2.Fence <= g1.Fence {
-		t.Fatalf("fence not monotonic: first %d, second %d", g1.Fence, g2.Fence)
-	}
-
-	// The duplicated delivery of the stale ack: rejected, counted, and
-	// the job survives on the victim.
-	if code := postSteal(t, tc.urls["a"]+"/cluster/v1/steal-ack", ackRequest{ID: g1.ID, Fence: g1.Fence}, nil); code != http.StatusConflict {
-		t.Fatalf("stale ack answered HTTP %d, want 409", code)
-	}
-	if got := tc.srvs["a"].Metrics().Counter("mrts_cluster_fence_rejections_total").Value(); got != 1 {
-		t.Errorf("fence rejections = %d, want 1", got)
-	}
-	if !tc.localHas("a", g1.ID) {
-		t.Fatal("stale ack made the victim forget the job — the loss window is open")
-	}
-
-	// The current token settles the grant normally.
-	if code := postSteal(t, tc.urls["a"]+"/cluster/v1/steal-ack", ackRequest{ID: g2.ID, Fence: g2.Fence}, nil); code != http.StatusNoContent {
-		t.Fatalf("current ack answered HTTP %d, want 204", code)
-	}
-	if tc.localHas("a", g2.ID) {
-		t.Error("acked steal left the job on the victim")
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// holdAcks is a thief's transport that holds its first steal ack until
-// release is closed, signalling held once the ack is on its way.
-type holdAcks struct {
+// holdResults is a thief's transport that holds its first result post
+// (the resync after a leased run) until release is closed, signalling
+// held once the post is on its way, and then delivers it copies times.
+type holdResults struct {
 	base          http.RoundTripper
+	copies        int
 	once          sync.Once
 	held, release chan struct{}
 }
 
-func (h *holdAcks) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/cluster/v1/steal-ack" {
-		h.once.Do(func() {
-			close(h.held)
-			<-h.release
-		})
+func (h *holdResults) RoundTrip(req *http.Request) (*http.Response, error) {
+	first := false
+	if req.URL.Path == "/cluster/v1/resync" {
+		h.once.Do(func() { first = true })
 	}
-	return h.base.RoundTrip(req)
+	if !first {
+		return h.base.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	close(h.held)
+	<-h.release
+	var resp *http.Response
+	for i := 0; i < max(h.copies, 1); i++ {
+		if resp != nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		c := req.Clone(req.Context())
+		c.Body = io.NopCloser(bytes.NewReader(body))
+		if resp, err = h.base.RoundTrip(c); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
 }
 
-// TestStealBackBeforeAckLosesNothing replays the steal-back window: a
-// grants queued job J to b, b admits J and acks, and before a handles
-// that ack a — whose queue is now empty — steals J back from b. A
-// steal-back that dedupes onto a's taken copy and acks b makes b forget
-// J; the late ack then makes a forget it too, leaving J on no node. The
-// ack is held by b's transport, not by timing.
-func TestStealBackBeforeAckLosesNothing(t *testing.T) {
-	release := make(chan struct{})
-	var unpin sync.Once
-	unpinAll := func() { unpin.Do(func() { close(release) }) }
-	defer unpinAll()
-	blockingExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
-		select {
-		case <-release:
-			return fakeExec(ctx, spec)
-		case <-ctx.Done():
-			return nil, ctx.Err()
+// pinOwner submits a job that occupies owner's only worker, then job J,
+// which waits in owner's queue for a thief. It returns J's ID and spec.
+func pinOwner(t *testing.T, tc *testCluster, owner string) (string, api.JobSpec) {
+	t.Helper()
+	c := client.New(tc.urls[owner])
+	if _, err := c.Submit(context.Background(), specOwnedBy(t, tc.nodes[owner], owner, 1)); err != nil {
+		t.Fatal(err)
+	}
+	spec := specOwnedBy(t, tc.nodes[owner], owner, 10001)
+	id, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id, spec
+}
+
+// doneOnce checks that job id ended done exactly once on owner, with the
+// spec-determined payload, and that no other node holds a copy.
+func doneOnce(t *testing.T, tc *testCluster, owner, id string, spec api.JobSpec) {
+	t.Helper()
+	j, ok := tc.srvs[owner].Job(id)
+	if !ok {
+		t.Fatalf("job %s left its owner %s", id, owner)
+	}
+	want, _ := fakeExec(context.Background(), spec)
+	if st := tc.srvs[owner].Status(j, true); st.State != api.StateDone || st.Result == nil || st.Result.Text != want.Text {
+		t.Fatalf("job %s on %s = %s %+v, want done with %q", id, owner, st.State, st.Result, want.Text)
+	}
+	// The owner's other job is still pinned, so this is the only
+	// completion it has recorded.
+	if n := tc.srvs[owner].Metrics().Counter("mrts_jobs_done_total").Value(); n != 1 {
+		t.Errorf("owner %s completed %d jobs, want exactly 1", owner, n)
+	}
+	for _, node := range tc.ids {
+		if _, ok := tc.srvs[node].Job(id); ok && node != owner {
+			t.Errorf("job %s is also in %s's table", id, node)
 		}
 	}
-	hold := &holdAcks{base: http.DefaultTransport, held: make(chan struct{}), release: make(chan struct{})}
+}
+
+// TestStealDuplicateStaleResultCompletesOnce replays, under leases, the
+// interleaving that fencing used to guard: thief b runs leased job J but
+// its result post is held in flight; b stops answering, so a's lease
+// check requeues J, and a leases J again to thief c. Then b's stale post
+// lands, twice. J completes exactly once, on a alone, with the
+// spec-determined payload, and c's later result is discarded.
+func TestStealDuplicateStaleResultCompletesOnce(t *testing.T) {
+	pin := make(chan struct{})
+	defer close(pin)
+	cStarted, cRelease := make(chan struct{}), make(chan struct{})
+	var cStart, cFinish sync.Once
+	finishC := func() { cFinish.Do(func() { close(cRelease) }) }
+	defer finishC()
+	cExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+		cStart.Do(func() { close(cStarted) })
+		return blockUntil(cRelease)(ctx, spec)
+	}
+	hold := &holdResults{base: http.DefaultTransport, copies: 2, held: make(chan struct{}), release: make(chan struct{})}
 	var deliver sync.Once
-	deliverAck := func() { deliver.Do(func() { close(hold.release) }) }
-	defer deliverAck()
-	tc := startCluster(t, []string{"a", "b"},
-		func(string) service.Options { return service.Options{Workers: 1, ExecOverride: blockingExec} },
+	deliverResult := func() { deliver.Do(func() { close(hold.release) }) }
+	defer deliverResult()
+	tc := startCluster(t, []string{"a", "b", "c"},
+		func(id string) service.Options {
+			switch id {
+			case "a":
+				return service.Options{Workers: 1, ExecOverride: blockUntil(pin)}
+			case "c":
+				return service.Options{Workers: 1, ExecOverride: cExec}
+			}
+			return service.Options{Workers: 1, ExecOverride: fakeExec}
+		},
 		func(id string, c *Config) {
-			if id == "a" {
-				// a's grant to b must stay outstanding until the held
-				// ack lands; b's grant back to a settles on b's timer.
-				c.StealAckTimeout = time.Minute
-				return
+			c.StealAckTimeout = 50 * time.Millisecond
+			if id == "b" {
+				c.HTTPClient = &http.Client{Timeout: 10 * time.Second, Transport: hold}
 			}
-			c.StealAckTimeout = 100 * time.Millisecond
-			c.HTTPClient = &http.Client{Timeout: 2 * time.Second, Transport: hold}
 		})
+	j, spec := pinOwner(t, tc, "a")
 
-	// Each node's only worker is pinned by a job of its own, so a stolen
-	// job waits in the thief's queue. J waits in a's queue.
-	ctx := context.Background()
-	submit := func(node string, seed uint64) string {
-		id, err := client.New(tc.urls[node]).Submit(ctx, specOwnedBy(t, tc.nodes[node], node, seed))
-		if err != nil {
-			t.Fatalf("submit to %s: %v", node, err)
-		}
-		return id
-	}
-	running := func(node, id string) {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if st, _, _ := tc.getJob(tc.urls[node], id); st != nil && st.State == api.StateRunning {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s never started on %s", id, node)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	running("a", submit("a", 1))
-	running("b", submit("b", 5001))
-	j := submit("a", 10001)
+	// b leases J and runs it; its result post is held in flight.
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		tc.nodes["b"].stealOnce("a")
+	}()
+	<-hold.held
 
-	// b steals J and admits it; its ack to a is held in flight.
+	// b stops answering: a's lease check finds no thief running J and
+	// requeues it.
+	tc.kill("b")
+	expired := tc.srvs["a"].Metrics().Counter("mrts_cluster_steals_expired_total")
+	waitFor(t, "a to requeue J", func() bool { return expired.Value() == 1 })
+
+	// c leases J again and is still running it.
+	cDone := make(chan struct{})
+	go func() {
+		defer close(cDone)
+		tc.nodes["c"].stealOnce("a")
+	}()
+	<-cStarted
+
+	// b's stale result lands twice, then c's result.
+	deliverResult()
+	<-bDone
+	finishC()
+	<-cDone
+
+	doneOnce(t, tc, "a", j, spec)
+	if got := tc.srvs["a"].Metrics().Counter("mrts_cluster_steals_acked_total").Value(); got != 1 {
+		t.Errorf("a acked %d leases, want 1 (c's, settled by b's result)", got)
+	}
+	if got := expired.Value(); got != 1 {
+		t.Errorf("a requeued J %d times, want 1", got)
+	}
+}
+
+// TestStealBackBeforeAckLosesNothing replays the window in which a
+// handoff protocol could lose a job: thief b has run a's job J and its
+// result is still in flight (held by b's transport) when a, idle, tries
+// to steal from b. Under leases J never left a, so b has nothing to give
+// back, and J ends done on a alone.
+func TestStealBackBeforeAckLosesNothing(t *testing.T) {
+	pin := make(chan struct{})
+	defer close(pin)
+	hold := &holdResults{base: http.DefaultTransport, held: make(chan struct{}), release: make(chan struct{})}
+	var deliver sync.Once
+	deliverResult := func() { deliver.Do(func() { close(hold.release) }) }
+	defer deliverResult()
+	tc := startCluster(t, []string{"a", "b"},
+		func(id string) service.Options {
+			if id == "a" {
+				return service.Options{Workers: 1, ExecOverride: blockUntil(pin)}
+			}
+			return service.Options{Workers: 1, ExecOverride: fakeExec}
+		},
+		func(id string, c *Config) {
+			// The lease stays unchecked until the held result lands.
+			c.StealAckTimeout = time.Minute
+			if id == "b" {
+				c.HTTPClient = &http.Client{Timeout: 10 * time.Second, Transport: hold}
+			}
+		})
+	j, spec := pinOwner(t, tc, "a")
+
 	stolen := make(chan struct{})
 	go func() {
 		defer close(stolen)
 		tc.nodes["b"].stealOnce("a")
 	}()
 	<-hold.held
-	if !tc.localHas("b", j) {
-		t.Fatalf("b acked the steal of %s without holding it", j)
-	}
 
-	// a steals J back, then b's grant to a settles: acked by the
-	// steal-back, or left to b's timer.
+	// a steals from b while b's result is held: b holds no job to give.
 	tc.nodes["a"].stealOnce("b")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b := tc.nodes["b"]
-		b.mu.Lock()
-		pending := len(b.pendingSteals)
-		b.mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("b's grant to a never settled")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := tc.srvs["a"].Metrics().Counter("mrts_cluster_steals_total").Value(); got != 0 {
+		t.Fatalf("a stole %d jobs back from b, want 0", got)
+	}
+	if _, ok := tc.srvs["b"].Job(j); ok {
+		t.Fatalf("thief b admitted %s into its own table", j)
+	}
+	if st := tc.srvs["a"].Status(mustJob(t, tc.srvs["a"], j), false); st.State != api.StateQueued {
+		t.Fatalf("leased job %s reads %s on its owner, want queued", j, st.State)
 	}
 
-	// The held ack lands on a.
-	deliverAck()
+	// The held result lands: J is done on a, whose worker is still
+	// pinned.
+	deliverResult()
 	<-stolen
-	if !tc.localHas("a", j) && !tc.localHas("b", j) {
-		t.Fatalf("job %s is on no node after the steal-back", j)
+	doneOnce(t, tc, "a", j, spec)
+}
+
+func mustJob(t *testing.T, s *service.Server, id string) *service.Job {
+	t.Helper()
+	j, ok := s.Job(id)
+	if !ok {
+		t.Fatalf("job %s is not in the table", id)
 	}
-	unpinAll()
+	return j
+}
+
+// TestStealLeaseRearmsWhileThiefRuns pins the lease check: while thief b
+// is still running a's job J, each check finds it in b's in-flight set
+// and re-arms, with no requeue. Once b stops answering, the next check
+// requeues J, and a runs it to the spec-determined payload; b's late
+// result is discarded.
+func TestStealLeaseRearmsWhileThiefRuns(t *testing.T) {
+	pin, bRelease := make(chan struct{}), make(chan struct{})
+	var unpin, finishB sync.Once
+	defer unpin.Do(func() { close(pin) })
+	defer finishB.Do(func() { close(bRelease) })
+	bStarted := make(chan struct{})
+	var bStart sync.Once
+	bExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+		bStart.Do(func() { close(bStarted) })
+		return blockUntil(bRelease)(ctx, spec)
+	}
+	tc := startCluster(t, []string{"a", "b"},
+		func(id string) service.Options {
+			if id == "a" {
+				return service.Options{Workers: 1, ExecOverride: blockUntil(pin)}
+			}
+			return service.Options{Workers: 1, ExecOverride: bExec}
+		},
+		func(id string, c *Config) { c.StealAckTimeout = 20 * time.Millisecond })
+	// Count a's lease checks as they reach b.
+	checks := make(chan struct{}, 64)
+	bHandler := tc.nodes["b"].Handler()
+	tc.swaps["b"].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/cluster/v1/holds/") {
+			defer func() {
+				select {
+				case checks <- struct{}{}:
+				default:
+				}
+			}()
+		}
+		bHandler.ServeHTTP(w, r)
+	}))
+	j, spec := pinOwner(t, tc, "a")
+
+	stolen := make(chan struct{})
+	go func() {
+		defer close(stolen)
+		tc.nodes["b"].stealOnce("a")
+	}()
+	<-bStarted
+	for i := 0; i < 3; i++ {
+		<-checks
+	}
+	a := tc.srvs["a"]
+	if got := a.Metrics().Counter("mrts_cluster_steals_expired_total").Value(); got != 0 {
+		t.Fatalf("a requeued J %d times while b was running it", got)
+	}
+	if n := a.QueueLen(); n != 0 {
+		t.Fatalf("a's queue holds %d jobs while J is leased, want 0", n)
+	}
+
+	// b stops answering: the next check requeues J, and a runs it.
+	tc.kill("b")
+	expired := a.Metrics().Counter("mrts_cluster_steals_expired_total")
+	waitFor(t, "a to requeue J", func() bool { return expired.Value() == 1 })
+	unpin.Do(func() { close(pin) })
 	tc.waitDone(tc.urls["a"], j, 10*time.Second)
+
+	// b's result arrives after a's own run and changes nothing.
+	finishB.Do(func() { close(bRelease) })
+	<-stolen
+	want, _ := fakeExec(context.Background(), spec)
+	if st := a.Status(mustJob(t, a, j), true); st.Result == nil || st.Result.Text != want.Text {
+		t.Errorf("J on a = %+v, want text %q", st.Result, want.Text)
+	}
+	if got := a.Metrics().Counter("mrts_cluster_steals_acked_total").Value(); got != 0 {
+		t.Errorf("a acked %d leases after requeueing J, want 0", got)
+	}
+}
+
+// TestStealChaosLosesNothing puts work stealing under network chaos: an
+// owner with one worker and a slow deterministic executor builds a queue
+// that two idle peers steal from, while every node-to-node request goes
+// through a seeded netfault engine (drops, duplicates, reorders) and a
+// seeded minority is partitioned off and healed mid-run. No job may be
+// lost, every copy on every node must carry the spec-determined payload,
+// and the run must actually steal. MRTS_NETCHAOS_SEED replays a
+// schedule.
+func TestStealChaosLosesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steal chaos skipped in -short mode")
+	}
+	seed := netchaosSeed(t)
+	t.Logf("netfault seed %d (re-run with MRTS_NETCHAOS_SEED=%d)", seed, seed)
+	ids := []string{"a", "b", "c"}
+	nf := netfault.Must(seed, netfault.Options{
+		Members:      ids,
+		DropRate:     0.05,
+		DupRate:      0.05,
+		ReorderRate:  0.10,
+		ReorderDelay: 5 * time.Millisecond,
+	})
+	nf.Start(time.Now())
+	slowExec := func(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+		select {
+		case <-time.After(15 * time.Millisecond):
+			return fakeExec(ctx, spec)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	tc := startCluster(t, ids,
+		func(string) service.Options { return service.Options{Workers: 1, ExecOverride: slowExec} },
+		func(id string, c *Config) {
+			c.NetFault = nf
+			c.ProbeTimeout = 100 * time.Millisecond
+			c.SuspectGrace = 150 * time.Millisecond
+			c.StealInterval = 10 * time.Millisecond
+			c.StealAckTimeout = 200 * time.Millisecond
+		})
+
+	// The queue builds on a; the client submits over a clean wire.
+	ctx := context.Background()
+	owner := client.New(tc.urls["a"])
+	const jobs = 16
+	specs := make(map[string]api.JobSpec, jobs)
+	var order []string
+	for i := 0; i < jobs; i++ {
+		spec := specOwnedBy(t, tc.nodes["a"], "a", uint64(1+1000*i))
+		id, err := owner.Submit(ctx, spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		specs[id] = spec
+		order = append(order, id)
+	}
+
+	stealsTotal := func() (n int64) {
+		for _, id := range ids {
+			n += tc.srvs[id].Metrics().Counter("mrts_cluster_steals_total").Value()
+		}
+		return n
+	}
+	waitFor(t, "a first steal", func() bool { return stealsTotal() > 0 })
+	minority := nf.DrawMinority(ids)
+	heal := nf.DrawHealDelay(200*time.Millisecond, 500*time.Millisecond)
+	t.Logf("partitioning %v for %v", minority, heal)
+	nf.PartitionNow(minority)
+	time.Sleep(heal)
+	nf.Heal()
+
+	cc := client.NewCluster([]string{tc.urls["a"], tc.urls["b"], tc.urls["c"]})
+	for _, id := range order {
+		want, _ := fakeExec(ctx, specs[id])
+		deadline := time.Now().Add(time.Minute)
+		for {
+			st, err := cc.Job(ctx, id)
+			if err == nil && st.State == api.StateDone {
+				if st.Result == nil || st.Result.Text != want.Text {
+					t.Errorf("job %s = %+v, want text %q", id, st.Result, want.Text)
+				}
+				break
+			}
+			if err == nil && st.State.Terminal() {
+				t.Fatalf("job %s finished %s: %s", id, st.State, st.Error)
+			}
+			if time.Now().After(deadline) {
+				dumpClusterState(t, tc, ids)
+				t.Fatalf("job %s lost (last: st=%v err=%v)", id, st, err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	// Every copy on every node — the owner's, an adopter's — carries
+	// the one spec-determined payload once it settles.
+	for _, node := range ids {
+		for _, id := range order {
+			want, _ := fakeExec(ctx, specs[id])
+			var st api.JobStatus
+			waitFor(t, "node "+node+" to settle job "+id, func() bool {
+				j, ok := tc.srvs[node].Job(id)
+				if ok {
+					st = tc.srvs[node].Status(j, true)
+				}
+				return !ok || st.State.Terminal()
+			})
+			if st.State == "" {
+				continue // not a holder
+			}
+			if st.State != api.StateDone || st.Result == nil || st.Result.Text != want.Text {
+				t.Errorf("node %s holds job %s as %s %+v, want done with %q", node, id, st.State, st.Result, want.Text)
+			}
+		}
+	}
+	t.Logf("steals %d, netfault %+v", stealsTotal(), nf.Stats())
 }
 
 // ---------------------------------------------------------------------------

@@ -5,116 +5,95 @@ import (
 	"time"
 
 	"mrts/internal/service"
+	"mrts/internal/service/api"
 	"mrts/internal/service/journal"
 )
 
-// Work stealing moves queued-but-unstarted jobs from hot shards to idle
-// nodes. The handoff is two-phase and fenced so a job can never be lost
-// mid-steal, and a stale or duplicated ack can never settle the wrong
-// grant:
+// Work stealing moves a queued job's computation to an idle node, not
+// the job. The job stays in its owner's table, journal and follower
+// replica from its acknowledgement to its completion:
 //
-//  1. The thief polls a hot victim's /cluster/v1/steal, naming itself.
-//     The victim removes one queued job from its pool
-//     (service.TakeQueued — the job stays in its table),
-//     journals a grant record carrying a fresh monotonic fencing token,
-//     and grants the job with that token and an ack deadline.
-//  2. The thief replicates the submit record to its own follower,
-//     admits the job locally under the original ID (durably journaled),
-//     and only then acks via /cluster/v1/steal-ack, echoing the fence.
-//     The victim checks the fence against the outstanding grant —
-//     a stale ack (an earlier grant of the same job, duplicated or
-//     delayed by the network) is rejected and counted — and Forgets the
-//     job, journaling a forget record that voids its submit.
+//  1. An idle thief asks the hottest peer, the victim, for work through
+//     /cluster/v1/steal. The victim takes its oldest durable queued job
+//     (service.TakeQueued: the job stays in the table, reading queued),
+//     leases it to the thief, and answers with its ID and spec. Nothing
+//     is journaled.
+//  2. The thief runs the spec on its server's execution path
+//     (service.Execute), holding the ID in its in-flight set meanwhile.
+//     A done result is posted to the victim's /cluster/v1/resync, and the
+//     ID leaves the set only after that post returns. A failed run posts
+//     nothing.
+//  3. The victim's Resolve settles the job with the posted result. Its
+//     complete record is journaled and replicated like a local
+//     completion, and the lease is acked.
+//  4. A lease whose result has not landed is checked every
+//     StealAckTimeout: a thief still running the job (/cluster/v1/holds
+//     answers 204) keeps it; otherwise the victim requeues the job and
+//     runs it itself.
 //
-// If the ack never arrives, the ack timer fires and the victim settles
-// the grant itself: it first asks the thief whether it holds the job
-// durably (the ack was lost in flight, not the handoff) and Forgets it
-// if so; only a thief that never admitted the job, or has granted it
-// away again, gets it requeued locally. The worst case in every failure
-// interleaving is a duplicate execution — byte-identical, because jobs
-// are deterministic — never a lost job. Without fencing there was a
-// genuine loss window: after expiry + requeue + re-grant to a second
-// thief, a duplicated delivery of the FIRST thief's ack could Forget the
-// job while the second thief had not admitted it yet.
+// No steal message moves the job, so no interleaving of them can lose it.
+// The worst case is that the thief and the owner, or two thieves, both
+// compute it; jobs are deterministic, so the results are byte-identical
+// and the owner keeps the first. See DESIGN.md §11.4.
 
-// stealGrant is one victim-side outstanding handoff.
-type stealGrant struct {
+// lease is one victim-side job out with a thief.
+type lease struct {
 	job   *service.Job
-	fence uint64
 	thief string
 	timer *time.Timer
 }
 
-// grantSteal removes one queued job for a thief and arms the ack timer.
+// grantLease takes one queued job for a thief and arms the lease check.
 // Returns nil when nothing is queued.
-func (n *Node) grantSteal(thief string) (*service.Job, uint64) {
+func (n *Node) grantLease(thief string) *service.Job {
 	job, ok := n.srv.TakeQueued()
 	if !ok {
-		return nil, 0
+		return nil
 	}
-	fence := n.nextFence(job.ID, thief)
-	g := &stealGrant{job: job, fence: fence, thief: thief}
+	l := &lease{job: job, thief: thief}
 	n.mu.Lock()
-	n.pendingSteals[job.ID] = g
+	n.leases[job.ID] = l
+	l.timer = time.AfterFunc(n.cfg.StealAckTimeout, func() { n.checkLease(l) })
 	n.mu.Unlock()
-	g.timer = time.AfterFunc(n.cfg.StealAckTimeout, func() { n.expireSteal(g) })
 	n.stealsGranted.Inc()
-	return job, fence
+	return job
 }
 
-// expireSteal settles a grant whose ack never arrived. Before requeueing
-// — which re-runs the job here while the thief may ALSO run it — the
-// victim asks the thief whether it holds the job durably: a reachable
-// thief that admitted the job just lost the ack, and the right
-// settlement is the same Forget the ack would have done. Only an
-// unreachable thief or one that never admitted gets the job requeued
-// (duplicate-run window, documented above). The grant stays outstanding
-// until the settlement has run (see withdraw).
-func (n *Node) expireSteal(g *stealGrant) {
+// checkLease runs when a lease's period ends without its result: a job
+// no longer taken (cancelled meanwhile) drops the lease, a thief still
+// running the job re-arms it, and anything else requeues the job here.
+func (n *Node) checkLease(l *lease) {
 	n.mu.Lock()
-	cur, pending := n.pendingSteals[g.job.ID]
+	live := n.leases[l.job.ID] == l
 	n.mu.Unlock()
-	if !pending || cur != g {
-		return // acked (or superseded) between the timer firing and now
+	if !live {
+		return // settled, or the node is closing
 	}
-	n.stealsExpired.Inc()
-	if g.thief != "" && n.thiefHolds(g.thief, g.job.ID) {
-		n.lateSettles.Inc()
-		n.srv.Forget(g.job.ID)
-	} else {
-		n.srv.Requeue(g.job)
+	if n.srv.Taken(l.job) && n.thiefHolds(l.thief, l.job.ID) {
+		l.timer.Reset(n.cfg.StealAckTimeout)
+		return
 	}
-	n.withdraw(g)
+	if n.dropLease(l.job.ID) != nil && n.srv.Requeue(l.job) {
+		n.stealsExpired.Inc()
+	}
 }
 
-// withdraw removes a settled grant from pendingSteals, reporting whether
-// it was still outstanding. Both settlements (ackSteal, expireSteal) run
-// Forget or Requeue first and withdraw second, so while a job's fate
-// here is undecided its grant is visible to grantedAway.
-func (n *Node) withdraw(g *stealGrant) bool {
+// dropLease removes id's lease and stops its timer, returning it (nil
+// when id has none).
+func (n *Node) dropLease(id string) *lease {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.pendingSteals[g.job.ID] != g {
-		return false
+	l, ok := n.leases[id]
+	if !ok {
+		return nil
 	}
-	delete(n.pendingSteals, g.job.ID)
-	return true
+	delete(n.leases, id)
+	l.timer.Stop()
+	return l
 }
 
-// grantedAway reports whether this node granted id to a thief and has
-// not settled that grant. The copy of such a job here is the taken one,
-// which the settlement may yet Forget, so this node neither admits a
-// steal of the job back (stealOnce) nor tells a victim that it holds the
-// job (handleHolds). See DESIGN.md §11.4.
-func (n *Node) grantedAway(id string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.pendingSteals[id]
-	return ok
-}
-
-// thiefHolds asks the thief's steal-side lookup (handleHolds) whether it
-// holds the job.
+// thiefHolds asks the thief's in-flight lookup (handleHolds) whether it
+// is still running the job.
 func (n *Node) thiefHolds(thief, id string) bool {
 	addr, ok := n.addrs[thief]
 	if !ok {
@@ -128,43 +107,28 @@ func (n *Node) thiefHolds(thief, id string) bool {
 	return resp.StatusCode == http.StatusNoContent
 }
 
-// ackSteal settles a granted handoff: the thief holds the job durably,
-// so this node forgets it. The fence must match the outstanding grant —
-// a stale ack carrying an earlier token is rejected (counted)
-// without touching the job. Returns false for unknown, expired or
-// fence-rejected grants.
-func (n *Node) ackSteal(id string, fence uint64) bool {
+// running reports whether this node is running the leased job id.
+func (n *Node) running(id string) bool {
 	n.mu.Lock()
-	g, ok := n.pendingSteals[id]
-	n.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if g.fence != fence {
-		n.fenceRejections.Inc()
-		return false
-	}
-	g.timer.Stop()
-	forgot := n.srv.Forget(id)
-	if n.withdraw(g) {
-		n.stealsAcked.Inc()
-	}
-	return forgot
+	defer n.mu.Unlock()
+	return n.inflight[id]
 }
 
 // stealLoop runs on every node: when the local queue is empty, find the
-// alive peer with the deepest queue and pull one job from it.
+// alive peer with the deepest queue and run one job leased from it.
+// Steals are sequential, so at most one stolen job runs beside the
+// worker pool.
 func (n *Node) stealLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.StealInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			return
 		case <-t.C:
 			if n.srv.QueueLen() > 0 || !n.srv.Ready() {
-				continue // busy, draining, or unable to journal a stolen job
+				continue // busy, or not admitting work
 			}
 			victim := n.hottestPeer()
 			if victim == "" {
@@ -194,41 +158,33 @@ func (n *Node) hottestPeer() string {
 	return best
 }
 
-// stealOnce pulls one job from victim and executes the thief side of
-// the handoff.
+// stealOnce leases one job from victim, runs it, and posts a done
+// result back.
 func (n *Node) stealOnce(victim string) {
 	addr := n.addrs[victim]
-	var grant stealResponse
-	err := n.postJSON(addr+"/cluster/v1/steal", stealRequest{Thief: n.cfg.Self}, &grant)
-	if err != nil || grant.ID == "" {
+	var got stealResponse
+	err := n.postJSON(addr+"/cluster/v1/steal", stealRequest{Thief: n.cfg.Self}, &got)
+	if err != nil || got.ID == "" {
 		return // empty queue (204) or transport failure
 	}
-	if n.grantedAway(grant.ID) {
-		// This node granted the job away and the grant is unsettled: its
-		// copy here is the taken one, and deduping the admission onto it
-		// would ack the victim into forgetting the live copy while the
-		// grant may still Forget this one. Leave the grant to the
-		// victim's timer; handleHolds answers "not held" until it
-		// settles.
-		return
-	}
-	// admitOwned replicates to our follower, then journals the job
-	// durably here under the victim's ID.
-	job, _, err := n.admitOwned(grant.ID, grant.IdemKey, grant.Spec)
-	if err != nil {
-		return // unacked: the victim's timer settles it
-	}
-	if job.ID != grant.ID {
-		// Admission must land on the granted ID (SubmitWithID guarantees
-		// it); acking an ID this node does not hold would make the victim
-		// Forget the only copy. Leave the grant to the victim's timer.
-		return
-	}
-	// Ack failure is also covered by the victim's timer: it sees the job
-	// held here and forgets it (or requeues if we are unreachable, and
-	// both copies run to the same bytes).
-	_ = n.postJSON(addr+"/cluster/v1/steal-ack", ackRequest{ID: grant.ID, Fence: grant.Fence}, nil)
 	n.stealsOut.Inc()
+	n.mu.Lock()
+	n.inflight[got.ID] = true
+	n.mu.Unlock()
+	defer func() {
+		n.mu.Lock()
+		delete(n.inflight, got.ID)
+		n.mu.Unlock()
+	}()
+	res, err := n.srv.Execute(n.ctx, got.Spec)
+	if err != nil {
+		return // the victim's lease check requeues the job
+	}
+	// A lost post is covered the same way: once the ID leaves the
+	// in-flight set, the lease check requeues the job on the victim.
+	_ = n.postJSON(addr+"/cluster/v1/resync", resyncRequest{From: n.cfg.Self, Jobs: []resyncJob{{
+		ID: got.ID, State: api.StateDone, Result: res,
+	}}}, nil)
 }
 
 // storeReplica accepts one replica batch pushed by a peer (the receive

@@ -13,6 +13,7 @@ package ise
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"mrts/internal/arch"
 )
@@ -296,6 +297,50 @@ type FunctionalBlock struct {
 	ID      string
 	Name    string
 	Kernels []*Kernel
+
+	paths atomic.Pointer[PathIndex] // built by PathIndex on first use
+}
+
+// PathIndex numbers a functional block's distinct data paths, so a
+// selection can track configured and claimed data paths in bitsets
+// indexed by path number instead of comparing data-path IDs.
+type PathIndex struct {
+	// IDs maps a path number to its data-path ID.
+	IDs []DataPathID
+	// Paths[k][j] lists the path numbers of the data paths of
+	// Kernels[k].ISEs[j], in the ISE's order.
+	Paths [][][]int
+}
+
+// PathIndex returns the block's path numbering, building it on first use.
+// It lives as long as the block, so the block's kernels must not change
+// after the first call.
+func (b *FunctionalBlock) PathIndex() *PathIndex {
+	if x := b.paths.Load(); x != nil {
+		return x
+	}
+	x := &PathIndex{Paths: make([][][]int, len(b.Kernels))}
+	number := map[DataPathID]int{}
+	for ki, k := range b.Kernels {
+		x.Paths[ki] = make([][]int, len(k.ISEs))
+		for j, e := range k.ISEs {
+			ns := make([]int, len(e.DataPaths))
+			for i, d := range e.DataPaths {
+				n, ok := number[d.ID]
+				if !ok {
+					n = len(x.IDs)
+					number[d.ID] = n
+					x.IDs = append(x.IDs, d.ID)
+				}
+				ns[i] = n
+			}
+			x.Paths[ki][j] = ns
+		}
+	}
+	if b.paths.CompareAndSwap(nil, x) {
+		return x
+	}
+	return b.paths.Load()
 }
 
 // Kernel returns the block's kernel with the given ID, or nil.

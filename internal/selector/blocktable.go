@@ -1,52 +1,6 @@
 package selector
 
-import (
-	"sync"
-
-	"mrts/internal/ise"
-)
-
-// blockTable numbers a functional block's distinct data paths once, so a
-// selection tracks configured and claimed data paths in bitsets indexed by
-// path number instead of comparing data-path IDs.
-type blockTable struct {
-	// ids maps a path number to its data-path ID.
-	ids []ise.DataPathID
-	// paths[k][j] lists the path numbers of the data paths of
-	// Kernels[k].ISEs[j], in the ISE's order.
-	paths [][][]int
-}
-
-// tables caches each block's table. Blocks are immutable once built and
-// live as long as their workload, so the cache never needs invalidation.
-var tables sync.Map // map[*ise.FunctionalBlock]*blockTable
-
-// tableOf returns the block's table, building it on first use.
-func tableOf(b *ise.FunctionalBlock) *blockTable {
-	if v, ok := tables.Load(b); ok {
-		return v.(*blockTable)
-	}
-	t := &blockTable{paths: make([][][]int, len(b.Kernels))}
-	number := map[ise.DataPathID]int{}
-	for ki, k := range b.Kernels {
-		t.paths[ki] = make([][]int, len(k.ISEs))
-		for j, e := range k.ISEs {
-			ns := make([]int, len(e.DataPaths))
-			for i, d := range e.DataPaths {
-				n, ok := number[d.ID]
-				if !ok {
-					n = len(t.ids)
-					number[d.ID] = n
-					t.ids = append(t.ids, d.ID)
-				}
-				ns[i] = n
-			}
-			t.paths[ki][j] = ns
-		}
-	}
-	v, _ := tables.LoadOrStore(b, t)
-	return v.(*blockTable)
-}
+import "mrts/internal/ise"
 
 // kernelIndex returns the position of the block's (first) kernel with the
 // given ID, or -1.
@@ -59,11 +13,12 @@ func kernelIndex(b *ise.FunctionalBlock, id ise.KernelID) int {
 	return -1
 }
 
-// snapshot sets conf's bit n when the fabric holds data path n configured,
-// one IsConfigured call per distinct path.
-func (t *blockTable) snapshot(conf bitset, fab ise.FabricView) bitset {
-	conf = conf.reset(len(t.ids))
-	for n, id := range t.ids {
+// snapshot sets conf's bit n when the fabric holds data path n (numbered
+// by the block's PathIndex) configured, one IsConfigured call per distinct
+// path.
+func snapshot(t *ise.PathIndex, conf bitset, fab ise.FabricView) bitset {
+	conf = conf.reset(len(t.IDs))
+	for n, id := range t.IDs {
 		if fab.IsConfigured(id) {
 			conf.set(n)
 		}

@@ -79,7 +79,7 @@ func TestBlockTableMatchesReference(t *testing.T) {
 	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewPCG(seed, seed))
 	blocks := []*ise.FunctionalBlock{randomBlock(rng, "wide", 16, 5, 5, 150)}
-	if n := len(tableOf(blocks[0]).ids); n <= 64 {
+	if n := len(blocks[0].PathIndex().IDs); n <= 64 {
 		t.Fatalf("wide block numbers %d data paths, want more than 64", n)
 	}
 	for i := 0; i < 24; i++ {
@@ -92,7 +92,7 @@ func TestBlockTableMatchesReference(t *testing.T) {
 		q := randomRequest(rng, b, 4)
 
 		// The selection state under a random claim sequence.
-		tbl := tableOf(b)
+		tbl := b.PathIndex()
 		st, ref := new(state), new(refState)
 		st.reset(q.Fabric, tbl)
 		ref.reset(q.Fabric)

@@ -65,7 +65,7 @@ func GreedyInto(sel []Choice, q Request) (Result, error) {
 	res := Result{Selected: sel[:0]}
 	gs := greedyPool.Get().(*greedyScratch)
 	defer gs.release()
-	t := tableOf(q.Block)
+	t := q.Block.PathIndex()
 	st := &gs.st
 	st.reset(q.Fabric, t)
 	gs.cands = appendCandidates(gs.cands[:0], q, t)

@@ -23,7 +23,7 @@ func Optimal(q Request) (Result, error) {
 	sc := optimalPool.Get().(*optimalScratch)
 	defer sc.release()
 	sc.res = Result{}
-	t := tableOf(q.Block)
+	t := q.Block.PathIndex()
 	st := &sc.st
 	st.reset(q.Fabric, t)
 	sc.countOwners(q, t)
@@ -49,7 +49,7 @@ func Optimal(q Request) (Result, error) {
 			if prc > st.freePRC || cg > st.freeCG {
 				continue // can never fit
 			}
-			c := candidate{kernel: k, e: e, paths: t.paths[ki][j], params: p}
+			c := candidate{kernel: k, e: e, paths: t.Paths[ki][j], params: p}
 			sc.res.Evaluations++
 			// Stand-alone profit: nothing is claimed yet, so the state
 			// shows the base fabric.
@@ -204,15 +204,15 @@ func (sc *optimalScratch) walk(i int, total float64) {
 // countOwners counts, per data path of the block, the distinct triggered
 // kernels whose ISEs use it; a data path with more than one owner may be
 // configured for free by another kernel's choice.
-func (sc *optimalScratch) countOwners(q Request, t *blockTable) {
-	sc.owners = append(sc.owners[:0], make([]int, len(t.ids))...)
-	sc.lastOwner = append(sc.lastOwner[:0], make([]int, len(t.ids))...)
+func (sc *optimalScratch) countOwners(q Request, t *ise.PathIndex) {
+	sc.owners = append(sc.owners[:0], make([]int, len(t.IDs))...)
+	sc.lastOwner = append(sc.lastOwner[:0], make([]int, len(t.IDs))...)
 	for _, tr := range q.Triggers {
 		ki := kernelIndex(q.Block, tr.Kernel)
 		if ki < 0 {
 			continue
 		}
-		for _, ns := range t.paths[ki] {
+		for _, ns := range t.Paths[ki] {
 			for _, n := range ns {
 				if sc.lastOwner[n] != ki+1 {
 					sc.lastOwner[n] = ki + 1

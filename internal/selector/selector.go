@@ -97,7 +97,7 @@ func (q Request) Validate() error {
 }
 
 // candidate is one ISE under consideration together with its trigger and
-// the block-table numbers of its data paths.
+// the path numbers (ise.PathIndex) of its data paths.
 type candidate struct {
 	kernel *ise.Kernel
 	e      *ise.ISE
@@ -119,7 +119,7 @@ func numCandidates(q Request) int {
 
 // appendCandidates appends the initial candidate list (Fig. 6 Step 1) in a
 // deterministic order: triggers in given order, ISEs in kernel order.
-func appendCandidates(dst []gcand, q Request, t *blockTable) []gcand {
+func appendCandidates(dst []gcand, q Request, t *ise.PathIndex) []gcand {
 	if n := len(dst) + numCandidates(q); cap(dst) < n {
 		dst = append(make([]gcand, 0, n), dst...)
 	}
@@ -131,7 +131,7 @@ func appendCandidates(dst []gcand, q Request, t *blockTable) []gcand {
 		k := q.Block.Kernels[ki]
 		p := profit.ParamsFromTrigger(tr)
 		for j, e := range k.ISEs {
-			dst = append(dst, gcand{candidate: candidate{kernel: k, e: e, paths: t.paths[ki][j], params: p}})
+			dst = append(dst, gcand{candidate: candidate{kernel: k, e: e, paths: t.Paths[ki][j], params: p}})
 		}
 	}
 	return dst
@@ -151,7 +151,7 @@ func appendCandidates(dst []gcand, q Request, t *blockTable) []gcand {
 //     sees that through the configured mask (mask) and the port backlog
 //     (PortBacklog) this state supplies.
 //
-// Data paths are identified by their block-table numbers.
+// Data paths are identified by their path numbers.
 type state struct {
 	freePRC int
 	freeCG  int
@@ -174,11 +174,11 @@ var _ ise.PortView = (*state)(nil)
 
 // reset re-initialises the state onto a new base view of the block,
 // reusing its buffers so pooled states allocate nothing on reuse.
-func (s *state) reset(base ise.FabricView, t *blockTable) {
+func (s *state) reset(base ise.FabricView, t *ise.PathIndex) {
 	s.freePRC = base.FreePRC()
 	s.freeCG = base.FreeCG()
-	s.conf = t.snapshot(s.conf, base)
-	s.claimed = s.claimed.reset(len(t.ids))
+	s.conf = snapshot(t, s.conf, base)
+	s.claimed = s.claimed.reset(len(t.IDs))
 	s.claimLog = s.claimLog[:0]
 	s.baseFG, s.baseCG = 0, 0
 	if pv, ok := base.(ise.PortView); ok {

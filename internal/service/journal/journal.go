@@ -49,18 +49,12 @@ const (
 	// Current servers decide admission before journaling the submit and
 	// never write rejects; replay still honors them in older journals.
 	KindReject = "reject"
-	// KindForget voids a submit whose job was handed to another cluster
-	// node (work stealing): the receiving node journaled it durably
-	// before the donor forgets it, so replay drops the pair — the job
-	// lives on, just not here.
+	// KindForget voids a submit: replay drops the pair. A cluster owner
+	// writes it only into a follower's replica stream, after the submit
+	// it replicated failed to admit locally. Journals of older daemons
+	// also carry it for jobs they handed to a work-stealing thief. (Those
+	// journals may also hold "grant" records; replay ignores them.)
 	KindForget = "forget"
-	// KindGrant records a steal grant with its fencing token (Fence) and
-	// the thief it was issued to (Peer). Grants do not change a job's
-	// replay outcome — an unacked grant replays as a queued job — but
-	// replaying them keeps the fence counter monotonic across restarts,
-	// so a stale ack from before the restart can never match a fresh
-	// grant.
-	KindGrant = "grant"
 )
 
 // Record is one journaled job transition. Only the fields relevant to
@@ -74,10 +68,6 @@ type Record struct {
 	State   api.JobState   `json:"state,omitempty"`
 	Error   string         `json:"error,omitempty"`
 	Result  *api.JobResult `json:"result,omitempty"`
-	// Fence is the monotonic fencing token of a grant record.
-	Fence uint64 `json:"fence,omitempty"`
-	// Peer is the cluster member a grant was issued to.
-	Peer string `json:"peer,omitempty"`
 }
 
 // envelope is the on-disk line: the CRC guards rec byte-for-byte.

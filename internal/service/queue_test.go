@@ -177,11 +177,11 @@ func TestIdleWorkerJobIsNotStealable(t *testing.T) {
 }
 
 // Submitters, a canceller, a resolver, a thief (TakeQueued, then Requeue
-// or Forget) and two workers share the run queue at once; under -race
+// or Resolve) and two workers share the run queue at once; under -race
 // this covers the condition-variable wake-ups, the durable wait and
-// TakeQueued racing Cancel and Resolve. Every admitted job ends terminal
-// or forgotten, a job that was forgotten, resolved or cancelled while
-// queued never runs, none runs twice, and the queue ends empty.
+// TakeQueued racing Cancel and Resolve. Every admitted job ends terminal,
+// a job that was resolved or cancelled while queued never runs, none
+// runs twice, and the queue ends empty.
 func TestQueueConcurrentOpsSettle(t *testing.T) {
 	jr, err := journal.Open(t.TempDir())
 	if err != nil {
@@ -198,11 +198,11 @@ func TestQueueConcurrentOpsSettle(t *testing.T) {
 	defer s.Close()
 
 	var (
-		admitted         []*Job
-		forgot, resolved = map[string]bool{}, map[string]bool{}
-		seed             atomic.Uint64
-		stop             = make(chan struct{})
-		subs, others     sync.WaitGroup
+		admitted     []*Job
+		resolved     = map[string]bool{}
+		seed         atomic.Uint64
+		stop         = make(chan struct{})
+		subs, others sync.WaitGroup
 	)
 	pick := func(rng *rand.Rand) *Job {
 		mu.Lock()
@@ -267,9 +267,9 @@ func TestQueueConcurrentOpsSettle(t *testing.T) {
 			s.Requeue(j)
 			return
 		}
-		if s.Forget(j.ID) {
+		if s.Resolve(j.ID, api.StateDone, "", &api.JobResult{}) {
 			mu.Lock()
-			forgot[j.ID] = true
+			resolved[j.ID] = true
 			mu.Unlock()
 		} else {
 			s.Requeue(j) // cancelled since the take: a no-op
@@ -290,10 +290,6 @@ func TestQueueConcurrentOpsSettle(t *testing.T) {
 		st := s.Status(j, false).State
 		n := runs[j.Spec.Workload.Seed]
 		switch {
-		case forgot[j.ID]:
-			if _, ok := s.Job(j.ID); ok || n != 0 {
-				t.Errorf("forgotten job %s still held (%v) or ran %d times", j.ID, ok, n)
-			}
 		case !st.Terminal():
 			t.Errorf("job %s ended %s after drain", j.ID, st)
 		case n > 1:
@@ -386,7 +382,7 @@ func runQueueModel(t *testing.T, seed int64) {
 			t.Helper()
 			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 		}
-		switch op := rng.Intn(8); op {
+		switch op := rng.Intn(7); op {
 		case 0, 1: // SubmitIdem or SubmitWithID
 			key := keys[rng.Intn(len(keys))]
 			id := ""
@@ -464,39 +460,30 @@ func runQueueModel(t *testing.T, seed int64) {
 			}
 			slices.Sort(ids)
 			id := ids[rng.Intn(len(ids))]
-			s.Requeue(handles[id])
-			if mj := m.jobs[id]; mj != nil && mj.taken {
-				mj.taken = false
-				if mj.state == api.StateQueued {
-					m.queue = append(m.queue, id)
-				}
-			}
-		case 5: // Forget
-			id := pickID()
 			mj := m.jobs[id]
 			want := mj != nil && mj.taken && mj.state == api.StateQueued
-			if got := s.Forget(id); got != want {
-				fail("Forget(%s) = %v, want %v", id, got, want)
+			if got := s.Requeue(handles[id]); got != want {
+				fail("Requeue(%s) = %v, want %v", id, got, want)
+			}
+			if mj != nil {
+				mj.taken = false
 			}
 			if want {
-				delete(m.jobs, id)
-				m.order = slices.DeleteFunc(m.order, func(o string) bool { return o == id })
-				if m.idem[mj.key] == id {
-					delete(m.idem, mj.key)
-				}
+				m.queue = append(m.queue, id)
 			}
-		case 6: // Resolve
+		case 5: // Resolve, taken or not
 			id := pickID()
 			mj := m.jobs[id]
-			want := mj != nil && !mj.taken && mj.state == api.StateQueued
+			want := mj != nil && mj.state == api.StateQueued
 			if got := s.Resolve(id, api.StateDone, "", &api.JobResult{Text: "resolved"}); got != want {
 				fail("Resolve(%s) = %v, want %v", id, got, want)
 			}
 			if want {
 				mj.state = api.StateDone
+				mj.taken = false
 				m.dequeue(id)
 			}
-		case 7: // Adopt a peer's record stream
+		case 6: // Adopt a peer's record stream
 			var recs []journal.Record
 			wantRequeued, wantCompleted := 0, 0
 			type install struct {

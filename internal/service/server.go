@@ -121,8 +121,8 @@ type Job struct {
 	// Recovered marks a job rebuilt from the journal at startup or
 	// adopted from a dead cluster peer's replicated journal.
 	Recovered bool
-	// taken marks a queued job removed from the queue by TakeQueued for a
-	// steal handoff; only taken jobs may be Forgotten or Requeued.
+	// taken marks a queued job removed from the queue by TakeQueued, to be
+	// settled by Resolve or Requeue.
 	taken bool
 
 	ctx    context.Context
@@ -182,11 +182,6 @@ type Server struct {
 	idle    int
 	wake    *sync.Cond
 	idem    *idemTable
-
-	// maxFence is the highest fencing token found in the replayed journal
-	// (see journal.KindGrant); the cluster layer seeds its grant counter
-	// from it so fences stay monotonic across restarts.
-	maxFence uint64
 
 	jobsSubmitted, jobsDone, jobsFailed, jobsCancelled *Counter
 	jobsDeduped, jobsRecovered                         *Counter
@@ -264,11 +259,6 @@ func New(opts Options) *Server {
 // every other job re-runs. Re-running is safe because jobs are
 // deterministic — the replayed run produces byte-identical results.
 func (s *Server) replayJournal(recs []journal.Record) {
-	for _, r := range recs {
-		if r.Kind == journal.KindGrant && r.Fence > s.maxFence {
-			s.maxFence = r.Fence
-		}
-	}
 	byID, order := foldRecords(recs)
 	now := time.Now()
 	s.mu.Lock()
@@ -351,8 +341,8 @@ func Adoptable(recs []journal.Record, id string) bool {
 
 // foldRecords collapses a journal record stream into one foldedJob per
 // job ID, in first-submit order. Rejects and forgets void the submit:
-// replay drops the job entirely (it was never admitted, or another node
-// owns it now).
+// replay drops the job entirely. Any other kind, such as the grant records
+// of older daemons, is ignored.
 func foldRecords(recs []journal.Record) (byID map[string]*foldedJob, order []string) {
 	byID = make(map[string]*foldedJob)
 	for i := range recs {
@@ -411,19 +401,6 @@ func (s *Server) appendJournal(rec journal.Record, durable bool) {
 	}
 	s.journalRecords.Inc()
 }
-
-// AppendRecord journals one record on behalf of the cluster layer (steal
-// grants carry fencing tokens that must be recoverable). Durable appends
-// block until the record is fsynced. Like every journal write, failures
-// degrade durability, not availability.
-func (s *Server) AppendRecord(rec journal.Record, durable bool) {
-	s.appendJournal(rec, durable)
-}
-
-// MaxFence returns the highest fencing token the journal replay saw, so
-// the cluster layer's grant counter resumes above every token ever
-// issued by this node.
-func (s *Server) MaxFence() uint64 { return s.maxFence }
 
 // JournalErr returns the journal's sticky write error ("" state = nil):
 // non-nil means this node can no longer persist submissions.
@@ -545,11 +522,11 @@ func (s *Server) SubmitWithID(id, key string, spec api.JobSpec) (job *Job, dedup
 // already accepted.
 //
 // A caller-chosen id deliberately bypasses the key dedupe: identity is
-// by ID. A stolen job may share its idempotency key with a local
-// duplicate admitted during an ownership flip, but its ID is the one the
-// submitting client holds — diverting the admission onto the duplicate
-// would let the steal ack erase the only copy of that ID cluster-wide. A
-// duplicate run is byte-identical; a lost ID is a 404 forever.
+// by ID. The caller has already replicated that ID, and a concurrent
+// same-key submission may have admitted a duplicate since the caller's
+// key lookup; diverting onto the duplicate would leave the replica naming
+// a job that exists nowhere. A duplicate run is byte-identical; a lost ID
+// is a 404 forever.
 func (s *Server) submit(id, key string, spec api.JobSpec) (job *Job, deduped bool, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
@@ -608,8 +585,8 @@ func (s *Server) submit(id, key string, spec api.JobSpec) (job *Job, deduped boo
 
 	// Durable before the 202: once the client sees it the job must
 	// survive a crash. A worker that pops the job first waits on
-	// job.durable and TakeQueued skips it until then, so no start, grant
-	// or forget record can precede this submit record.
+	// job.durable and TakeQueued skips it until then, so no start or
+	// complete record can precede this submit record.
 	s.appendJournal(journal.Record{
 		Kind:    journal.KindSubmit,
 		ID:      id,
@@ -670,12 +647,11 @@ func (s *Server) dequeueLocked(j *Job) {
 
 // TakeQueued removes the oldest queued job whose submit record is
 // durable from the run queue, for an external executor (cluster work
-// stealing). The job stays in the job table until the caller settles the
-// handoff: Forget(id) once the thief holds the job durably, or Requeue if
-// the handoff failed. Returns false when no such job is queued. Skipping
-// a job whose submit record is still being fsynced keeps the caller's
-// grant record after it, and keeps a thief from taking a job before its
-// submitter could acknowledge it.
+// stealing). The job stays in the job table, reading queued, until the
+// caller settles it: Resolve with the result computed elsewhere, or
+// Requeue. Returns false when no such job is queued. Skipping a job whose
+// submit record is still being fsynced keeps a thief from running a job
+// before its submitter could acknowledge it.
 func (s *Server) TakeQueued() (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -692,48 +668,29 @@ func (s *Server) TakeQueued() (*Job, bool) {
 	return nil, false
 }
 
-// Requeue returns a job taken by TakeQueued to the back of the run queue
-// — the steal handoff failed. A job cancelled or resolved meanwhile stays
+// Requeue returns a job taken by TakeQueued to the back of the run queue,
+// reporting whether it did. A job resolved or cancelled meanwhile stays
 // terminal.
-func (s *Server) Requeue(j *Job) {
+func (s *Server) Requeue(j *Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !j.taken {
-		return
-	}
-	j.taken = false
-	if j.State == api.StateQueued {
-		s.pushLocked(j)
-	}
-}
-
-// Forget removes a job taken by TakeQueued from this server entirely —
-// another cluster node now owns it durably. The forget record voids the
-// submit in the journal, so a replay of this node does not re-run the
-// job here. (If this node crashes before the record lands, replay re-runs
-// it — a duplicate execution with a byte-identical result, never a loss.)
-func (s *Server) Forget(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || !j.taken || j.State != api.StateQueued {
-		s.mu.Unlock()
 		return false
 	}
-	delete(s.jobs, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	j.taken = false
+	if j.State != api.StateQueued {
+		return false
 	}
-	if j.IdemKey != "" {
-		s.idem.remove(j.IdemKey, id)
-	}
-	j.taken = false // settled: a late Requeue is a no-op
-	s.mu.Unlock()
-	j.cancel(nil)
-	s.appendJournal(journal.Record{Kind: journal.KindForget, ID: id}, false)
+	s.pushLocked(j)
 	return true
+}
+
+// Taken reports whether j is still out with TakeQueued's caller: neither
+// resolved, requeued nor cancelled since.
+func (s *Server) Taken(j *Job) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.taken && j.State == api.StateQueued
 }
 
 // Adopt folds journal records replicated from a dead cluster peer into
@@ -782,23 +739,24 @@ func (s *Server) Adopt(recs []journal.Record) (requeued, completed int) {
 	return len(pending), len(done)
 }
 
-// Resolve finishes a still-queued job with a result computed elsewhere —
-// the rejoin-resync path: a healed node learns that its adopter already
-// ran the job (to byte-identical output, jobs being deterministic) and
-// settles the local copy instead of re-running it. The terminal state is
-// journaled like a local completion. Returns false when the job is
-// unknown, already running or terminal, or mid-steal — those copies
-// finish on their own.
+// Resolve finishes a still-queued job, taken or not, with a result
+// computed elsewhere: a thief's result for a job it stole, or an
+// adopter's for a job this node held while partitioned away. Jobs are
+// deterministic, so the result is byte-identical to a local run. The
+// terminal state is journaled like a local completion. Returns false when
+// the job is unknown, already running or terminal — those copies finish
+// on their own.
 func (s *Server) Resolve(id string, state api.JobState, errMsg string, res *api.JobResult) bool {
 	if !state.Terminal() {
 		return false
 	}
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	if !ok || j.taken || j.State != api.StateQueued {
+	if !ok || j.State != api.StateQueued {
 		s.mu.Unlock()
 		return false
 	}
+	j.taken = false
 	s.dequeueLocked(j)
 	s.finishLocked(j, state, errMsg, res)
 	s.mu.Unlock()
@@ -1002,20 +960,7 @@ func (s *Server) runJob(job *Job) {
 	defer s.running.Dec()
 	s.appendJournal(journal.Record{Kind: journal.KindStart, ID: job.ID}, false)
 
-	timeout := s.opts.JobTimeout
-	if job.Spec.TimeoutSec > 0 {
-		timeout = time.Duration(job.Spec.TimeoutSec * float64(time.Second))
-	}
-	ctx, cancel := context.WithTimeout(job.ctx, timeout)
-	defer cancel()
-
-	start := time.Now()
-	res, err := s.executeSafe(ctx, job.Spec)
-	elapsed := time.Since(start)
-	s.jobSeconds.Observe(elapsed.Seconds())
-	if res != nil {
-		res.ElapsedSec = elapsed.Seconds()
-	}
+	res, err := s.Execute(job.ctx, job.Spec)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1028,11 +973,34 @@ func (s *Server) runJob(job *Job) {
 		s.finishLocked(job, api.StateCancelled, "shutting down", nil, false)
 	case errors.Is(err, errJobCancelled):
 		s.finishLocked(job, api.StateCancelled, "cancelled", nil)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.finishLocked(job, api.StateFailed, fmt.Sprintf("timeout after %s", timeout), nil)
 	default:
 		s.finishLocked(job, api.StateFailed, err.Error(), nil)
 	}
+}
+
+// Execute runs spec on the server's one execution path: under the spec's
+// timeout (TimeoutSec, else Options.JobTimeout) and behind the panic
+// barrier. Workers run every job through it, and a cluster node runs a
+// job leased from a peer through it. A run cut off by the timeout fails
+// with "timeout after <timeout>".
+func (s *Server) Execute(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+	timeout := s.opts.JobTimeout
+	if spec.TimeoutSec > 0 {
+		timeout = time.Duration(spec.TimeoutSec * float64(time.Second))
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	start := time.Now()
+	res, err := s.executeSafe(ctx, spec)
+	elapsed := time.Since(start)
+	s.jobSeconds.Observe(elapsed.Seconds())
+	if res != nil {
+		res.ElapsedSec = elapsed.Seconds()
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("timeout after %s", timeout)
+	}
+	return res, err
 }
 
 // executeSafe runs the job execution path behind a panic barrier: a
